@@ -26,6 +26,7 @@ def service():
     node = SimNode("n1", kernel.register_node("10.0.0.1"), 1, kernel, fs, Mode.DISTA)
     client = TaintMapClient(node, server.address)
     yield server, node, client
+    client.close()
     server.stop()
 
 
@@ -63,6 +64,7 @@ def test_benchmark_lookup_throughput(benchmark, service):
         return uncached.taint_for(gids[index[0]])
 
     benchmark(lookup)
+    uncached.close()
 
 
 @pytest.mark.parametrize("population", [1, 10, 100, 500])

@@ -1,11 +1,10 @@
-"""Async multiplexed Taint Map transport with cross-message coalescing.
+"""The Taint Map client transport: multiplexed connections with
+cross-message coalescing.
 
-The pooled :class:`~repro.core.taintmap.TaintMapClient` burns one
-blocking thread-and-connection per in-flight request — exactly the
-per-request overhead the Taint Rabbit line of work attributes to slow
-generic paths.  This module decouples the traced execution from the
-tracking traffic instead, and is the **default transport** (opt out
-with ``DISTA_TAINTMAP_TRANSPORT=pooled``):
+Every :class:`~repro.core.taintmap.TaintMapClient` owns one
+:class:`AsyncTaintMapTransport`.  It decouples the traced execution
+from the tracking traffic, so a wrapper thread never pays for a
+connection of its own:
 
 * **One long-lived connection per shard.**  The client upgrades each
   connection with :data:`~repro.core.taintmap.OP_MUX_HELLO`; after the
@@ -52,11 +51,11 @@ with ``DISTA_TAINTMAP_TRANSPORT=pooled``):
   **shed** with :class:`~repro.errors.TaintMapBackpressureError`, both
   counted in ``dista_coalesce_backpressure_total``.
 
-* **Failover with in-flight futures.**  Replica rotation composes per
-  shard exactly as in the pooled client: a connection that dies fails
-  every pending future with a transport error, and each affected
-  request retries on the shard's next replica (idempotency makes the
-  retry safe).  Semantic errors (``STATUS_*``) never fail over.
+* **Failover with in-flight futures.**  Replica rotation is per shard:
+  a connection that dies fails every pending future with a transport
+  error, and each affected request retries on the shard's next replica
+  (idempotency makes the retry safe).  Semantic errors (``STATUS_*``)
+  never fail over.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from itertools import islice
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.core.taintmap import (
     OP_LOOKUP,
@@ -373,8 +372,8 @@ class _ShardChannel:
 
     State is event-loop-confined; the replica list and active index are
     shared with the owning client so HA widening
-    (:class:`~repro.core.ha.AsyncFailoverTaintMapClient`) and
-    ``active_address_for`` introspection keep working unchanged.
+    (:class:`~repro.core.ha.FailoverTaintMapClient`) and
+    ``active_address_for`` introspection see the live choice.
     """
 
     def __init__(self, transport: "AsyncTaintMapTransport", shard: int):
@@ -464,14 +463,13 @@ class _ShardChannel:
 
 
 class AsyncTaintMapTransport:
-    """The event-loop half of :class:`AsyncTaintMapClient`.
+    """The event-loop half of :class:`~repro.core.taintmap.TaintMapClient`.
 
-    ``submit``/``submit_many`` are the sync bridge: they accept the
-    pooled client's ``(shard, op, payload)`` request shape, route the
-    four map ops through the coalescing windows, and return response
-    payloads in exactly the sync protocol's formats — so the caching
-    and batching logic of :class:`~repro.core.taintmap.TaintMapClient`
-    runs unmodified on top.
+    ``submit``/``submit_many`` are the sync bridge: they accept
+    ``(shard, op, payload)`` requests, route the four map ops through
+    the coalescing windows, and return response payloads in exactly the
+    sync protocol's formats — so the client's caching and batching logic
+    sits on top unchanged.
     """
 
     def __init__(
@@ -1022,8 +1020,14 @@ class AsyncTaintMapTransport:
         """
         client = self.client
         error = client._stale_ring_error(shard, response)
-        if error.ring is None or attempts + 1 >= client.RING_RETRY_LIMIT:
-            raise error  # _flush fails the window's remaining futures
+        # Raising lets _flush fail the window's remaining futures.
+        if error.ring is None:
+            raise error
+        if attempts + 1 >= client.RING_RETRY_LIMIT:
+            raise TaintMapError(
+                f"registration still stale-rung after {client.RING_RETRY_LIMIT} "
+                "re-routes; client and server rings disagree persistently"
+            ) from error
         if attempts > 0:
             await asyncio.sleep(min(0.001 * (1 << attempts), 0.05))
         router = client._router
@@ -1067,58 +1071,3 @@ class AsyncTaintMapTransport:
                 future = entries.pop(key)
                 if not future.done():
                     future.set_result(value)
-
-
-class AsyncTaintMapClient(TaintMapClient):
-    """Drop-in :class:`~repro.core.taintmap.TaintMapClient` whose
-    transport is one multiplexed connection per shard plus cross-message
-    coalescing.  The sync ``gid_for``/``gids_for``/``taint_for``/
-    ``taints_for`` API, both-direction caches, shard routing, and HA
-    failover semantics are all inherited — only the two request-path
-    hooks (``_request`` / ``_request_by_shard``) change.
-    """
-
-    transport_name = "async"
-
-    def __init__(
-        self,
-        node,
-        address: Union[Address, Sequence[Address]],
-        cache_enabled: bool = True,
-        cache_capacity: Optional[int] = None,
-        coalesce_window_us: Optional[float] = None,
-        max_batch: int = DEFAULT_MAX_BATCH,
-        coalesce_adaptive: Optional[bool] = None,
-        request_deadline_s: Optional[float] = DEFAULT_DEADLINE_S,
-        max_pending: int = DEFAULT_MAX_PENDING,
-        backpressure: str = "block",
-        cache_admission: bool = False,
-    ):
-        super().__init__(node, address, cache_enabled, cache_capacity, cache_admission)
-        self.transport = AsyncTaintMapTransport(
-            self,
-            coalesce_window_us,
-            max_batch,
-            coalesce_adaptive=coalesce_adaptive,
-            request_deadline_s=request_deadline_s,
-            max_pending=max_pending,
-            backpressure=backpressure,
-        )
-
-    def _on_shards_grown(self, shard_count: int) -> None:
-        self.transport.grow_to(shard_count)
-
-    def _on_shards_readdressed(self, indices) -> None:
-        self.transport.readdress(indices)
-
-    def _request(self, op: int, payload: bytes, shard: int = 0) -> bytes:
-        return self.transport.submit(shard, op, payload)
-
-    def _request_by_shard(
-        self, calls: Sequence[tuple[int, int, bytes]]
-    ) -> list[bytes]:
-        return self.transport.submit_many(calls)
-
-    def close(self) -> None:
-        self.transport.close()
-        super().close()

@@ -23,7 +23,6 @@ import threading
 from typing import Optional, Sequence, Union
 
 from repro.core import taintmap
-from repro.core.aio_transport import AsyncTaintMapClient
 from repro.core.taintmap import (
     GID_SEQ_MASK,
     STATUS_OK,
@@ -147,82 +146,17 @@ class ReplicatedTaintMapServer(TaintMapServer):
                 self._standby_endpoint = None
 
 
-def _append_standbys(
-    client: TaintMapClient, standby: Union[Address, Sequence[Address]]
-) -> None:
-    """Widen each shard's replica list from ``[primary]`` to
-    ``[primary, standby]``.  The replica-rotation machinery itself lives
-    in the client's per-shard request path — both the pooled and async
-    failover clients only widen the lists."""
-    standbys = _normalize_addresses(standby)
-    if len(standbys) != len(client._shard_replicas):
-        raise TaintMapError(
-            f"{len(client._shard_replicas)} primary shard(s) but "
-            f"{len(standbys)} standby address(es)"
-        )
-    for replicas, standby_address in zip(client._shard_replicas, standbys):
-        replicas.append(standby_address)
-
-
-class _ActiveAddressMixin:
-    #: Optional ``standby_factory(shard_index, primary_address) ->
-    #: Optional[Address]`` hook: when a ring adoption appends shards,
-    #: each new shard's replica list is widened with the factory's
-    #: standby (a None return leaves the shard standby-less).  Without
-    #: it, scaled-out shards simply run with one replica until the
-    #: deployment wires a standby in.
-    standby_factory = None
-
-    @property
-    def active_address(self) -> Address:
-        """Shard 0's active replica (the single-shard deployment's one)."""
-        return self.active_address_for(0)
-
-    def active_address_for(self, shard: int) -> Address:
-        return self._shard_replicas[shard][self._active[shard]]
-
-    def _replicas_for_new_shard(self, index: int, address: Address) -> list[Address]:
-        replicas = [address]
-        factory = self.standby_factory
-        if factory is not None:
-            standby = factory(index, address)
-            if standby is not None:
-                replicas.append(tuple(standby))
-        return replicas
-
-
-class FailoverTaintMapClient(_ActiveAddressMixin, TaintMapClient):
+class FailoverTaintMapClient(TaintMapClient):
     """A client that falls back to the standby when the primary dies.
 
     ``primary`` and ``standby`` are each one address (single-point
     deployment) or a sequence of per-shard addresses (sharded
     deployment; both sequences in shard order and of equal length).
-    ``standby_factory`` names standbys for shards that appear later via
-    ring adoption, so failover keeps composing with elastic scale-out.
-    """
-
-    def __init__(
-        self,
-        node,
-        primary: Union[Address, Sequence[Address]],
-        standby: Union[Address, Sequence[Address]],
-        cache_enabled: bool = True,
-        cache_capacity: Optional[int] = None,
-        standby_factory=None,
-    ):
-        super().__init__(node, primary, cache_enabled, cache_capacity)
-        _append_standbys(self, standby)
-        self.standby_factory = standby_factory
-
-
-class AsyncFailoverTaintMapClient(_ActiveAddressMixin, AsyncTaintMapClient):
-    """The failover client on the async multiplexed transport.
-
-    Failover state is the same per-shard ``(replicas, active)`` pair the
-    pooled client rotates; a broken multiplexed connection fails every
-    in-flight future with a transport error, and each affected request
-    retries on the standby (registration and lookup are idempotent, so
-    the retry is safe).
+    Each shard's replica list widens from ``[primary]`` to
+    ``[primary, standby]``; the transport rotates through it per shard.
+    A broken multiplexed connection fails every in-flight future with a
+    transport error, and each affected request retries on the standby
+    (registration and lookup are idempotent, so the retry is safe).
 
     Deadline errors (:class:`~repro.errors.TaintMapDeadlineError`) are
     raised at the sync ``submit`` bridge, *outside* the per-replica
@@ -240,8 +174,39 @@ class AsyncFailoverTaintMapClient(_ActiveAddressMixin, AsyncTaintMapClient):
         cache_enabled: bool = True,
         cache_capacity: Optional[int] = None,
         standby_factory=None,
-        **transport_options,
+        **options,
     ):
-        super().__init__(node, primary, cache_enabled, cache_capacity, **transport_options)
-        _append_standbys(self, standby)
+        standbys = _normalize_addresses(standby)
+        primaries = _normalize_addresses(primary)
+        if len(standbys) != len(primaries):
+            raise TaintMapError(
+                f"{len(primaries)} primary shard(s) but "
+                f"{len(standbys)} standby address(es)"
+            )
+        super().__init__(node, primaries, cache_enabled, cache_capacity, **options)
+        for replicas, standby_address in zip(self._shard_replicas, standbys):
+            replicas.append(standby_address)
+        #: Optional ``standby_factory(shard_index, primary_address) ->
+        #: Optional[Address]`` hook: when a ring adoption appends shards,
+        #: each new shard's replica list is widened with the factory's
+        #: standby (a None return leaves the shard standby-less).  Without
+        #: it, scaled-out shards simply run with one replica until the
+        #: deployment wires a standby in.
         self.standby_factory = standby_factory
+
+    @property
+    def active_address(self) -> Address:
+        """Shard 0's active replica (the single-shard deployment's one)."""
+        return self.active_address_for(0)
+
+    def active_address_for(self, shard: int) -> Address:
+        return self._shard_replicas[shard][self._active[shard]]
+
+    def _replicas_for_new_shard(self, index: int, address: Address) -> list[Address]:
+        replicas = [address]
+        factory = self.standby_factory
+        if factory is not None:
+            standby = factory(index, address)
+            if standby is not None:
+                replicas.append(tuple(standby))
+        return replicas

@@ -1752,10 +1752,16 @@ class TaintMapClient:
     single-point deployment — or a sequence of shard addresses in shard
     order.  Registrations route by consistent hash of the canonical
     taint key; lookups route by the shard bits of the received GID.
-    Each shard gets its own **connection pool**, so concurrent JNI
-    wrappers on one node issue requests in parallel instead of queueing
-    behind a single locked connection, and batch operations resolve
-    their per-shard sub-batches concurrently (one round-trip per shard).
+
+    Requests travel over one
+    :class:`~repro.core.aio_transport.AsyncTaintMapTransport`: a
+    multiplexed connection per shard, driven by a background event loop,
+    which coalesces concurrent cache misses into one batched round-trip
+    per shard per window.  ``transport_options`` tune it
+    (``coalesce_window_us``, ``coalesce_adaptive``, ``max_batch``,
+    ``request_deadline_s``, ``max_pending``, ``backpressure``).  The
+    client owns that loop's thread, so every client must be released
+    with :meth:`close`.
 
     ``cache_enabled=False`` exists only for the ablation benchmark — it
     re-registers every byte's taint, demonstrating why Fig. 9's step ②
@@ -1763,14 +1769,6 @@ class TaintMapClient:
     ``cache_capacity`` optionally bounds both caches with LRU eviction
     (default unbounded, preserving Fig. 9 semantics exactly).
     """
-
-    #: Idle connections kept per shard; beyond this, released
-    #: connections are closed rather than pooled.
-    MAX_IDLE_PER_SHARD = 8
-
-    #: Telemetry label naming the request transport; the async client
-    #: (:mod:`repro.core.aio_transport`) overrides it.
-    transport_name = "pooled"
 
     #: Consecutive ``STATUS_STALE_RING`` replies tolerated on one
     #: logical registration before giving up.  A live scale-out settles
@@ -1785,7 +1783,11 @@ class TaintMapClient:
         cache_enabled: bool = True,
         cache_capacity: Optional[int] = None,
         cache_admission: bool = False,
+        **transport_options,
     ):
+        # Imported here: the transport module imports this one.
+        from repro.core.aio_transport import AsyncTaintMapTransport
+
         self._node = node
         #: Replica candidates per shard; the base client has exactly one
         #: per shard, :class:`~repro.core.ha.FailoverTaintMapClient`
@@ -1797,8 +1799,7 @@ class TaintMapClient:
         self._ring = ShardRing(0, [replicas[0] for replicas in self._shard_replicas])
         self._router = self._ring.router()
         self._cache_enabled = cache_enabled
-        self._pool_lock = threading.Lock()
-        self._pools: list[list[TcpEndpoint]] = [[] for _ in self._shard_replicas]
+        self._ring_lock = threading.Lock()
         #: Client-side counters: cache hits/misses/evictions.
         self.stats = TaintMapStats()
         #: taint node identity → (Global ID, taint handle).  Keyed by
@@ -1820,12 +1821,12 @@ class TaintMapClient:
             self._rpc_seconds = self._metrics.histogram(
                 "dista_taintmap_rpc_seconds",
                 "Client-observed Taint Map RPC latency in seconds.",
-                ("op", "transport"),
+                ("op",),
             )
             self._requests_total = self._metrics.counter(
                 "dista_taintmap_requests_total",
                 "Taint Map requests issued by this node.",
-                ("op", "transport"),
+                ("op",),
             )
             self._batch_entries = self._metrics.histogram(
                 "dista_taintmap_batch_entries",
@@ -1834,6 +1835,8 @@ class TaintMapClient:
                 lowest=1.0,
                 buckets=16,
             )
+        self.transport = AsyncTaintMapTransport(self, **transport_options)
+        if self._metrics is not None:
             self._metrics.register_collector(self._cache_samples)
 
     def _cache_samples(self) -> dict:
@@ -1873,10 +1876,8 @@ class TaintMapClient:
     def _observe_rpc(self, op: int, elapsed: float) -> None:
         if self._rpc_seconds is not None:
             name = op_name(op)
-            self._rpc_seconds.labels(op=name, transport=self.transport_name).observe(
-                elapsed
-            )
-            self._requests_total.labels(op=name, transport=self.transport_name).inc()
+            self._rpc_seconds.labels(op=name).observe(elapsed)
+            self._requests_total.labels(op=name).inc()
 
     def _observe_batch(self, op: int, entries: int) -> None:
         if self._batch_entries is not None:
@@ -1901,14 +1902,13 @@ class TaintMapClient:
         STALE_RING replies can arrive out of order).
 
         Retired slots **readdress** rather than grow: the drained
-        shard's slot takes the forwarding (successor) address, stale
-        pooled connections to the drained process are discarded, and
-        lookups for the drained shard's GID bits transparently dial the
-        forward shard.  Readdressed slots are exempt from the
+        shard's slot takes the forwarding (successor) address, the
+        transport drops its cached connection to the drained process,
+        and lookups for the drained shard's GID bits transparently dial
+        the forward shard.  Readdressed slots are exempt from the
         address-preservation check — moving is their whole point.
         """
-        stale: list[TcpEndpoint] = []
-        with self._pool_lock:
+        with self._ring_lock:
             if ring.epoch <= self._ring.epoch:
                 return False
             for index, replicas in enumerate(self._shard_replicas):
@@ -1930,24 +1930,19 @@ class TaintMapClient:
                     self._replicas_for_new_shard(index, ring.addresses[index])
                 )
                 self._active[index] = 0
-                stale.extend(self._pools[index])
-                self._pools[index].clear()
                 readdressed.append(index)
             for index in range(len(self._shard_replicas), ring.shard_count):
                 self._shard_replicas.append(
                     list(self._replicas_for_new_shard(index, ring.addresses[index]))
                 )
                 self._active.append(0)
-                self._pools.append([])
             grown = len(self._shard_replicas)
-        for endpoint in stale:
-            self._close_quietly(endpoint)
-        # Outside the pool lock: the async transport grows on its event
-        # loop and must not be awaited while holding a client lock.
-        self._on_shards_grown(grown)
+        # Outside the ring lock: the transport grows on its event loop
+        # and must not be awaited while holding a client lock.
+        self.transport.grow_to(grown)
         if readdressed:
-            self._on_shards_readdressed(readdressed)
-        with self._pool_lock:
+            self.transport.readdress(readdressed)
+        with self._ring_lock:
             if ring.epoch <= self._ring.epoch:
                 return False  # a racing adopter moved us even further
             self._ring = ring
@@ -1960,176 +1955,10 @@ class TaintMapClient:
         grow their per-shard standby lists with the ring."""
         return [address]
 
-    def _on_shards_grown(self, shard_count: int) -> None:
-        """Hook for transports with per-shard state beyond the pools."""
-
-    def _on_shards_readdressed(self, indices: list[int]) -> None:
-        """Hook: the listed shard slots changed address (drain
-        forwarding).  Transports with cached per-shard connections drop
-        them so new requests dial the forwarding shard."""
-
-    # -- connection pool ------------------------------------------------- #
-
-    @property
-    def _endpoint(self) -> Optional[TcpEndpoint]:
-        """Compatibility view of the transport: shard 0's most recently
-        pooled connection (the seed client's single connection)."""
-        with self._pool_lock:
-            pool = self._pools[0]
-            return pool[-1] if pool else None
-
-    @_endpoint.setter
-    def _endpoint(self, value) -> None:
-        if value is not None:
-            raise TaintMapError("_endpoint can only be reset to None")
-        self._drop_pools()
-
-    def _close_quietly(self, endpoint: TcpEndpoint) -> None:
-        """Close an endpoint, suppressing (and counting) close-time
-        socket errors — one bad endpoint must never abort a cache/pool
-        reset that still has healthy endpoints to release."""
-        try:
-            endpoint.close()
-        except Exception:
-            self.stats.bump("close_errors")
-
-    def _drop_pools(self) -> None:
-        with self._pool_lock:
-            endpoints = [e for pool in self._pools for e in pool]
-            for pool in self._pools:
-                pool.clear()
-        for endpoint in endpoints:
-            self._close_quietly(endpoint)
-
-    def _acquire(self, shard: int) -> tuple[TcpEndpoint, bool]:
-        """An idle pooled connection (reused=True) or a fresh connect."""
-        with self._pool_lock:
-            pool = self._pools[shard]
-            while pool:
-                endpoint = pool.pop()
-                if not endpoint.closed:
-                    return endpoint, True
-            address = self._shard_replicas[shard][self._active[shard]]
-        return self._node.kernel.connect(self._node.ip, address), False
-
-    def _release(self, shard: int, endpoint: TcpEndpoint) -> None:
-        with self._pool_lock:
-            pool = self._pools[shard]
-            if len(pool) < self.MAX_IDLE_PER_SHARD:
-                pool.append(endpoint)
-                return
-        self._close_quietly(endpoint)
-
-    def _rotate(self, shard: int, observed_active: int) -> None:
-        """Fail over ``shard`` to its next replica (no-op if another
-        thread already rotated past ``observed_active``)."""
-        with self._pool_lock:
-            if self._active[shard] != observed_active:
-                return
-            self._active[shard] = (observed_active + 1) % len(
-                self._shard_replicas[shard]
-            )
-            stale = list(self._pools[shard])
-            self._pools[shard].clear()
-        for endpoint in stale:
-            self._close_quietly(endpoint)
-
-    # -- request path ----------------------------------------------------- #
-
-    def _roundtrip(self, endpoint: TcpEndpoint, op: int, payload: bytes) -> tuple[int, bytes]:
-        started = time.perf_counter()
-        _send_frame(endpoint, bytes([op]), payload)
-        status = _recv_exact(endpoint, 1)[0]
-        (length,) = struct.unpack(">I", _recv_exact(endpoint, 4))
-        response = _recv_exact(endpoint, length) if length else b""
-        with self.stats._lock:
-            self.requests_sent += 1
-        self._observe_rpc(op, time.perf_counter() - started)
-        return status, response
-
-    def _attempt(self, shard: int, op: int, payload: bytes) -> tuple[int, bytes]:
-        """One request against the shard's active replica.
-
-        A connection that fails mid-frame is **always closed and
-        discarded** — a poisoned half-read connection must never return
-        to the pool, or its buffered remainder would desynchronize
-        framing for every subsequent request.  Failures on *reused*
-        pooled connections (which may simply have gone stale while idle)
-        retry once on a fresh connection; fresh-connection failures
-        propagate to the failover layer.
-        """
-        while True:
-            endpoint, reused = self._acquire(shard)
-            try:
-                status, response = self._roundtrip(endpoint, op, payload)
-            except Exception:
-                self._close_quietly(endpoint)
-                if reused:
-                    continue
-                raise
-            self._release(shard, endpoint)
-            return status, response
-
-    def _request(self, op: int, payload: bytes, shard: int = 0) -> bytes:
-        replicas = self._shard_replicas[shard]
-        last_error: Optional[Exception] = None
-        for _ in range(len(replicas)):
-            observed_active = self._active[shard]
-            try:
-                status, response = self._attempt(shard, op, payload)
-            except TRANSPORT_ERRORS as exc:
-                last_error = exc
-                self._rotate(shard, observed_active)
-                continue
-            # Protocol-level status: semantic errors never fail over.
-            if status == STATUS_UNKNOWN_GID:
-                raise TaintMapError("unknown Global ID")
-            if status == STATUS_STALE_RING:
-                raise self._stale_ring_error(shard, response)
-            if status == STATUS_GID_EXHAUSTED:
-                raise TaintMapExhaustedError(
-                    f"shard {shard} has exhausted its Global-ID sequence space"
-                )
-            if status != STATUS_OK:
-                raise TaintMapError(f"taint map rejected request (status {status})")
-            return response
-        if len(replicas) == 1:
-            raise last_error  # single replica: surface the transport error
-        raise TaintMapError(f"all taint map replicas unreachable: {last_error}")
-
-    def _request_by_shard(
-        self, calls: Sequence[tuple[int, int, bytes]]
-    ) -> list[bytes]:
-        """Fire ``(shard, op, payload)`` requests concurrently, one
-        thread per shard, preserving the one-round-trip-per-shard
-        property for batches that span the ring."""
-        if len(calls) == 1:
-            shard, op, payload = calls[0]
-            return [self._request(op, payload, shard)]
-        results: list[Optional[bytes]] = [None] * len(calls)
-        errors: list[Exception] = []
-
-        def fire(index: int, shard: int, op: int, payload: bytes) -> None:
-            try:
-                results[index] = self._request(op, payload, shard)
-            except Exception as exc:
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=fire, args=(i, *call), daemon=True)
-            for i, call in enumerate(calls)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        return results  # type: ignore[return-value]
-
     def _stale_ring_error(self, shard: int, response: bytes) -> TaintMapStaleRingError:
         """Decode a STALE_RING reply, adopt its ring, build the retryable
-        error.  Shared by the pooled request path and the async flush."""
+        error.  The transport's register flush calls this before it
+        re-routes the window under the adopted ring."""
         self.stats.bump("stale_ring_retries")
         ring = ShardRing.decode(response) if response else None
         adopted = self.adopt_ring(ring) if ring is not None else False
@@ -2163,23 +1992,11 @@ class TaintMapClient:
             cached = self._gid_cache.get(key)
             if cached is not None:
                 return cached[0]
-        payload = serialize_tags(taint.tags)
-        for attempt in range(self.RING_RETRY_LIMIT):
-            try:
-                response = self._request(
-                    OP_REGISTER, payload, self._shard_for_taint(taint)
-                )
-                break
-            except TaintMapStaleRingError:
-                # Re-route under the (possibly just-adopted) ring; back
-                # off briefly when the reply did not move us forward — a
-                # mid-flip server settles within a few handling turns.
-                self._stale_ring_backoff(attempt)
-        else:
-            raise TaintMapError(
-                f"registration still stale-rung after {self.RING_RETRY_LIMIT} "
-                "re-routes; client and server rings disagree persistently"
-            )
+        # A STALE_RING reply is re-routed inside the transport, at most
+        # RING_RETRY_LIMIT times, before this raises.
+        response = self.transport.submit(
+            self._shard_for_taint(taint), OP_REGISTER, serialize_tags(taint.tags)
+        )
         (gid,) = struct.unpack(">I", response)
         self._record_registered(taint, gid)
         return gid
@@ -2210,21 +2027,7 @@ class TaintMapClient:
             else:
                 misses[key] = (taint, [i])
         if misses:
-            for attempt in range(self.RING_RETRY_LIMIT):
-                try:
-                    self._register_misses(misses, gids)
-                    break
-                except TaintMapStaleRingError:
-                    # Registration is idempotent server-side, so losing
-                    # a partial batch to a mid-flip shard is safe: the
-                    # whole miss set re-routes and re-fires under the
-                    # adopted ring, returning the same GIDs.
-                    self._stale_ring_backoff(attempt)
-            else:
-                raise TaintMapError(
-                    f"batch registration still stale-rung after "
-                    f"{self.RING_RETRY_LIMIT} re-routes"
-                )
+            self._register_misses(misses, gids)
         return gids  # type: ignore[return-value]
 
     def _register_misses(
@@ -2255,17 +2058,13 @@ class TaintMapClient:
                 )
                 chunks.append(chunk)
                 self._observe_batch(OP_REGISTER_MANY, len(chunk))
-        responses = self._request_by_shard(calls)
+        responses = self.transport.submit_many(calls)
         for chunk, response in zip(chunks, responses):
             new_gids = struct.unpack(f">{len(chunk)}I", response)
             for (taint, positions), gid in zip(chunk, new_gids):
                 self._record_registered(taint, gid)
                 for i in positions:
                     gids[i] = gid
-
-    def _stale_ring_backoff(self, attempt: int) -> None:
-        if attempt > 0:
-            time.sleep(min(0.001 * (1 << attempt), 0.05))
 
     def _record_registered(self, taint: Taint, gid: int) -> None:
         if self._cache_enabled:
@@ -2288,11 +2087,10 @@ class TaintMapClient:
             cached = self._taint_cache.get(gid)
             if cached is not None:
                 return cached
-        serialized = self._request(
-            OP_LOOKUP, struct.pack(">I", gid), self._shard_for_gid(gid)
+        serialized = self.transport.submit(
+            self._shard_for_gid(gid), OP_LOOKUP, struct.pack(">I", gid)
         )
-        taint = self._record_resolved(gid, serialized)
-        return taint
+        return self._record_resolved(gid, serialized)
 
     def taints_for(self, gids: Sequence[int]) -> list[Optional[Taint]]:
         """Local taints for a batch of Global IDs, resolving all cache
@@ -2319,7 +2117,7 @@ class TaintMapClient:
                     calls.append((shard, OP_LOOKUP_MANY, _pack_batch_lookup(chunk)))
                     chunks.append(chunk)
                     self._observe_batch(OP_LOOKUP_MANY, len(chunk))
-            responses = self._request_by_shard(calls)
+            responses = self.transport.submit_many(calls)
             for chunk, response in zip(chunks, responses):
                 for gid, serialized in zip(
                     chunk, _split_batch_lookup_response(response, len(chunk))
@@ -2338,7 +2136,7 @@ class TaintMapClient:
         return taint
 
     def close(self) -> None:
-        self._drop_pools()
+        self.transport.close()
         # Detach the cache collector: a detached client must not keep
         # reporting (or keep itself alive) through the node's registry.
         if self._metrics is not None:

@@ -62,10 +62,9 @@ class LabelResolver:
     Global-ID resolvers bundled as one value.
 
     The wrappers hand this to the codecs instead of individual
-    callables, so the whole resolution path — including the transport
-    behind it (pooled threads or the async multiplexed client with
-    cross-message coalescing, :mod:`repro.core.aio_transport`) — is
-    swappable in one place.  Every codec below also still accepts the
+    callables, so the whole resolution path — including the multiplexed,
+    coalescing transport behind it (:mod:`repro.core.aio_transport`) —
+    is swappable in one place.  Every codec below also still accepts the
     bare callables for backwards compatibility.
     """
 

@@ -48,16 +48,12 @@ class DisTARuntime:
         client: TaintMapClient,
         byte_granularity: bool = True,
         trace=NULL_TRACE,
-        transport: str = "pooled",
     ):
         self.node = node
         self.client = client
         #: Every wrapper resolves labels through this bundle, so the
-        #: transport behind it (pooled threads vs the async multiplexed
-        #: client) is swappable without touching wrapper code.
+        #: codecs never see the client or its transport.
         self.resolver = wire.LabelResolver.for_client(client)
-        #: Which transport the agent selected ("pooled" or "async").
-        self.transport = transport
         #: False only in the granularity ablation: whole-message tainting.
         self.byte_granularity = byte_granularity
         #: Optional CrossingTrace recording tainted boundary crossings.
@@ -111,40 +107,6 @@ class DisTARuntime:
                 "call, no Taint Map round-trip), slow = shadow codec "
                 "engaged.",
                 ("site", "path"),
-            )
-            # Pre-declare the transport-side families (the async client
-            # populates them) so /metrics has the same shape under both
-            # transports — zero-valued rather than absent under pooled.
-            flush = self.metrics.counter(
-                "dista_coalesce_flush_total",
-                "Coalescing-window flushes by trigger (size/timer/backpressure).",
-                ("reason",),
-            )
-            for reason in ("size", "timer", "backpressure"):
-                flush.labels(reason=reason)
-            self.metrics.histogram(
-                "dista_coalesce_window_entries",
-                "Entries per flushed coalescing window.",
-                (),
-                lowest=1.0,
-                buckets=16,
-            )
-            backpressure = self.metrics.counter(
-                "dista_coalesce_backpressure_total",
-                "Entries gated at a shard's pending-window high-water mark.",
-                ("action",),
-            )
-            for action in ("block", "shed"):
-                backpressure.labels(action=action)
-            self.metrics.gauge(
-                "dista_coalesce_window_us",
-                "Current coalescing window per shard in microseconds "
-                "(driven by the AIMD controller when adaptive).",
-                ("shard",),
-            )
-            self.metrics.gauge(
-                "dista_taintmap_inflight_requests",
-                "Requests in flight on the multiplexed Taint Map connections.",
             )
 
     def record_io(self, direction: str, method: str, data, channel=None) -> None:

@@ -69,7 +69,7 @@ class TaintMapExhaustedError(TaintMapError):
     Deliberately **not** a ``ConnectionError``: the shard is healthy and
     answering, it simply has nothing left to allocate — failing over or
     retrying cannot help (the standby replicates the same exhausted
-    counter), so the transports surface this immediately instead of
+    counter), so the transport surfaces this immediately instead of
     burning a replica rotation on it.  The ``dista_gid_headroom`` gauge
     gives deployments the advance warning this error is the end of.
     """

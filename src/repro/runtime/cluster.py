@@ -37,7 +37,6 @@ class Cluster:
         name: str = "cluster",
         agent_options: Optional[dict] = None,
         taint_map_shards: int = 1,
-        taint_map_transport: Optional[str] = None,
         coalesce_window_us: Optional[float] = None,
         coalesce_adaptive: Optional[bool] = None,
         request_deadline_s: Optional[float] = None,
@@ -71,19 +70,14 @@ class Cluster:
                 self.agent_options["trace"] = CrossingTrace()
         else:
             self.lineage_store = None
-        #: Taint Map transport: "async" (default) or "pooled"; ``None``
-        #: defers to the ``DISTA_TAINTMAP_TRANSPORT`` environment
-        #: variable, so CI can flip a whole suite without code changes.
-        if taint_map_transport is not None:
-            self.agent_options.setdefault("transport", taint_map_transport)
-        #: Async-transport coalescing window in microseconds (pinning a
+        #: Taint Map transport coalescing window in microseconds (pinning a
         #: window disables adaptive tuning unless overridden).
         if coalesce_window_us is not None:
             self.agent_options.setdefault("coalesce_window_us", coalesce_window_us)
-        #: Async-transport adaptive-coalescing override.
+        #: Taint Map transport adaptive-coalescing override.
         if coalesce_adaptive is not None:
             self.agent_options.setdefault("coalesce_adaptive", coalesce_adaptive)
-        #: Async-transport per-request deadline (s); 0 disables it.
+        #: Taint Map per-request deadline (s); 0 disables it.
         if request_deadline_s is not None:
             self.agent_options.setdefault("request_deadline_s", request_deadline_s)
         #: Budgeted tracking: overhead ceiling and flow-sampling period.

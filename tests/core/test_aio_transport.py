@@ -1,7 +1,7 @@
-"""Tests for the async multiplexed Taint Map transport (ISSUE 3):
-correlation-id framing, cross-message coalescing (timer vs size flush),
-out-of-order response delivery, mid-frame connection kill, per-shard
-failover with in-flight futures, and the transport-selection knobs."""
+"""Tests for the multiplexed Taint Map transport: correlation-id
+framing, cross-message coalescing (timer vs size flush), out-of-order
+response delivery, mid-frame connection kill, per-shard failover with
+in-flight futures, and the client defaults a cluster builds."""
 
 import struct
 import threading
@@ -9,19 +9,13 @@ import time
 
 import pytest
 
-from repro.core.agent import DisTAAgent, resolve_transport
-from repro.core.aio_transport import (
-    DEFAULT_MAX_BATCH,
-    DEFAULT_WINDOW_US,
-    AsyncTaintMapClient,
-    mux_frame,
-)
+from repro.core.agent import DisTAAgent
+from repro.core.aio_transport import AsyncTaintMapTransport, mux_frame
 from repro.core.ha import (
-    AsyncFailoverTaintMapClient,
+    FailoverTaintMapClient,
     ReplicatedTaintMapServer,
     StandbyTaintMapServer,
 )
-from repro.core.launch import launch_cluster
 from repro.core.taintmap import (
     OP_MUX_HELLO,
     OP_REGISTER,
@@ -35,7 +29,7 @@ from repro.core.taintmap import (
     serialize_tags,
     taint_key,
 )
-from repro.errors import InstrumentationError, PipeClosed, TaintMapError
+from repro.errors import PipeClosed, TaintMapError
 from repro.runtime.cluster import TAINT_MAP_IP, TAINT_MAP_PORT, Cluster
 from repro.runtime.fs import SimFileSystem
 from repro.runtime.kernel import SimKernel
@@ -124,7 +118,7 @@ class TestMuxFraming:
 
         # window=0 and two *sequential-kind* distinct taints would share
         # a window; force separate frames by using the raw submit API.
-        client = AsyncTaintMapClient(node, (TAINT_MAP_IP, TAINT_MAP_PORT))
+        client = TaintMapClient(node, (TAINT_MAP_IP, TAINT_MAP_PORT))
         t1 = serialize_tags(node.tree.taint_for_tag("a").tags)
         t2 = serialize_tags(node.tree.taint_for_tag("b").tags)
         loop = client.transport._ensure_loop()
@@ -147,31 +141,11 @@ class TestMuxFraming:
 
 
 class TestAsyncClientApi:
-    def test_register_lookup_interop_with_pooled_client(self, single):
-        kernel, fs, server, node = single
-        aclient = AsyncTaintMapClient(node, server.address)
-        node2 = _node(kernel, fs, "n2", "10.0.0.2", 2)
-        pooled = TaintMapClient(node2, server.address)
-
-        taints = [node.tree.taint_for_tag(f"t{i}") for i in range(10)]
-        gids = aclient.gids_for(taints)
-        # The pooled client resolves the same taints to the same GIDs:
-        # both transports speak one registry.
-        assert pooled.gids_for(taints) == gids
-        back = aclient.taints_for(gids)
-        assert [sorted(t.tag for t in b.tags) for b in back] == [
-            sorted(t.tag for t in a.tags) for a in taints
-        ]
-        assert aclient.gid_for(None) == 0
-        assert aclient.taint_for(0) is None
-        aclient.close()
-        pooled.close()
-
     def test_unknown_gid_raises_and_other_lookups_survive(self, single):
         """A coalesced lookup window containing one unknown GID fails
         only that future; co-batched lookups still resolve."""
         kernel, _, server, node = single
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node, server.address, coalesce_window_us=20000.0
         )
         known = client.gid_for(node.tree.taint_for_tag("known"))
@@ -202,7 +176,7 @@ class TestAsyncClientApi:
 
     def test_closed_client_rejects_requests(self, single):
         _, _, server, node = single
-        client = AsyncTaintMapClient(node, server.address)
+        client = TaintMapClient(node, server.address)
         client.gid_for(node.tree.taint_for_tag("pre"))
         client.close()
         with pytest.raises(TaintMapError, match="closed"):
@@ -211,7 +185,7 @@ class TestAsyncClientApi:
     def test_bad_max_batch_rejected(self, single):
         _, _, server, node = single
         with pytest.raises(TaintMapError, match="max_batch"):
-            AsyncTaintMapClient(node, server.address, max_batch=0)
+            TaintMapClient(node, server.address, max_batch=0)
 
 
 class TestCoalescing:
@@ -220,7 +194,7 @@ class TestCoalescing:
         window, not k — the tentpole's headline property."""
         kernel, _, server, node = single
         server._service_time = 0.002  # hold the window open
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node, server.address, cache_enabled=False, coalesce_window_us=5000.0
         )
         workers = 12
@@ -248,7 +222,7 @@ class TestCoalescing:
         one entry (registration is idempotent)."""
         kernel, _, server, node = single
         server._service_time = 0.002
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node, server.address, cache_enabled=False, coalesce_window_us=5000.0
         )
         taint = node.tree.taint_for_tag("dup")
@@ -272,7 +246,7 @@ class TestCoalescing:
         """A window reaching max_batch flushes immediately — well before
         a deliberately huge timer could fire."""
         _, _, server, node = single
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node,
             server.address,
             cache_enabled=False,
@@ -290,7 +264,7 @@ class TestCoalescing:
     def test_flush_on_timer_when_under_batch_size(self, single):
         """A lone sub-batch request relies on the timer flush."""
         _, _, server, node = single
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node,
             server.address,
             cache_enabled=False,
@@ -308,7 +282,7 @@ class TestCoalescing:
         """window=0 degrades gracefully: a single gids_for call is still
         one round-trip (all entries enter the window atomically)."""
         _, _, server, node = single
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node, server.address, cache_enabled=False, coalesce_window_us=0.0
         )
         taints = [node.tree.taint_for_tag(f"z-{i}") for i in range(16)]
@@ -328,7 +302,7 @@ class TestFaultInjection:
         kernel.register_node(TAINT_MAP_IP)
         fs = SimFileSystem()
         node = _node(kernel, fs)
-        client = AsyncTaintMapClient(node, (TAINT_MAP_IP, TAINT_MAP_PORT))
+        client = TaintMapClient(node, (TAINT_MAP_IP, TAINT_MAP_PORT))
 
         listener = kernel.listen(TAINT_MAP_IP, TAINT_MAP_PORT)
 
@@ -379,7 +353,7 @@ class TestFaultInjection:
             standbys.append(standby)
 
         node = _node(kernel, fs)
-        client = AsyncFailoverTaintMapClient(
+        client = FailoverTaintMapClient(
             node,
             [p.address for p in primaries],
             [s.address for s in standbys],
@@ -428,96 +402,49 @@ class TestFaultInjection:
 
 
 class TestCloseErrorSuppression:
-    def test_pool_reset_counts_and_survives_close_errors(self, single):
-        """Satellite 1: one endpoint whose close() raises must not abort
-        the pool reset; the error is counted in TaintMapStats."""
+    def test_channel_close_survives_close_errors(self, single):
+        """A connection whose close() raises must not abort the channel
+        teardown; the error is counted in TaintMapStats."""
         _, _, server, node = single
         client = TaintMapClient(node, server.address)
-        client.gid_for(node.tree.taint_for_tag("warm"))  # pools one endpoint
+        client.gid_for(node.tree.taint_for_tag("warm"))  # dials shard 0
+        channel = client.transport._channels[0]
+        healthy = channel._connection
 
-        class ExplodingEndpoint:
-            closed = False
-
+        class ExplodingConnection:
             def close(self):
                 raise OSError("close failed")
 
-        with client._pool_lock:
-            client._pools[0].insert(0, ExplodingEndpoint())
-            healthy = len(client._pools[0]) - 1
-        client._drop_pools()
+        channel._connection = ExplodingConnection()
+        channel.close()
         assert client.stats.snapshot()["close_errors"] == 1
-        with client._pool_lock:
-            assert not client._pools[0]  # healthy endpoints released too
-        assert healthy >= 1
-        # The client keeps working after the reset.
+        assert channel._connection is None
+        healthy.close()
+        # The client redials and keeps working after the teardown.
         assert client.gid_for(node.tree.taint_for_tag("after")) == 2
         client.close()
 
 
 class TestTransportSelection:
-    def test_resolve_transport_validates(self, monkeypatch):
-        monkeypatch.delenv("DISTA_TAINTMAP_TRANSPORT", raising=False)
-        assert resolve_transport() == "async"  # async is the default
-        assert resolve_transport("pooled") == "pooled"
-        monkeypatch.setenv("DISTA_TAINTMAP_TRANSPORT", "pooled")
-        assert resolve_transport() == "pooled"  # env opts out
-        assert resolve_transport("async") == "async"  # explicit wins
-        with pytest.raises(InstrumentationError, match="unknown taint map transport"):
-            resolve_transport("carrier-pigeon")
-
-    def test_env_var_selects_async_for_cluster(self, monkeypatch):
-        monkeypatch.setenv("DISTA_TAINTMAP_TRANSPORT", "async")
-        with Cluster(Mode.DISTA) as cluster:
+    def test_cluster_kwarg_sets_coalesce_window(self):
+        with Cluster(Mode.DISTA, coalesce_window_us=0.0) as cluster:
             node = cluster.add_node("n1")
-            assert isinstance(node.taintmap, AsyncTaintMapClient)
-            runtime_gid = node.taintmap.gid_for(node.tree.taint_for_tag("env"))
-            assert runtime_gid == 1
-
-    def test_cluster_kwarg_selects_async(self, monkeypatch):
-        monkeypatch.delenv("DISTA_TAINTMAP_TRANSPORT", raising=False)
-        with Cluster(
-            Mode.DISTA, taint_map_transport="async", coalesce_window_us=0.0
-        ) as cluster:
-            node = cluster.add_node("n1")
-            assert isinstance(node.taintmap, AsyncTaintMapClient)
             assert node.taintmap.transport.coalesce_window_us == 0.0
+            assert not node.taintmap.transport.coalesce_adaptive
 
-    def test_default_is_async(self, monkeypatch):
-        monkeypatch.delenv("DISTA_TAINTMAP_TRANSPORT", raising=False)
+    def test_default_is_async(self):
         with Cluster(Mode.DISTA) as cluster:
             node = cluster.add_node("n1")
-            assert isinstance(node.taintmap, AsyncTaintMapClient)
-            # Promotion default: adaptive coalescing on, deadline armed.
+            assert isinstance(node.taintmap.transport, AsyncTaintMapTransport)
+            # Defaults: adaptive coalescing on, deadline armed.
             assert node.taintmap.transport.coalesce_adaptive
             assert node.taintmap.transport.request_deadline_s is not None
 
-    def test_env_var_opts_out_to_pooled(self, monkeypatch):
-        monkeypatch.setenv("DISTA_TAINTMAP_TRANSPORT", "pooled")
-        with Cluster(Mode.DISTA) as cluster:
-            node = cluster.add_node("n1")
-            assert isinstance(node.taintmap, TaintMapClient)
-            assert not isinstance(node.taintmap, AsyncTaintMapClient)
-
-    def test_launch_extras_select_async(self, monkeypatch):
-        monkeypatch.delenv("DISTA_TAINTMAP_TRANSPORT", raising=False)
-        cluster = launch_cluster(
-            Mode.DISTA,
-            "taintSources=s.spec,taintSinks=k.spec,taintMapAsync=on,coalesceWindowUs=350",
-            sources_text="source:ignored#m\n",
-            sinks_text="sink:ignored#m\n",
-        )
-        assert cluster.agent_options["transport"] == "async"
-        assert cluster.agent_options["coalesce_window_us"] == 350.0
-        with cluster:
-            node = cluster.add_node("n1")
-            assert isinstance(node.taintmap, AsyncTaintMapClient)
-            assert node.taintmap.transport.coalesce_window_us == 350.0
-
-    def test_agent_reports_transport_on_runtime(self, single, monkeypatch):
-        monkeypatch.delenv("DISTA_TAINTMAP_TRANSPORT", raising=False)
+    def test_agent_runtime_resolves_through_client(self, single):
         _, _, server, node = single
-        runtime = DisTAAgent(server.address, transport="async").attach(node)
-        assert runtime.transport == "async"
-        assert isinstance(runtime.client, AsyncTaintMapClient)
+        agent = DisTAAgent(server.address)
+        runtime = agent.attach(node)
+        assert isinstance(runtime.client, TaintMapClient)
         assert runtime.resolver.gids_for == runtime.client.gids_for
-        DisTAAgent(server.address).detach(node)
+        assert runtime.resolver.taints_for == runtime.client.taints_for
+        agent.detach(node)

@@ -8,7 +8,6 @@ import zlib
 import pytest
 
 from repro.core import durability
-from repro.core.aio_transport import AsyncTaintMapClient
 from repro.core.durability import (
     WAL_ENTRY,
     WAL_RING,
@@ -368,7 +367,7 @@ class TestDrain:
             assert len(cluster.taint_map_service.ring.active_shards) == 2
             # The drained process is stopped after the ring push...
             assert not cluster.taint_map_service.servers[2]._running
-            # ...and the attached async client still resolves everything
+            # ...and the attached client still resolves everything
             # (its shard-2 channel was readdressed to the forward shard).
             assert node.taintmap.gids_for(taints) == gids
             for gid in gids:
@@ -457,23 +456,14 @@ class TestGidExhaustion:
         client.close()
         service.stop()
 
-    def test_pooled_client_surfaces_structured_error(self):
-        kernel, fs, service, node = _boot(name="exhaust-pooled")
-        self._exhaust(service.servers[0])
-        client = TaintMapClient(node, service.addresses, cache_enabled=False)
-        with pytest.raises(TaintMapExhaustedError):
-            client.gid_for(node.tree.taint_for_tag("over"))
-        # Not a ConnectionError: failover must never rotate on it.
-        assert not issubclass(TaintMapExhaustedError, ConnectionError)
-        client.close()
-        service.stop()
-
     def test_async_client_does_not_burn_a_failover(self):
         kernel, fs, service, node = _boot(name="exhaust-async")
         self._exhaust(service.servers[0])
-        client = AsyncTaintMapClient(node, service.addresses)
+        client = TaintMapClient(node, service.addresses)
         with pytest.raises(TaintMapExhaustedError):
             client.gid_for(node.tree.taint_for_tag("over-async"))
+        # Not a ConnectionError: failover must never rotate on it.
+        assert not issubclass(TaintMapExhaustedError, ConnectionError)
         # The replica was never rotated: the shard is healthy, it just
         # has nothing to allocate (pre-fix this burned a failover).
         assert client._active[0] == 0

@@ -8,22 +8,25 @@ import threading
 
 import pytest
 
-from repro.core.aio_transport import AsyncTaintMapClient
 from repro.core.elastic import RingCoordinator
 from repro.core.ha import FailoverTaintMapClient
 from repro.core.taintmap import (
     OP_HANDOFF_BEGIN,
     OP_HANDOFF_CHUNK,
     OP_HANDOFF_END,
+    OP_MUX_HELLO,
     OP_REGISTER,
+    OP_REGISTER_MANY,
     OP_RING_UPDATE,
     STATUS_BAD_REQUEST,
     STATUS_OK,
+    STATUS_STALE_RING,
     ShardedTaintMapService,
     ShardRing,
     ShardRouter,
     TaintMapClient,
     TaintMapServer,
+    _pack_batch_register,
     _pack_handoff_chunk,
     _recv_exact,
     _split_handoff_chunk,
@@ -220,8 +223,8 @@ class TestControlOpsOnTheWire:
 
 
 class TestLiveScaleOut:
-    """Tentpole correctness on the pooled transport: zero failed lookups,
-    zero renumbered GIDs, lazy client re-routing."""
+    """Tentpole correctness: zero failed lookups, zero renumbered GIDs,
+    lazy client re-routing."""
 
     def test_scale_1_to_4_preserves_every_gid(self):
         kernel, fs, service, node = _boot()
@@ -304,13 +307,52 @@ class TestLiveScaleOut:
         service.stop()
 
 
+class _AlwaysStale(TaintMapServer):
+    """A shard that refuses every registration as misrouted, always
+    handing back the same epoch-0 ring: rings that never converge."""
+
+    def _handle(self, op, payload):
+        if op in (OP_REGISTER, OP_REGISTER_MANY):
+            return STATUS_STALE_RING, self._ring.encode()
+        return super()._handle(op, payload)
+
+
+class TestStaleRingRetryLimit:
+    def test_gives_up_after_the_retry_limit(self):
+        """A shard that keeps answering STALE_RING is re-routed exactly
+        RING_RETRY_LIMIT times per registration, then surfaces an error
+        (no second retry loop around the transport's own)."""
+        kernel = SimKernel("always-stale")
+        kernel.register_node(TAINT_MAP_IP)
+        address = (TAINT_MAP_IP, TAINT_MAP_PORT)
+        server = _AlwaysStale(
+            kernel, *address, ring=ShardRing(0, [address])
+        ).start()
+        node = SimNode(
+            "n1", kernel.register_node("10.0.0.1"), 1, kernel, SimFileSystem(),
+            Mode.DISTA,
+        )
+        client = TaintMapClient(node, address)
+        limit = TaintMapClient.RING_RETRY_LIMIT
+        try:
+            with pytest.raises(TaintMapError, match="stale-rung"):
+                client.gid_for(node.tree.taint_for_tag("lost"))
+            assert client.stats.snapshot()["stale_ring_retries"] == limit
+            with pytest.raises(TaintMapError, match="stale-rung"):
+                client.gids_for([node.tree.taint_for_tag("lost-batch")])
+            assert client.stats.snapshot()["stale_ring_retries"] == 2 * limit
+        finally:
+            client.close()
+            server.stop()
+
+
 class TestEpochFlipRaceAsync:
-    """Tentpole (3): the async transport re-homes coalescing windows
+    """Tentpole (3): the transport re-homes coalescing windows
     mid-flight — registrations racing the flip never fail."""
 
     def test_concurrent_registrations_during_scale_out(self):
         kernel, fs, service, node = _boot(name="elastic-race")
-        client = AsyncTaintMapClient(node, service.addresses)
+        client = TaintMapClient(node, service.addresses)
         pre = [node.tree.taint_for_tag(f"pre-{i}") for i in range(50)]
         pre_gids = client.gids_for(pre)
 
@@ -444,6 +486,8 @@ class TestNeverScaledByteIdentity:
     is invisible until used."""
 
     def test_client_register_frame_is_seed_identical(self):
+        """Inside its correlation-id envelope, the client's register is
+        the seed protocol's batch frame, with no ring bytes anywhere."""
         kernel = SimKernel("diff")
         kernel.register_node(TAINT_MAP_IP)
         fs = SimFileSystem()
@@ -455,12 +499,17 @@ class TestNeverScaledByteIdentity:
 
         def fake_server():
             endpoint = listener.accept(timeout=10)
-            head = endpoint.recv(1)
+            assert _recv_exact(endpoint, 5) == bytes([OP_MUX_HELLO]) + struct.pack(">I", 0)
+            endpoint.send_all(bytes([STATUS_OK]) + struct.pack(">I", 0))
+            corr = _recv_exact(endpoint, 4)
+            head = _recv_exact(endpoint, 1)
             (length,) = struct.unpack(">I", _recv_exact(endpoint, 4))
             payload = _recv_exact(endpoint, length) if length else b""
             captured.append(head + struct.pack(">I", length) + payload)
             # The seed server's golden reply: STATUS_OK, len 4, GID 1.
-            endpoint.send_all(b"\x00" + struct.pack(">I", 4) + struct.pack(">I", 1))
+            endpoint.send_all(
+                corr + b"\x00" + struct.pack(">I", 4) + struct.pack(">I", 1)
+            )
             endpoint.close()
             listener.close()
 
@@ -473,9 +522,8 @@ class TestNeverScaledByteIdentity:
         serialized = serialize_tags(taint.tags)
         assert client.gid_for(taint) == 1
         thread.join(10)
-        expected = (
-            bytes([OP_REGISTER]) + struct.pack(">I", len(serialized)) + serialized
-        )
+        batch = _pack_batch_register([serialized])
+        expected = bytes([OP_REGISTER_MANY]) + struct.pack(">I", len(batch)) + batch
         assert captured == [expected]
         client.close()
 

@@ -1,6 +1,7 @@
 """Failure injection: the unhappy paths of inter-node tracking."""
 
 import threading
+import time
 
 import pytest
 
@@ -15,6 +16,18 @@ from repro.runtime.node import SimNode
 from repro.taint.values import TBytes
 
 
+def _wait_until_broken(client, timeout=5.0):
+    """Block until shard 0's mux connection has seen its peer go away
+    (its reader thread marks it broken, so the next request redials)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        connection = client.transport._channels[0]._connection
+        if connection is None or connection.broken:
+            return
+        time.sleep(0.005)
+    raise AssertionError("mux connection never noticed the dropped peer")
+
+
 class TestTaintMapFailures:
     def test_client_with_no_server_raises_connection_refused(self):
         kernel = SimKernel("no-map")
@@ -25,6 +38,7 @@ class TestTaintMapFailures:
         taint = node.tree.taint_for_tag("orphan")
         with pytest.raises(ConnectionRefused):
             client.gid_for(taint)
+        client.close()
 
     def test_client_reconnects_after_connection_drop(self):
         kernel = SimKernel("drop")
@@ -35,9 +49,11 @@ class TestTaintMapFailures:
         client = TaintMapClient(node, server.address)
         g1 = client.gid_for(node.tree.taint_for_tag("a"))
         # Kill the transport out from under the client.
-        client._endpoint.close()
+        client.transport._channels[0]._connection._endpoint.close()
+        _wait_until_broken(client)
         g2 = client.gid_for(node.tree.taint_for_tag("b"))
         assert g1 != g2
+        client.close()
         server.stop()
 
     def test_server_restart_loses_state_but_stays_consistent(self):
@@ -53,10 +69,11 @@ class TestTaintMapFailures:
         taint = node.tree.taint_for_tag("survivor")
         gid_before = client.gid_for(taint)
         server.stop()
+        _wait_until_broken(client)
         server2 = TaintMapServer(kernel, TAINT_MAP_IP, TAINT_MAP_PORT).start()
-        client._endpoint = None  # force reconnect
         gid_after = client.gid_for(taint)
         assert gid_before == gid_after == 1  # fresh numbering, same first slot
+        client.close()
         server2.stop()
 
     def test_unknown_gid_is_an_error_not_silence(self):
@@ -68,6 +85,7 @@ class TestTaintMapFailures:
         client = TaintMapClient(node, server.address)
         with pytest.raises(TaintMapError, match="unknown"):
             client.taint_for(999)
+        client.close()
         server.stop()
 
 

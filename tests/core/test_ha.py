@@ -46,6 +46,8 @@ class TestReplication:
         standby_client = TaintMapClient(node, STANDBY)
         resolved = standby_client.taint_for(gid)
         assert {t.tag for t in resolved.tags} == {"replicated"}
+        client.close()
+        standby_client.close()
 
     def test_promoted_standby_reports_stats_parity(self, ha_setup):
         """Regression: OP_SYNC used to install entries without bumping
@@ -62,6 +64,7 @@ class TestReplication:
         payload = struct.pack(">I", gid) + serialize_tags(taints[0].tags)
         standby._handle(OP_SYNC, payload)
         assert standby.stats.snapshot()["global_taints"] == 5
+        client.close()
 
     def test_batched_register_replicates_every_entry(self, ha_setup):
         """OP_REGISTER_MANY goes through the same per-taint _register hook,
@@ -74,6 +77,8 @@ class TestReplication:
         assert standby.global_taint_count() == 4
         standby_client = TaintMapClient(node, STANDBY)
         assert standby_client.taints_for(gids)[2].tags == taints[2].tags
+        client.close()
+        standby_client.close()
 
     def test_failover_client_batches_through_failover(self, ha_setup):
         kernel, node, primary, standby = ha_setup
@@ -84,6 +89,7 @@ class TestReplication:
         gids = client.gids_for(taints)
         assert len(set(gids)) == 3
         assert all(g > warm[0] for g in gids)
+        client.close()
 
     def test_primary_survives_standby_outage(self, ha_setup):
         kernel, node, primary, standby = ha_setup
@@ -92,6 +98,7 @@ class TestReplication:
         gid = client.gid_for(node.tree.taint_for_tag("lonely"))
         assert gid > 0
         assert primary.replication_failures >= 1
+        client.close()
 
     def test_standby_numbering_continues_after_failover_promotion(self, ha_setup):
         kernel, node, primary, standby = ha_setup
@@ -103,6 +110,8 @@ class TestReplication:
         standby_client = TaintMapClient(node, STANDBY)
         g2 = standby_client.gid_for(node.tree.taint_for_tag("after"))
         assert g2 > g1
+        client.close()
+        standby_client.close()
 
 
 class TestFailoverClient:
@@ -119,6 +128,8 @@ class TestFailoverClient:
         uncached = FailoverTaintMapClient(node, PRIMARY, STANDBY)
         resolved = uncached.taint_for(g1)
         assert {t.tag for t in resolved.tags} == {"pre-failover"}
+        client.close()
+        uncached.close()
 
     def test_both_replicas_down_raises(self, ha_setup):
         kernel, node, primary, standby = ha_setup
@@ -127,6 +138,7 @@ class TestFailoverClient:
         client = FailoverTaintMapClient(node, PRIMARY, STANDBY)
         with pytest.raises(TaintMapError, match="unreachable"):
             client.gid_for(node.tree.taint_for_tag("nowhere"))
+        client.close()
 
     def test_semantic_errors_do_not_trigger_failover(self, ha_setup):
         kernel, node, primary, standby = ha_setup
@@ -134,3 +146,4 @@ class TestFailoverClient:
         with pytest.raises(TaintMapError, match="unknown"):
             client.taint_for(777777)
         assert client.active_address == PRIMARY  # still on the primary
+        client.close()

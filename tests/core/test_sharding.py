@@ -1,6 +1,6 @@
 """Tests for the sharded Taint Map: GID namespace partitioning,
-consistent-hash routing, the per-shard connection-pool client, bounded
-caches, and poisoned-connection recovery (ISSUE 2)."""
+consistent-hash routing, the sharded client, bounded caches, and
+poisoned-connection recovery."""
 
 import struct
 import threading
@@ -283,11 +283,13 @@ class TestConcurrentSharding:
         # Distinct taints ⇒ globally unique GIDs, across all shards.
         assert len(set(gids)) == total
         assert service.global_taint_count() == total
-        # Counters are race-free: one request per fresh taint, and the
-        # per-shard server counters sum to exactly the client's sends.
-        assert c1.requests_sent == total
+        # Counters are race-free: the per-shard server counters sum to
+        # exactly the client's sends (coalescing may merge concurrent
+        # misses into one request, never drop one), one entry per taint.
+        assert 0 < c1.requests_sent <= total
         snapshot = service.stats_snapshot()
-        assert snapshot["register_requests"] == total
+        assert snapshot["register_requests"] == c1.requests_sent
+        assert snapshot["register_entries"] == total
         assert snapshot["global_taints"] == total
         client_stats = c1.stats.snapshot()
         assert client_stats["cache_misses"] == total
@@ -326,6 +328,7 @@ class TestBoundedCaches:
         assert snapshot["cache_evictions"] > 0
         assert len(client._gid_cache) <= 2
         assert len(client._taint_cache) <= 2
+        client.close()
         service.stop()
 
     def test_unbounded_default_never_evicts(self):
@@ -336,6 +339,7 @@ class TestBoundedCaches:
         assert [client.gid_for(t) for t in taints] == gids
         assert client.requests_sent == 64  # Fig. 9 semantics preserved
         assert client.stats.snapshot()["cache_evictions"] == 0
+        client.close()
         service.stop()
 
     def test_bad_capacity_rejected(self):
@@ -373,8 +377,8 @@ class TestPoisonedConnectionReset:
         with pytest.raises(PipeClosed):
             client.gid_for(node.tree.taint_for_tag("victim"))
         evil_thread.join(10)  # the address must be free before rebinding
-        # The poisoned connection was closed and discarded, not pooled.
-        assert client._endpoint is None
+        # The poisoned connection was closed and discarded, not kept.
+        assert client.transport._channels[0]._connection is None
 
         # A real server takes over the address; the client recovers with
         # no framing desync from the half-read response.
@@ -385,29 +389,8 @@ class TestPoisonedConnectionReset:
         assert gid == 1
         resolved = client.taint_for(make_gid(0, 1))
         assert {t.tag for t in resolved.tags} == {"victim"}
+        client.close()
         service.stop()
-
-    def test_stale_pooled_connection_retries_fresh(self):
-        """A pooled connection that went stale while idle (server
-        restart) is replaced transparently — no manual reset needed."""
-        kernel = SimKernel("stale")
-        kernel.register_node(TAINT_MAP_IP)
-        fs = SimFileSystem()
-        service = ShardedTaintMapService(
-            kernel, TAINT_MAP_IP, TAINT_MAP_PORT, 1
-        ).start()
-        node = SimNode("n", kernel.register_node("10.0.0.1"), 1, kernel, fs, Mode.DISTA)
-        client = TaintMapClient(node, service.addresses, cache_enabled=False)
-        client.gid_for(node.tree.taint_for_tag("first"))
-        service.stop()
-        service2 = ShardedTaintMapService(
-            kernel, TAINT_MAP_IP, TAINT_MAP_PORT, 1
-        ).start()
-        # The pool still holds the dead connection; the request retries
-        # on a fresh one instead of failing or desyncing.
-        gid = client.gid_for(node.tree.taint_for_tag("second"))
-        assert gid == 1
-        service2.stop()
 
 
 class TestClusterSharding:

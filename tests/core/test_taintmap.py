@@ -83,6 +83,8 @@ def service():
     c1 = TaintMapClient(n1, server.address)
     c2 = TaintMapClient(n2, server.address)
     yield server, n1, n2, c1, c2
+    c1.close()
+    c2.close()
     server.stop()
 
 
@@ -165,6 +167,7 @@ class TestTaintMapService:
         g2 = client.gid_for(taint)
         assert g1 == g2  # server-side idempotence still holds
         assert server.stats.snapshot()["register_requests"] == 2
+        client.close()
 
     def test_concurrent_registration(self, service):
         server, n1, n2, c1, c2 = service

@@ -30,6 +30,8 @@ def service():
     c1 = TaintMapClient(n1, server.address)
     c2 = TaintMapClient(n2, server.address)
     yield server, n1, n2, c1, c2
+    c1.close()
+    c2.close()
     server.stop()
 
 
@@ -81,6 +83,7 @@ class TestBatchedRegister:
         g2 = client.gids_for(taints)
         assert g1 == g2  # server-side idempotence
         assert client.requests_sent == before + 2  # re-sent, but one frame each
+        client.close()
 
 
 class TestBatchedLookup:
@@ -152,3 +155,4 @@ class TestMessageRoundTrips:
         fresh = TaintMapClient(n1, server.address)
         unbatched = wire.encode_cells(data, fresh.gid_for)
         assert batched == unbatched
+        fresh.close()

@@ -1,5 +1,4 @@
-"""Regression tests for the transport-hardening fixes (ISSUE 5):
-16-bit batch-count overflow (protocol chunking + mid-insertion size
+"""Regression tests for the Taint Map transport's hardening: 16-bit batch-count overflow (protocol chunking + mid-insertion size
 flush), shutdown with an in-flight flush, per-request deadlines on a
 stalled shard, fresh broken-connection errors, correlation-id wrap,
 backpressure policies, and adaptive coalescing-window convergence.
@@ -16,7 +15,6 @@ import pytest
 from repro.core.aio_transport import (
     ADAPTIVE_STEP_US,
     AdaptiveWindowController,
-    AsyncTaintMapClient,
     _REGISTER,
 )
 from repro.core.taintmap import (
@@ -88,45 +86,39 @@ class TestProtocolBatchLimit:
 
     def test_async_max_batch_clamped_to_protocol_limit(self, single):
         _, _, server, node = single
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node, server.address, max_batch=10 * PROTOCOL_MAX_BATCH
         )
         assert client.transport.max_batch == PROTOCOL_MAX_BATCH
         client.close()
 
-    def test_oversized_batch_round_trips_on_both_transports(self, single):
-        """A single >65535-run message registers and resolves on both
-        transports (multiple byte-identical frames on the wire)."""
+    def test_oversized_batch_round_trips(self, single):
+        """A single >65535-run message registers and resolves (multiple
+        byte-identical frames on the wire), even with ``max_batch``
+        above the wire limit: the window itself must chunk."""
         _, _, server, node = single
         count = PROTOCOL_MAX_BATCH + 17
         taints = [node.tree.taint_for_tag(f"ovr{i}") for i in range(count)]
-
-        pooled = TaintMapClient(node, server.address, cache_enabled=False)
-        # max_batch above the wire limit: the window itself must chunk.
-        aio = AsyncTaintMapClient(
+        client = TaintMapClient(
             node,
             server.address,
             cache_enabled=False,
             max_batch=10 * PROTOCOL_MAX_BATCH,
         )
         try:
-            pooled_gids = pooled.gids_for(taints)
-            assert len(pooled_gids) == count
-            assert len(set(pooled_gids)) == count
-            assert all(gid > 0 for gid in pooled_gids)
+            gids = client.gids_for(taints)
+            assert len(gids) == count
+            assert len(set(gids)) == count
+            assert all(gid > 0 for gid in gids)
+            # Registration is idempotent: a second pass returns the same GIDs.
+            assert client.gids_for(taints) == gids
 
-            # Registration is idempotent: the async client sees the
-            # same map, so the same taints yield the same GIDs.
-            async_gids = aio.gids_for(taints)
-            assert async_gids == pooled_gids
-
-            resolved = aio.taints_for(async_gids)
+            resolved = client.taints_for(gids)
             assert len(resolved) == count
             for index in (0, 511, PROTOCOL_MAX_BATCH - 1, PROTOCOL_MAX_BATCH, count - 1):
                 assert resolved[index].tags == taints[index].tags
         finally:
-            pooled.close()
-            aio.close()
+            client.close()
 
 
 class TestShutdownWithInflightFlush:
@@ -143,7 +135,7 @@ class TestShutdownWithInflightFlush:
         )
         server.start()
         node = _node(kernel, fs)
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node, server.address, coalesce_window_us=0.0
         )
         errors = []
@@ -193,7 +185,7 @@ class TestRequestDeadline:
 
         thread = threading.Thread(target=stalled_server, daemon=True)
         thread.start()
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node, (TAINT_MAP_IP, TAINT_MAP_PORT), request_deadline_s=0.3
         )
         started = time.monotonic()
@@ -209,7 +201,7 @@ class TestRequestDeadline:
 
     def test_deadline_disabled_with_nonpositive_value(self, single):
         _, _, server, node = single
-        client = AsyncTaintMapClient(node, server.address, request_deadline_s=0)
+        client = TaintMapClient(node, server.address, request_deadline_s=0)
         assert client.transport.request_deadline_s is None
         assert client.gid_for(node.tree.taint_for_tag("nodl")) > 0
         client.close()
@@ -220,7 +212,7 @@ class TestBrokenConnectionErrors:
         """Pre-fix, a broken connection re-raised one cached exception
         instance across unrelated callers."""
         _, _, server, node = single
-        client = AsyncTaintMapClient(node, server.address)
+        client = TaintMapClient(node, server.address)
         assert client.gid_for(node.tree.taint_for_tag("pre")) > 0
         connection = client.transport._channels[0]._connection
         connection._endpoint.close()
@@ -250,7 +242,7 @@ class TestCorrelationIdWrap:
         """The unbounded corr counter must wrap at 32 bits instead of
         overflowing the ``>I`` wire field."""
         _, _, server, node = single
-        client = AsyncTaintMapClient(node, server.address)
+        client = TaintMapClient(node, server.address)
         gids = [client.gid_for(node.tree.taint_for_tag("wrap0"))]
         connection = client.transport._channels[0]._connection
         # Jump the counter to the edge of the 4-byte field; the next
@@ -268,7 +260,7 @@ class TestCorrelationIdWrap:
         be skipped at allocation — overwriting the pending future would
         leave its caller hanging until the deadline."""
         _, _, server, node = single
-        client = AsyncTaintMapClient(node, server.address)
+        client = TaintMapClient(node, server.address)
         assert client.gid_for(node.tree.taint_for_tag("collide0")) > 0
         transport = client.transport
         connection = transport._channels[0]._connection
@@ -301,7 +293,7 @@ class TestBackpressure:
 
     def test_shed_policy_rejects_past_high_water_mark(self, single):
         _, _, server, node = single
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node,
             server.address,
             coalesce_window_us=10_000_000,  # park entries: no timer flush
@@ -334,7 +326,7 @@ class TestBackpressure:
 
     def test_block_policy_flushes_and_waits_for_drain(self, single):
         _, _, server, node = single
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node,
             server.address,
             coalesce_window_us=10_000_000,
@@ -381,9 +373,9 @@ class TestAdaptiveWindow:
 
     def test_adaptive_defaults_follow_window_pinning(self, single):
         _, _, server, node = single
-        adaptive = AsyncTaintMapClient(node, server.address)
-        pinned = AsyncTaintMapClient(node, server.address, coalesce_window_us=150.0)
-        forced = AsyncTaintMapClient(
+        adaptive = TaintMapClient(node, server.address)
+        pinned = TaintMapClient(node, server.address, coalesce_window_us=150.0)
+        forced = TaintMapClient(
             node, server.address, coalesce_window_us=150.0, coalesce_adaptive=True
         )
         try:
@@ -400,7 +392,7 @@ class TestAdaptiveWindow:
     def test_window_converges_with_the_load_shape(self, single):
         """Burst pressure widens the window; going idle collapses it."""
         _, _, server, node = single
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node,
             server.address,
             coalesce_window_us=2000.0,
@@ -434,10 +426,9 @@ class TestLaunchAndEnvKnobs:
         with pytest.raises(ValueError, match="coalesceAdaptive"):
             parse_switch("maybe", "coalesceAdaptive")
 
-    def test_launch_extras_configure_hardening_knobs(self, monkeypatch):
+    def test_launch_extras_configure_hardening_knobs(self):
         from repro.core.launch import launch_cluster
 
-        monkeypatch.delenv("DISTA_TAINTMAP_TRANSPORT", raising=False)
         cluster = launch_cluster(
             Mode.DISTA,
             "taintSources=s.spec,taintSinks=k.spec,"
@@ -458,26 +449,10 @@ class TestLaunchAndEnvKnobs:
             assert transport.max_pending == 64
             assert transport.backpressure == "shed"
 
-    def test_launch_extra_opts_out_to_pooled(self, monkeypatch):
-        from repro.core.launch import launch_cluster
-
-        monkeypatch.delenv("DISTA_TAINTMAP_TRANSPORT", raising=False)
-        cluster = launch_cluster(
-            Mode.DISTA,
-            "taintSources=s.spec,taintSinks=k.spec,taintMapAsync=off",
-            sources_text="source:ignored#m\n",
-            sinks_text="sink:ignored#m\n",
-        )
-        assert cluster.agent_options["transport"] == "pooled"
-        with cluster:
-            node = cluster.add_node("n1")
-            assert not isinstance(node.taintmap, AsyncTaintMapClient)
-
     def test_env_knobs_configure_transport(self, single, monkeypatch):
         from repro.core.agent import DisTAAgent
 
         _, _, server, node = single
-        monkeypatch.delenv("DISTA_TAINTMAP_TRANSPORT", raising=False)
         monkeypatch.setenv("DISTA_COALESCE_WINDOW_US", "450")
         monkeypatch.setenv("DISTA_COALESCE_ADAPTIVE", "off")
         monkeypatch.setenv("DISTA_TAINTMAP_DEADLINE_S", "0")

@@ -1,4 +1,4 @@
-"""Causal span correlation across a two-node cluster, both transports."""
+"""Causal span correlation across a two-node cluster."""
 
 import pytest
 
@@ -9,17 +9,12 @@ from repro.runtime.cluster import Cluster
 from repro.runtime.modes import Mode
 from repro.taint.values import TBytes
 
-TRANSPORTS = ("pooled", "async")
-
-
-@pytest.fixture(params=TRANSPORTS)
+# One leg: the multiplexed ("async") Taint Map transport every client
+# runs on.
+@pytest.fixture(params=["async"])
 def traced_pair(request):
     trace = CrossingTrace()
-    cluster = Cluster(
-        Mode.DISTA,
-        agent_options={"trace": trace},
-        taint_map_transport=request.param,
-    )
+    cluster = Cluster(Mode.DISTA, agent_options={"trace": trace})
     n1 = cluster.add_node("n1")
     n2 = cluster.add_node("n2")
     with cluster:
