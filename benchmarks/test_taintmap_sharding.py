@@ -11,7 +11,7 @@ shard* (shards overlap with each other, exactly like N independent
 machines).  Without it, every shard would contend for this process's
 interpreter and the measurement would show scheduler noise, not
 queueing behaviour.  Senders are separate nodes because one shared
-client coalesces concurrent registrations into one request per window,
+client group-commits concurrent registrations into one request per flush,
 which pays ``service_time`` once per batch and hides the per-shard
 queue this benchmark is about.
 

@@ -25,14 +25,6 @@ from repro.core import wrappers
 from repro.core.taintmap import TaintMapClient
 from repro.errors import InstrumentationError
 
-#: Environment override for the coalescing window (microseconds).
-#: Pinning a window also disables adaptive tuning unless
-#: ``DISTA_COALESCE_ADAPTIVE`` explicitly re-enables it.
-COALESCE_WINDOW_ENV = "DISTA_COALESCE_WINDOW_US"
-
-#: Environment override for adaptive coalescing ("on"/"off").
-COALESCE_ADAPTIVE_ENV = "DISTA_COALESCE_ADAPTIVE"
-
 #: Environment override for the per-request deadline (seconds);
 #: ``0`` disables the deadline.
 DEADLINE_ENV = "DISTA_TAINTMAP_DEADLINE_S"
@@ -45,28 +37,6 @@ OVERHEAD_BUDGET_ENV = "DISTA_OVERHEAD_BUDGET"
 
 #: Spellings of "no budget" accepted by the env/extras surface.
 _UNLIMITED_BUDGET = ("unlimited", "off", "none", "")
-
-
-def resolve_coalesce_window(window_us: Optional[float] = None) -> Optional[float]:
-    """The effective coalescing window (µs), or ``None`` for the
-    transport default."""
-    if window_us is not None:
-        return float(window_us)
-    from_env = os.environ.get(COALESCE_WINDOW_ENV)
-    return float(from_env) if from_env else None
-
-
-def resolve_coalesce_adaptive(adaptive: Optional[bool] = None) -> Optional[bool]:
-    """Effective adaptive-coalescing override, or ``None`` to defer to
-    the transport's policy (adaptive unless a window is pinned)."""
-    if adaptive is not None:
-        return bool(adaptive)
-    from_env = os.environ.get(COALESCE_ADAPTIVE_ENV)
-    if not from_env:
-        return None
-    from repro.core.config import parse_switch
-
-    return parse_switch(from_env, COALESCE_ADAPTIVE_ENV)
 
 
 def resolve_request_deadline(deadline_s: Optional[float] = None) -> Optional[float]:
@@ -208,8 +178,6 @@ class DisTAAgent:
         extensions: tuple = (),
         wrapper_types: frozenset = frozenset({1, 2, 3}),
         trace=None,
-        coalesce_window_us: Optional[float] = None,
-        coalesce_adaptive: Optional[bool] = None,
         request_deadline_s: Optional[float] = None,
         max_pending: Optional[int] = None,
         backpressure: Optional[str] = None,
@@ -237,13 +205,6 @@ class DisTAAgent:
         #: Optional :class:`~repro.core.trace.CrossingTrace` shared by
         #: every node this agent attaches to.
         self.trace = trace
-        #: Coalescing window (µs) for the Taint Map transport; ``None``
-        #: defers to ``DISTA_COALESCE_WINDOW_US``/the transport default
-        #: (adaptive).  Pinning a window selects the static behaviour.
-        self.coalesce_window_us = coalesce_window_us
-        #: Adaptive-coalescing override; ``None`` defers to
-        #: ``DISTA_COALESCE_ADAPTIVE``, then to the transport policy.
-        self.coalesce_adaptive = coalesce_adaptive
         #: Per-request deadline (s) for Taint Map requests; ``None``
         #: defers to ``DISTA_TAINTMAP_DEADLINE_S``/the transport
         #: default; ``0`` disables the deadline.
@@ -281,12 +242,6 @@ class DisTAAgent:
 
     def _make_client(self, node) -> TaintMapClient:
         options = {}
-        window = resolve_coalesce_window(self.coalesce_window_us)
-        if window is not None:
-            options["coalesce_window_us"] = window
-        adaptive = resolve_coalesce_adaptive(self.coalesce_adaptive)
-        if adaptive is not None:
-            options["coalesce_adaptive"] = adaptive
         deadline = resolve_request_deadline(self.request_deadline_s)
         if deadline is not None:
             options["request_deadline_s"] = deadline

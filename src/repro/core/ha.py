@@ -159,11 +159,11 @@ class FailoverTaintMapClient(TaintMapClient):
     (registration and lookup are idempotent, so the retry is safe).
 
     Deadline errors (:class:`~repro.errors.TaintMapDeadlineError`) are
-    raised at the sync ``submit`` bridge, *outside* the per-replica
-    retry loop: a request that times out is surfaced to the caller
-    rather than replayed against the standby — by then the caller has
-    already waited the full deadline, and the flush that carried it
-    keeps draining (or failing over) in the background.
+    raised to the waiting caller, *outside* the per-replica retry: a
+    request that times out is surfaced rather than replayed against the
+    standby — by then the caller has already waited the full deadline.
+    The batch that carried it still settles for the other callers
+    waiting on it, who also run its failover.
     """
 
     def __init__(

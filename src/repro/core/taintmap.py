@@ -53,8 +53,8 @@ OP_LOOKUP = 2
 # opcode namespace through the Standby's ``_handle`` fallthrough.
 OP_REGISTER_MANY = 4
 OP_LOOKUP_MANY = 5
-#: Connection upgrade: the first frame of an async multiplexed client
-#: (:mod:`repro.core.aio_transport`).  After the server acknowledges
+#: Connection upgrade: the first frame of a multiplexed client
+#: (:mod:`repro.core.transport`).  After the server acknowledges
 #: with ``STATUS_OK``, every subsequent frame on the connection carries
 #: a 4-byte correlation-id prefix in front of the *unchanged* sync frame
 #: bytes, and responses may be delivered out of order.
@@ -1754,14 +1754,13 @@ class TaintMapClient:
     taint key; lookups route by the shard bits of the received GID.
 
     Requests travel over one
-    :class:`~repro.core.aio_transport.AsyncTaintMapTransport`: a
-    multiplexed connection per shard, driven by a background event loop,
-    which coalesces concurrent cache misses into one batched round-trip
-    per shard per window.  ``transport_options`` tune it
-    (``coalesce_window_us``, ``coalesce_adaptive``, ``max_batch``,
-    ``request_deadline_s``, ``max_pending``, ``backpressure``).  The
-    client owns that loop's thread, so every client must be released
-    with :meth:`close`.
+    :class:`~repro.core.transport.TaintMapTransport`: a multiplexed
+    connection per shard, sent on the calling thread, with concurrent
+    cache misses group-committed into one batched round-trip per shard.
+    ``transport_options`` tune it (``max_batch``, ``request_deadline_s``,
+    ``max_pending``, ``backpressure``).  The client owns one reader
+    thread per connected shard, so every client must be released with
+    :meth:`close`.
 
     ``cache_enabled=False`` exists only for the ablation benchmark — it
     re-registers every byte's taint, demonstrating why Fig. 9's step ②
@@ -1786,7 +1785,7 @@ class TaintMapClient:
         **transport_options,
     ):
         # Imported here: the transport module imports this one.
-        from repro.core.aio_transport import AsyncTaintMapTransport
+        from repro.core.transport import TaintMapTransport
 
         self._node = node
         #: Replica candidates per shard; the base client has exactly one
@@ -1835,7 +1834,7 @@ class TaintMapClient:
                 lowest=1.0,
                 buckets=16,
             )
-        self.transport = AsyncTaintMapTransport(self, **transport_options)
+        self.transport = TaintMapTransport(self, **transport_options)
         if self._metrics is not None:
             self._metrics.register_collector(self._cache_samples)
 
@@ -1937,8 +1936,7 @@ class TaintMapClient:
                 )
                 self._active.append(0)
             grown = len(self._shard_replicas)
-        # Outside the ring lock: the transport grows on its event loop
-        # and must not be awaited while holding a client lock.
+        # Outside the ring lock: the transport takes its own locks.
         self.transport.grow_to(grown)
         if readdressed:
             self.transport.readdress(readdressed)
@@ -1957,8 +1955,8 @@ class TaintMapClient:
 
     def _stale_ring_error(self, shard: int, response: bytes) -> TaintMapStaleRingError:
         """Decode a STALE_RING reply, adopt its ring, build the retryable
-        error.  The transport's register flush calls this before it
-        re-routes the window under the adopted ring."""
+        error.  The transport calls this before it re-routes a register
+        frame under the adopted ring."""
         self.stats.bump("stale_ring_retries")
         ring = ShardRing.decode(response) if response else None
         adopted = self.adopt_ring(ring) if ring is not None else False

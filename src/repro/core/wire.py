@@ -63,7 +63,7 @@ class LabelResolver:
 
     The wrappers hand this to the codecs instead of individual
     callables, so the whole resolution path — including the multiplexed,
-    coalescing transport behind it (:mod:`repro.core.aio_transport`) —
+    group-commit transport behind it (:mod:`repro.core.transport`) —
     is swappable in one place.  Every codec below also still accepts the
     bare callables for backwards compatibility.
     """

@@ -79,7 +79,7 @@ class TaintMapDeadlineError(TaintMapError, TimeoutError):
     """A Taint Map request missed its configured deadline.
 
     Raised to the submitting wrapper thread when a wedged shard (or a
-    stalled event loop) fails to produce a response in time, instead of
+    stalled reader) fails to produce a response in time, instead of
     blocking the traced execution forever.
     """
 

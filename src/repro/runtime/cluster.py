@@ -37,8 +37,6 @@ class Cluster:
         name: str = "cluster",
         agent_options: Optional[dict] = None,
         taint_map_shards: int = 1,
-        coalesce_window_us: Optional[float] = None,
-        coalesce_adaptive: Optional[bool] = None,
         request_deadline_s: Optional[float] = None,
         overhead_budget: Optional[float] = None,
         taint_sample_every: Optional[int] = None,
@@ -70,13 +68,6 @@ class Cluster:
                 self.agent_options["trace"] = CrossingTrace()
         else:
             self.lineage_store = None
-        #: Taint Map transport coalescing window in microseconds (pinning a
-        #: window disables adaptive tuning unless overridden).
-        if coalesce_window_us is not None:
-            self.agent_options.setdefault("coalesce_window_us", coalesce_window_us)
-        #: Taint Map transport adaptive-coalescing override.
-        if coalesce_adaptive is not None:
-            self.agent_options.setdefault("coalesce_adaptive", coalesce_adaptive)
         #: Taint Map per-request deadline (s); 0 disables it.
         if request_deadline_s is not None:
             self.agent_options.setdefault("request_deadline_s", request_deadline_s)

@@ -73,6 +73,9 @@ class Broker:
         self._running = True
         self._peer_lock = threading.Lock()
         self._peer_streams: dict[str, ObjectOutputStream] = {}
+        #: Every accepted and peer-forward connection, closed by stop()
+        #: so no connection thread outlives the broker.
+        self._sockets: list[Socket] = []
         # SIM source: the broker reads its configuration at startup.
         conf = node.files.read_text(CONF_PATH)
         self.broker_name = conf.split("\n")[0].split("=")[1]
@@ -88,6 +91,11 @@ class Broker:
                 socket = self._server.accept()
             except Exception:
                 return
+            with self._peer_lock:
+                if not self._running:
+                    socket.close()
+                    return
+                self._sockets.append(socket)
             self.node.spawn(self._serve, socket, name=f"broker{self.broker_id}-conn")
 
     def _serve(self, socket: Socket) -> None:
@@ -132,10 +140,16 @@ class Broker:
             stream = self._peer_streams.get(ip)
             if stream is None:
                 socket = Socket.connect(self.node, (ip, BROKER_PORT))
+                self._sockets.append(socket)
                 stream = ObjectOutputStream(socket.get_output_stream())
                 self._peer_streams[ip] = stream
         stream.write_object(["forward", TStr(queue), message])
 
     def stop(self) -> None:
-        self._running = False
         self._server.close()
+        with self._peer_lock:
+            self._running = False
+            sockets, self._sockets = self._sockets, []
+            self._peer_streams.clear()
+        for socket in sockets:
+            socket.close()

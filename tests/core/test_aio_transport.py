@@ -1,7 +1,8 @@
 """Tests for the multiplexed Taint Map transport: correlation-id
-framing, cross-message coalescing (timer vs size flush), out-of-order
-response delivery, mid-frame connection kill, per-shard failover with
-in-flight futures, and the client defaults a cluster builds."""
+framing, group commit across messages (idle, drain and size flushes),
+out-of-order response delivery, mid-frame connection kill, per-shard
+failover with in-flight requests, and the client defaults a cluster
+builds."""
 
 import struct
 import threading
@@ -10,7 +11,7 @@ import time
 import pytest
 
 from repro.core.agent import DisTAAgent
-from repro.core.aio_transport import AsyncTaintMapTransport, mux_frame
+from repro.core.transport import TaintMapTransport, mux_frame
 from repro.core.ha import (
     FailoverTaintMapClient,
     ReplicatedTaintMapServer,
@@ -30,6 +31,7 @@ from repro.core.taintmap import (
     taint_key,
 )
 from repro.errors import PipeClosed, TaintMapError
+from repro.obs.registry import snapshot_total
 from repro.runtime.cluster import TAINT_MAP_IP, TAINT_MAP_PORT, Cluster
 from repro.runtime.fs import SimFileSystem
 from repro.runtime.kernel import SimKernel
@@ -39,6 +41,19 @@ from repro.runtime.node import SimNode
 
 def _node(kernel, fs, name="n", ip="10.0.0.1", pid=1):
     return SimNode(name, kernel.register_node(ip), pid, kernel, fs, Mode.DISTA)
+
+
+def _flushes(node, reason):
+    return snapshot_total(
+        node.metrics.snapshot(), "dista_coalesce_flush_total", {"reason": reason}
+    )
+
+
+def _wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline and not predicate():
+        time.sleep(0.002)
+    return predicate()
 
 
 @pytest.fixture()
@@ -116,21 +131,15 @@ class TestMuxFraming:
         thread = threading.Thread(target=reordering_server, daemon=True)
         thread.start()
 
-        # window=0 and two *sequential-kind* distinct taints would share
-        # a window; force separate frames by using the raw submit API.
+        # Two registrations would share one window; send two separate
+        # frames on the channel instead.
         client = TaintMapClient(node, (TAINT_MAP_IP, TAINT_MAP_PORT))
         t1 = serialize_tags(node.tree.taint_for_tag("a").tags)
         t2 = serialize_tags(node.tree.taint_for_tag("b").tags)
-        loop = client.transport._ensure_loop()
         channel = client.transport._channels[0]
 
-        import asyncio
-
-        first = asyncio.run_coroutine_threadsafe(channel.roundtrip(OP_REGISTER, t1), loop)
-        # Ensure deterministic send order before submitting the second.
-        time.sleep(0.05)
-        second = asyncio.run_coroutine_threadsafe(channel.roundtrip(OP_REGISTER, t2), loop)
-        time.sleep(0.05)
+        first = channel.request(OP_REGISTER, t1)
+        second = channel.request(OP_REGISTER, t2)
         release.set()
         # Responses were sent reversed: the *second* request's corr came
         # back first carrying 1000, the first's carrying 1001.
@@ -142,33 +151,38 @@ class TestMuxFraming:
 
 class TestAsyncClientApi:
     def test_unknown_gid_raises_and_other_lookups_survive(self, single):
-        """A coalesced lookup window containing one unknown GID fails
-        only that future; co-batched lookups still resolve."""
+        """A group-committed lookup window containing one unknown GID
+        fails only that entry; co-batched lookups still resolve."""
         kernel, _, server, node = single
-        client = TaintMapClient(
-            node, server.address, coalesce_window_us=20000.0
-        )
+        client = TaintMapClient(node, server.address)
+        holder = client.gid_for(node.tree.taint_for_tag("holder"))
         known = client.gid_for(node.tree.taint_for_tag("known"))
-        client._taint_cache.clear()  # force a wire lookup
+        client._taint_cache.clear()  # force wire lookups
 
         results = {}
-        barrier = threading.Barrier(2)
 
         def fetch(name, gid):
-            barrier.wait()
             try:
                 results[name] = client.taint_for(gid)
             except TaintMapError as exc:
                 results[name] = exc
 
+        # A slow lookup in flight makes the next two queue into one window.
+        server._service_time = 0.2
+        holding = threading.Thread(target=fetch, args=("holder", holder), daemon=True)
+        holding.start()
+        assert _wait_until(lambda: client.transport._shards[0].flying[1] is not None)
         threads = [
             threading.Thread(target=fetch, args=("known", known), daemon=True),
             threading.Thread(target=fetch, args=("bogus", 0x0ABCDEF), daemon=True),
         ]
         for t in threads:
             t.start()
-        for t in threads:
+        assert _wait_until(lambda: len(client.transport._shards[0].windows[1].keys) == 2)
+        server._service_time = 0.0
+        for t in [holding, *threads]:
             t.join(10)
+        assert server.stats.lookup_requests == 3  # holder, the pair, the re-sent rest
         assert isinstance(results["bogus"], TaintMapError)
         assert "unknown Global ID" in str(results["bogus"])
         assert {t.tag for t in results["known"].tags} == {"known"}
@@ -191,12 +205,10 @@ class TestAsyncClientApi:
 class TestCoalescing:
     def test_concurrent_registrations_coalesce_to_one_roundtrip(self, single):
         """k concurrent single-taint messages cost one round-trip per
-        window, not k — the tentpole's headline property."""
+        flush in flight, not k: arrivals queue into the next window."""
         kernel, _, server, node = single
-        server._service_time = 0.002  # hold the window open
-        client = TaintMapClient(
-            node, server.address, cache_enabled=False, coalesce_window_us=5000.0
-        )
+        server._service_time = 0.01  # keep a flush in flight
+        client = TaintMapClient(node, server.address, cache_enabled=False)
         workers = 12
         taints = [node.tree.taint_for_tag(f"co-{i}") for i in range(workers)]
         barrier = threading.Barrier(workers)
@@ -221,10 +233,8 @@ class TestCoalescing:
         """The same taint submitted by two in-flight messages dedups to
         one entry (registration is idempotent)."""
         kernel, _, server, node = single
-        server._service_time = 0.002
-        client = TaintMapClient(
-            node, server.address, cache_enabled=False, coalesce_window_us=5000.0
-        )
+        server._service_time = 0.05
+        client = TaintMapClient(node, server.address, cache_enabled=False)
         taint = node.tree.taint_for_tag("dup")
         barrier = threading.Barrier(8)
         gids = [None] * 8
@@ -243,48 +253,33 @@ class TestCoalescing:
         client.close()
 
     def test_flush_on_max_batch_size_beats_timer(self, single):
-        """A window reaching max_batch flushes immediately — well before
-        a deliberately huge timer could fire."""
+        """A window larger than max_batch goes out at once as several
+        frames: the first an ``idle`` flush, the rest ``size`` flushes."""
         _, _, server, node = single
-        client = TaintMapClient(
-            node,
-            server.address,
-            cache_enabled=False,
-            coalesce_window_us=5_000_000.0,  # 5 s: the timer can't be the flusher
-            max_batch=8,
-        )
-        taints = [node.tree.taint_for_tag(f"mb-{i}") for i in range(8)]
-        start = time.monotonic()
+        client = TaintMapClient(node, server.address, cache_enabled=False, max_batch=8)
+        taints = [node.tree.taint_for_tag(f"mb-{i}") for i in range(20)]
         gids = client.gids_for(taints)
-        elapsed = time.monotonic() - start
-        assert len(set(gids)) == 8
-        assert elapsed < 2.0  # size-triggered, not the 5 s timer
+        assert len(set(gids)) == 20
+        assert server.stats.register_requests == 3  # 8 + 8 + 4
+        assert (_flushes(node, "idle"), _flushes(node, "size")) == (1, 2)
         client.close()
 
     def test_flush_on_timer_when_under_batch_size(self, single):
-        """A lone sub-batch request relies on the timer flush."""
+        """Under max_batch there is no timer to wait out: a lone request
+        with no flush in flight is sent at once, as an ``idle`` flush."""
         _, _, server, node = single
-        client = TaintMapClient(
-            node,
-            server.address,
-            cache_enabled=False,
-            coalesce_window_us=50_000.0,  # 50 ms — measurable but quick
-            max_batch=64,
-        )
-        start = time.monotonic()
+        client = TaintMapClient(node, server.address, cache_enabled=False, max_batch=64)
         gid = client.gid_for(node.tree.taint_for_tag("timer"))
-        elapsed = time.monotonic() - start
         assert gid == 1
-        assert 0.04 <= elapsed < 5.0  # waited for the timer, then flushed
+        assert _flushes(node, "idle") == 1
+        assert _flushes(node, "drain") == _flushes(node, "size") == 0
         client.close()
 
     def test_zero_window_still_batches_one_call(self, single):
-        """window=0 degrades gracefully: a single gids_for call is still
-        one round-trip (all entries enter the window atomically)."""
+        """A single gids_for call is one round-trip: all its entries
+        join the window before its caller sends it."""
         _, _, server, node = single
-        client = TaintMapClient(
-            node, server.address, cache_enabled=False, coalesce_window_us=0.0
-        )
+        client = TaintMapClient(node, server.address, cache_enabled=False)
         taints = [node.tree.taint_for_tag(f"z-{i}") for i in range(16)]
         before = client.requests_sent
         gids = client.gids_for(taints)
@@ -426,18 +421,11 @@ class TestCloseErrorSuppression:
 
 
 class TestTransportSelection:
-    def test_cluster_kwarg_sets_coalesce_window(self):
-        with Cluster(Mode.DISTA, coalesce_window_us=0.0) as cluster:
-            node = cluster.add_node("n1")
-            assert node.taintmap.transport.coalesce_window_us == 0.0
-            assert not node.taintmap.transport.coalesce_adaptive
-
     def test_default_is_async(self):
+        """Every client runs the multiplexed transport, deadline armed."""
         with Cluster(Mode.DISTA) as cluster:
             node = cluster.add_node("n1")
-            assert isinstance(node.taintmap.transport, AsyncTaintMapTransport)
-            # Defaults: adaptive coalescing on, deadline armed.
-            assert node.taintmap.transport.coalesce_adaptive
+            assert isinstance(node.taintmap.transport, TaintMapTransport)
             assert node.taintmap.transport.request_deadline_s is not None
 
     def test_agent_runtime_resolves_through_client(self, single):

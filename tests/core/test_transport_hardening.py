@@ -1,22 +1,18 @@
-"""Regression tests for the Taint Map transport's hardening: 16-bit batch-count overflow (protocol chunking + mid-insertion size
-flush), shutdown with an in-flight flush, per-request deadlines on a
-stalled shard, fresh broken-connection errors, correlation-id wrap,
-backpressure policies, and adaptive coalescing-window convergence.
+"""Regression tests for the Taint Map transport's hardening: 16-bit
+batch-count overflow (protocol chunking at the window split), shutdown
+with an in-flight flush, per-request deadlines on a stalled shard,
+fresh broken-connection errors, correlation-id wrap, and backpressure
+policies.
 """
 
-import asyncio
 import itertools
 import struct
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 
-from repro.core.aio_transport import (
-    ADAPTIVE_STEP_US,
-    AdaptiveWindowController,
-    _REGISTER,
-)
 from repro.core.taintmap import (
     OP_REGISTER,
     PROTOCOL_MAX_BATCH,
@@ -123,9 +119,9 @@ class TestProtocolBatchLimit:
 
 class TestShutdownWithInflightFlush:
     def test_close_fails_inflight_flush_instead_of_hanging(self):
-        """Pre-fix, ``close()`` failed only futures still *in windows*;
-        entries already handed to an in-flight ``_flush`` were never
-        failed and the sync submitter blocked forever."""
+        """``close()`` must fail entries already in flight, not only
+        those still queued in windows; otherwise the caller waiting on
+        an in-flight batch would block forever."""
         kernel = SimKernel("close-test")
         kernel.register_node(TAINT_MAP_IP)
         fs = SimFileSystem()
@@ -135,9 +131,7 @@ class TestShutdownWithInflightFlush:
         )
         server.start()
         node = _node(kernel, fs)
-        client = TaintMapClient(
-            node, server.address, coalesce_window_us=0.0
-        )
+        client = TaintMapClient(node, server.address)
         errors = []
 
         def register():
@@ -148,19 +142,16 @@ class TestShutdownWithInflightFlush:
 
         thread = threading.Thread(target=register, daemon=True)
         thread.start()
-        assert _wait_until(
-            lambda: client.transport._inflight_flushes
-            or client.transport._pending_counts[0] > 0
-        )
+        state = client.transport._shards[0]
+        assert _wait_until(lambda: state.flying[0] is not None)
         started = time.monotonic()
         client.close()
         assert time.monotonic() - started < 8.0
         thread.join(timeout=8)
         assert not thread.is_alive(), "submitter still blocked after close()"
         assert errors and isinstance(errors[0], TaintMapError)
-        # The per-shard lists survive close(): a straggling in-flight
-        # flush draining afterwards must not die with IndexError.
-        client.transport._drain(0, 0)
+        # The failed batch released its budget and its lane.
+        assert state.pending == 0 and state.flying == [None, None]
         client.close()  # idempotent
         server.stop()
 
@@ -209,8 +200,8 @@ class TestRequestDeadline:
 
 class TestBrokenConnectionErrors:
     def test_fresh_transport_error_per_raise(self, single):
-        """Pre-fix, a broken connection re-raised one cached exception
-        instance across unrelated callers."""
+        """A broken connection must raise a fresh exception per caller,
+        never one cached instance shared across unrelated callers."""
         _, _, server, node = single
         client = TaintMapClient(node, server.address)
         assert client.gid_for(node.tree.taint_for_tag("pre")) > 0
@@ -218,13 +209,11 @@ class TestBrokenConnectionErrors:
         connection._endpoint.close()
         assert _wait_until(lambda: connection.broken)
 
-        loop = client.transport.loop
         raised = []
         for _ in range(2):
-            future = asyncio.run_coroutine_threadsafe(
-                connection.request(OP_REGISTER, b""), loop
-            )
-            raised.append(future.exception(timeout=5))
+            with pytest.raises(TaintMapTransportError) as caught:
+                connection.request(OP_REGISTER, b"")
+            raised.append(caught.value)
         first, second = raised
         assert isinstance(first, TaintMapTransportError)
         assert isinstance(second, TaintMapTransportError)
@@ -262,17 +251,9 @@ class TestCorrelationIdWrap:
         _, _, server, node = single
         client = TaintMapClient(node, server.address)
         assert client.gid_for(node.tree.taint_for_tag("collide0")) > 0
-        transport = client.transport
-        connection = transport._channels[0]._connection
-
-        planted = threading.Event()
-
-        def plant():
-            connection._pending[1] = transport.loop.create_future()
-            planted.set()
-
-        transport.loop.call_soon_threadsafe(plant)
-        assert planted.wait(5)
+        connection = client.transport._channels[0]._connection
+        with connection._lock:
+            connection._pending[1] = Future()
         # The next allocation computes (2**32 + 1) & 0xFFFFFFFF == 1 —
         # exactly the planted in-flight id.
         connection._corr = itertools.count(2**32 + 1)
@@ -283,137 +264,76 @@ class TestCorrelationIdWrap:
 
 
 class TestBackpressure:
-    def _dispatch_register(self, client, node, tag):
-        transport = client.transport
-        loop = transport._ensure_loop()
+    """A slow shard keeps one flush in flight, so later registrations
+    queue in the next window and count against ``max_pending``."""
+
+    def _register_async(self, client, node, tag):
         payload = serialize_tags(node.tree.taint_for_tag(tag).tags)
-        return asyncio.run_coroutine_threadsafe(
-            transport._dispatch(0, OP_REGISTER, payload), loop
-        )
+        future = Future()
+
+        def run():
+            try:
+                future.set_result(client.transport.submit(0, OP_REGISTER, payload))
+            except Exception as exc:  # noqa: BLE001 - checked by the test
+                future.set_exception(exc)
+
+        threading.Thread(target=run, daemon=True).start()
+        return future
 
     def test_shed_policy_rejects_past_high_water_mark(self, single):
         _, _, server, node = single
-        client = TaintMapClient(
-            node,
-            server.address,
-            coalesce_window_us=10_000_000,  # park entries: no timer flush
-            max_pending=4,
-            backpressure="shed",
-        )
-        transport = client.transport
-        futures = [
-            self._dispatch_register(client, node, f"shed{i}") for i in range(4)
-        ]
-        assert _wait_until(lambda: transport._pending_counts[0] == 4)
-        overflow = self._dispatch_register(client, node, "shed-overflow")
+        server._service_time = 0.3
+        client = TaintMapClient(node, server.address, max_pending=4, backpressure="shed")
+        state = client.transport._shards[0]
+        futures = [self._register_async(client, node, "shed0")]
+        assert _wait_until(lambda: state.flying[0] is not None)
+        futures += [self._register_async(client, node, f"shed{i}") for i in range(1, 4)]
+        assert _wait_until(lambda: state.pending == 4)
+        overflow = self._register_async(client, node, "shed-overflow")
         exc = overflow.exception(timeout=5)
         assert isinstance(exc, TaintMapBackpressureError)
         assert isinstance(exc, TaintMapError)
-        # Draining the window readmits new work.
-        transport.loop.call_soon_threadsafe(
-            transport._flush_now, 0, _REGISTER, "size"
-        )
+        # The queued window drains when the in-flight flush lands, which
+        # readmits new work.
         gids = {struct.unpack(">I", f.result(timeout=5))[0] for f in futures}
         assert len(gids) == 4
-        assert _wait_until(lambda: transport._pending_counts[0] == 0)
-        retry = self._dispatch_register(client, node, "shed-retry")
-        assert _wait_until(lambda: transport._pending_counts[0] == 1)
-        transport.loop.call_soon_threadsafe(
-            transport._flush_now, 0, _REGISTER, "size"
-        )
+        assert _wait_until(lambda: state.pending == 0)
+        server._service_time = 0.0
+        retry = self._register_async(client, node, "shed-retry")
         assert struct.unpack(">I", retry.result(timeout=5))[0] > 0
         client.close()
 
     def test_block_policy_flushes_and_waits_for_drain(self, single):
         _, _, server, node = single
-        client = TaintMapClient(
-            node,
-            server.address,
-            coalesce_window_us=10_000_000,
-            max_pending=2,
-            backpressure="block",
-        )
-        transport = client.transport
-        first = self._dispatch_register(client, node, "blk0")
-        second = self._dispatch_register(client, node, "blk1")
-        assert _wait_until(lambda: transport._pending_counts[0] == 2)
-        # The third blocks at the mark — and must flush the parked
-        # window itself (nothing else would drain it) before waiting.
-        third = self._dispatch_register(client, node, "blk2")
+        server._service_time = 0.3
+        client = TaintMapClient(node, server.address, max_pending=2, backpressure="block")
+        state = client.transport._shards[0]
+        first = self._register_async(client, node, "blk0")
+        assert _wait_until(lambda: state.flying[0] is not None)
+        second = self._register_async(client, node, "blk1")
+        assert _wait_until(lambda: state.pending == 2)
+        # The third parks at the mark until the in-flight flush lands.
+        third = self._register_async(client, node, "blk2")
+        assert _wait_until(lambda: state.blocked)
+        assert not third.done()
         assert struct.unpack(">I", first.result(timeout=5))[0] > 0
         assert struct.unpack(">I", second.result(timeout=5))[0] > 0
-        # The third was admitted after the drain and now parks alone.
-        assert _wait_until(lambda: transport._pending_counts[0] == 1)
-        assert not third.done()
-        transport.loop.call_soon_threadsafe(
-            transport._flush_now, 0, _REGISTER, "size"
-        )
         assert struct.unpack(">I", third.result(timeout=5))[0] > 0
+        assert _wait_until(lambda: state.pending == 0)
         client.close()
 
-
-class TestAdaptiveWindow:
-    def test_controller_grows_under_pressure_and_decays_to_zero(self):
-        controller = AdaptiveWindowController(initial_us=200.0)
-        assert controller.on_flush("size", 2, 0.0) == 250.0  # window filled
-        assert controller.on_flush("backpressure", 3, 1.0) == 300.0
-        assert controller.on_flush("timer", 1, 3.0) == 350.0  # fragmenting
-        # Multi-entry timer flush: natural batching already works, so the
-        # window relaxes instead of widening further.
-        assert controller.on_flush("timer", 8, 0.0) == 350.0 * 0.75
-        window = controller.window_us
-        for _ in range(12):  # idle: lone timer flushes, nothing in flight
-            window = controller.on_flush("timer", 1, 0.0)
-        assert window == 0.0  # collapsed below the floor to exactly 0
-        assert controller.on_flush("timer", 1, 2.0) == ADAPTIVE_STEP_US
-        ceiling = controller.ceiling_us
-        for _ in range(1000):
-            controller.on_flush("size", 64, 8.0)
-        assert controller.window_us == ceiling  # additive growth is capped
-
-    def test_adaptive_defaults_follow_window_pinning(self, single):
-        _, _, server, node = single
-        adaptive = TaintMapClient(node, server.address)
-        pinned = TaintMapClient(node, server.address, coalesce_window_us=150.0)
-        forced = TaintMapClient(
-            node, server.address, coalesce_window_us=150.0, coalesce_adaptive=True
-        )
-        try:
-            assert adaptive.transport.coalesce_adaptive
-            assert not pinned.transport.coalesce_adaptive
-            assert pinned.transport.window_us_for(0) == 150.0
-            assert forced.transport.coalesce_adaptive
-            assert forced.transport.window_us_for(0) == 150.0
-        finally:
-            adaptive.close()
-            pinned.close()
-            forced.close()
-
-    def test_window_converges_with_the_load_shape(self, single):
-        """Burst pressure widens the window; going idle collapses it."""
+    def test_block_policy_sends_a_window_its_own_caller_filled(self, single):
+        """One call larger than the mark: the caller must send the window
+        it filled itself (no flush is in flight to drain it), then wait."""
         _, _, server, node = single
         client = TaintMapClient(
-            node,
-            server.address,
-            coalesce_window_us=2000.0,
-            coalesce_adaptive=True,
-            max_batch=2,
+            node, server.address, cache_enabled=False, max_pending=3, backpressure="block"
         )
-        transport = client.transport
-        # Step up: a 4-call burst overfills the 2-entry window twice,
-        # producing two size flushes — genuine window pressure — each
-        # widening the window by one step.
-        calls = [
-            (0, OP_REGISTER, serialize_tags(node.tree.taint_for_tag(f"load{i}").tags))
-            for i in range(4)
-        ]
-        transport.submit_many(calls)
-        assert transport.window_us_for(0) == 2000.0 + 2 * ADAPTIVE_STEP_US
-        # Step down: sequential lone registrations are idle traffic;
-        # the window halves per flush until it collapses to 0.
-        for i in range(16):
-            client.gid_for(node.tree.taint_for_tag(f"idle{i}"))
-        assert transport.window_us_for(0) == 0.0
+        taints = [node.tree.taint_for_tag(f"self{i}") for i in range(7)]
+        gids = client.gids_for(taints)
+        assert len(set(gids)) == 7
+        assert server.stats.register_requests == 3  # 3 + 3 + 1
+        assert client.transport._shards[0].pending == 0
         client.close()
 
 
@@ -423,8 +343,8 @@ class TestLaunchAndEnvKnobs:
 
         assert parse_switch("on") and parse_switch("TRUE") and parse_switch("1")
         assert not parse_switch("off") and not parse_switch("no")
-        with pytest.raises(ValueError, match="coalesceAdaptive"):
-            parse_switch("maybe", "coalesceAdaptive")
+        with pytest.raises(ValueError, match="gidCacheAdmission"):
+            parse_switch("maybe", "gidCacheAdmission")
 
     def test_launch_extras_configure_hardening_knobs(self):
         from repro.core.launch import launch_cluster
@@ -432,19 +352,15 @@ class TestLaunchAndEnvKnobs:
         cluster = launch_cluster(
             Mode.DISTA,
             "taintSources=s.spec,taintSinks=k.spec,"
-            "coalesceAdaptive=off,coalesceWindowUs=350,"
             "taintMapDeadlineS=2.5,coalesceMaxPending=64,"
             "coalesceBackpressure=shed",
             sources_text="source:ignored#m\n",
             sinks_text="sink:ignored#m\n",
         )
-        assert cluster.agent_options["coalesce_adaptive"] is False
         assert cluster.agent_options["request_deadline_s"] == 2.5
         with cluster:
             node = cluster.add_node("n1")
             transport = node.taintmap.transport
-            assert not transport.coalesce_adaptive
-            assert transport.coalesce_window_us == 350.0
             assert transport.request_deadline_s == 2.5
             assert transport.max_pending == 64
             assert transport.backpressure == "shed"
@@ -453,12 +369,8 @@ class TestLaunchAndEnvKnobs:
         from repro.core.agent import DisTAAgent
 
         _, _, server, node = single
-        monkeypatch.setenv("DISTA_COALESCE_WINDOW_US", "450")
-        monkeypatch.setenv("DISTA_COALESCE_ADAPTIVE", "off")
         monkeypatch.setenv("DISTA_TAINTMAP_DEADLINE_S", "0")
         runtime = DisTAAgent(server.address).attach(node)
         transport = runtime.client.transport
-        assert transport.coalesce_window_us == 450.0
-        assert not transport.coalesce_adaptive
         assert transport.request_deadline_s is None  # 0 disables
         DisTAAgent(server.address).detach(node)

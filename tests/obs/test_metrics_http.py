@@ -15,7 +15,6 @@ REQUIRED_FAMILIES = (
     "dista_taintmap_rpc_seconds",
     "dista_coalesce_flush_total",
     "dista_coalesce_backpressure_total",
-    "dista_coalesce_window_us",
     "dista_jni_tainted_bytes_total",
     "dista_cache_events_total",
 )
@@ -27,7 +26,6 @@ TRANSPORT_FAMILIES = (
     "dista_coalesce_flush_total",
     "dista_coalesce_window_entries",
     "dista_coalesce_backpressure_total",
-    "dista_coalesce_window_us",
     "dista_taintmap_inflight_requests",
 )
 
