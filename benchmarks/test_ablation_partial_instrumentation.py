@@ -14,6 +14,7 @@ the coverage hole DisTA's JNI-level completeness closes.
 
 import pytest
 
+from repro.core.config import DisTAConfig
 from repro.microbench.cases import CASES
 from repro.microbench.workload import run_case
 from repro.runtime.cluster import Cluster
@@ -32,7 +33,7 @@ def _run_partial(case, size=2048):
     original_cluster_ctor = workload_module.Cluster
     try:
         workload_module.Cluster = lambda mode, name: original_cluster_ctor(
-            mode, name, agent_options={"wrapper_types": frozenset({1})}
+            mode, name, config=DisTAConfig(wrapper_types=frozenset({1}))
         )
         return run_case(case, Mode.DISTA, size=size)
     finally:

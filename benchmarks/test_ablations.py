@@ -13,6 +13,7 @@
 import pytest
 
 from repro.core import wire
+from repro.core.config import DisTAConfig
 from repro.core.taintmap import serialize_tags
 from repro.jre import ServerSocket, Socket
 from repro.microbench.cases import CASES_BY_NAME
@@ -23,10 +24,10 @@ from repro.taint.values import TBytes
 
 
 class TestGidCacheAblation:
-    def _run(self, agent_options, payload=4096, writes=16):
+    def _run(self, cache_enabled, payload=4096, writes=16):
         """One tainted flow sent as ``writes`` separate messages —
         each write is (at least) one Global-ID resolution."""
-        cluster = Cluster(Mode.DISTA, agent_options=agent_options)
+        cluster = Cluster(Mode.DISTA, config=DisTAConfig(cache_enabled=cache_enabled))
         n1 = cluster.add_node("n1")
         n2 = cluster.add_node("n2")
         with cluster:
@@ -41,8 +42,8 @@ class TestGidCacheAblation:
             return cluster.taint_map_server.stats.snapshot()
 
     def test_cache_prevents_repeated_registration(self):
-        cached = self._run({})
-        uncached = self._run({"cache_enabled": False})
+        cached = self._run(True)
+        uncached = self._run(False)
         # Fig. 9 step ②: the cached client registers the taint once, no
         # matter how many messages carry it.
         assert cached["register_requests"] == 1
@@ -52,17 +53,19 @@ class TestGidCacheAblation:
     @pytest.mark.parametrize("cache_enabled", [True, False], ids=["cached", "uncached"])
     def test_benchmark_cache(self, benchmark, cache_enabled):
         benchmark.pedantic(
-            lambda: self._run({} if cache_enabled else {"cache_enabled": False}),
+            lambda: self._run(cache_enabled),
             rounds=3,
             iterations=1,
         )
 
 
 class TestGranularityAblation:
-    def _precision_probe(self, agent_options):
+    def _precision_probe(self, byte_granularity):
         """Send a half-tainted buffer; report whether the untainted half
         stayed untainted on arrival."""
-        cluster = Cluster(Mode.DISTA, agent_options=agent_options)
+        cluster = Cluster(
+            Mode.DISTA, config=DisTAConfig(byte_granularity=byte_granularity)
+        )
         n1 = cluster.add_node("n1")
         n2 = cluster.add_node("n2")
         with cluster:
@@ -77,12 +80,12 @@ class TestGranularityAblation:
             return clean_half.overall_taint() is None
 
     def test_byte_granularity_is_precise(self):
-        assert self._precision_probe({}) is True
+        assert self._precision_probe(True) is True
 
     def test_message_granularity_over_taints(self):
         """The ablated design taints the clean half too — the imprecision
         the paper attributes to coarse-grained tools (§II-D)."""
-        assert self._precision_probe({"byte_granularity": False}) is False
+        assert self._precision_probe(False) is False
 
     def test_message_granularity_still_sound(self):
         result = run_case(

@@ -19,7 +19,7 @@ from repro.core.ha import (
     StandbyTaintMapServer,
 )
 from repro.core.trace import Crossing, CrossingTrace
-from repro.core.config import AgentOptions, TaintSpec
+from repro.core.config import AgentOptions, DisTAConfig, TaintSpec
 from repro.core.launch import LaunchScript, all_launch_scripts, average_changed_loc
 from repro.core.taintmap import (
     GID_SHARD_BITS,
@@ -60,6 +60,7 @@ __all__ = [
     "CELL_WIDTH",
     "CellDecoder",
     "DisTAAgent",
+    "DisTAConfig",
     "DisTARuntime",
     "GID_SHARD_BITS",
     "GID_WIDTH",

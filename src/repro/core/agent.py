@@ -17,64 +17,13 @@ same effect as the paper wrapping each entry point.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.core import wrappers
+from repro.core.config import DisTAConfig
 from repro.core.taintmap import TaintMapClient
 from repro.errors import InstrumentationError
-
-#: Environment override for the per-request deadline (seconds);
-#: ``0`` disables the deadline.
-DEADLINE_ENV = "DISTA_TAINTMAP_DEADLINE_S"
-
-#: Environment override for the overhead budget (a ratio over baseline,
-#: e.g. ``1.05`` = tracking surcharge ≤5%).  ``0``, a negative value or
-#: ``unlimited``/``off``/``none`` disable budgeting entirely — the
-#: bit-identical full-tracking behaviour.
-OVERHEAD_BUDGET_ENV = "DISTA_OVERHEAD_BUDGET"
-
-#: Spellings of "no budget" accepted by the env/extras surface.
-_UNLIMITED_BUDGET = ("unlimited", "off", "none", "")
-
-
-def resolve_request_deadline(deadline_s: Optional[float] = None) -> Optional[float]:
-    """Effective per-request deadline (s): explicit argument, else
-    ``DISTA_TAINTMAP_DEADLINE_S``, else ``None`` for the transport
-    default.  A non-positive value disables the deadline."""
-    if deadline_s is not None:
-        return float(deadline_s)
-    from_env = os.environ.get(DEADLINE_ENV)
-    return float(from_env) if from_env else None
-
-
-def parse_overhead_budget(value) -> Optional[float]:
-    """One budget spelling → ``None`` (unlimited) or a ratio ≥ 1.0."""
-    if value is None:
-        return None
-    if isinstance(value, str):
-        if value.strip().lower() in _UNLIMITED_BUDGET:
-            return None
-        value = float(value)
-    budget = float(value)
-    if budget <= 0.0:
-        return None
-    if budget < 1.0:
-        raise InstrumentationError(
-            f"overhead budget is a ratio over baseline and must be >= 1.0 "
-            f"(or 0/'unlimited' to disable), got {budget}"
-        )
-    return budget
-
-
-def resolve_overhead_budget(budget=None) -> Optional[float]:
-    """Effective overhead budget: explicit argument, else the
-    ``DISTA_OVERHEAD_BUDGET`` environment variable, else ``None``
-    (unlimited — no controller, bit-identical full tracking)."""
-    if budget is not None:
-        return parse_overhead_budget(budget)
-    return parse_overhead_budget(os.environ.get(OVERHEAD_BUDGET_ENV))
 
 
 @dataclass(frozen=True)
@@ -162,174 +111,73 @@ def instrumented_method_count() -> int:
 class DisTAAgent:
     """Attaches DisTA's inter-node tracking to a simulated JVM.
 
-    ``cache_enabled=False`` and ``byte_granularity=False`` exist only for
-    the ablation benchmarks: the former re-registers every taint with the
-    Taint Map (no Fig.-9 step-② dedup), the latter coarsens tracking to
-    message granularity (one taint for a whole buffer — the over-tainting
-    DisTA's byte-level design avoids, §II-D precision factor).
+    ``config`` carries every knob (:class:`~repro.core.config.DisTAConfig`;
+    default: ``DisTAConfig()``).  ``trace`` is an optional
+    :class:`~repro.core.trace.CrossingTrace` shared by every node this
+    agent attaches to, and ``extensions`` are user
+    :class:`~repro.core.extensions.ExtensionPoint` objects for
+    system-specific native methods (paper §VI).
     """
 
     def __init__(
         self,
         taint_map_address,
-        cache_enabled: bool = True,
-        byte_granularity: bool = True,
-        cache_capacity: Optional[int] = None,
-        extensions: tuple = (),
-        wrapper_types: frozenset = frozenset({1, 2, 3}),
+        config: Optional[DisTAConfig] = None,
         trace=None,
-        request_deadline_s: Optional[float] = None,
-        max_pending: Optional[int] = None,
-        backpressure: Optional[str] = None,
-        overhead_budget=None,
-        sample_every: Optional[int] = None,
-        budget_warm_start=None,
-        cache_admission: Optional[bool] = None,
-        lineage=None,
+        extensions: tuple = (),
     ):
         #: One ``(ip, port)`` or a sequence of per-shard addresses —
         #: passed straight to :class:`TaintMapClient`, which routes by
         #: consistent hash / GID shard bits.
         self.taint_map_address = taint_map_address
-        self.cache_enabled = cache_enabled
-        #: Optional LRU bound for the client's GID/taint caches.
-        self.cache_capacity = cache_capacity
-        self.byte_granularity = byte_granularity
-        #: User :class:`~repro.core.extensions.ExtensionPoint`s for
-        #: system-specific native methods (paper §VI).
-        self.extensions = tuple(extensions)
-        #: Ablation only: restrict instrumentation to a subset of the
-        #: three wrapper types, modelling partial-coverage tools like
-        #: FlowDist's 6 default APIs (§II-D soundness argument).
-        self.wrapper_types = frozenset(wrapper_types)
-        #: Optional :class:`~repro.core.trace.CrossingTrace` shared by
-        #: every node this agent attaches to.
+        self.config = config if config is not None else DisTAConfig()
         self.trace = trace
-        #: Per-request deadline (s) for Taint Map requests; ``None``
-        #: defers to ``DISTA_TAINTMAP_DEADLINE_S``/the transport
-        #: default; ``0`` disables the deadline.
-        self.request_deadline_s = request_deadline_s
-        #: Per-shard pending-window high-water mark for the Taint Map
-        #: transport's backpressure.
-        self.max_pending = max_pending
-        #: Backpressure policy past the mark: "block" or "shed".
-        self.backpressure = backpressure
-        #: Budgeted tracking: hard overhead ceiling as a ratio over
-        #: baseline (e.g. 1.05), or ``None`` to defer to
-        #: ``DISTA_OVERHEAD_BUDGET`` (unlimited when that is unset too
-        #: — no controller, bit-identical full tracking).
-        self.overhead_budget = overhead_budget
-        #: Flow-sampling period: track every k-th flow admitted at
-        #: source registration.  With a budget set this is the
-        #: controller's floor (maximum coverage); without one it is a
-        #: static knob.  ``None`` leaves the registry's value alone.
-        self.sample_every = sample_every
-        #: Warm start for the budget controller: a snapshot dict (from
-        #: :meth:`~repro.taint.budget.OverheadBudgetController.snapshot`)
-        #: or its ``"k"``/``"k:method+method"`` string spelling — the
-        #: controller resumes at a previous run's converged operating
-        #: point instead of re-paying the shed transient.  Ignored when
-        #: no budget resolves (there is no controller to warm).
-        self.budget_warm_start = budget_warm_start
-        #: TinyLFU admission for the client's GID/taint caches; ``None``
-        #: keeps the plain-LRU default.
-        self.cache_admission = cache_admission
-        #: Optional :class:`~repro.obs.lineage.LineageStore` shared by
-        #: every node this agent attaches to; each attach builds a
-        #: node-stamped :class:`~repro.obs.lineage.LineageRecorder`
-        #: feeding it.  ``None`` leaves lineage off (NULL_LINEAGE).
-        self.lineage = lineage
-
-    def _make_client(self, node) -> TaintMapClient:
-        options = {}
-        deadline = resolve_request_deadline(self.request_deadline_s)
-        if deadline is not None:
-            options["request_deadline_s"] = deadline
-        if self.max_pending is not None:
-            options["max_pending"] = self.max_pending
-        if self.backpressure is not None:
-            options["backpressure"] = self.backpressure
-        if self.cache_admission is not None:
-            options["cache_admission"] = bool(self.cache_admission)
-        return TaintMapClient(
-            node,
-            self.taint_map_address,
-            self.cache_enabled,
-            self.cache_capacity,
-            **options,
-        )
+        self.extensions = tuple(extensions)
 
     def attach(self, node) -> wrappers.DisTARuntime:
         """Patch every instrumentation point on ``node``'s JNI table."""
         if node.jni.instrumented:
             raise InstrumentationError(f"node {node.name} is already instrumented")
-        client = self._make_client(node)
-        runtime = wrappers.DisTARuntime(node, client, self.byte_granularity)
+        config = self.config
+        client = TaintMapClient(
+            node,
+            self.taint_map_address,
+            config.cache_enabled,
+            request_deadline_s=config.request_deadline_s,
+        )
+        runtime = wrappers.DisTARuntime(node, client, config.byte_granularity)
         if self.trace is not None:
             runtime.trace = self.trace
-        if self.lineage is not None:
-            from repro.obs.lineage import LineageRecorder
-
-            recorder = LineageRecorder(self.lineage, node.name)
-            runtime.lineage = recorder
-            registry = getattr(node, "registry", None)
-            if registry is not None:
-                registry.lineage = recorder
         for target, (wrapper_type, factory) in _WRAPPER_FACTORIES_BY_TYPE.items():
-            if wrapper_type not in self.wrapper_types:
+            if wrapper_type not in config.wrapper_types:
                 continue
             node.jni.patch(target, factory(runtime))
         for extension in self.extensions:
             if extension.name in node.jni._extensions:
                 node.jni.patch(extension.name, extension.build(runtime))
         node.taintmap = client
-        self._apply_budget(node, runtime)
+        if config.overhead_budget is not None:
+            self._attach_budget(node, runtime)
         return runtime
 
-    def _apply_budget(self, node, runtime: wrappers.DisTARuntime) -> None:
-        """Wire budgeted tracking onto an attached node.
-
-        A static ``sample_every`` is applied to the source registry
-        whether or not a budget is set.  A budget additionally builds an
-        :class:`~repro.taint.budget.OverheadBudgetController` (with the
-        configured ``sample_every`` as its coverage floor) and attaches
-        it to the runtime; with no budget resolved there is no
-        controller at all, so tracking behaviour is bit-identical to the
-        unbudgeted agent.
-        """
-        registry = getattr(node, "registry", None)
-        if self.sample_every is not None:
-            k = int(self.sample_every)
-            if k < 1:
-                raise InstrumentationError(f"sample_every must be >= 1, got {k}")
-            if registry is not None:
-                registry.sample_every = k
-        budget = resolve_overhead_budget(self.overhead_budget)
-        if budget is None:
-            return
+    def _attach_budget(self, node, runtime: wrappers.DisTARuntime) -> None:
+        """Budgeted tracking: an
+        :class:`~repro.taint.budget.OverheadBudgetController` with the
+        configured ``sample_every`` as its coverage floor, attached to the
+        runtime.  Without a budget there is no controller at all, so
+        tracking is bit-identical to the unbudgeted agent."""
         from repro.obs.profiler import baseline_reference
-        from repro.taint.budget import (
-            BudgetConfig,
-            OverheadBudgetController,
-            parse_budget_warm_start,
-        )
+        from repro.taint.budget import BudgetConfig, OverheadBudgetController
 
-        floor = 1
-        if registry is not None:
-            floor = max(1, int(getattr(registry, "sample_every", 1)))
-        config = BudgetConfig(overhead_budget=budget, sample_every=floor)
         controller = OverheadBudgetController(
-            config,
+            BudgetConfig(
+                overhead_budget=self.config.overhead_budget,
+                sample_every=self.config.sample_every,
+            ),
             baseline_reference(),
-            registry=registry,
+            registry=getattr(node, "registry", None),
             metrics=getattr(node, "metrics", None),
         )
-        try:
-            warm = parse_budget_warm_start(self.budget_warm_start)
-        except ValueError as exc:
-            raise InstrumentationError(str(exc)) from exc
-        if warm is not None:
-            controller.restore(warm)
         runtime.attach_budget(controller)
 
     def detach(self, node) -> None:

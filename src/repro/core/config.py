@@ -1,17 +1,26 @@
-"""User-facing configuration: source/sink spec files and agent options.
+"""User-facing configuration: the launch argument, spec files and knobs.
 
 Paper §V-E: users drive DisTA entirely from the launch command —
 ``-javaagent:DisTA.jar=taintSources=<file>,taintSinks=<file>`` — where the
 two files list taint source and sink points as Java method descriptors,
-one per line (``#`` comments allowed).  This module parses that surface
-and applies it to a cluster.
+one per line (``#`` comments allowed).  Every other ``key=value`` pair of
+that argument sets one row of :class:`DisTAConfig`, the single object
+every layer (cluster, agent, workloads) receives.  This module parses
+that surface and applies the spec files to a cluster.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, fields
+from functools import partial
+from typing import Optional
 
-#: Accepted spellings for boolean launch extras / env switches.
+from repro.core.taintmap import TaintMapServer
+from repro.core.transport import DEFAULT_DEADLINE_S
+from repro.errors import ConfigError
+
+#: Accepted spellings for on/off launch extras.
 _SWITCH_VALUES = {
     "on": True,
     "true": True,
@@ -23,15 +32,174 @@ _SWITCH_VALUES = {
     "no": False,
 }
 
+#: Spellings of "no budget" (``0`` and negative ratios also disable).
+_UNLIMITED_BUDGET = ("unlimited", "off", "none", "")
 
-def parse_switch(value: str, option: str = "option") -> bool:
-    """Parse an on/off launch-extra or environment switch value."""
+
+def parse_switch(value: str) -> bool:
+    """Parse an on/off value."""
     try:
         return _SWITCH_VALUES[value.strip().lower()]
     except KeyError:
-        raise ValueError(
-            f"malformed {option} value {value!r} (expected on/off)"
-        ) from None
+        raise ValueError(f"expected on/off, got {value!r}") from None
+
+
+def _parse_granularity(value: str) -> bool:
+    """``byte`` (the paper's design) → True; ``message`` → False."""
+    try:
+        return {"byte": True, "message": False}[value.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected byte/message, got {value!r}") from None
+
+
+def _parse_wrapper_types(value: str) -> frozenset:
+    """``1+2+3`` → ``frozenset({1, 2, 3})`` (``+`` because extras split
+    on commas)."""
+    return frozenset(int(part) for part in value.split("+"))
+
+
+def _parse_budget(value: str) -> Optional[float]:
+    """A ratio over baseline, or ``None`` for any "no budget" spelling."""
+    if value.strip().lower() in _UNLIMITED_BUDGET:
+        return None
+    budget = float(value)
+    return budget if budget > 0.0 else None
+
+
+def _from_env(env: str, parse, default):
+    text = os.environ.get(env)
+    if not text:
+        return default
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad {env}={text!r}: {exc}") from None
+
+
+def _row(extra: str, parse, default, env: Optional[str] = None):
+    """One row of the :class:`DisTAConfig` table: the field's launch
+    extra, environment variable (if any), parser and default.  A set
+    environment variable replaces the default, so a value passed
+    explicitly — ``None`` included — always wins over it."""
+    metadata = {"extra": extra, "env": env, "parse": parse}
+    if env is None:
+        return field(default=default, metadata=metadata)
+    return field(
+        default_factory=partial(_from_env, env, parse, default), metadata=metadata
+    )
+
+
+@dataclass(frozen=True)
+class DisTAConfig:
+    """Every DisTA knob, one table row per field (see ``_row``).
+
+    Build it from keyword arguments, or from a launch argument's extras
+    with :meth:`from_extras`; either way the environment feeds only the
+    defaults, and every value is validated once, here, at construction.
+    """
+
+    #: Fig. 9 step ②'s GID/taint cache.  Off re-registers every taint
+    #: with the Taint Map (ablation only).
+    cache_enabled: bool = _row("gidCache", parse_switch, True)
+    #: ``message`` (False) coarsens tracking to one taint per buffer, the
+    #: over-tainting byte granularity avoids (ablation, §II-D).
+    byte_granularity: bool = _row("granularity", _parse_granularity, True)
+    #: Wrapper types instrumented (Table I).  A subset models
+    #: partial-coverage tools such as FlowDist (ablation, §II-D).
+    wrapper_types: frozenset = _row(
+        "wrapperTypes", _parse_wrapper_types, frozenset({1, 2, 3})
+    )
+    #: Per-request Taint Map deadline in seconds; ``None`` or a value
+    #: ``<= 0`` disables it.
+    request_deadline_s: Optional[float] = _row(
+        "taintMapDeadlineS", float, DEFAULT_DEADLINE_S, env="DISTA_TAINTMAP_DEADLINE_S"
+    )
+    #: Budgeted tracking: overhead ceiling as a ratio over baseline (e.g.
+    #: 1.05).  ``None`` = unlimited: no controller is built, so tracking
+    #: is bit-identical to the unbudgeted agent.
+    overhead_budget: Optional[float] = _row(
+        "overheadBudget", _parse_budget, None, env="DISTA_OVERHEAD_BUDGET"
+    )
+    #: Flow sampling: track every k-th flow admitted at source
+    #: registration.  With a budget it is the controller's coverage floor.
+    sample_every: int = _row("taintSampleEvery", int, 1)
+    #: Fraction of source firings that taint (the overhead sweep's knob).
+    source_fraction: float = _row("taintSourceFraction", float, 1.0)
+    #: Flow lineage: a cluster-wide ``LineageStore`` fed by a
+    #: ``CrossingTrace`` (created when the cluster has none).
+    lineage: bool = _row("lineage", parse_switch, False)
+    #: Taint Map shards at boot (shard i listens on TAINT_MAP_PORT + i).
+    taint_map_shards: int = _row("taintMapMinShards", int, 1)
+    #: Ceiling for ``Cluster.scale_taint_map``; ``None`` allows growth up
+    #: to the GID namespace's shard limit.
+    taint_map_max_shards: Optional[int] = _row("taintMapMaxShards", int, None)
+    #: Each shard keeps a WAL plus snapshots in the in-sim filesystem, so
+    #: a restarted shard resumes its GID sequence instead of renumbering.
+    taint_map_durable: bool = _row("taintMapDurable", parse_switch, False)
+    #: Allocations between a durable shard's compacted snapshots.
+    taint_map_snapshot_every: int = _row(
+        "taintMapSnapshotEvery", int, TaintMapServer.DEFAULT_SNAPSHOT_EVERY
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "wrapper_types", frozenset(self.wrapper_types))
+        checks = (
+            (
+                not self.wrapper_types or not self.wrapper_types <= {1, 2, 3},
+                f"wrapper_types must be a non-empty subset of {{1, 2, 3}}, "
+                f"got {sorted(self.wrapper_types)}",
+            ),
+            (
+                self.overhead_budget is not None and self.overhead_budget < 1.0,
+                f"overhead_budget is a ratio over baseline and must be >= 1.0 "
+                f"(or None for unlimited), got {self.overhead_budget}",
+            ),
+            (self.sample_every < 1, f"sample_every must be >= 1, got {self.sample_every}"),
+            (
+                not 0.0 <= self.source_fraction <= 1.0,
+                f"source_fraction {self.source_fraction} outside [0, 1]",
+            ),
+            (
+                self.taint_map_shards < 1,
+                f"taint_map_shards must be >= 1, got {self.taint_map_shards}",
+            ),
+            (
+                self.taint_map_max_shards is not None
+                and self.taint_map_max_shards < self.taint_map_shards,
+                f"taint_map_max_shards {self.taint_map_max_shards} is below the "
+                f"initial shard count {self.taint_map_shards}",
+            ),
+            (
+                self.taint_map_snapshot_every < 1,
+                f"taint_map_snapshot_every must be >= 1, "
+                f"got {self.taint_map_snapshot_every}",
+            ),
+        )
+        for failed, message in checks:
+            if failed:
+                raise ConfigError(message)
+
+    @classmethod
+    def from_extras(cls, extras: dict) -> "DisTAConfig":
+        """The config a launch argument's extras spell (every pair but
+        ``taintSources``/``taintSinks``/``taintMap``); rows they leave
+        unset keep their defaults.  An unknown key is an error, so a
+        typo never silently changes behaviour."""
+        rows = {row.metadata["extra"]: row for row in fields(cls)}
+        unknown = sorted(set(extras) - set(rows))
+        if unknown:
+            raise ConfigError(
+                f"unknown launch extra(s) {', '.join(unknown)}; "
+                f"valid keys: {', '.join(sorted(rows))}"
+            )
+        values = {}
+        for key, text in extras.items():
+            row = rows[key]
+            try:
+                values[row.name] = row.metadata["parse"](text)
+            except ValueError as exc:
+                raise ConfigError(f"bad launch extra {key}={text!r}: {exc}") from None
+        return cls(**values)
 
 
 @dataclass
@@ -40,16 +208,6 @@ class TaintSpec:
 
     sources: list[str] = field(default_factory=list)
     sinks: list[str] = field(default_factory=list)
-    #: Fraction of configured source firings that actually taint — the
-    #: tainted-traffic knob of the overhead sweep (1.0 = paper default).
-    source_fraction: float = 1.0
-    #: Budgeted tracking: hard overhead ceiling as a ratio over baseline
-    #: (e.g. 1.05).  ``None`` = unlimited: no controller is built and
-    #: tracking behaviour is bit-identical to earlier releases.
-    overhead_budget: "float | None" = None
-    #: Flow-sampling period: track every k-th flow admitted at source
-    #: registration.  ``None`` leaves the registries' default (1).
-    sample_every: "int | None" = None
 
     @staticmethod
     def parse_spec_text(text: str) -> list[str]:
@@ -68,12 +226,6 @@ class TaintSpec:
     def apply(self, cluster) -> None:
         cluster.configure_sources(self.sources)
         cluster.configure_sinks(self.sinks)
-        if self.source_fraction != 1.0:
-            cluster.configure_source_fraction(self.source_fraction)
-        if self.sample_every is not None:
-            cluster.configure_sample_every(self.sample_every)
-        if self.overhead_budget is not None:
-            cluster.configure_overhead_budget(self.overhead_budget)
 
 
 @dataclass

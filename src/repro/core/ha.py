@@ -172,7 +172,6 @@ class FailoverTaintMapClient(TaintMapClient):
         primary: Union[Address, Sequence[Address]],
         standby: Union[Address, Sequence[Address]],
         cache_enabled: bool = True,
-        cache_capacity: Optional[int] = None,
         standby_factory=None,
         **options,
     ):
@@ -183,7 +182,7 @@ class FailoverTaintMapClient(TaintMapClient):
                 f"{len(primaries)} primary shard(s) but "
                 f"{len(standbys)} standby address(es)"
             )
-        super().__init__(node, primaries, cache_enabled, cache_capacity, **options)
+        super().__init__(node, primaries, cache_enabled, **options)
         for replicas, standby_address in zip(self._shard_replicas, standbys):
             replicas.append(standby_address)
         #: Optional ``standby_factory(shard_index, primary_address) ->

@@ -170,80 +170,17 @@ def launch_cluster(
     """Build a cluster the way a launch script would (§V-E end to end).
 
     Parses the ``-javaagent:DisTA.jar=<agent_argument>`` option string
-    and the two spec files' contents, returning a ready
+    (its extras become a :class:`~repro.core.config.DisTAConfig`; an
+    unknown key raises :class:`~repro.errors.ConfigError`) and the two
+    spec files' contents, returning a ready
     :class:`~repro.runtime.cluster.Cluster` (not yet started).
     """
-    from repro.core.config import AgentOptions, TaintSpec, parse_switch
+    from repro.core.config import AgentOptions, DisTAConfig, TaintSpec
     from repro.runtime.cluster import Cluster
     from repro.runtime.modes import Mode
 
     options = AgentOptions.parse(agent_argument)
-    agent_options = {}
-    if options.extras.get("gidCache") == "off":
-        agent_options["cache_enabled"] = False
-    if options.extras.get("granularity") == "message":
-        agent_options["byte_granularity"] = False
-    if "gidCacheCapacity" in options.extras:
-        agent_options["cache_capacity"] = int(options.extras["gidCacheCapacity"])
-    if "taintMapDeadlineS" in options.extras:
-        # 0 disables the per-request deadline entirely.
-        agent_options["request_deadline_s"] = float(options.extras["taintMapDeadlineS"])
-    if "coalesceMaxPending" in options.extras:
-        agent_options["max_pending"] = int(options.extras["coalesceMaxPending"])
-    if "coalesceBackpressure" in options.extras:
-        agent_options["backpressure"] = options.extras["coalesceBackpressure"]
-    if "overheadBudget" in options.extras:
-        # overheadBudget=1.05 caps tracking overhead at 5% over baseline;
-        # "unlimited"/"off" keeps full, unbudgeted tracking.
-        from repro.core.agent import parse_overhead_budget
-
-        agent_options["overhead_budget"] = parse_overhead_budget(
-            options.extras["overheadBudget"]
-        )
-    if "taintSampleEvery" in options.extras:
-        agent_options["sample_every"] = int(options.extras["taintSampleEvery"])
-    if "budgetWarmStart" in options.extras:
-        # budgetWarmStart=k or k:method+method — resume the budget
-        # controller at a previous run's converged operating point
-        # ('+' separates methods because extras split on commas).
-        agent_options["budget_warm_start"] = options.extras["budgetWarmStart"]
-    if "gidCacheAdmission" in options.extras:
-        agent_options["cache_admission"] = parse_switch(
-            options.extras["gidCacheAdmission"], "gidCacheAdmission"
-        )
-    # lineage=on enables flow-lineage capture: the Cluster builds a
-    # bounded LineageStore (and a CrossingTrace to stitch from).
-    lineage = None
-    if "lineage" in options.extras:
-        lineage = parse_switch(options.extras["lineage"], "lineage") or None
-    # taintMapMinShards is the elastic spelling of the boot-time shard
-    # count; taintMapShards stays as the fixed-fleet alias.
-    taint_map_shards = int(
-        options.extras.get(
-            "taintMapMinShards", options.extras.get("taintMapShards", 1)
-        )
-    )
-    taint_map_max_shards = None
-    if "taintMapMaxShards" in options.extras:
-        taint_map_max_shards = int(options.extras["taintMapMaxShards"])
-    taint_map_durable = False
-    if "taintMapDurable" in options.extras:
-        taint_map_durable = parse_switch(
-            options.extras["taintMapDurable"], "taintMapDurable"
-        )
-    taint_map_snapshot_every = None
-    if "taintMapSnapshotEvery" in options.extras:
-        taint_map_snapshot_every = int(options.extras["taintMapSnapshotEvery"])
-    cluster = Cluster(
-        mode,
-        name=name,
-        agent_options=agent_options,
-        taint_map_shards=taint_map_shards,
-        taint_map_max_shards=taint_map_max_shards,
-        lineage=lineage,
-        taint_map_durable=taint_map_durable,
-        taint_map_snapshot_every=taint_map_snapshot_every,
-    )
+    cluster = Cluster(mode, name=name, config=DisTAConfig.from_extras(options.extras))
     if mode is not Mode.ORIGINAL:
         TaintSpec.from_texts(sources_text, sinks_text).apply(cluster)
     return cluster

@@ -33,7 +33,6 @@ import hashlib
 import struct
 import threading
 import time
-from collections import OrderedDict
 from typing import Optional, Sequence, Union
 
 from repro.core import durability
@@ -586,7 +585,7 @@ class TaintMapStats:
     """Taint Map counters (feed the §V-F scalability analysis).
 
     Servers fill the request/population counters; clients fill the
-    cache counters (hits/misses/evictions of ``_gid_cache`` /
+    cache counters (hits/misses of ``_gid_cache`` /
     ``_taint_cache``).  One snapshot shape for both keeps aggregation
     across shards trivial.
     """
@@ -600,8 +599,6 @@ class TaintMapStats:
         self.global_taints = 0
         self.cache_hits = 0
         self.cache_misses = 0
-        self.cache_evictions = 0
-        self.cache_admission_rejections = 0
         self.close_errors = 0
         self.stale_ring_retries = 0
         self.handoff_entries = 0
@@ -625,8 +622,6 @@ class TaintMapStats:
                 "global_taints": self.global_taints,
                 "cache_hits": self.cache_hits,
                 "cache_misses": self.cache_misses,
-                "cache_evictions": self.cache_evictions,
-                "cache_admission_rejections": self.cache_admission_rejections,
                 "close_errors": self.close_errors,
                 "stale_ring_retries": self.stale_ring_retries,
                 "handoff_entries": self.handoff_entries,
@@ -648,210 +643,41 @@ class TaintMapStats:
         return totals
 
 
-#: Fraction of a bounded cache's capacity given to the probation
-#: segment; the rest is the protected segment.
-_PROBATION_FRACTION = 0.2
+class _Cache:
+    """Thread-safe, unbounded GID/taint mapping with hit/miss counting.
 
-#: Counter ceiling of the TinyLFU sketch (4-bit counters).
-_SKETCH_MAX = 15
-
-
-class _FrequencySketch:
-    """TinyLFU frequency sketch: a 4-bit count-min with periodic halving.
-
-    Four hash rows over one table (double hashing from a single mixed
-    64-bit hash), conservative increment, counters saturating at
-    :data:`_SKETCH_MAX`.  After ``10 × table_size`` recorded accesses
-    every counter is halved — the aging step that makes the estimate a
-    *recent*-frequency, so yesterday's hot keys cannot squat in the
-    cache forever.  Estimates are only ever compared against each other
-    (candidate vs victim), so saturation and halving bias cancel out.
+    Nothing is ever evicted: a taint that has crossed the network once
+    never costs another Taint Map request (Fig. 9's "does not need to
+    request a Global ID again").
     """
 
-    DEPTH = 4
-
-    def __init__(self, capacity: int):
-        size = 64
-        while size < capacity * 2:
-            size <<= 1
-        self._mask = size - 1
-        self._table = bytearray(size)
-        self._additions = 0
-        self._sample_period = size * 10
-
-    def _rows(self, key) -> list[int]:
-        mixed = (hash(key) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        h1 = mixed >> 32
-        h2 = (mixed & 0xFFFFFFFF) | 1  # odd step walks the whole table
-        return [(h1 + i * h2) & self._mask for i in range(self.DEPTH)]
-
-    def record(self, key) -> None:
-        rows = self._rows(key)
-        lowest = min(self._table[slot] for slot in rows)
-        if lowest < _SKETCH_MAX:
-            # Conservative update: only the minimal counters move, which
-            # keeps over-estimation (the count-min failure mode) small.
-            for slot in rows:
-                if self._table[slot] == lowest:
-                    self._table[slot] = lowest + 1
-        self._additions += 1
-        if self._additions >= self._sample_period:
-            self._halve()
-
-    def estimate(self, key) -> int:
-        return min(self._table[slot] for slot in self._rows(key))
-
-    def _halve(self) -> None:
-        table = self._table
-        for i in range(len(table)):
-            table[i] >>= 1
-        self._additions >>= 1
-
-
-class _LruCache:
-    """Thread-safe mapping: unbounded, or bounded **segmented LRU**.
-
-    ``capacity=None`` (the default) never evicts — preserving Fig. 9's
-    "does not need to request a Global ID again" guarantee exactly.  A
-    bounded cache trades that for bounded memory on long-lived nodes;
-    evicted entries simply re-register/re-look-up on next use.
-
-    The bounded policy is segmented (SLRU) rather than plain LRU for
-    scan resistance: a GID burst from someone else's snapshot transfer
-    is a one-pass key scan that plain LRU lets flush the whole cache.
-    New entries land in a small **probation** segment
-    (:data:`_PROBATION_FRACTION` of capacity); only a hit while on
-    probation promotes to **protected**.  Scanned-once keys march
-    through probation and fall out without ever touching the protected
-    segment, so the re-referenced working set survives the scan.
-
-    ``admission=True`` adds **TinyLFU admission** in front of probation:
-    every ``get`` records the key in a :class:`_FrequencySketch`, and a
-    *new* key is only inserted into a full cache when its estimated
-    recent frequency beats the probation LRU victim it would evict.
-    SLRU protects the working set from one-pass scans; TinyLFU targets
-    *skewed* traffic, where plain recency lets a long tail of once-used
-    keys continuously insert-and-evict through probation — the sketch
-    bounces those at the door, keeping the churn off the lock-held fast
-    path at hit-rate parity.  Off by default: admission refuses cold
-    inserts, which changes eviction-count semantics for workloads that
-    expect pure LRU behaviour.
-    """
-
-    def __init__(
-        self,
-        capacity: Optional[int],
-        stats: TaintMapStats,
-        admission: bool = False,
-    ):
-        if capacity is not None and capacity < 1:
-            raise TaintMapError(f"cache capacity must be >= 1, got {capacity}")
-        self._capacity = capacity
+    def __init__(self, stats: TaintMapStats):
         self._stats = stats
         self._lock = threading.Lock()
-        # capacity=None keeps everything in _probation, never evicting.
-        self._probation: OrderedDict = OrderedDict()
-        self._protected: OrderedDict = OrderedDict()
-        self._sketch = (
-            _FrequencySketch(capacity) if admission and capacity is not None else None
-        )
-        if capacity is None:
-            self._protected_cap = 0
-        else:
-            probation_cap = max(1, int(capacity * _PROBATION_FRACTION))
-            self._protected_cap = max(0, capacity - probation_cap)
+        self._entries: dict = {}
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._probation) + len(self._protected)
+            return len(self._entries)
 
     def clear(self) -> None:
         with self._lock:
-            self._probation.clear()
-            self._protected.clear()
+            self._entries.clear()
 
     def get(self, key):
         with self._lock:
-            if self._sketch is not None:
-                self._sketch.record(key)
-            if key in self._protected:
-                self._protected.move_to_end(key)
-                self._stats.bump("cache_hits")
-                return self._protected[key]
-            if key not in self._probation:
-                self._stats.bump("cache_misses")
-                return None
-            self._stats.bump("cache_hits")
-            if self._capacity is None:
-                return self._probation[key]
-            value = self._probation.pop(key)
-            self._promote(key, value)
-            return value
+            value = self._entries.get(key)
+        self._stats.bump("cache_misses" if value is None else "cache_hits")
+        return value
 
     def put(self, key, value) -> None:
         with self._lock:
-            if key in self._protected:
-                self._protected[key] = value
-                self._protected.move_to_end(key)
-                return
-            if key not in self._probation and self._rejected_by_admission(key):
-                return
-            self._probation[key] = value
-            if self._capacity is not None:
-                self._probation.move_to_end(key)
-                self._evict_over_capacity()
+            self._entries[key] = value
 
     def setdefault(self, key, value) -> None:
         """Insert without touching hit/miss accounting (secondary fills)."""
         with self._lock:
-            if key in self._protected or key in self._probation:
-                return
-            if self._rejected_by_admission(key):
-                return
-            self._probation[key] = value
-            if self._capacity is not None:
-                self._evict_over_capacity()
-
-    def _rejected_by_admission(self, key) -> bool:
-        """TinyLFU gate for a *new* key: admitting into a full cache
-        must be worth the eviction it forces.  Ties keep the incumbent —
-        the candidate can always come back once it is provably hotter."""
-        if self._sketch is None or len(self._probation) + len(self._protected) < self._capacity:
-            return False
-        if self._probation:
-            victim = next(iter(self._probation))
-        elif self._protected:
-            victim = next(iter(self._protected))
-        else:
-            return False
-        if self._sketch.estimate(key) > self._sketch.estimate(victim):
-            return False
-        self._stats.bump("cache_admission_rejections")
-        return True
-
-    def _promote(self, key, value) -> None:
-        """Probation hit: move to protected, demoting its LRU entry back
-        to probation MRU if the protected segment is full."""
-        if self._protected_cap == 0:
-            # Degenerate tiny capacity: everything stays on probation.
-            self._probation[key] = value
-            self._probation.move_to_end(key)
-            return
-        self._protected[key] = value
-        self._protected.move_to_end(key)
-        while len(self._protected) > self._protected_cap:
-            demoted_key, demoted_value = self._protected.popitem(last=False)
-            self._probation[demoted_key] = demoted_value
-            self._probation.move_to_end(demoted_key)
-        self._evict_over_capacity()
-
-    def _evict_over_capacity(self) -> None:
-        while len(self._probation) + len(self._protected) > self._capacity:
-            if self._probation:
-                self._probation.popitem(last=False)
-            else:
-                self._protected.popitem(last=False)
-            self._stats.bump("cache_evictions")
+            self._entries.setdefault(key, value)
 
 
 class TaintMapServer:
@@ -1758,15 +1584,13 @@ class TaintMapClient:
     connection per shard, sent on the calling thread, with concurrent
     cache misses group-committed into one batched round-trip per shard.
     ``transport_options`` tune it (``max_batch``, ``request_deadline_s``,
-    ``max_pending``, ``backpressure``).  The client owns one reader
+    ``max_pending``).  The client owns one reader
     thread per connected shard, so every client must be released with
     :meth:`close`.
 
     ``cache_enabled=False`` exists only for the ablation benchmark — it
     re-registers every byte's taint, demonstrating why Fig. 9's step ②
     ("does not need to request a Global ID again") matters.
-    ``cache_capacity`` optionally bounds both caches with LRU eviction
-    (default unbounded, preserving Fig. 9 semantics exactly).
     """
 
     #: Consecutive ``STATUS_STALE_RING`` replies tolerated on one
@@ -1780,8 +1604,6 @@ class TaintMapClient:
         node,
         address: Union[Address, Sequence[Address]],
         cache_enabled: bool = True,
-        cache_capacity: Optional[int] = None,
-        cache_admission: bool = False,
         **transport_options,
     ):
         # Imported here: the transport module imports this one.
@@ -1799,7 +1621,7 @@ class TaintMapClient:
         self._router = self._ring.router()
         self._cache_enabled = cache_enabled
         self._ring_lock = threading.Lock()
-        #: Client-side counters: cache hits/misses/evictions.
+        #: Client-side counters: cache hits/misses.
         self.stats = TaintMapStats()
         #: taint node identity → (Global ID, taint handle).  Keyed by
         #: ``id(node)`` (not the per-tree rank, which collides between
@@ -1807,9 +1629,9 @@ class TaintMapClient:
         #: The entry holds a strong reference to the taint so its node
         #: can never be garbage-collected while cached — otherwise a
         #: reused ``id()`` could alias a dead node's Global ID.
-        self._gid_cache = _LruCache(cache_capacity, self.stats, cache_admission)
+        self._gid_cache = _Cache(self.stats)
         #: Global ID → local Taint handle.
-        self._taint_cache = _LruCache(cache_capacity, self.stats, cache_admission)
+        self._taint_cache = _Cache(self.stats)
         self.requests_sent = 0
         #: Node telemetry (None for bare test nodes without a registry).
         self._metrics = getattr(node, "metrics", None)
@@ -1848,11 +1670,6 @@ class TaintMapClient:
                 "samples": [
                     {"labels": {"event": "hit"}, "value": snap["cache_hits"]},
                     {"labels": {"event": "miss"}, "value": snap["cache_misses"]},
-                    {"labels": {"event": "eviction"}, "value": snap["cache_evictions"]},
-                    {
-                        "labels": {"event": "admission_rejection"},
-                        "value": snap["cache_admission_rejections"],
-                    },
                 ],
             },
             "dista_taintmap_close_errors_total": {

@@ -18,7 +18,7 @@ falls back to a fresh span rather than mis-attributing.
 
 Enable per cluster::
 
-    cluster = Cluster(Mode.DISTA, agent_options={"trace": CrossingTrace()})
+    cluster = Cluster(Mode.DISTA, trace=CrossingTrace())
 
 The trace only records *tainted* crossings (untainted traffic would
 swamp it), ordered by a global sequence number.  The buffer is a ring:
@@ -115,7 +115,7 @@ class CrossingTrace:
     def attach_lineage(self, store) -> None:
         """Feed every recorded crossing to ``store.record_crossing``.
 
-        Called by ``Cluster.start`` when lineage is enabled; the store
+        Called by ``Cluster`` when lineage is enabled; the store
         keeps its own (bounded, eviction-counted) flow state, so ring
         eviction here never loses a hop edge there.
         """

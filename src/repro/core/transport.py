@@ -43,9 +43,8 @@ another thread to send:
 
 * **Backpressure.**  Each shard's pending entries (queued in windows
   plus in flight) are bounded by ``max_pending``; past the high-water
-  mark new entries either **block** until the shard drains (default)
-  or are **shed** with :class:`~repro.errors.TaintMapBackpressureError`,
-  both counted in ``dista_coalesce_backpressure_total``.
+  mark new entries **block** until the shard drains, counted in
+  ``dista_coalesce_backpressure_total``.
 
 * **Failover with in-flight requests.**  Replica rotation is per shard:
   a connection that dies fails every request in flight on it, and each
@@ -88,7 +87,6 @@ from repro.core.taintmap import (
     taint_key,
 )
 from repro.errors import (
-    TaintMapBackpressureError,
     TaintMapDeadlineError,
     TaintMapError,
     TaintMapExhaustedError,
@@ -126,8 +124,6 @@ _REGISTER = 0
 _LOOKUP = 1
 #: The wire op carrying each kind's frames.
 _BATCH_OPS = (OP_REGISTER_MANY, OP_LOOKUP_MANY)
-
-_BACKPRESSURE_POLICIES = ("block", "shed")
 
 
 def mux_frame(corr: int, op: int, payload: bytes) -> bytes:
@@ -442,17 +438,11 @@ class TaintMapTransport:
         max_batch: int = DEFAULT_MAX_BATCH,
         request_deadline_s: Optional[float] = DEFAULT_DEADLINE_S,
         max_pending: int = DEFAULT_MAX_PENDING,
-        backpressure: str = "block",
     ):
         if max_batch < 1:
             raise TaintMapError(f"max_batch must be >= 1, got {max_batch}")
         if max_pending < 1:
             raise TaintMapError(f"max_pending must be >= 1, got {max_pending}")
-        if backpressure not in _BACKPRESSURE_POLICIES:
-            raise TaintMapError(
-                f"unknown backpressure policy {backpressure!r}; "
-                f"expected one of {_BACKPRESSURE_POLICIES}"
-            )
         self.client = client
         #: A frame's entry count is wire-encoded in 16 bits; larger
         #: thresholds would build unencodable frames.
@@ -463,13 +453,12 @@ class TaintMapTransport:
             else float(request_deadline_s)
         )
         self.max_pending = max_pending
-        self.backpressure = backpressure
         # Group-commit telemetry on the owning node's registry (None for
         # bare test nodes).  Label children are pre-declared so /metrics
         # always exposes them.
         self._flushes = None
         self._window_entries = None
-        self._backpressure_total = None
+        self._blocked_total = None
         self._inflight = None
         metrics = getattr(client, "_metrics", None)
         if metrics is not None:
@@ -486,15 +475,11 @@ class TaintMapTransport:
                 lowest=1.0,
                 buckets=16,
             )
-            backpressure_total = metrics.counter(
+            self._blocked_total = metrics.counter(
                 "dista_coalesce_backpressure_total",
                 "Entries gated at a shard's pending-window high-water mark.",
                 ("action",),
-            )
-            self._backpressure_total = {
-                action: backpressure_total.labels(action=action)
-                for action in _BACKPRESSURE_POLICIES
-            }
+            ).labels(action="block")
             self._inflight = metrics.gauge(
                 "dista_taintmap_inflight_requests",
                 "Requests in flight on the multiplexed Taint Map connections.",
@@ -626,19 +611,12 @@ class TaintMapTransport:
                 # At the high-water mark.  Send any window with no flush
                 # in flight first: nothing else would drain it.
                 taken = [self._take(state, _REGISTER), self._take(state, _LOOKUP)]
-                shed = self.backpressure == "shed"
-                if self._backpressure_total is not None:
-                    self._backpressure_total["shed" if shed else "block"].inc()
-                if not shed:
-                    state.blocked.append(call.waker)
+                if self._blocked_total is not None:
+                    self._blocked_total.inc()
+                state.blocked.append(call.waker)
             for batch in taken:
                 if batch is not None:
                     self._send_window(batch, "idle")
-            if shed:
-                raise TaintMapBackpressureError(
-                    f"shard {shard} pending window at its high-water mark "
-                    f"({self.max_pending} entries); shedding request"
-                )
             self._park(call)
         if leading is not None:
             self._send_window(leading, "idle")

@@ -84,13 +84,13 @@ class TaintMapDeadlineError(TaintMapError, TimeoutError):
     """
 
 
-class TaintMapBackpressureError(TaintMapError):
-    """A shard's pending coalescing window hit its high-water mark and
-    the transport's backpressure policy is ``"shed"``."""
-
-
 class WireFormatError(ReproError):
     """Malformed DisTA cell stream / packet envelope on the wire."""
+
+
+class ConfigError(ReproError, ValueError):
+    """A DisTA configuration value, launch extra or environment
+    variable is invalid (raised when the ``DisTAConfig`` is built)."""
 
 
 class TelemetryError(ReproError):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
+from repro.core.config import DisTAConfig
 from repro.errors import ReproError
 from repro.runtime.fs import SimFileSystem
 from repro.runtime.kernel import SimKernel
@@ -35,74 +36,35 @@ class Cluster:
         self,
         mode: Mode = Mode.ORIGINAL,
         name: str = "cluster",
-        agent_options: Optional[dict] = None,
-        taint_map_shards: int = 1,
-        request_deadline_s: Optional[float] = None,
-        overhead_budget: Optional[float] = None,
-        taint_sample_every: Optional[int] = None,
-        taint_map_max_shards: Optional[int] = None,
-        budget_warm_start=None,
-        cache_admission: Optional[bool] = None,
-        lineage=None,
-        taint_map_durable: bool = False,
-        taint_map_snapshot_every: Optional[int] = None,
+        config: Optional[DisTAConfig] = None,
+        trace=None,
+        extensions: tuple = (),
     ):
         self.mode = mode
         self.name = name
-        #: Extra DisTAAgent keyword options (ablation benchmarks only).
-        self.agent_options = dict(agent_options or {})
-        #: Flow lineage: pass ``True`` for a default-bounded
-        #: :class:`~repro.obs.lineage.LineageStore`, or an existing store
-        #: to adopt.  Lineage stitches hop edges from the crossing
-        #: trace, so enabling it auto-creates a ``CrossingTrace`` unless
-        #: the caller supplied one via ``agent_options``.
-        lineage = lineage if lineage is not None else self.agent_options.pop("lineage", None)
-        if lineage:
+        #: Every DisTA knob; the default ``DisTAConfig()`` reads its
+        #: environment variables here, at construction.
+        self.config = config if config is not None else DisTAConfig()
+        #: Optional :class:`~repro.core.trace.CrossingTrace` and user
+        #: :class:`~repro.core.extensions.ExtensionPoint` objects, handed
+        #: to every node's agent.
+        self.trace = trace
+        self.extensions = tuple(extensions)
+        #: Flow lineage stitches hop edges from the crossing trace, so
+        #: enabling it creates a ``CrossingTrace`` unless one was given.
+        self.lineage_store = None
+        if self.config.lineage:
             from repro.core.trace import CrossingTrace
             from repro.obs.lineage import LineageStore
 
-            store = lineage if isinstance(lineage, LineageStore) else LineageStore()
-            self.lineage_store = store
-            self.agent_options["lineage"] = store
-            if self.agent_options.get("trace") is None:
-                self.agent_options["trace"] = CrossingTrace()
-        else:
-            self.lineage_store = None
-        #: Taint Map per-request deadline (s); 0 disables it.
-        if request_deadline_s is not None:
-            self.agent_options.setdefault("request_deadline_s", request_deadline_s)
-        #: Budgeted tracking: overhead ceiling and flow-sampling period.
-        if overhead_budget is not None:
-            self.agent_options.setdefault("overhead_budget", overhead_budget)
-        if taint_sample_every is not None:
-            self.agent_options.setdefault("sample_every", taint_sample_every)
-        #: Warm start for budgeted tracking: a controller snapshot (or
-        #: its string spelling) each attached agent restores, so a
-        #: redeployed cluster resumes at the previously converged shed
-        #: level instead of re-paying the breach transient.
-        if budget_warm_start is not None:
-            self.agent_options.setdefault("budget_warm_start", budget_warm_start)
-        #: TinyLFU admission for client GID/taint caches.
-        if cache_admission is not None:
-            self.agent_options.setdefault("cache_admission", cache_admission)
-        #: Number of Taint Map shards (shard i at TAINT_MAP_PORT + i).
-        #: The default single shard is byte-identical to the unsharded
-        #: deployment.
-        self.taint_map_shards = taint_map_shards
-        #: Optional ceiling for :meth:`scale_taint_map`; ``None`` allows
-        #: growth up to the protocol's GID-namespace limit.
-        if taint_map_max_shards is not None and taint_map_max_shards < taint_map_shards:
-            raise ReproError(
-                f"taint_map_max_shards {taint_map_max_shards} is below the "
-                f"initial shard count {taint_map_shards}"
-            )
-        self.taint_map_max_shards = taint_map_max_shards
-        #: Durable Taint Map: each shard writes a WAL + periodic
-        #: snapshots to the in-sim filesystem (under ``/var/dista``), so
-        #: a restarted shard resumes its GID sequence instead of
-        #: renumbering.
-        self.taint_map_durable = bool(taint_map_durable)
-        self.taint_map_snapshot_every = taint_map_snapshot_every
+            self.lineage_store = LineageStore()
+            if self.trace is None:
+                self.trace = CrossingTrace()
+            self.trace.attach_lineage(self.lineage_store)
+        #: Number of Taint Map shards (shard i at TAINT_MAP_PORT + i); the
+        #: default single shard is byte-identical to the unsharded
+        #: deployment.  :meth:`scale_taint_map` changes it.
+        self.taint_map_shards = self.config.taint_map_shards
         self.kernel = SimKernel(name)
         self.fs = SimFileSystem()
         self.nodes: dict[str, SimNode] = {}
@@ -110,8 +72,6 @@ class Cluster:
         self._pids = itertools.count(1000)
         self._default_sources: list[str] = []
         self._default_sinks: list[str] = []
-        self._default_source_fraction = 1.0
-        self._default_sample_every = int(self.agent_options.get("sample_every", 1))
         #: The sharded service (all shards); ``taint_map_server`` below
         #: stays the shard-0 server for single-shard compatibility.
         self.taint_map_service = None
@@ -134,8 +94,8 @@ class Cluster:
             node.registry.add_source(pattern)
         for pattern in self._default_sinks:
             node.registry.add_sink(pattern)
-        node.registry.source_fraction = self._default_source_fraction
-        node.registry.sample_every = self._default_sample_every
+        node.registry.source_fraction = self.config.source_fraction
+        node.registry.sample_every = self.config.sample_every
         self.nodes[name] = node
         if self._started:
             self._attach_agent(node)
@@ -158,43 +118,6 @@ class Cluster:
             for pattern in patterns:
                 node.registry.add_sink(pattern)
 
-    def configure_source_fraction(self, fraction: float) -> None:
-        """Fraction of source firings that taint (the sweep knob)."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ReproError(f"source fraction {fraction} outside [0, 1]")
-        self._default_source_fraction = float(fraction)
-        for node in self.nodes.values():
-            node.registry.source_fraction = float(fraction)
-
-    def configure_sample_every(self, sample_every: int) -> None:
-        """Flow-sampling period: track every k-th flow at registration.
-
-        Applies to existing node registries and becomes the default for
-        nodes added later; with a budget set it is also the controller's
-        coverage floor (agents attach after this runs at spec-apply
-        time, or pick it up via ``agent_options``).
-        """
-        k = int(sample_every)
-        if k < 1:
-            raise ReproError(f"sample_every must be >= 1, got {sample_every}")
-        self._default_sample_every = k
-        self.agent_options["sample_every"] = k
-        for node in self.nodes.values():
-            node.registry.sample_every = k
-
-    def configure_overhead_budget(self, budget) -> None:
-        """Overhead ceiling for budgeted tracking (ratio over baseline).
-
-        Must be called before :meth:`start` — the controller is built at
-        agent-attach time.  Accepts a float >= 1.0 or the string forms
-        understood by ``DISTA_OVERHEAD_BUDGET`` ("unlimited"/"off").
-        """
-        if self._started:
-            raise ReproError("configure_overhead_budget before cluster start")
-        from repro.core.agent import parse_overhead_budget
-
-        self.agent_options["overhead_budget"] = parse_overhead_budget(budget)
-
     # -- lifecycle ------------------------------------------------------------ #
 
     def start(self) -> "Cluster":
@@ -209,17 +132,13 @@ class Cluster:
             self._start_taint_map()
         for node in self.nodes.values():
             self._attach_agent(node)
-        trace = self.agent_options.get("trace")
-        if trace is not None and hasattr(trace, "telemetry_samples"):
+        if self.trace is not None and hasattr(self.trace, "telemetry_samples"):
             # The trace is cluster-wide, so its gauges live on the kernel
             # registry (one fragment, not one per node).
-            self.kernel.metrics.register_collector(trace.telemetry_samples)
+            self.kernel.metrics.register_collector(self.trace.telemetry_samples)
         if self.lineage_store is not None:
-            # Hop edges come from the crossing trace; the store is
-            # cluster-wide, so its telemetry joins the kernel registry
-            # beside the trace fragment.
-            if trace is not None and hasattr(trace, "attach_lineage"):
-                trace.attach_lineage(self.lineage_store)
+            # The store is cluster-wide too: its telemetry joins the
+            # kernel registry beside the trace fragment.
             self.kernel.metrics.register_collector(
                 self.lineage_store.telemetry_samples
             )
@@ -246,7 +165,7 @@ class Cluster:
 
         self.kernel.register_node(TAINT_MAP_IP)
         store_factory = None
-        if self.taint_map_durable:
+        if self.config.taint_map_durable:
             from repro.core.durability import FileTaintMapStore
 
             store_factory = lambda index: FileTaintMapStore(
@@ -258,7 +177,7 @@ class Cluster:
             TAINT_MAP_PORT,
             self.taint_map_shards,
             store_factory=store_factory,
-            snapshot_every=self.taint_map_snapshot_every,
+            snapshot_every=self.config.taint_map_snapshot_every,
         ).start()
         self.taint_map_server = self.taint_map_service.servers[0]
 
@@ -267,9 +186,14 @@ class Cluster:
             return
         from repro.core.agent import DisTAAgent
 
-        DisTAAgent(
-            taint_map_address=self.taint_map_addresses, **self.agent_options
+        runtime = DisTAAgent(
+            self.taint_map_addresses, self.config, self.trace, self.extensions
         ).attach(node)
+        if self.lineage_store is not None:
+            from repro.obs.lineage import LineageRecorder
+
+            recorder = LineageRecorder(self.lineage_store, node.name)
+            runtime.lineage = node.registry.lineage = recorder
         # A node added after a scale-out starts on an epoch-0 view of
         # the (already widened) address list; hand it the live ring so
         # its first registrations skip the stale-ring discovery hop.
@@ -312,14 +236,11 @@ class Cluster:
             # Retired GID indices are never reused, so growth adds the
             # new active shards on fresh ring slots.
             target = service.ring.shard_count + (new_shard_count - active)
-            if (
-                self.taint_map_max_shards is not None
-                and target > self.taint_map_max_shards
-            ):
+            ceiling = self.config.taint_map_max_shards
+            if ceiling is not None and target > ceiling:
                 raise ReproError(
                     f"scale-out target {new_shard_count} needs {target} ring "
-                    f"slots, exceeding taint_map_max_shards="
-                    f"{self.taint_map_max_shards}"
+                    f"slots, exceeding taint_map_max_shards={ceiling}"
                 )
             ring = coordinator.scale_to(target)
         self.taint_map_shards = ring.shard_count

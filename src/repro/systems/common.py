@@ -4,8 +4,9 @@ Each system package (Table III) exposes the same surface:
 
 * ``SYSTEM`` — a :class:`SystemInfo` (Table III row),
 * ``sdt_spec()`` / ``sim_spec()`` — the Table IV source/sink specs,
-* ``run_workload(mode, scenario)`` — deploy, run the paper's workload,
-  and return a :class:`WorkloadResult`.
+* ``run_workload(mode, scenario=None, config=None)`` — deploy, run the
+  paper's workload under a :class:`~repro.core.config.DisTAConfig`, and
+  return a :class:`WorkloadResult`.
 
 Scenario names follow the paper: **SDT** (specific data trace — a small,
 determinate number of taints on a named variable) and **SIM** (system
@@ -18,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.core.config import TaintSpec
+from repro.core.config import DisTAConfig, TaintSpec
 from repro.runtime.cluster import Cluster
 from repro.runtime.fs import FILE_READ_DESCRIPTOR
 from repro.runtime.logger import LOG_INFO_DESCRIPTOR
@@ -72,26 +73,9 @@ class WorkloadResult:
         return any(tag.local_id.ip != node_ip for tag in observation.tags)
 
 
-def sim_spec(
-    source_fraction: float = 1.0,
-    overhead_budget: Optional[float] = None,
-    sample_every: Optional[int] = None,
-) -> TaintSpec:
-    """The uniform SIM scenario of Table IV: file reads → LOG.info.
-
-    ``source_fraction`` gates what fraction of the file-read sources
-    actually taint — the knob the tainted-fraction overhead sweep turns.
-    ``overhead_budget`` / ``sample_every`` are the budgeted-tracking
-    knobs (overhead ceiling and flow-sampling period); both default to
-    off, i.e. full, unbudgeted tracking.
-    """
-    return TaintSpec(
-        sources=[FILE_READ_DESCRIPTOR],
-        sinks=[LOG_INFO_DESCRIPTOR],
-        source_fraction=source_fraction,
-        overhead_budget=overhead_budget,
-        sample_every=sample_every,
-    )
+def sim_spec() -> TaintSpec:
+    """The uniform SIM scenario of Table IV: file reads → LOG.info."""
+    return TaintSpec(sources=[FILE_READ_DESCRIPTOR], sinks=[LOG_INFO_DESCRIPTOR])
 
 
 def seed_data_files(fs, prefix: str, count: int, size: int) -> None:
@@ -121,35 +105,30 @@ def run_system_workload(
     system: str,
     mode: Mode,
     scenario: Optional[str],
-    spec: Optional[TaintSpec],
+    sdt_spec: Callable[[], TaintSpec],
     deploy_and_run: Callable[[Cluster], dict],
-    lineage: bool = False,
+    config: Optional[DisTAConfig] = None,
 ) -> WorkloadResult:
     """Deploy a cluster for one (mode, scenario) cell and run the workload.
 
-    ``deploy_and_run(cluster)`` adds nodes, runs the system's workload to
-    completion and returns the ``extras`` dict.  Timing starts after the
-    cluster context is up (agents attached, Taint Map booted) — matching
-    the paper, which measures workload execution on a running deployment.
+    The scenario picks the spec: ``sdt_spec()`` for SDT, :func:`sim_spec`
+    for SIM, none otherwise.  ``deploy_and_run(cluster)`` adds nodes,
+    runs the system's workload to completion and returns the ``extras``
+    dict.  Timing starts after the cluster context is up (agents
+    attached, Taint Map booted) — matching the paper, which measures
+    workload execution on a running deployment.
 
-    ``lineage=True`` attaches a flow-lineage store to the cluster and
-    returns it as ``extras["lineage"]`` — the knob the lineage-overhead
-    benchmark and the CI canary turn.
+    With ``config.lineage`` the cluster's flow-lineage store is returned
+    as ``extras["lineage"]``.
     """
     from repro.obs.registry import diff_snapshots
 
-    store = None
-    if lineage:
-        from repro.obs.lineage import LineageStore
-
-        store = LineageStore()
     cluster = Cluster(
-        mode,
-        name=f"{system}-{mode.value}-{scenario or 'plain'}",
-        lineage=store,
+        mode, name=f"{system}-{mode.value}-{scenario or 'plain'}", config=config
     )
+    spec = {SDT: sdt_spec, SIM: sim_spec}.get(scenario)
     if spec is not None and mode is not Mode.ORIGINAL:
-        spec.apply(cluster)
+        spec().apply(cluster)
     with cluster:
         # Telemetry is reported as a delta over the post-attach state so
         # agent-attachment and service-boot counts from this (or any
@@ -171,9 +150,9 @@ def run_system_workload(
         taints = cluster.global_taint_count()
         wire = cluster.wire_bytes(exclude_taint_map=True)
         telemetry = diff_snapshots(cluster.telemetry_snapshot(), setup_snapshot)
-    if store is not None:
+    if cluster.lineage_store is not None:
         extras = dict(extras)
-        extras["lineage"] = store
+        extras["lineage"] = cluster.lineage_store
     return WorkloadResult(
         system=system,
         mode=mode,

@@ -7,11 +7,11 @@ also running a ZooKeeper process, plus a client — so the workload spans
 
 from __future__ import annotations
 
-from repro.core.config import TaintSpec
+from repro.core.config import DisTAConfig, TaintSpec
 from repro.runtime.cluster import Cluster
 from repro.runtime.modes import Mode
 from repro.systems import common
-from repro.systems.common import SDT, SIM, SystemInfo, WorkloadResult, run_system_workload
+from repro.systems.common import SystemInfo, WorkloadResult, run_system_workload, sim_spec
 from repro.systems.hbase.model import (
     RESULT_DESCRIPTOR,
     TABLE_NAME_DESCRIPTOR,
@@ -41,14 +41,6 @@ TABLE = "bench"
 def sdt_spec() -> TaintSpec:
     """Table IV: TableName → Result."""
     return TaintSpec(sources=[TABLE_NAME_DESCRIPTOR], sinks=[RESULT_DESCRIPTOR])
-
-
-def sim_spec(
-    source_fraction: float = 1.0,
-    overhead_budget: float | None = None,
-    sample_every: int | None = None,
-) -> TaintSpec:
-    return common.sim_spec(source_fraction, overhead_budget, sample_every)
 
 
 def _boot_zookeeper(cluster: Cluster, nodes: list, timeout: float = 30.0):
@@ -128,18 +120,8 @@ def deploy_and_get(cluster: Cluster) -> dict:
 
 
 def run_workload(
-    mode: Mode,
-    scenario: str | None = None,
-    source_fraction: float = 1.0,
-    overhead_budget: float | None = None,
-    sample_every: int | None = None,
-    lineage: bool = False,
+    mode: Mode, scenario: str | None = None, config: DisTAConfig | None = None
 ) -> WorkloadResult:
-    spec = None
-    if scenario == SDT:
-        spec = sdt_spec()
-    elif scenario == SIM:
-        spec = sim_spec(source_fraction, overhead_budget, sample_every)
     return run_system_workload(
-        "HBase+ZooKeeper", mode, scenario, spec, deploy_and_get, lineage=lineage
+        "HBase+ZooKeeper", mode, scenario, sdt_spec, deploy_and_get, config
     )

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import time
 
-from repro.core.config import TaintSpec
+from repro.core.config import DisTAConfig, TaintSpec
 from repro.runtime.cluster import Cluster
 from repro.runtime.modes import Mode
 from repro.systems import common
-from repro.systems.common import SDT, SIM, SystemInfo, WorkloadResult, run_system_workload
+from repro.systems.common import SystemInfo, WorkloadResult, run_system_workload, sim_spec
 from repro.systems.mapreduce.daemons import (
     RM_PORT,
     ContainerExecutor,
@@ -42,14 +42,6 @@ SYSTEM = SystemInfo(
 def sdt_spec() -> TaintSpec:
     """Table IV: ApplicationID → getApplicationReport."""
     return TaintSpec(sources=[APP_ID_DESCRIPTOR], sinks=[GET_REPORT_DESCRIPTOR])
-
-
-def sim_spec(
-    source_fraction: float = 1.0,
-    overhead_budget: float | None = None,
-    sample_every: int | None = None,
-) -> TaintSpec:
-    return common.sim_spec(source_fraction, overhead_budget, sample_every)
 
 
 def deploy_and_run_pi(cluster: Cluster, maps: int = 4, samples: int = 2000) -> dict:
@@ -101,18 +93,8 @@ def deploy_and_run_pi(cluster: Cluster, maps: int = 4, samples: int = 2000) -> d
 
 
 def run_workload(
-    mode: Mode,
-    scenario: str | None = None,
-    source_fraction: float = 1.0,
-    overhead_budget: float | None = None,
-    sample_every: int | None = None,
-    lineage: bool = False,
+    mode: Mode, scenario: str | None = None, config: DisTAConfig | None = None
 ) -> WorkloadResult:
-    spec = None
-    if scenario == SDT:
-        spec = sdt_spec()
-    elif scenario == SIM:
-        spec = sim_spec(source_fraction, overhead_budget, sample_every)
     return run_system_workload(
-        "MapReduce/Yarn", mode, scenario, spec, deploy_and_run_pi, lineage=lineage
+        "MapReduce/Yarn", mode, scenario, sdt_spec, deploy_and_run_pi, config
     )

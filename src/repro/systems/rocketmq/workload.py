@@ -7,12 +7,12 @@ pull consumer.  All transport rides on the Netty stack.
 
 from __future__ import annotations
 
-from repro.core.config import TaintSpec
+from repro.core.config import DisTAConfig, TaintSpec
 from repro.runtime.cluster import Cluster
 from repro.runtime.modes import Mode
 from repro.netty import NioEventLoopGroup
 from repro.systems import common
-from repro.systems.common import SDT, SIM, SystemInfo, WorkloadResult, run_system_workload
+from repro.systems.common import SystemInfo, WorkloadResult, run_system_workload, sim_spec
 from repro.systems.rocketmq.broker import (
     CONSUME_MESSAGE_DESCRIPTOR,
     MESSAGE_INIT_DESCRIPTOR,
@@ -38,14 +38,6 @@ MESSAGE_LENGTH = 64 * 1024
 
 def sdt_spec() -> TaintSpec:
     return TaintSpec(sources=[MESSAGE_INIT_DESCRIPTOR], sinks=[CONSUME_MESSAGE_DESCRIPTOR])
-
-
-def sim_spec(
-    source_fraction: float = 1.0,
-    overhead_budget: float | None = None,
-    sample_every: int | None = None,
-) -> TaintSpec:
-    return common.sim_spec(source_fraction, overhead_budget, sample_every)
 
 
 def deploy_and_distribute(cluster: Cluster, message_length: int = MESSAGE_LENGTH) -> dict:
@@ -93,18 +85,8 @@ def deploy_and_distribute(cluster: Cluster, message_length: int = MESSAGE_LENGTH
 
 
 def run_workload(
-    mode: Mode,
-    scenario: str | None = None,
-    source_fraction: float = 1.0,
-    overhead_budget: float | None = None,
-    sample_every: int | None = None,
-    lineage: bool = False,
+    mode: Mode, scenario: str | None = None, config: DisTAConfig | None = None
 ) -> WorkloadResult:
-    spec = None
-    if scenario == SDT:
-        spec = sdt_spec()
-    elif scenario == SIM:
-        spec = sim_spec(source_fraction, overhead_budget, sample_every)
     return run_system_workload(
-        "RocketMQ", mode, scenario, spec, deploy_and_distribute, lineage=lineage
+        "RocketMQ", mode, scenario, sdt_spec, deploy_and_distribute, config
     )

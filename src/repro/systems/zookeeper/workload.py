@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import threading
 
-from repro.core.config import TaintSpec
+from repro.core.config import DisTAConfig, TaintSpec
 from repro.runtime.cluster import Cluster
 from repro.runtime.modes import Mode
 from repro.systems import common
-from repro.systems.common import SDT, SIM, SystemInfo, WorkloadResult, run_system_workload
+from repro.systems.common import SystemInfo, WorkloadResult, run_system_workload, sim_spec
 from repro.systems.zookeeper.election import QuorumPeer
 from repro.systems.zookeeper.messages import (
     CHECK_LEADER_DESCRIPTOR,
@@ -46,14 +46,6 @@ def sdt_spec() -> TaintSpec:
     return TaintSpec(sources=[VOTE_INIT_DESCRIPTOR], sinks=[CHECK_LEADER_DESCRIPTOR])
 
 
-def sim_spec(
-    source_fraction: float = 1.0,
-    overhead_budget: float | None = None,
-    sample_every: int | None = None,
-) -> TaintSpec:
-    return common.sim_spec(source_fraction, overhead_budget, sample_every)
-
-
 #: Leader→learner synchronization port (ZooKeeper's quorum port 2888).
 SYNC_PORT = 2888
 #: Size of the snapshot the leader ships to each learner after election.
@@ -74,8 +66,6 @@ def _leader_learner_sync(cluster: Cluster, nodes: dict, leader_peer, follower_si
     from repro.jre.streams import DataInputStream, DataOutputStream
     from repro.taint.values import TBytes, TInt, TStr
 
-    from repro.systems import common as _common
-
     leader_node = nodes[f"zk{leader_peer.sid}"]
     # The snapshot header carries the leader's recovered zxid (whose
     # taint, under SIM, is the last-log-file read of Fig. 11); the body
@@ -83,8 +73,8 @@ def _leader_learner_sync(cluster: Cluster, nodes: dict, leader_peer, follower_si
     # each chunk read being another SIM source.
     zxid = leader_peer.last_zxid
     header = TStr(f"zxid={zxid.value}\n").with_taint(zxid.taint).encode()
-    _common.seed_data_files(cluster.fs, f"/{leader_node.name}/snapdb", 48, SNAPSHOT_SIZE // 48)
-    body = _common.read_data_files(leader_node, f"/{leader_node.name}/snapdb")
+    common.seed_data_files(cluster.fs, f"/{leader_node.name}/snapdb", 48, SNAPSHOT_SIZE // 48)
+    body = common.read_data_files(leader_node, f"/{leader_node.name}/snapdb")
     snapshot = header + body
 
     server = ServerSocket(leader_node, SYNC_PORT)
@@ -149,19 +139,9 @@ def deploy_and_elect(cluster: Cluster, timeout: float = 30.0) -> dict:
 
 
 def run_workload(
-    mode: Mode,
-    scenario: str | None = None,
-    source_fraction: float = 1.0,
-    overhead_budget: float | None = None,
-    sample_every: int | None = None,
-    lineage: bool = False,
+    mode: Mode, scenario: str | None = None, config: DisTAConfig | None = None
 ) -> WorkloadResult:
     """One Table-VI cell for ZooKeeper."""
-    spec = None
-    if scenario == SDT:
-        spec = sdt_spec()
-    elif scenario == SIM:
-        spec = sim_spec(source_fraction, overhead_budget, sample_every)
     return run_system_workload(
-        "ZooKeeper", mode, scenario, spec, deploy_and_elect, lineage=lineage
+        "ZooKeeper", mode, scenario, sdt_spec, deploy_and_elect, config
     )

@@ -107,50 +107,6 @@ GATEABLE_SEND_METHODS = (
 )
 
 
-def parse_budget_warm_start(value) -> Optional[dict]:
-    """One warm-start spelling → a :meth:`OverheadBudgetController.restore`
-    snapshot dict, or ``None`` for a cold start.
-
-    Accepts a dict verbatim (programmatic callers) or the string form
-    used by the ``budgetWarmStart=`` launch extra: ``"k"`` (sampling
-    period only) or ``"k:method1+method2"`` (sampling period plus gated
-    send methods).  ``+`` separates methods because launch extras split
-    on commas.
-    """
-    if value is None:
-        return None
-    if isinstance(value, dict):
-        return {
-            "sample_every": int(value.get("sample_every", 1)),
-            "gated_methods": tuple(value.get("gated_methods", ())),
-            "overhead_ratio": value.get("overhead_ratio"),
-        }
-    text = str(value).strip()
-    if not text:
-        return None
-    methods: tuple[str, ...] = ()
-    if ":" in text:
-        k_text, method_text = text.split(":", 1)
-        methods = tuple(m.strip() for m in method_text.split("+") if m.strip())
-    else:
-        k_text = text
-    try:
-        k = int(k_text)
-    except ValueError as exc:
-        raise ValueError(
-            f"budget warm start must be 'k' or 'k:method+method', got {value!r}"
-        ) from exc
-    if k < 1:
-        raise ValueError(f"budget warm-start sample_every must be >= 1, got {k}")
-    unknown = [m for m in methods if m not in GATEABLE_SEND_METHODS]
-    if unknown:
-        raise ValueError(
-            f"budget warm start names ungateable method(s) {unknown}; "
-            f"gateable: {GATEABLE_SEND_METHODS}"
-        )
-    return {"sample_every": k, "gated_methods": methods}
-
-
 @dataclass(frozen=True)
 class BudgetConfig:
     """Knobs of one node's budget controller."""
@@ -423,55 +379,6 @@ class OverheadBudgetController:
         self.sheds += 1
         if self._sheds_counter is not None:
             self._sheds_counter.labels(actuator=actuator).inc()
-
-    # -- warm start -------------------------------------------------------- #
-
-    def snapshot(self) -> dict:
-        """The controller's converged operating point, portable across
-        restarts: feed it to a fresh controller's :meth:`restore` (or
-        the ``budgetWarmStart=`` launch extra) to resume at the shed
-        level a previous run converged to instead of re-paying the
-        breach-and-shed transient from full coverage."""
-        with self._lock:
-            return {
-                "sample_every": self.sample_every,
-                "gated_methods": tuple(self._gate_stack),
-                "overhead_ratio": self.overhead_ratio,
-            }
-
-    def restore(self, snapshot: dict) -> None:
-        """Adopt a prior run's operating point (see :meth:`snapshot`).
-
-        The restored sampling period is clamped to this controller's own
-        configured floor/ceiling, gated methods are filtered to the
-        gateable table (shed order preserved), and the AIMD loop resumes
-        from there — it will still recover coverage if the new workload
-        has headroom, or shed further on a breach.
-        """
-        with self._lock:
-            k = int(snapshot.get("sample_every", self.sample_every))
-            k = max(self.config.sample_every, min(k, self.config.max_sample_every))
-            self.sample_every = k
-            if self.registry is not None:
-                self.registry.sample_every = k
-            stack: list[str] = []
-            for method in snapshot.get("gated_methods", ()):
-                if method in GATEABLE_SEND_METHODS and method not in stack:
-                    stack.append(method)
-            self._gate_stack = stack
-            self._gated = frozenset(stack)
-            ratio = snapshot.get("overhead_ratio")
-            if ratio is not None:
-                self.overhead_ratio = float(ratio)
-            # A restored configuration is a fresh measurement epoch.
-            self._headroom_ticks = 0
-            self._steady_tracking = 0.0
-            self._steady_calls = 0
-            self._steady_bytes = 0
-            smoothed = self.overhead_ratio
-        if self._ratio_gauge is not None:
-            self._ratio_gauge.set(smoothed)
-        self._publish_coverage()
 
     # -- reporting ---------------------------------------------------------- #
 

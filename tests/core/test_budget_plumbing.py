@@ -1,10 +1,11 @@
 """Budgeted-tracking plumbing: knobs, no-op equivalence, gate flips.
 
-The overhead budget and flow-sampling period travel four routes into a
-node: ``TaintSpec`` fields, ``Cluster`` constructor arguments, launch
-extras (``overheadBudget=`` / ``taintSampleEvery=``) and the
-``DISTA_OVERHEAD_BUDGET`` environment variable.  These tests pin each
-route, plus the two behavioural contracts the benchmark leans on:
+The overhead budget and flow-sampling period are two rows of
+``DisTAConfig``: set by keyword, by launch extra (``overheadBudget=`` /
+``taintSampleEvery=``) or, for the budget, by the
+``DISTA_OVERHEAD_BUDGET`` environment variable, which only feeds the
+default.  These tests pin the budget's spellings and precedence, plus
+the two behavioural contracts the benchmark leans on:
 
 * **unlimited is a no-op** — without a budget no controller exists and
   taint results are identical to plain tracking (and a controller with
@@ -18,15 +19,10 @@ route, plus the two behavioural contracts the benchmark leans on:
 
 import pytest
 
-from repro.core.agent import (
-    OVERHEAD_BUDGET_ENV,
-    DisTAAgent,
-    parse_overhead_budget,
-    resolve_overhead_budget,
-)
-from repro.core.config import TaintSpec
+from repro.core.agent import DisTAAgent
+from repro.core.config import DisTAConfig
 from repro.core.launch import launch_cluster
-from repro.errors import InstrumentationError, ReproError
+from repro.errors import ConfigError
 from repro.jre import ServerSocket, Socket
 from repro.runtime.cluster import Cluster
 from repro.runtime.fs import FILE_READ_DESCRIPTOR
@@ -34,92 +30,93 @@ from repro.runtime.logger import LOG_INFO_DESCRIPTOR
 from repro.runtime.modes import Mode
 from repro.taint.values import TBytes
 
+BUDGET_ENV = "DISTA_OVERHEAD_BUDGET"
+
+
+def budget_from_extra(spelling):
+    return DisTAConfig.from_extras({"overheadBudget": spelling}).overhead_budget
+
 
 class TestBudgetParsing:
-    def test_none_is_unlimited(self):
-        assert parse_overhead_budget(None) is None
+    def test_none_is_unlimited(self, monkeypatch):
+        monkeypatch.delenv(BUDGET_ENV, raising=False)
+        assert DisTAConfig().overhead_budget is None
+        assert DisTAConfig(overhead_budget=None).overhead_budget is None
 
     @pytest.mark.parametrize("spelling", ["unlimited", "off", "none", "", " OFF "])
     def test_unlimited_spellings(self, spelling):
-        assert parse_overhead_budget(spelling) is None
+        assert budget_from_extra(spelling) is None
 
     def test_zero_and_negative_disable(self):
-        assert parse_overhead_budget(0) is None
-        assert parse_overhead_budget("-1") is None
+        assert budget_from_extra("0") is None
+        assert budget_from_extra("-1") is None
 
     def test_numeric_spellings(self):
-        assert parse_overhead_budget("1.05") == 1.05
-        assert parse_overhead_budget(1.2) == 1.2
+        assert budget_from_extra("1.05") == 1.05
+        assert DisTAConfig(overhead_budget=1.2).overhead_budget == 1.2
 
     def test_sub_one_ratio_rejected(self):
-        with pytest.raises(InstrumentationError, match="ratio over baseline"):
-            parse_overhead_budget(0.5)
+        with pytest.raises(ConfigError, match="ratio over baseline"):
+            DisTAConfig(overhead_budget=0.5)
+        with pytest.raises(ConfigError, match="ratio over baseline"):
+            budget_from_extra("0.5")
 
     def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(OVERHEAD_BUDGET_ENV, "1.07")
-        assert resolve_overhead_budget() == 1.07
-        # An explicit argument wins over the environment.
-        assert resolve_overhead_budget(1.2) == 1.2
-        monkeypatch.setenv(OVERHEAD_BUDGET_ENV, "unlimited")
-        assert resolve_overhead_budget() is None
-        monkeypatch.delenv(OVERHEAD_BUDGET_ENV)
-        assert resolve_overhead_budget() is None
+        monkeypatch.setenv(BUDGET_ENV, "1.07")
+        assert DisTAConfig().overhead_budget == 1.07
+        assert DisTAConfig.from_extras({}).overhead_budget == 1.07
+        # An explicit value wins over the environment — "unlimited" too.
+        assert DisTAConfig(overhead_budget=1.2).overhead_budget == 1.2
+        assert DisTAConfig(overhead_budget=None).overhead_budget is None
+        assert budget_from_extra("unlimited") is None
+        monkeypatch.setenv(BUDGET_ENV, "unlimited")
+        assert DisTAConfig().overhead_budget is None
+        monkeypatch.delenv(BUDGET_ENV)
+        assert DisTAConfig().overhead_budget is None
+
+
+def budget_families(cluster) -> list:
+    return [name for name in cluster.telemetry_snapshot() if name.startswith("dista_budget")]
 
 
 class TestKnobPlumbing:
-    def test_taint_spec_carries_budget_knobs(self):
-        cluster = Cluster(Mode.DISTA)
-        spec = TaintSpec(
-            sources=[FILE_READ_DESCRIPTOR],
-            sinks=[LOG_INFO_DESCRIPTOR],
-            overhead_budget=1.2,
-            sample_every=4,
-        )
-        spec.apply(cluster)
-        assert cluster.agent_options["overhead_budget"] == 1.2
-        assert cluster.agent_options["sample_every"] == 4
-        # Nodes added later inherit the sampling period.
-        node = cluster.add_node("n1")
-        assert node.registry.sample_every == 4
-
     def test_cluster_constructor_knobs(self):
-        cluster = Cluster(Mode.DISTA, overhead_budget=1.1, taint_sample_every=2)
-        assert cluster.agent_options["overhead_budget"] == 1.1
-        assert cluster.agent_options["sample_every"] == 2
-        assert cluster.add_node("n1").registry.sample_every == 2
+        config = DisTAConfig(overhead_budget=1.1, sample_every=2)
+        cluster = Cluster(Mode.DISTA, config=config)
+        assert cluster.config is config
+        n1 = cluster.add_node("n1")
+        assert n1.registry.sample_every == 2
+        with cluster:
+            # The controller attached, with the configured period as its
+            # floor (it starts there).
+            assert budget_families(cluster)
+            assert n1.registry.sample_every == 2
 
     def test_launch_extras(self):
         cluster = launch_cluster(
             Mode.DISTA, "overheadBudget=1.08,taintSampleEvery=3"
         )
-        assert cluster.agent_options["overhead_budget"] == 1.08
-        assert cluster.agent_options["sample_every"] == 3
+        assert cluster.config == DisTAConfig(overhead_budget=1.08, sample_every=3)
 
-    def test_launch_extras_unlimited(self):
-        cluster = launch_cluster(Mode.DISTA, "overheadBudget=unlimited")
-        assert cluster.agent_options["overhead_budget"] is None
-
-    def test_configure_sample_every_rewrites_existing_nodes(self):
-        cluster = Cluster(Mode.DISTA)
-        node = cluster.add_node("n1")
-        cluster.configure_sample_every(5)
-        assert node.registry.sample_every == 5
-        with pytest.raises(ReproError):
-            cluster.configure_sample_every(0)
-
-    def test_configure_overhead_budget_after_start_raises(self):
-        cluster = Cluster(Mode.DISTA)
-        cluster.add_node("n1")
-        with cluster:
-            with pytest.raises(ReproError, match="before cluster start"):
-                cluster.configure_overhead_budget(1.05)
+    def test_launch_extras_unlimited(self, monkeypatch):
+        """An explicit "unlimited" beats ``DISTA_OVERHEAD_BUDGET``: no
+        controller is attached, so no budget family is exported."""
+        monkeypatch.setenv(BUDGET_ENV, "1.05")
+        budgeted = launch_cluster(Mode.DISTA, "")
+        unlimited = launch_cluster(Mode.DISTA, "overheadBudget=unlimited")
+        by_keyword = Cluster(Mode.DISTA, config=DisTAConfig(overhead_budget=None))
+        for cluster, expect_budget in ((budgeted, True), (unlimited, False), (by_keyword, False)):
+            cluster.add_node("n1")
+            with cluster:
+                assert bool(budget_families(cluster)) is expect_budget
 
     def test_agent_rejects_bad_sample_every(self):
-        cluster = Cluster(Mode.DISTA, taint_sample_every=0)
-        cluster.add_node("n1")
-        with pytest.raises(InstrumentationError):
-            cluster.start()
-        cluster.shutdown()
+        """A bad period fails when the config is built, before any
+        cluster exists — by keyword and by launch extra alike."""
+        with pytest.raises(ConfigError, match="sample_every"):
+            DisTAConfig(sample_every=0)
+        with pytest.raises(ConfigError, match="sample_every"):
+            launch_cluster(Mode.DISTA, "taintSampleEvery=0")
 
 
 # -- behavioural contracts ---------------------------------------------- #
@@ -128,16 +125,11 @@ FILES = 12
 PAYLOAD = 8
 
 
-def run_transfer(sample_every=None, overhead_budget=None):
+def run_transfer(config=None):
     """A deterministic mini workload: n1 reads FILES files (each read a
     SIM source), streams each over TCP to n2, which logs it (the sink).
     Returns what the taint layer saw."""
-    kwargs = {}
-    if sample_every is not None:
-        kwargs["taint_sample_every"] = sample_every
-    if overhead_budget is not None:
-        kwargs["overhead_budget"] = overhead_budget
-    cluster = Cluster(Mode.DISTA, name="budget-transfer", **kwargs)
+    cluster = Cluster(Mode.DISTA, name="budget-transfer", config=config)
     cluster.configure_sources([FILE_READ_DESCRIPTOR])
     cluster.configure_sinks([LOG_INFO_DESCRIPTOR])
     n1 = cluster.add_node("n1")
@@ -178,7 +170,7 @@ def run_transfer(sample_every=None, overhead_budget=None):
 
 class TestSamplingDeterminism:
     def test_sampled_out_flows_reach_the_sink_untainted(self):
-        result = run_transfer(sample_every=4)
+        result = run_transfer(DisTAConfig(sample_every=4))
         # Admission is counted at source registration, independent of
         # Taint Map timing: exactly every fourth flow is tracked.
         assert result["tainted_indices"] == [0, 4, 8]
@@ -192,7 +184,7 @@ class TestSamplingDeterminism:
 class TestUnlimitedBudgetIsANoOp:
     def test_unlimited_env_matches_plain_run(self, monkeypatch):
         plain = run_transfer()
-        monkeypatch.setenv(OVERHEAD_BUDGET_ENV, "unlimited")
+        monkeypatch.setenv(BUDGET_ENV, "unlimited")
         unlimited = run_transfer()
         assert unlimited == plain
 
@@ -200,19 +192,19 @@ class TestUnlimitedBudgetIsANoOp:
         """Even with a controller attached, a budget it can never breach
         leaves every taint observation identical to the plain run."""
         plain = run_transfer()
-        budgeted = run_transfer(overhead_budget=1e9)
+        budgeted = run_transfer(DisTAConfig(overhead_budget=1e9))
         assert budgeted == plain
 
 
 class TestGateFlip:
     def test_gated_send_method_strips_labels_end_to_end(self):
-        cluster = Cluster(Mode.DISTA, overhead_budget=1.05)
+        cluster = Cluster(Mode.DISTA, config=DisTAConfig(overhead_budget=1.05))
         n1 = cluster.add_node("n1")
         n2 = cluster.add_node("n2")
         with cluster:
             # Re-attach by hand to hold the runtime (the cluster's own
             # attach discards it); the controller rides the runtime.
-            agent = DisTAAgent(cluster.taint_map_addresses, overhead_budget=1.05)
+            agent = DisTAAgent(cluster.taint_map_addresses, cluster.config)
             agent.detach(n1)
             runtime = agent.attach(n1)
             controller = runtime._budget
@@ -239,52 +231,3 @@ class TestGateFlip:
             # sees plain untainted traffic.
             assert received == b"payload"
             assert received.overall_taint() is None
-
-
-class TestWarmStartPlumbing:
-    """budget_warm_start travels the same routes as the budget itself:
-    Cluster kwarg, launch extras, and into the controller at attach."""
-
-    def test_cluster_kwarg(self):
-        cluster = Cluster(
-            Mode.DISTA, overhead_budget=1.05, budget_warm_start="4"
-        )
-        assert cluster.agent_options["budget_warm_start"] == "4"
-
-    def test_launch_extra(self):
-        cluster = launch_cluster(
-            Mode.DISTA, "overheadBudget=1.05,budgetWarmStart=4:socketWrite0"
-        )
-        assert cluster.agent_options["budget_warm_start"] == "4:socketWrite0"
-
-    def test_agent_restores_controller_at_attach(self):
-        cluster = Cluster(Mode.DISTA)
-        n1 = cluster.add_node("n1")
-        with cluster:
-            agent = DisTAAgent(
-                cluster.taint_map_addresses,
-                overhead_budget=1.05,
-                budget_warm_start="4:socketWrite0+datagram.send",
-            )
-            agent.detach(n1)
-            runtime = agent.attach(n1)
-            controller = runtime._budget
-            assert controller.sample_every == 4
-            assert controller.gated_methods == ("socketWrite0", "datagram.send")
-            assert n1.registry.sample_every == 4
-
-    def test_warm_start_without_budget_is_ignored(self):
-        """No budget → no controller → nothing to warm; must not raise."""
-        cluster = Cluster(Mode.DISTA, budget_warm_start="4")
-        cluster.add_node("n1")
-        with cluster:
-            pass
-
-    def test_bad_warm_start_surfaces_at_attach(self):
-        cluster = Cluster(
-            Mode.DISTA, overhead_budget=1.05, budget_warm_start="nope"
-        )
-        cluster.add_node("n1")
-        with pytest.raises(InstrumentationError):
-            cluster.start()
-        cluster.shutdown()

@@ -16,6 +16,7 @@ from repro.core.durability import (
     iter_records,
     pack_record,
 )
+from repro.core.config import DisTAConfig
 from repro.core.elastic import RingCoordinator
 from repro.core.taintmap import (
     GID_SEQ_MASK,
@@ -355,7 +356,9 @@ class TestDrain:
         service.stop()
 
     def test_cluster_scale_in_with_async_clients(self):
-        cluster = Cluster(Mode.DISTA, name="scale-in", taint_map_shards=3)
+        cluster = Cluster(
+            Mode.DISTA, name="scale-in", config=DisTAConfig(taint_map_shards=3)
+        )
         with cluster:
             node = cluster.add_node("n1")
             taints = [node.tree.taint_for_tag(f"ci-{i}") for i in range(90)]

@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from repro.core.config import DisTAConfig
 from repro.core.elastic import RingCoordinator
 from repro.core.ha import FailoverTaintMapClient
 from repro.core.taintmap import (
@@ -543,7 +544,7 @@ class TestClusterScaleOut:
     """Cluster.scale_taint_map plus the taintMapMaxShards guardrail."""
 
     def test_scale_taint_map_pushes_ring_to_every_node(self):
-        cluster = Cluster(Mode.DISTA, taint_map_shards=1, taint_map_max_shards=8)
+        cluster = Cluster(Mode.DISTA, config=DisTAConfig(taint_map_max_shards=8))
         n1 = cluster.add_node("n1")
         n2 = cluster.add_node("n2")
         with cluster:
@@ -568,7 +569,7 @@ class TestClusterScaleOut:
             assert cluster.last_scale_coordinator.handoff_entries_sent >= 0
 
     def test_max_shards_guardrail(self):
-        cluster = Cluster(Mode.DISTA, taint_map_shards=1, taint_map_max_shards=2)
+        cluster = Cluster(Mode.DISTA, config=DisTAConfig(taint_map_max_shards=2))
         cluster.add_node("n1")
         with cluster:
             from repro.errors import ReproError
@@ -582,7 +583,7 @@ class TestClusterScaleOut:
         from repro.errors import ReproError
 
         with pytest.raises(ReproError, match="below"):
-            Cluster(Mode.DISTA, taint_map_shards=4, taint_map_max_shards=2)
+            DisTAConfig(taint_map_shards=4, taint_map_max_shards=2)
 
     def test_scale_requires_dista_mode(self):
         from repro.errors import ReproError

@@ -45,7 +45,7 @@ EXTENSIONS = (
 
 @pytest.fixture()
 def custom_cluster():
-    cluster = Cluster(Mode.DISTA, agent_options={"extensions": EXTENSIONS})
+    cluster = Cluster(Mode.DISTA, extensions=EXTENSIONS)
     n1 = cluster.add_node("n1")
     n2 = cluster.add_node("n2")
     _register_custom_transport(n1)
@@ -141,7 +141,7 @@ class TestPacketExtension:
             ExtensionPoint("vendor_dgram_send", WrapperType.PACKET, "send"),
             ExtensionPoint("vendor_dgram_recv", WrapperType.PACKET, "receive"),
         )
-        cluster = Cluster(Mode.DISTA, agent_options={"extensions": points})
+        cluster = Cluster(Mode.DISTA, extensions=points)
         n1 = cluster.add_node("n1")
         n2 = cluster.add_node("n2")
 

@@ -140,7 +140,7 @@ class TestPerShardFailover:
         taint = _taint_on_shard(node, 1)
         gid = client.gid_for(taint)
         primaries[1].stop()
-        client._gid_cache = type(client._gid_cache)(None, client.stats)
+        client._gid_cache.clear()
         # Re-registering the same taint on the promoted standby returns
         # the replicated GID, not a fresh one.
         assert client.gid_for(taint) == gid

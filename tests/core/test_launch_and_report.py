@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import DisTAConfig
 from repro.core.launch import launch_cluster
 from repro.jre import ServerSocket, Socket
 from repro.report import (
@@ -38,10 +39,7 @@ class TestLaunchCluster:
 
     def test_extras_map_to_agent_options(self):
         cluster = launch_cluster(Mode.DISTA, "gidCache=off,granularity=message")
-        assert cluster.agent_options == {
-            "cache_enabled": False,
-            "byte_granularity": False,
-        }
+        assert cluster.config == DisTAConfig(cache_enabled=False, byte_granularity=False)
 
     def test_original_mode_skips_specs(self):
         cluster = launch_cluster(Mode.ORIGINAL, "", SOURCES_SPEC, SINKS_SPEC)

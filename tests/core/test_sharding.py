@@ -27,6 +27,7 @@ from repro.core.taintmap import (
     serialize_tags,
     taint_key,
 )
+from repro.core.config import DisTAConfig
 from repro.errors import PipeClosed, TaintMapError
 from repro.runtime.cluster import TAINT_MAP_IP, TAINT_MAP_PORT, Cluster
 from repro.runtime.fs import SimFileSystem
@@ -293,7 +294,6 @@ class TestConcurrentSharding:
         assert snapshot["global_taints"] == total
         client_stats = c1.stats.snapshot()
         assert client_stats["cache_misses"] == total
-        assert client_stats["cache_evictions"] == 0  # unbounded default
         # Full round-trip: every taint resolves from another node.
         for gid, taint in flat:
             resolved = c2.taint_for(gid)
@@ -301,54 +301,22 @@ class TestConcurrentSharding:
 
 
 class TestBoundedCaches:
-    def _client(self, capacity):
-        kernel = SimKernel("lru")
+    def test_unbounded_default_never_evicts(self):
+        kernel = SimKernel("cache")
         kernel.register_node(TAINT_MAP_IP)
         fs = SimFileSystem()
         service = ShardedTaintMapService(
             kernel, TAINT_MAP_IP, TAINT_MAP_PORT, 1
         ).start()
         node = SimNode("n", kernel.register_node("10.0.0.1"), 1, kernel, fs, Mode.DISTA)
-        return service, node, TaintMapClient(node, service.addresses, cache_capacity=capacity)
-
-    def test_lru_evicts_and_counts(self):
-        service, node, client = self._client(capacity=2)
-        t1, t2, t3 = (node.tree.taint_for_tag(f"lru{i}") for i in range(3))
-        g1 = client.gid_for(t1)
-        client.gid_for(t2)
-        client.gid_for(t3)  # evicts t1 from the bounded gid cache
-        assert client.requests_sent == 3
-        assert client.gid_for(t1) == g1  # evicted ⇒ re-registers
-        assert client.requests_sent == 4
-        assert client.gid_for(t1) == g1  # now cached again ⇒ free
-        assert client.requests_sent == 4
-        snapshot = client.stats.snapshot()
-        assert snapshot["cache_hits"] == 1
-        assert snapshot["cache_misses"] == 4
-        assert snapshot["cache_evictions"] > 0
-        assert len(client._gid_cache) <= 2
-        assert len(client._taint_cache) <= 2
-        client.close()
-        service.stop()
-
-    def test_unbounded_default_never_evicts(self):
-        service, node, client = self._client(capacity=None)
+        client = TaintMapClient(node, service.addresses)
         taints = [node.tree.taint_for_tag(f"u{i}") for i in range(64)]
         gids = [client.gid_for(t) for t in taints]
         assert client.requests_sent == 64
         assert [client.gid_for(t) for t in taints] == gids
         assert client.requests_sent == 64  # Fig. 9 semantics preserved
-        assert client.stats.snapshot()["cache_evictions"] == 0
         client.close()
         service.stop()
-
-    def test_bad_capacity_rejected(self):
-        kernel = SimKernel("lru-bad")
-        kernel.register_node(TAINT_MAP_IP)
-        fs = SimFileSystem()
-        node = SimNode("n", kernel.register_node("10.0.0.1"), 1, kernel, fs, Mode.DISTA)
-        with pytest.raises(TaintMapError, match="capacity"):
-            TaintMapClient(node, (TAINT_MAP_IP, TAINT_MAP_PORT), cache_capacity=0)
 
 
 class TestPoisonedConnectionReset:
@@ -398,7 +366,7 @@ class TestClusterSharding:
         from repro.jre import ServerSocket, Socket
         from repro.taint.values import TBytes
 
-        cluster = Cluster(Mode.DISTA, taint_map_shards=2)
+        cluster = Cluster(Mode.DISTA, config=DisTAConfig(taint_map_shards=2))
         n1 = cluster.add_node("n1")
         n2 = cluster.add_node("n2")
         with cluster:

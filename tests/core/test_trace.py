@@ -20,7 +20,7 @@ from repro.taint.values import TBytes
 @pytest.fixture()
 def traced_cluster():
     trace = CrossingTrace()
-    cluster = Cluster(Mode.DISTA, agent_options={"trace": trace})
+    cluster = Cluster(Mode.DISTA, trace=trace)
     n1 = cluster.add_node("n1")
     n2 = cluster.add_node("n2")
     with cluster:
@@ -163,7 +163,7 @@ class TestSystemWorkloadTracing:
 
         trace = CrossingTrace()
         cluster = Cluster(
-            Mode.DISTA, name="traced-election", agent_options={"trace": trace}
+            Mode.DISTA, name="traced-election", trace=trace
         )
         sdt_spec().apply(cluster)
         with cluster:

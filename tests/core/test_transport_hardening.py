@@ -1,8 +1,8 @@
 """Regression tests for the Taint Map transport's hardening: 16-bit
 batch-count overflow (protocol chunking at the window split), shutdown
 with an in-flight flush, per-request deadlines on a stalled shard,
-fresh broken-connection errors, correlation-id wrap, and backpressure
-policies.
+fresh broken-connection errors, correlation-id wrap, and blocking
+backpressure.
 """
 
 import itertools
@@ -26,7 +26,6 @@ from repro.core.taintmap import (
     serialize_tags,
 )
 from repro.errors import (
-    TaintMapBackpressureError,
     TaintMapDeadlineError,
     TaintMapError,
     TaintMapTransportError,
@@ -280,33 +279,10 @@ class TestBackpressure:
         threading.Thread(target=run, daemon=True).start()
         return future
 
-    def test_shed_policy_rejects_past_high_water_mark(self, single):
-        _, _, server, node = single
-        server._service_time = 0.3
-        client = TaintMapClient(node, server.address, max_pending=4, backpressure="shed")
-        state = client.transport._shards[0]
-        futures = [self._register_async(client, node, "shed0")]
-        assert _wait_until(lambda: state.flying[0] is not None)
-        futures += [self._register_async(client, node, f"shed{i}") for i in range(1, 4)]
-        assert _wait_until(lambda: state.pending == 4)
-        overflow = self._register_async(client, node, "shed-overflow")
-        exc = overflow.exception(timeout=5)
-        assert isinstance(exc, TaintMapBackpressureError)
-        assert isinstance(exc, TaintMapError)
-        # The queued window drains when the in-flight flush lands, which
-        # readmits new work.
-        gids = {struct.unpack(">I", f.result(timeout=5))[0] for f in futures}
-        assert len(gids) == 4
-        assert _wait_until(lambda: state.pending == 0)
-        server._service_time = 0.0
-        retry = self._register_async(client, node, "shed-retry")
-        assert struct.unpack(">I", retry.result(timeout=5))[0] > 0
-        client.close()
-
     def test_block_policy_flushes_and_waits_for_drain(self, single):
         _, _, server, node = single
         server._service_time = 0.3
-        client = TaintMapClient(node, server.address, max_pending=2, backpressure="block")
+        client = TaintMapClient(node, server.address, max_pending=2)
         state = client.transport._shards[0]
         first = self._register_async(client, node, "blk0")
         assert _wait_until(lambda: state.flying[0] is not None)
@@ -326,9 +302,7 @@ class TestBackpressure:
         """One call larger than the mark: the caller must send the window
         it filled itself (no flush is in flight to drain it), then wait."""
         _, _, server, node = single
-        client = TaintMapClient(
-            node, server.address, cache_enabled=False, max_pending=3, backpressure="block"
-        )
+        client = TaintMapClient(node, server.address, cache_enabled=False, max_pending=3)
         taints = [node.tree.taint_for_tag(f"self{i}") for i in range(7)]
         gids = client.gids_for(taints)
         assert len(set(gids)) == 7
@@ -339,31 +313,16 @@ class TestBackpressure:
 
 class TestLaunchAndEnvKnobs:
     def test_parse_switch(self):
-        from repro.core.config import parse_switch
+        from repro.core.config import DisTAConfig, parse_switch
+        from repro.errors import ConfigError
 
         assert parse_switch("on") and parse_switch("TRUE") and parse_switch("1")
         assert not parse_switch("off") and not parse_switch("no")
-        with pytest.raises(ValueError, match="gidCacheAdmission"):
-            parse_switch("maybe", "gidCacheAdmission")
-
-    def test_launch_extras_configure_hardening_knobs(self):
-        from repro.core.launch import launch_cluster
-
-        cluster = launch_cluster(
-            Mode.DISTA,
-            "taintSources=s.spec,taintSinks=k.spec,"
-            "taintMapDeadlineS=2.5,coalesceMaxPending=64,"
-            "coalesceBackpressure=shed",
-            sources_text="source:ignored#m\n",
-            sinks_text="sink:ignored#m\n",
-        )
-        assert cluster.agent_options["request_deadline_s"] == 2.5
-        with cluster:
-            node = cluster.add_node("n1")
-            transport = node.taintmap.transport
-            assert transport.request_deadline_s == 2.5
-            assert transport.max_pending == 64
-            assert transport.backpressure == "shed"
+        with pytest.raises(ValueError, match="on/off"):
+            parse_switch("maybe")
+        # A bad switch spelling names its launch extra.
+        with pytest.raises(ConfigError, match="taintMapDurable"):
+            DisTAConfig.from_extras({"taintMapDurable": "maybe"})
 
     def test_env_knobs_configure_transport(self, single, monkeypatch):
         from repro.core.agent import DisTAAgent

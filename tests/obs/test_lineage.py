@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.core.config import DisTAConfig
 from repro.core.trace import Crossing
 from repro.jre import ServerSocket, Socket
 from repro.jre.http import http_get
@@ -40,7 +41,7 @@ def run_relay(lineage: bool):
     Returns ``(cluster_wire_bytes, received_payloads, store)`` — the
     store is ``None`` when lineage is off.
     """
-    cluster = Cluster(Mode.DISTA, lineage=lineage)
+    cluster = Cluster(Mode.DISTA, config=DisTAConfig(lineage=lineage))
     n1 = cluster.add_node("n1")
     n2 = cluster.add_node("n2")
     n3 = cluster.add_node("n3")
@@ -205,10 +206,9 @@ class TestStoreBound:
 
 class TestExplicitPartialTrees:
     def test_sampled_out_flow_is_a_marked_stub(self):
-        cluster = Cluster(Mode.DISTA, lineage=True)
+        cluster = Cluster(Mode.DISTA, config=DisTAConfig(lineage=True, sample_every=2))
         node = cluster.add_node("n1")
         node.registry.add_source(SOURCE_DESCRIPTOR)
-        cluster.configure_sample_every(2)
         with cluster:
             node.registry.source(SOURCE_DESCRIPTOR, TBytes.raw(b"one"))
             node.registry.source(SOURCE_DESCRIPTOR, TBytes.raw(b"two"))
@@ -315,7 +315,7 @@ class TestExports:
 class TestLineageTelemetryAndEndpoint:
     @pytest.fixture()
     def served(self):
-        cluster = Cluster(Mode.DISTA, lineage=True)
+        cluster = Cluster(Mode.DISTA, config=DisTAConfig(lineage=True))
         n1 = cluster.add_node("n1")
         n2 = cluster.add_node("n2")
         n1.registry.add_source(SOURCE_DESCRIPTOR)

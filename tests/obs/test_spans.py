@@ -14,7 +14,7 @@ from repro.taint.values import TBytes
 @pytest.fixture(params=["async"])
 def traced_pair(request):
     trace = CrossingTrace()
-    cluster = Cluster(Mode.DISTA, agent_options={"trace": trace})
+    cluster = Cluster(Mode.DISTA, trace=trace)
     n1 = cluster.add_node("n1")
     n2 = cluster.add_node("n2")
     with cluster:

@@ -302,127 +302,3 @@ class TestMetrics:
         assert snapshot_max(
             snap, "dista_budget_steady_overhead_ratio"
         ) == pytest.approx(2.0)
-
-
-class TestWarmStart:
-    """snapshot()/restore(): carrying a converged operating point across
-    controller restarts (PR 8 satellite)."""
-
-    def test_snapshot_captures_operating_point(self):
-        controller = make_controller(max_k=4)
-        for _ in range(6):
-            drive(
-                controller,
-                tracking=50.0,
-                sends=[("socketWrite0", 4096, 0)],
-            )
-        snap = controller.snapshot()
-        assert snap["sample_every"] == controller.sample_every
-        assert snap["gated_methods"] == controller.gated_methods
-        assert snap["overhead_ratio"] == controller.overhead_ratio
-        assert snap["sample_every"] > 1  # it actually shed
-
-    def test_restore_resumes_the_point(self):
-        registry = SimpleNamespace(sample_every=1)
-        fresh = make_controller(registry=registry)
-        fresh.restore(
-            {
-                "sample_every": 8,
-                "gated_methods": ("socketWrite0", "datagram.send"),
-                "overhead_ratio": 1.2,
-            }
-        )
-        assert fresh.sample_every == 8
-        assert registry.sample_every == 8
-        assert fresh.gated_methods == ("socketWrite0", "datagram.send")
-        assert fresh.is_gated("socketWrite0")
-        assert fresh.overhead_ratio == 1.2
-
-    def test_restore_clamps_to_config_floor_and_ceiling(self):
-        controller = make_controller(sample_every=4, max_k=16)
-        controller.restore({"sample_every": 1})
-        assert controller.sample_every == 4  # floor honoured
-        controller.restore({"sample_every": 1000})
-        assert controller.sample_every == 16  # ceiling honoured
-
-    def test_restore_filters_unknown_methods(self):
-        controller = make_controller()
-        controller.restore(
-            {"sample_every": 2, "gated_methods": ("socketWrite0", "not-a-method")}
-        )
-        assert controller.gated_methods == ("socketWrite0",)
-
-    def test_roundtrip_between_controllers(self):
-        first = make_controller(max_k=4)
-        for _ in range(8):
-            drive(first, tracking=100.0, sends=[("socketWrite0", 4096, 0)])
-        second = make_controller(max_k=4)
-        second.restore(first.snapshot())
-        assert second.sample_every == first.sample_every
-        assert second.gated_methods == first.gated_methods
-
-    def test_restored_controller_still_recovers(self):
-        """Warm start is a starting point, not a pin: with headroom the
-        AIMD loop claws coverage back."""
-        controller = make_controller()
-        controller.restore({"sample_every": 4, "gated_methods": ("socketWrite0",)})
-        for _ in range(RECOVERY_PATIENCE):
-            drive(controller, tracking=0.0)
-        assert controller.gated_methods == ()  # gate lifted first
-
-    def test_restore_republishes_gauges(self):
-        metrics = MetricsRegistry()
-        controller = make_controller(metrics=metrics)
-        controller.restore({"sample_every": 4, "gated_methods": ("socketWrite0",)})
-        snap = metrics.snapshot()
-        assert snapshot_max(
-            snap, "dista_budget_coverage", {"actuator": "sampling"}
-        ) == pytest.approx(0.25)
-        assert snapshot_max(
-            snap, "dista_budget_coverage", {"actuator": "methods"}
-        ) == pytest.approx((len(GATEABLE_SEND_METHODS) - 1) / len(GATEABLE_SEND_METHODS))
-
-
-class TestWarmStartParsing:
-    def test_none_and_empty_are_cold(self):
-        from repro.taint.budget import parse_budget_warm_start
-
-        assert parse_budget_warm_start(None) is None
-        assert parse_budget_warm_start("") is None
-        assert parse_budget_warm_start("  ") is None
-
-    def test_k_only(self):
-        from repro.taint.budget import parse_budget_warm_start
-
-        assert parse_budget_warm_start("4") == {
-            "sample_every": 4,
-            "gated_methods": (),
-        }
-
-    def test_k_with_methods_plus_separated(self):
-        from repro.taint.budget import parse_budget_warm_start
-
-        parsed = parse_budget_warm_start("8:socketWrite0+datagram.send")
-        assert parsed == {
-            "sample_every": 8,
-            "gated_methods": ("socketWrite0", "datagram.send"),
-        }
-
-    def test_dict_passthrough(self):
-        from repro.taint.budget import parse_budget_warm_start
-
-        parsed = parse_budget_warm_start(
-            {"sample_every": 2, "gated_methods": ["socketWrite0"]}
-        )
-        assert parsed["sample_every"] == 2
-        assert parsed["gated_methods"] == ("socketWrite0",)
-
-    def test_bad_spellings_raise(self):
-        from repro.taint.budget import parse_budget_warm_start
-
-        with pytest.raises(ValueError, match="k"):
-            parse_budget_warm_start("fast")
-        with pytest.raises(ValueError, match=">= 1"):
-            parse_budget_warm_start("0")
-        with pytest.raises(ValueError, match="ungateable"):
-            parse_budget_warm_start("4:socketRead0")

@@ -169,12 +169,10 @@ class TestSourceFraction:
         assert pattern == pattern2
 
     def test_cluster_rejects_out_of_range_fraction(self):
+        from repro.core.config import DisTAConfig
         from repro.errors import ReproError
-        from repro.runtime.cluster import Cluster
-        from repro.runtime.modes import Mode
 
-        cluster = Cluster(Mode.DISTA)
-        with pytest.raises(ReproError):
-            cluster.configure_source_fraction(1.5)
-        with pytest.raises(ReproError):
-            cluster.configure_source_fraction(-0.1)
+        with pytest.raises(ReproError, match="outside"):
+            DisTAConfig(source_fraction=1.5)
+        with pytest.raises(ReproError, match="outside"):
+            DisTAConfig(source_fraction=-0.1)
