@@ -134,6 +134,13 @@ TRANSPORT_ERRORS = (ConnectionError, EOFError, OSError, TimeoutError)
 #: the classic protocol — never packed into one oversized frame.
 PROTOCOL_MAX_BATCH = 0xFFFF
 
+#: Entry kinds of a transport request
+#: (:meth:`~repro.core.transport.TaintMapTransport.submit`): a
+#: registration entry is a serialized taint and answers its GID; a
+#: lookup entry is a GID and answers its serialized taint.
+KIND_REGISTER = 0
+KIND_LOOKUP = 1
+
 
 def make_gid(shard: int, seq: int) -> int:
     """Compose a Global ID from a shard index and a per-shard sequence."""
@@ -222,6 +229,13 @@ class ShardRouter:
                 )
                 self._RING_CACHE[cache_key] = cached
         self._hashes, self._shards = cached
+
+    def shard_for_tags(self, tags: frozenset[TaintTag]) -> int:
+        """Owning shard of a taint's tags; with one active shard the
+        canonical key is never built."""
+        if self._single is not None:
+            return self._single
+        return self.shard_for_key(taint_key(tags))
 
     def shard_for_key(self, key: bytes) -> int:
         """Owning shard of a canonical :func:`taint_key`."""
@@ -474,6 +488,11 @@ def deserialize_tags(raw: bytes) -> list[TaintTag]:
 # --------------------------------------------------------------------- #
 
 
+#: A multiplexed frame's head: correlation id, op (request) or status
+#: (reply), payload length.
+MUX_HEAD = struct.Struct(">IBI")
+
+
 def _send_frame(endpoint: TcpEndpoint, head: bytes, payload: bytes) -> None:
     endpoint.send_all(head + struct.pack(">I", len(payload)) + payload)
 
@@ -514,16 +533,6 @@ def _pack_batch_lookup(gids: Sequence[int]) -> bytes:
             f"{PROTOCOL_MAX_BATCH}-entry protocol limit (16-bit count)"
         )
     return struct.pack(f">H{len(gids)}I", len(gids), *gids)
-
-
-def _protocol_chunks(items: Sequence) -> list:
-    """Split a logical batch at the 16-bit wire-count ceiling."""
-    if len(items) <= PROTOCOL_MAX_BATCH:
-        return [items]
-    return [
-        items[start : start + PROTOCOL_MAX_BATCH]
-        for start in range(0, len(items), PROTOCOL_MAX_BATCH)
-    ]
 
 
 def _pack_handoff_chunk(entries: Sequence[tuple[int, bytes]]) -> bytes:
@@ -772,6 +781,9 @@ class TaintMapServer:
             "Per-request Taint Map handling time (server side) in seconds.",
             ("op",),
         )
+        #: op -> bound ``_handle_seconds`` child: every request observes
+        #: it, so the labels() lookup is done once per op.
+        self._handle_children: dict = {}
         self.metrics.register_collector(self._stats_samples)
 
     # -- lifecycle ------------------------------------------------------- #
@@ -821,16 +833,7 @@ class TaintMapServer:
                     _send_frame(endpoint, bytes([STATUS_OK]), b"")
                     self._serve_mux(endpoint)
                     return
-                # Serial per-shard handling: one shard is one single-point
-                # service; concurrency comes from running more shards.
-                with self._service_lock:
-                    if self._service_time > 0.0:
-                        time.sleep(self._service_time)
-                    started = time.perf_counter()
-                    status, response = self._handle(head[0], payload)
-                    self._handle_seconds.labels(op=op_name(head[0])).observe(
-                        time.perf_counter() - started
-                    )
+                status, response = self._service(head[0], payload)
                 _send_frame(endpoint, bytes([status]), response)
         except Exception:
             pass
@@ -850,27 +853,25 @@ class TaintMapServer:
         pays ``service_time`` once for its whole window.
         """
         while self._running:
-            first = endpoint.recv(1)
-            if not first:
-                return
-            (corr,) = struct.unpack(">I", first + _recv_exact(endpoint, 3))
-            op = _recv_exact(endpoint, 1)[0]
-            (length,) = struct.unpack(">I", _recv_exact(endpoint, 4))
+            corr, op, length = MUX_HEAD.unpack(_recv_exact(endpoint, MUX_HEAD.size))
             payload = _recv_exact(endpoint, length) if length else b""
-            with self._service_lock:
-                if self._service_time > 0.0:
-                    time.sleep(self._service_time)
-                started = time.perf_counter()
-                status, response = self._handle(op, payload)
-                self._handle_seconds.labels(op=op_name(op)).observe(
-                    time.perf_counter() - started
-                )
-            endpoint.send_all(
-                struct.pack(">I", corr)
-                + bytes([status])
-                + struct.pack(">I", len(response))
-                + response
-            )
+            status, response = self._service(op, payload)
+            endpoint.send_all(MUX_HEAD.pack(corr, status, len(response)) + response)
+
+    def _service(self, op: int, payload: bytes) -> tuple[int, bytes]:
+        """Serial per-shard handling: one shard is one single-point
+        service; concurrency comes from running more shards."""
+        with self._service_lock:
+            if self._service_time > 0.0:
+                time.sleep(self._service_time)
+            started = time.perf_counter()
+            status, response = self._handle(op, payload)
+            elapsed = time.perf_counter() - started
+        child = self._handle_children.get(op)
+        if child is None:
+            child = self._handle_children[op] = self._handle_seconds.labels(op=op_name(op))
+        child.observe(elapsed)
+        return status, response
 
     def _handle(self, op: int, payload: bytes) -> tuple[int, bytes]:
         if op == OP_REGISTER:
@@ -990,7 +991,7 @@ class TaintMapServer:
             return True
         if self.shard_count == 1:
             return False
-        return self._router.shard_for_key(taint_key(tags)) != self.shard_index
+        return self._router.shard_for_tags(tags) != self.shard_index
 
     def _stale_ring_reply(self) -> tuple[int, bytes]:
         """Misroute reply: the client's ring is behind (or it guessed) —
@@ -1656,6 +1657,9 @@ class TaintMapClient:
                 lowest=1.0,
                 buckets=16,
             )
+        #: (family, op) -> bound metric child: every RPC observes these,
+        #: so the labels() lookups are done once per op.
+        self._op_children: dict = {}
         self.transport = TaintMapTransport(self, **transport_options)
         if self._metrics is not None:
             self._metrics.register_collector(self._cache_samples)
@@ -1689,15 +1693,20 @@ class TaintMapClient:
             },
         }
 
+    def _op_child(self, family, op: int):
+        child = self._op_children.get((family, op))
+        if child is None:
+            child = self._op_children[(family, op)] = family.labels(op=op_name(op))
+        return child
+
     def _observe_rpc(self, op: int, elapsed: float) -> None:
         if self._rpc_seconds is not None:
-            name = op_name(op)
-            self._rpc_seconds.labels(op=name).observe(elapsed)
-            self._requests_total.labels(op=name).inc()
+            self._op_child(self._rpc_seconds, op).observe(elapsed)
+            self._op_child(self._requests_total, op).inc()
 
     def _observe_batch(self, op: int, entries: int) -> None:
         if self._batch_entries is not None:
-            self._batch_entries.labels(op=op_name(op)).observe(entries)
+            self._op_child(self._batch_entries, op).observe(entries)
 
     @property
     def shard_count(self) -> int:
@@ -1785,7 +1794,7 @@ class TaintMapClient:
         )
 
     def _shard_for_taint(self, taint: Taint) -> int:
-        return self._router.shard_for_key(taint_key(taint.tags))
+        return self._router.shard_for_tags(taint.tags)
 
     def _shard_for_gid(self, gid: int) -> int:
         shard = gid_shard(gid)
@@ -1809,10 +1818,9 @@ class TaintMapClient:
                 return cached[0]
         # A STALE_RING reply is re-routed inside the transport, at most
         # RING_RETRY_LIMIT times, before this raises.
-        response = self.transport.submit(
-            self._shard_for_taint(taint), OP_REGISTER, serialize_tags(taint.tags)
+        (gid,) = self.transport.submit(
+            self._shard_for_taint(taint), KIND_REGISTER, [serialize_tags(taint.tags)]
         )
-        (gid,) = struct.unpack(">I", response)
         self._record_registered(taint, gid)
         return gid
 
@@ -1850,33 +1858,22 @@ class TaintMapClient:
         misses: dict[int, tuple[Taint, list[int]]],
         gids: list[Optional[int]],
     ) -> None:
-        """One routed OP_REGISTER_MANY volley for a batch's cache misses."""
+        """One routed OP_REGISTER_MANY volley for a batch's cache misses
+        (the transport splits a sub-batch into frames at ``max_batch``)."""
         by_shard: dict[int, list[tuple[Taint, list[int]]]] = {}
         for taint, positions in misses.values():
             by_shard.setdefault(self._shard_for_taint(taint), []).append(
                 (taint, positions)
             )
-        # A sub-batch beyond the 16-bit wire count is chunked into
-        # several frames (each entry count fits ``>H``); the chunks
-        # still fire concurrently with every other call.
-        calls, chunks = [], []
+        calls = []
         for shard, entries in by_shard.items():
-            for chunk in _protocol_chunks(entries):
-                calls.append(
-                    (
-                        shard,
-                        OP_REGISTER_MANY,
-                        _pack_batch_register(
-                            [serialize_tags(taint.tags) for taint, _ in chunk]
-                        ),
-                    )
-                )
-                chunks.append(chunk)
-                self._observe_batch(OP_REGISTER_MANY, len(chunk))
-        responses = self.transport.submit_many(calls)
-        for chunk, response in zip(chunks, responses):
-            new_gids = struct.unpack(f">{len(chunk)}I", response)
-            for (taint, positions), gid in zip(chunk, new_gids):
+            calls.append(
+                (shard, KIND_REGISTER, [serialize_tags(taint.tags) for taint, _ in entries])
+            )
+            self._observe_batch(OP_REGISTER_MANY, len(entries))
+        results = self.transport.submit_many(calls)
+        for entries, new_gids in zip(by_shard.values(), results):
+            for (taint, positions), gid in zip(entries, new_gids):
                 self._record_registered(taint, gid)
                 for i in positions:
                     gids[i] = gid
@@ -1902,9 +1899,7 @@ class TaintMapClient:
             cached = self._taint_cache.get(gid)
             if cached is not None:
                 return cached
-        serialized = self.transport.submit(
-            self._shard_for_gid(gid), OP_LOOKUP, struct.pack(">I", gid)
-        )
+        (serialized,) = self.transport.submit(self._shard_for_gid(gid), KIND_LOOKUP, [gid])
         return self._record_resolved(gid, serialized)
 
     def taints_for(self, gids: Sequence[int]) -> list[Optional[Taint]]:
@@ -1926,17 +1921,13 @@ class TaintMapClient:
             by_shard: dict[int, list[int]] = {}
             for gid in misses:
                 by_shard.setdefault(self._shard_for_gid(gid), []).append(gid)
-            calls, chunks = [], []
+            calls = []
             for shard, pending in by_shard.items():
-                for chunk in _protocol_chunks(pending):
-                    calls.append((shard, OP_LOOKUP_MANY, _pack_batch_lookup(chunk)))
-                    chunks.append(chunk)
-                    self._observe_batch(OP_LOOKUP_MANY, len(chunk))
-            responses = self.transport.submit_many(calls)
-            for chunk, response in zip(chunks, responses):
-                for gid, serialized in zip(
-                    chunk, _split_batch_lookup_response(response, len(chunk))
-                ):
+                calls.append((shard, KIND_LOOKUP, pending))
+                self._observe_batch(OP_LOOKUP_MANY, len(pending))
+            results = self.transport.submit_many(calls)
+            for pending, serialized_taints in zip(by_shard.values(), results):
+                for gid, serialized in zip(pending, serialized_taints):
                     taint = self._record_resolved(gid, serialized)
                     for i in misses[gid]:
                         taints[i] = taint

@@ -64,10 +64,11 @@ from functools import partial
 from typing import Optional, Sequence
 
 from repro.core.taintmap import (
-    OP_LOOKUP,
+    KIND_LOOKUP,
+    KIND_REGISTER,
+    MUX_HEAD,
     OP_LOOKUP_MANY,
     OP_MUX_HELLO,
-    OP_REGISTER,
     OP_REGISTER_MANY,
     PROTOCOL_MAX_BATCH,
     STATUS_GID_EXHAUSTED,
@@ -81,10 +82,7 @@ from repro.core.taintmap import (
     _recv_exact,
     _send_frame,
     _split_batch_lookup_response,
-    _split_batch_register,
     deserialize_tags,
-    op_name,
-    taint_key,
 )
 from repro.errors import (
     TaintMapDeadlineError,
@@ -117,11 +115,6 @@ _FLUSH_REASONS = ("idle", "drain", "size")
 #: eventually overflow ``>I`` without it.
 _CORR_MASK = 0xFFFFFFFF
 
-#: A reply frame's head: correlation id, status, payload length.
-_REPLY_HEAD = struct.Struct(">IBI")
-
-_REGISTER = 0
-_LOOKUP = 1
 #: The wire op carrying each kind's frames.
 _BATCH_OPS = (OP_REGISTER_MANY, OP_LOOKUP_MANY)
 
@@ -129,12 +122,7 @@ _BATCH_OPS = (OP_REGISTER_MANY, OP_LOOKUP_MANY)
 def mux_frame(corr: int, op: int, payload: bytes) -> bytes:
     """One multiplexed request frame: a correlation-id prefix followed
     by the **unchanged** sync frame bytes (``op | len | payload``)."""
-    return (
-        struct.pack(">I", corr)
-        + bytes([op])
-        + struct.pack(">I", len(payload))
-        + payload
-    )
+    return MUX_HEAD.pack(corr, op, len(payload)) + payload
 
 
 def _closed_error() -> TaintMapError:
@@ -156,31 +144,6 @@ def _status_error(status: int) -> TaintMapError:
             "taint map shard has exhausted its Global-ID sequence space"
         )
     return TaintMapError(f"taint map rejected request (status {status})")
-
-
-def _request_keys(op: int, payload: bytes) -> tuple[int, list]:
-    """A sync-protocol request as (kind, entry keys)."""
-    if op == OP_REGISTER:
-        return _REGISTER, [bytes(payload)]
-    if op == OP_REGISTER_MANY:
-        return _REGISTER, _split_batch_register(payload)
-    if op == OP_LOOKUP:
-        return _LOOKUP, list(struct.unpack(">I", payload))
-    if op == OP_LOOKUP_MANY:
-        (count,) = struct.unpack(">H", payload[:2])
-        return _LOOKUP, list(struct.unpack(f">{count}I", payload[2:]))
-    raise TaintMapError(f"the taint map transport does not carry {op_name(op)}")
-
-
-def _response(op: int, values: list) -> bytes:
-    """Per-entry results in the sync protocol's response format."""
-    if op == OP_REGISTER:
-        return struct.pack(">I", values[0])
-    if op == OP_REGISTER_MANY:
-        return struct.pack(f">{len(values)}I", *values)
-    if op == OP_LOOKUP:
-        return values[0]
-    return b"".join(struct.pack(">I", len(value)) + value for value in values)
 
 
 class _MuxConnection:
@@ -246,7 +209,7 @@ class _MuxConnection:
         endpoint = self._endpoint
         try:
             while True:
-                corr, status, length = _REPLY_HEAD.unpack(_recv_exact(endpoint, 9))
+                corr, status, length = MUX_HEAD.unpack(_recv_exact(endpoint, MUX_HEAD.size))
                 response = _recv_exact(endpoint, length) if length else b""
                 with self._lock:
                     future = self._pending.pop(corr, None)
@@ -397,7 +360,7 @@ class _Shard:
     def __init__(self, shard: int):
         self.lock = threading.Lock()
         #: The open window of each kind, which arriving callers join.
-        self.windows = [_Batch(shard, _REGISTER), _Batch(shard, _LOOKUP)]
+        self.windows = [_Batch(shard, KIND_REGISTER), _Batch(shard, KIND_LOOKUP)]
         #: The batch of each kind in flight, or None.
         self.flying: list[Optional[_Batch]] = [None, None]
         #: Entries queued in windows plus carried by in-flight batches.
@@ -426,10 +389,11 @@ class _Call:
 class TaintMapTransport:
     """The request half of :class:`~repro.core.taintmap.TaintMapClient`.
 
-    ``submit``/``submit_many`` accept ``(shard, op, payload)`` requests
-    for the four map ops, carry them through group commit, and return
-    response payloads in exactly the sync protocol's formats — so the
-    client's caching and batching logic sits on top unchanged.
+    ``submit``/``submit_many`` accept ``(shard, kind, entries)`` requests
+    and return one value per entry: serialized taints in and GIDs out for
+    :data:`~repro.core.taintmap.KIND_REGISTER`, GIDs in and serialized
+    taints out for :data:`~repro.core.taintmap.KIND_LOOKUP`.  Entries are
+    packed into frames only once, when a window is sent.
     """
 
     def __init__(
@@ -522,7 +486,7 @@ class TaintMapTransport:
             self._closed = True
         for state in self._shards:
             with state.lock:
-                for kind in (_REGISTER, _LOOKUP):
+                for kind in (KIND_REGISTER, KIND_LOOKUP):
                     for batch in (state.flying[kind], state.windows[kind]):
                         if batch is not None:
                             self._fail_batch(batch, _closed_error())
@@ -552,31 +516,31 @@ class TaintMapTransport:
 
     # -- sync entry points --------------------------------------------------- #
 
-    def submit(self, shard: int, op: int, payload: bytes) -> bytes:
-        return self.submit_many(((shard, op, payload),))[0]
+    def submit(self, shard: int, kind: int, entries: Sequence) -> list:
+        return self.submit_many(((shard, kind, entries),))[0]
 
-    def submit_many(self, calls: Sequence[tuple[int, int, bytes]]) -> list[bytes]:
+    def submit_many(self, calls: Sequence[tuple[int, int, Sequence]]) -> list[list]:
         """Join every request's entries to its shard's window (leading
-        any window with no flush in flight), then wait for all of them."""
+        any window with no flush in flight), wait for all of them, and
+        return each request's per-entry values."""
         call = _Call(self.request_deadline_s)
-        requests = []
         try:
-            for shard, op, payload in calls:
-                kind, keys = _request_keys(op, payload)
-                requests.append((op, self._join(call, shard, kind, keys)))
+            requests = [
+                self._join(call, shard, kind, entries) for shard, kind, entries in calls
+            ]
             self._wait(call)
         except BaseException:
             self._leave(call)
             raise
         out = []
-        for op, slots in requests:
+        for slots in requests:
             values = []
             for batch, key in slots:
                 value = batch.results[key]
                 if isinstance(value, BaseException):
                     raise value
                 values.append(value)
-            out.append(_response(op, values))
+            out.append(values)
         return out
 
     def _join(self, call: _Call, shard: int, kind: int, keys: list) -> list:
@@ -610,7 +574,7 @@ class TaintMapTransport:
                     break
                 # At the high-water mark.  Send any window with no flush
                 # in flight first: nothing else would drain it.
-                taken = [self._take(state, _REGISTER), self._take(state, _LOOKUP)]
+                taken = [self._take(state, KIND_REGISTER), self._take(state, KIND_LOOKUP)]
                 if self._blocked_total is not None:
                     self._blocked_total.inc()
                 state.blocked.append(call.waker)
@@ -750,7 +714,7 @@ class TaintMapTransport:
         """Send one frame on this thread, failing over on transport
         errors; the reply is handled by :meth:`_landed`."""
         kind = flight.batch.kind
-        pack = _pack_batch_register if kind == _REGISTER else _pack_batch_lookup
+        pack = _pack_batch_register if kind == KIND_REGISTER else _pack_batch_lookup
         payload = pack(flight.keys)
         while True:
             flight.observed_active = self.client._active[flight.shard]
@@ -818,7 +782,7 @@ class TaintMapTransport:
         router = client._router
         groups: dict[int, list] = {}
         for key in flight.keys:
-            target = router.shard_for_key(taint_key(frozenset(deserialize_tags(key))))
+            target = router.shard_for_tags(frozenset(deserialize_tags(key)))
             groups.setdefault(target, []).append(key)
         for target, keys in groups.items():
             self._send(_Flight(flight.batch, target, keys, flight.reroutes + 1))
@@ -843,12 +807,12 @@ class TaintMapTransport:
             client._observe_rpc(_BATCH_OPS[batch.kind], time.perf_counter() - flight.started)
             try:
                 if status == STATUS_OK:
-                    if batch.kind == _REGISTER:
+                    if batch.kind == KIND_REGISTER:
                         values = struct.unpack(f">{len(keys)}I", response)
                     else:
                         values = _split_batch_lookup_response(response, len(keys))
                     results = zip(keys, values)
-                elif status == STATUS_STALE_RING and batch.kind == _REGISTER:
+                elif status == STATUS_STALE_RING and batch.kind == KIND_REGISTER:
                     action = (self._reroute, flight, response)
                 elif (
                     status == STATUS_UNKNOWN_GID

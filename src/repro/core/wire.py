@@ -18,12 +18,15 @@ Two encodings, matching the instrumentation types:
 Global ID 0 is the empty taint and never touches the Taint Map.
 
 Implementation note: shadows are run-length encoded
-(:class:`~repro.taint.values.LabelRuns`), and the codecs work directly
-on runs — encoding fills one GID region per run and decoding rebuilds
-runs from GID boundaries, so the Python-level cost is O(runs) and the
-per-byte work is vectorized numpy, the way DisTA's JIT-compiled
-instrumentation amortizes it.  When the caller supplies the batched
-resolvers (``gids_for``/``taints_for``, see
+(:class:`~repro.taint.values.LabelRuns`), and the codecs work on runs,
+so the Python-level cost is O(runs) — the way DisTA's JIT-compiled
+instrumentation amortizes it.  Encoding emits each run as one repeated
+byte pattern (``b"\\0" + gid`` per cell, or the bare ``gid`` in an
+envelope trailer) and scatters the data bytes in with one slice
+assignment.  Decoding views the GID column through numpy in native byte
+order — equality and zero tests do not depend on it — and converts only
+one GID per run back to its big-endian value.  When the caller supplies
+the batched resolvers (``gids_for``/``taints_for``, see
 :class:`~repro.core.taintmap.TaintMapClient`), all of a message's
 distinct labels resolve in a single Taint Map round-trip.
 """
@@ -105,8 +108,9 @@ def _taint_resolvers(taint_for, taints_for):
 _GID_BE = np.dtype(">u4")
 #: One wire cell as a structured scalar: decoding views the byte stream
 #: through this dtype directly — a single contiguous read, no
-#: reshape/copy/view dance.
-_CELL_DTYPE = np.dtype([("data", np.uint8), ("gid", _GID_BE)])
+#: reshape/copy/view dance.  The GID column is read in native byte order
+#: (see :func:`_label_runs`).
+_CELL_DTYPE = np.dtype([("data", np.uint8), ("gid", np.uint32)])
 assert _CELL_DTYPE.itemsize == CELL_WIDTH
 
 
@@ -126,38 +130,39 @@ def _resolve_gids(labels: LabelRuns, gid_for: GidFor, gids_for: Optional[GidsFor
     return {id(label): gid for label, gid in zip(unique, gids)}
 
 
-def _gid_array(
-    length: int, labels, gid_for: GidFor, gids_for: Optional[GidsFor] = None
-) -> np.ndarray:
-    """Per-byte Global IDs as a big-endian u32 array, filled per run."""
-    gids = np.zeros(length, dtype=_GID_BE)
-    labels = _coerce_runs(length, labels)
-    if labels is None or not labels.has_labels():
-        return gids
+def _gid_runs(labels: LabelRuns, gid_for: GidFor, gids_for: Optional[GidsFor]) -> list:
+    """``(Global ID, byte count)`` per run, in order, gaps as GID 0."""
     mapping = _resolve_gids(labels, gid_for, gids_for)
-    for start, end, label in labels.runs:
-        gid = mapping[id(label)]
-        if gid:
-            gids[start:end] = gid
-    return gids
+    mapping[id(None)] = 0
+    return [(mapping[id(label)], end - start) for start, end, label in labels.iter_runs()]
 
 
 def _label_runs(
     gids: np.ndarray, taint_for: TaintFor, taints_for: Optional[TaintsFor] = None
 ) -> Optional[LabelRuns]:
-    """Shadow runs from a per-byte GID array.
+    """Shadow runs from a per-byte GID column viewed in native byte order.
 
-    Run boundaries come from GID changes; each distinct GID resolves
-    once (one batched round-trip when ``taints_for`` is supplied).
-    Returns ``None`` when every GID is 0 (untainted payload).
+    Run boundaries are GID changes, and equality and zero tests do not
+    depend on byte order, so only one GID per run is converted back to
+    its big-endian value.  Each distinct GID resolves once (one batched
+    round-trip when ``taints_for`` is supplied).  Returns ``None`` when
+    every GID is 0 (untainted payload).
     """
-    if not gids.any():
-        return None
     n = int(gids.shape[0])
-    boundaries = (np.flatnonzero(gids[1:] != gids[:-1]) + 1).tolist()
-    starts = [0] + boundaries
-    ends = boundaries + [n]
-    run_gids = [int(gids[s]) for s in starts]
+    if n == 0:
+        return None
+    first = gids[0]
+    if gids[-1] == first and not (gids != first).any():
+        # One run covers every byte; this one pass also rejects an
+        # all-zero column.
+        if not first:
+            return None
+        starts = [0]
+    else:
+        # Several runs, so some GID is non-zero: no all-zero scan.
+        starts = [0] + (np.flatnonzero(gids[1:] != gids[:-1]) + 1).tolist()
+    run_gids = gids[starts].view(_GID_BE).tolist()
+    ends = starts[1:] + [n]
     unique = sorted({g for g in run_gids if g})
     if taints_for is not None:
         mapping = dict(zip(unique, taints_for(unique)))
@@ -182,20 +187,18 @@ def encode_cells(
     labels = _coerce_runs(length, data.labels)
     if labels is None or not labels.has_labels():
         # Zero-taint fast path: every GID is 0, so the frame is just the
-        # data column scattered into a zeroed cell grid — no per-byte
-        # GID array, no resolver call, no Taint Map round-trip.  The
-        # result is byte-identical to the general path below.
+        # data column scattered into a zeroed cell grid — no resolver
+        # call, no Taint Map round-trip.  The result is byte-identical
+        # to the general path below.
         out = np.zeros((length, CELL_WIDTH), dtype=np.uint8)
         out[:, 0] = np.frombuffer(data.data, dtype=np.uint8)
         return out.tobytes()
-    out = np.empty((length, CELL_WIDTH), dtype=np.uint8)
-    out[:, 0] = np.frombuffer(data.data, dtype=np.uint8)
-    out[:, 1:] = (
-        _gid_array(length, labels, gid_for, gids_for)
-        .view(np.uint8)
-        .reshape(length, GID_WIDTH)
+    out = bytearray().join(
+        (b"\0" + gid.to_bytes(GID_WIDTH, "big")) * count
+        for gid, count in _gid_runs(labels, gid_for, gids_for)
     )
-    return out.tobytes()
+    out[0::CELL_WIDTH] = data.data
+    return bytes(out)
 
 
 class CellDecoder:
@@ -288,8 +291,10 @@ def encode_packet(
         # Zero-taint fast path: the GID trailer is all zeroes — emit it
         # directly, byte-identical to the general path below.
         return header + data.data + bytes(length * GID_WIDTH)
-    gids = _gid_array(length, labels, gid_for, gids_for)
-    return header + data.data + gids.tobytes()
+    return header + data.data + b"".join(
+        gid.to_bytes(GID_WIDTH, "big") * count
+        for gid, count in _gid_runs(labels, gid_for, gids_for)
+    )
 
 
 def is_enveloped(raw: bytes) -> bool:
@@ -311,6 +316,10 @@ def decode_packet(
     taint_for, taints_for = _taint_resolvers(taint_for, taints_for)
     if not is_enveloped(raw):
         raise WireFormatError("datagram payload lacks the DisTA envelope magic")
+    if len(raw) < PACKET_HEADER:
+        raise WireFormatError(
+            f"envelope truncated: {len(raw)} bytes, header needs {PACKET_HEADER}"
+        )
     version = raw[len(PACKET_MAGIC)]
     if version != PACKET_VERSION:
         raise WireFormatError(f"unsupported envelope version {version}")
@@ -322,7 +331,7 @@ def decode_packet(
         )
     data = raw[PACKET_HEADER : PACKET_HEADER + length]
     gid_area = raw[PACKET_HEADER + length : expected]
-    gids = np.frombuffer(gid_area, dtype=_GID_BE)
+    gids = np.frombuffer(gid_area, dtype=np.uint32)
     labels = _label_runs(gids, taint_for, taints_for)
     if labels is None:
         return TBytes.raw(data)

@@ -14,6 +14,7 @@ from concurrent.futures import Future
 import pytest
 
 from repro.core.taintmap import (
+    KIND_REGISTER,
     OP_REGISTER,
     PROTOCOL_MAX_BATCH,
     STATUS_OK,
@@ -21,7 +22,6 @@ from repro.core.taintmap import (
     TaintMapServer,
     _pack_batch_lookup,
     _pack_batch_register,
-    _protocol_chunks,
     _recv_exact,
     serialize_tags,
 )
@@ -72,12 +72,6 @@ class TestProtocolBatchLimit:
             _pack_batch_register([b"x"] * (PROTOCOL_MAX_BATCH + 1))
         with pytest.raises(TaintMapError, match="65535"):
             _pack_batch_lookup(list(range(PROTOCOL_MAX_BATCH + 1)))
-
-    def test_protocol_chunks_split_at_the_wire_limit(self):
-        items = list(range(PROTOCOL_MAX_BATCH + 2))
-        chunks = _protocol_chunks(items)
-        assert [len(chunk) for chunk in chunks] == [PROTOCOL_MAX_BATCH, 2]
-        assert [len(c) for c in _protocol_chunks(items[:10])] == [10]
 
     def test_async_max_batch_clamped_to_protocol_limit(self, single):
         _, _, server, node = single
@@ -272,7 +266,7 @@ class TestBackpressure:
 
         def run():
             try:
-                future.set_result(client.transport.submit(0, OP_REGISTER, payload))
+                future.set_result(client.transport.submit(0, KIND_REGISTER, [payload])[0])
             except Exception as exc:  # noqa: BLE001 - checked by the test
                 future.set_exception(exc)
 
@@ -292,9 +286,9 @@ class TestBackpressure:
         third = self._register_async(client, node, "blk2")
         assert _wait_until(lambda: state.blocked)
         assert not third.done()
-        assert struct.unpack(">I", first.result(timeout=5))[0] > 0
-        assert struct.unpack(">I", second.result(timeout=5))[0] > 0
-        assert struct.unpack(">I", third.result(timeout=5))[0] > 0
+        assert first.result(timeout=5) > 0
+        assert second.result(timeout=5) > 0
+        assert third.result(timeout=5) > 0
         assert _wait_until(lambda: state.pending == 0)
         client.close()
 

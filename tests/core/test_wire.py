@@ -1,5 +1,8 @@
 """Unit + property tests for DisTA's wire formats."""
 
+import itertools
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core import wire
 from repro.errors import WireFormatError
 from repro.taint import LocalId, TBytes, TaintTree
+from repro.taint.values import LabelRuns
 
 
 @pytest.fixture()
@@ -128,6 +132,14 @@ class TestPacketEnvelope:
         with pytest.raises(WireFormatError, match="version"):
             wire.decode_packet(bytes(envelope), taint_for)
 
+    def test_truncated_header_raises_wire_format_error(self):
+        """A payload that starts with the magic but stops inside the
+        7-byte header is a malformed envelope, not an index error."""
+        header = wire.PACKET_MAGIC + bytes([wire.PACKET_VERSION]) + b"\x00" * 4
+        for size in range(len(wire.PACKET_MAGIC), wire.PACKET_HEADER):
+            with pytest.raises(WireFormatError, match="truncated"):
+                wire.decode_packet(header[:size], lambda gid: None)
+
     def test_empty_payload(self, tree):
         _, gid_for, taint_for = make_gid_table(tree, [])
         envelope = wire.encode_packet(TBytes.empty(), gid_for)
@@ -143,3 +155,82 @@ class TestPacketEnvelope:
         assert out.data == raw
         if raw:
             assert out.overall_taint() is taints[name]
+
+
+def reference_gids(data, gid_for):
+    """One Global ID per data byte, looked up byte by byte."""
+    return [gid_for(data.label_at(i)) for i in range(len(data))]
+
+
+def reference_cells(data, gid_for):
+    """The cell stream one byte at a time: the byte, then its big-endian GID."""
+    gids = reference_gids(data, gid_for)
+    return b"".join(bytes([byte]) + struct.pack(">I", gid) for byte, gid in zip(data.data, gids))
+
+
+def reference_packet(data, gid_for):
+    """The envelope: magic, version 1, big-endian length, data, one GID per byte."""
+    gids = reference_gids(data, gid_for)
+    header = b"\xd7\x5a\x01" + struct.pack(">I", len(data))
+    return header + data.data + b"".join(struct.pack(">I", gid) for gid in gids)
+
+
+class TestPerByteReference:
+    """Both codecs work per run; their frames must equal the per-byte
+    format exactly, and decoding must give back every byte's label."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        segments=st.lists(
+            st.tuples(
+                st.binary(min_size=1, max_size=40),
+                st.sampled_from(["gap", "empty", "a", "b", "c"]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        gids=st.tuples(
+            st.integers(min_value=1 << 28, max_value=0xFFFFFFFF),  # shard bits set
+            st.integers(min_value=1, max_value=0xFFFFFFFF),
+            st.integers(min_value=1, max_value=0xFFFFFFFF),
+        ).filter(lambda gids: len(set(gids)) == 3),
+        cut_sizes=st.lists(st.integers(min_value=1, max_value=23), min_size=1, max_size=8),
+    )
+    def test_codecs_match_per_byte_reference(self, segments, gids, cut_sizes):
+        tree = TaintTree(LocalId("10.0.0.7", 7))
+        labels = {"gap": None, "empty": tree.empty}
+        labels.update({name: tree.taint_for_tag(name) for name in "abc"})
+        gid_of = {id(None): 0, id(tree.empty): 0}
+        gid_of.update({id(labels[name]): gid for name, gid in zip("abc", gids)})
+        taint_of = {gid: labels[name] for name, gid in zip("abc", gids)}
+        gid_for = lambda label: gid_of[id(label)]  # noqa: E731
+        taint_for = lambda gid: taint_of[gid]  # noqa: E731
+
+        runs, position = [], 0
+        for raw, name in segments:
+            runs.append((position, position + len(raw), labels[name]))
+            position += len(raw)
+        data = TBytes(b"".join(raw for raw, _ in segments), LabelRuns(position, runs))
+        expected = [
+            None if label is None or label.is_empty else label
+            for label in (data.label_at(i) for i in range(len(data)))
+        ]
+
+        cells = wire.encode_cells(data, gid_for)
+        assert cells == reference_cells(data, gid_for)
+        envelope = wire.encode_packet(data, gid_for)
+        assert envelope == reference_packet(data, gid_for)
+
+        decoder = wire.CellDecoder()
+        out = TBytes.empty()
+        position = 0
+        for step in itertools.cycle(cut_sizes):
+            if position >= len(cells):
+                break
+            out = out + decoder.feed(cells[position : position + step], taint_for)
+            position += step
+        decoder.check_clean_eof()
+        packet = wire.decode_packet(envelope, taint_for)
+        for decoded in (out, packet):
+            assert decoded.data == data.data
+            assert all(decoded.label_at(i) is label for i, label in enumerate(expected))
