@@ -1,26 +1,21 @@
-"""Durable Taint Map benchmark (PR 10): crash recovery + scale-in drain.
+"""Durable Taint Map benchmark: crash recovery and WAL overhead.
 
-Two measured scenarios, results in ``BENCH_PR10.json``:
+Results in ``BENCH_PR10.json``:
 
-* **recovery** — preload N taints into a WAL-backed shard, crash and
+* **recovery** — preload N taints into a WAL-backed server, crash and
   restart it, and verify the replay: every entry comes back
   (``entries_replayed == N``), the GID sequence resumes from its
-  high-water mark (``renumbered_gids == 0``), and every pre-crash GID
-  still resolves (``failed_lookups == 0``).  Recovery wall-clock and
-  the steady-state durability overhead (WAL-on vs WAL-off registration
-  throughput) are recorded alongside.
-
-* **drain** — a 3-shard fleet scales in to 2 via
-  ``RingCoordinator.drain``: the retired shard's entries (own and
-  adopted) move to the survivors and its ring slot forwards.  The gate
-  is the tentpole invariant: post-drain lookup success over **every
-  GID ever allocated** is 100%, with the drained process stopped.
+  high-water mark (``headroom_unchanged`` and ``renumbered_gids == 0``),
+  and every pre-crash GID still resolves (``failed_lookups == 0``).
+  Recovery wall-clock is recorded alongside.
+* **results** — the steady-state durability overhead: WAL-on vs WAL-off
+  registration throughput.
 
 Acceptance (asserted, and re-checked by the CI canary):
 
 * ``recovery.entries_replayed == PRELOAD``
+* ``recovery.headroom_unchanged``
 * ``recovery.renumbered_gids == 0`` and ``recovery.failed_lookups == 0``
-* ``drain.lookup_success_fraction == 1.0`` over every GID ever issued
 """
 
 import json
@@ -29,8 +24,7 @@ import time
 from pathlib import Path
 
 from repro.core.durability import MemoryTaintMapStore
-from repro.core.elastic import RingCoordinator
-from repro.core.taintmap import ShardedTaintMapService, TaintMapClient, gid_shard
+from repro.core.taintmap import TaintMapClient, TaintMapServer
 from repro.runtime.cluster import TAINT_MAP_IP, TAINT_MAP_PORT
 from repro.runtime.fs import SimFileSystem
 from repro.runtime.kernel import SimKernel
@@ -48,21 +42,24 @@ SNAPSHOT_EVERY = 128
 _RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR10.json"
 
 
-def _boot(shard_count, namespace, store_factory=None, snapshot_every=None):
-    kernel = SimKernel(f"durable-bench-{namespace}")
-    kernel.register_node(TAINT_MAP_IP)
-    fs = SimFileSystem()
-    service = ShardedTaintMapService(
+def _server(kernel, store=None, snapshot_every=None):
+    return TaintMapServer(
         kernel,
         TAINT_MAP_IP,
         TAINT_MAP_PORT,
-        shard_count,
         service_time=SERVICE_TIME,
-        store_factory=store_factory,
+        store=store,
         snapshot_every=snapshot_every,
     ).start()
+
+
+def _boot(namespace, store=None, snapshot_every=None):
+    kernel = SimKernel(f"durable-bench-{namespace}")
+    kernel.register_node(TAINT_MAP_IP)
+    fs = SimFileSystem()
+    server = _server(kernel, store, snapshot_every)
     node = SimNode("n", kernel.register_node("10.0.0.1"), 1, kernel, fs, Mode.DISTA)
-    return kernel, fs, service, node
+    return kernel, server, node
 
 
 def _timed_round(client, node, namespace):
@@ -92,43 +89,38 @@ def _timed_round(client, node, namespace):
     return SENDER_THREADS * OPS_PER_THREAD / elapsed
 
 
-def _registration_throughput(namespace, store_factory=None, snapshot_every=None):
-    kernel, fs, service, node = _boot(
-        1, namespace, store_factory=store_factory, snapshot_every=snapshot_every
-    )
-    client = TaintMapClient(node, service.addresses)
+def _registration_throughput(namespace, store=None, snapshot_every=None):
+    kernel, server, node = _boot(namespace, store, snapshot_every)
+    client = TaintMapClient(node, server.address)
     try:
         return max(
             _timed_round(client, node, f"{namespace}-r{r}") for r in range(REPEATS)
         )
     finally:
         client.close()
-        service.stop()
+        server.stop()
 
 
 def _crash_recovery(namespace):
-    stores = {}
-    kernel, fs, service, node = _boot(
-        1,
-        namespace,
-        store_factory=lambda i: stores.setdefault(i, MemoryTaintMapStore()),
-        snapshot_every=SNAPSHOT_EVERY,
-    )
-    client = TaintMapClient(node, service.addresses, cache_enabled=False)
+    store = MemoryTaintMapStore()
+    kernel, server, node = _boot(namespace, store, SNAPSHOT_EVERY)
+    client = TaintMapClient(node, server.address, cache_enabled=False)
     try:
         taints = [
             node.tree.taint_for_tag(f"{namespace}-pre-{i}") for i in range(PRELOAD)
         ]
         gids = [client.gid_for(t) for t in taints]
-        watermark = service.servers[0].next_seq
-        snapshots_written = service.servers[0].stats.snapshot()["wal_snapshots"]
+        headroom = server.gid_headroom
+        snapshots_written = server.stats.snapshot()["wal_snapshots"]
 
+        # Crash-restart: a new server on the same address and store.
         recover_started = time.perf_counter()
-        server = service.restart_shard(0)
+        server.stop()
+        server = _server(kernel, store, SNAPSHOT_EVERY)
         recover_elapsed = time.perf_counter() - recover_started
 
         snap = server.stats.snapshot()
-        checker = TaintMapClient(node, service.addresses, cache_enabled=False)
+        checker = TaintMapClient(node, server.address, cache_enabled=False)
         failed = sum(1 for gid in gids if checker.taint_for(gid) is None)
         renumbered = sum(
             1 for taint, gid in zip(taints, gids) if checker.gid_for(taint) != gid
@@ -139,71 +131,28 @@ def _crash_recovery(namespace):
             "entries_replayed": snap["global_taints"],
             "wal_replayed": snap["wal_replayed"],
             "wal_snapshots_before_crash": snapshots_written,
-            "next_seq_resumed": server.next_seq == watermark,
+            "headroom_unchanged": server.gid_headroom == headroom,
             "failed_lookups": failed,
             "renumbered_gids": renumbered,
             "recovery_seconds": recover_elapsed,
         }
     finally:
         client.close()
-        service.stop()
+        server.stop()
 
 
-def _drain(namespace):
-    kernel, fs, service, node = _boot(3, namespace)
-    client = TaintMapClient(node, service.addresses, cache_enabled=False)
-    try:
-        taints = [
-            node.tree.taint_for_tag(f"{namespace}-{i}") for i in range(PRELOAD)
-        ]
-        gids = [client.gid_for(t) for t in taints]
-        per_shard = {
-            shard: sum(1 for g in gids if gid_shard(g) == shard) for shard in (0, 1, 2)
-        }
-
-        drain_started = time.perf_counter()
-        coordinator = RingCoordinator(service)
-        ring = coordinator.drain(2)
-        drain_elapsed = time.perf_counter() - drain_started
-        service.servers[2].stop()
-
-        checker = TaintMapClient(node, service.addresses, cache_enabled=False)
-        checker.adopt_ring(ring)
-        resolved = sum(1 for gid in gids if checker.taint_for(gid) is not None)
-        renumbered = sum(
-            1 for taint, gid in zip(taints, gids) if checker.gid_for(taint) != gid
-        )
-        checker.close()
-        return {
-            "gids_allocated": len(gids),
-            "gids_per_shard_before_drain": per_shard,
-            "drain_entries_sent": coordinator.drain_entries_sent,
-            "lookup_success_fraction": resolved / len(gids),
-            "renumbered_gids": renumbered,
-            "ring_epoch": ring.epoch,
-            "retired_shards": sorted(ring.retired),
-            "drain_seconds": drain_elapsed,
-        }
-    finally:
-        client.close()
-        service.stop()
-
-
-def test_crash_recovery_and_drain():
+def test_crash_recovery():
     baseline = _registration_throughput("baseline")
     durable = _registration_throughput(
-        "durable",
-        store_factory=lambda i: MemoryTaintMapStore(),
-        snapshot_every=SNAPSHOT_EVERY,
+        "durable", MemoryTaintMapStore(), SNAPSHOT_EVERY
     )
     recovery = _crash_recovery("recover")
-    drain = _drain("drain")
 
     report = {
         "bench": "durable_recovery",
         "workload": (
             f"{SENDER_THREADS} threads x {OPS_PER_THREAD} fresh registrations, "
-            f"service_time={SERVICE_TIME}s/shard, {PRELOAD} preloaded taints, "
+            f"service_time={SERVICE_TIME}s/request, {PRELOAD} preloaded taints, "
             f"snapshot_every={SNAPSHOT_EVERY}"
         ),
         "repeats": REPEATS,
@@ -213,14 +162,10 @@ def test_crash_recovery_and_drain():
             "durability_overhead_fraction": 1 - durable / baseline,
         },
         "recovery": recovery,
-        "drain": drain,
     }
     _RESULTS_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
     assert recovery["entries_replayed"] == PRELOAD, recovery
-    assert recovery["next_seq_resumed"], recovery
+    assert recovery["headroom_unchanged"], recovery
     assert recovery["failed_lookups"] == 0, recovery
     assert recovery["renumbered_gids"] == 0, recovery
-    assert drain["drain_entries_sent"] > 0, drain
-    assert drain["lookup_success_fraction"] == 1.0, drain
-    assert drain["renumbered_gids"] == 0, drain

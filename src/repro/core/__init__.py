@@ -22,16 +22,10 @@ from repro.core.trace import Crossing, CrossingTrace
 from repro.core.config import AgentOptions, DisTAConfig, TaintSpec
 from repro.core.launch import LaunchScript, all_launch_scripts, average_changed_loc
 from repro.core.taintmap import (
-    GID_SHARD_BITS,
-    MAX_SHARDS,
-    ShardedTaintMapService,
-    ShardRouter,
     TaintMapClient,
     TaintMapServer,
     TaintMapStats,
     deserialize_tags,
-    gid_shard,
-    make_gid,
     serialize_tags,
 )
 from repro.core.wire import (
@@ -62,13 +56,7 @@ __all__ = [
     "DisTAAgent",
     "DisTAConfig",
     "DisTARuntime",
-    "GID_SHARD_BITS",
     "GID_WIDTH",
-    "MAX_SHARDS",
-    "ShardRouter",
-    "ShardedTaintMapService",
-    "gid_shard",
-    "make_gid",
     "INSTRUMENTED_METHODS",
     "InstrumentedMethod",
     "LaunchScript",

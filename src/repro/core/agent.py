@@ -126,9 +126,7 @@ class DisTAAgent:
         trace=None,
         extensions: tuple = (),
     ):
-        #: One ``(ip, port)`` or a sequence of per-shard addresses —
-        #: passed straight to :class:`TaintMapClient`, which routes by
-        #: consistent hash / GID shard bits.
+        #: The Taint Map server's ``(ip, port)``.
         self.taint_map_address = taint_map_address
         self.config = config if config is not None else DisTAConfig()
         self.trace = trace

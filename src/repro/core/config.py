@@ -128,15 +128,11 @@ class DisTAConfig:
     #: Flow lineage: a cluster-wide ``LineageStore`` fed by a
     #: ``CrossingTrace`` (created when the cluster has none).
     lineage: bool = _row("lineage", parse_switch, False)
-    #: Taint Map shards at boot (shard i listens on TAINT_MAP_PORT + i).
-    taint_map_shards: int = _row("taintMapMinShards", int, 1)
-    #: Ceiling for ``Cluster.scale_taint_map``; ``None`` allows growth up
-    #: to the GID namespace's shard limit.
-    taint_map_max_shards: Optional[int] = _row("taintMapMaxShards", int, None)
-    #: Each shard keeps a WAL plus snapshots in the in-sim filesystem, so
-    #: a restarted shard resumes its GID sequence instead of renumbering.
+    #: The Taint Map keeps a WAL plus snapshots in the in-sim filesystem,
+    #: so a restarted server resumes its GID sequence instead of
+    #: renumbering.
     taint_map_durable: bool = _row("taintMapDurable", parse_switch, False)
-    #: Allocations between a durable shard's compacted snapshots.
+    #: Allocations between the durable Taint Map's compacted snapshots.
     taint_map_snapshot_every: int = _row(
         "taintMapSnapshotEvery", int, TaintMapServer.DEFAULT_SNAPSHOT_EVERY
     )
@@ -158,16 +154,6 @@ class DisTAConfig:
             (
                 not 0.0 <= self.source_fraction <= 1.0,
                 f"source_fraction {self.source_fraction} outside [0, 1]",
-            ),
-            (
-                self.taint_map_shards < 1,
-                f"taint_map_shards must be >= 1, got {self.taint_map_shards}",
-            ),
-            (
-                self.taint_map_max_shards is not None
-                and self.taint_map_max_shards < self.taint_map_shards,
-                f"taint_map_max_shards {self.taint_map_max_shards} is below the "
-                f"initial shard count {self.taint_map_shards}",
             ),
             (
                 self.taint_map_snapshot_every < 1,

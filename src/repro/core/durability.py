@@ -2,19 +2,17 @@
 
 The Taint Map is the cluster-wide source of truth for taint tags, and
 its one hard invariant is that **no Global ID is ever renumbered** —
-every GID put on the wire must resolve at its allocating shard forever.
-A purely in-memory shard breaks that invariant on its first restart:
-``_next_gid`` resets to 1 and every tag already on the wire silently
-aliases a future allocation.  This module supplies the persistence the
-invariant needs:
+every GID put on the wire must resolve forever.  A purely in-memory
+server breaks that invariant on its first restart: ``_next_gid`` resets
+to 1 and every tag already on the wire silently aliases a future
+allocation.  This module supplies the persistence the invariant needs:
 
 * an **append-only write-ahead log** of ``(gid, serialized_tags)``
-  allocations (and ring adoptions), appended *before* a registration's
-  response can leave the shard, so a crash never acknowledges a GID it
-  cannot replay;
-* **periodic compacted snapshots** of the full shard state, after which
-  the log truncates — recovery cost stays proportional to the write
-  rate since the last snapshot, not to the shard's lifetime.
+  allocations, appended *before* a registration's response can leave
+  the server, so a crash never acknowledges a GID it cannot replay;
+* **periodic compacted snapshots** of the full map, after which the log
+  truncates — recovery cost stays proportional to the write rate since
+  the last snapshot, not to the server's lifetime.
 
 Both live behind a tiny pluggable store interface.  The default store
 writes through the in-sim filesystem (:class:`FileTaintMapStore`) —
@@ -35,7 +33,7 @@ never acknowledged durably, so dropping it is the correct recovery.
 
 This module is intentionally below :mod:`repro.core.taintmap` in the
 import graph: payloads are opaque bytes here, and the server owns their
-semantics (entry vs ring) — no circular import.
+semantics — no circular import.
 """
 
 from __future__ import annotations
@@ -45,17 +43,11 @@ import threading
 import zlib
 from typing import Optional
 
-#: WAL record kinds.  ``WAL_ENTRY`` payload is ``gid:4 | serialized
-#: tag set`` (the handoff-chunk entry shape); ``WAL_RING`` payload is an
-#: encoded :class:`~repro.core.taintmap.ShardRing` — persisted so a
-#: restarted shard resumes judging registrations under the epoch it had
-#: adopted, which is what lets it re-serve ``OP_HANDOFF_*`` after a
-#: mid-migration crash.
+#: The WAL record kind: payload ``gid:4 | serialized tag set``.
 WAL_ENTRY = 1
-WAL_RING = 2
 
 #: Snapshot format version (first byte of every snapshot).
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 _RECORD_HEAD = struct.Struct(">BI")
 _CRC = struct.Struct(">I")
@@ -102,24 +94,15 @@ def iter_records(raw: bytes) -> tuple[list[tuple[int, bytes]], int]:
 # --------------------------------------------------------------------- #
 #
 # A snapshot must capture *both* maps explicitly.  ``_by_gid`` alone
-# cannot reconstruct ``_by_key``: after handoffs/drains a shard may
-# resolve several GIDs whose serializations share one structural taint
-# key, and which GID the key dedups to was decided by arrival order —
-# information the gid map does not carry.
+# cannot reconstruct ``_by_key``: a standby that allocated during a
+# failover race can resolve two GIDs whose serializations share one
+# structural taint key, and which GID the key dedups to was decided by
+# arrival order — information the gid map does not carry.
 
 
-def encode_snapshot(
-    next_gid: int,
-    ring_bytes: bytes,
-    gid_entries,
-    key_entries,
-) -> bytes:
-    """``version:1 | next_gid:4 | ring_len:4 | ring | gid section | key section``."""
-    out = [
-        struct.pack(">BI", SNAPSHOT_VERSION, next_gid),
-        struct.pack(">I", len(ring_bytes)),
-        ring_bytes,
-    ]
+def encode_snapshot(next_gid: int, gid_entries, key_entries) -> bytes:
+    """``version:1 | next_gid:4 | gid section | key section``."""
+    out = [struct.pack(">BI", SNAPSHOT_VERSION, next_gid)]
     gid_entries = list(gid_entries)
     out.append(struct.pack(">I", len(gid_entries)))
     for gid, serialized in gid_entries:
@@ -133,15 +116,11 @@ def encode_snapshot(
 
 def decode_snapshot(raw: bytes):
     """Inverse of :func:`encode_snapshot`:
-    ``(next_gid, ring_bytes, gid_entries, key_entries)``."""
+    ``(next_gid, gid_entries, key_entries)``."""
     version, next_gid = struct.unpack(">BI", raw[:5])
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"unknown taint map snapshot version {version}")
     pos = 5
-    (ring_len,) = struct.unpack(">I", raw[pos : pos + 4])
-    pos += 4
-    ring_bytes = raw[pos : pos + ring_len]
-    pos += ring_len
     (gid_count,) = struct.unpack(">I", raw[pos : pos + 4])
     pos += 4
     gid_entries = []
@@ -163,7 +142,7 @@ def decode_snapshot(raw: bytes):
         key_entries.append((key, gid))
     if pos != len(raw):
         raise ValueError(f"trailing bytes in taint map snapshot ({len(raw) - pos})")
-    return next_gid, ring_bytes, gid_entries, key_entries
+    return next_gid, gid_entries, key_entries
 
 
 # --------------------------------------------------------------------- #
@@ -208,15 +187,15 @@ class MemoryTaintMapStore:
 class FileTaintMapStore:
     """The default store: WAL + snapshot files on the in-sim filesystem.
 
-    Shard *i* persists under ``{root}/shard-{i}/``.  Writes go through
-    :class:`~repro.runtime.fs.SimFileSystem` directly — *not* the
+    The map persists ``{root}/wal`` and ``{root}/snapshot``.  Writes go
+    through :class:`~repro.runtime.fs.SimFileSystem` directly — *not* the
     per-node ``NodeFiles`` facade — so the map's own durability traffic
     never fires the file-read taint source point.
     """
 
-    def __init__(self, fs, root: str, shard_index: int) -> None:
+    def __init__(self, fs, root: str) -> None:
         self._fs = fs
-        base = f"{root.rstrip('/')}/shard-{shard_index}"
+        base = root.rstrip("/")
         self.wal_path = f"{base}/wal"
         self.snapshot_path = f"{base}/snapshot"
 

@@ -9,30 +9,23 @@ allocation to a standby replica (``OP_SYNC``), and
 :class:`FailoverTaintMapClient` transparently switches to the standby
 when the primary becomes unreachable.  GID numbering is preserved across
 failover because the standby applies allocations verbatim.
-
-Replication and failover **compose per shard**: a sharded deployment
-runs one primary/standby pair per shard, and the failover client keeps
-an independent active-replica choice per shard — shard 2 losing its
-primary never disturbs shard 0's connections.
 """
 
 from __future__ import annotations
 
 import struct
 import threading
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from repro.core import taintmap
 from repro.core.taintmap import (
-    GID_SEQ_MASK,
+    STATUS_BAD_REQUEST,
     STATUS_OK,
     TaintMapClient,
     TaintMapServer,
-    _normalize_addresses,
     _recv_exact,
     _send_frame,
 )
-from repro.errors import TaintMapError
 from repro.runtime.kernel import Address, SimKernel, TcpEndpoint
 
 #: Replication opcode: payload = 4-byte GID + serialized tag set.
@@ -44,20 +37,24 @@ class StandbyTaintMapServer(TaintMapServer):
 
     def _handle(self, op: int, payload: bytes) -> tuple[int, bytes]:
         if op == OP_SYNC:
+            # Validated like OP_REGISTER: a malformed frame is answered,
+            # never allowed to close the primary's connection.
+            if len(payload) < 4:
+                return STATUS_BAD_REQUEST, b""
             (gid,) = struct.unpack(">I", payload[:4])
             serialized = payload[4:]
-            key = taintmap.taint_key(frozenset(taintmap.deserialize_tags(serialized)))
+            try:
+                key = taintmap.taint_key(
+                    frozenset(taintmap.deserialize_tags(serialized))
+                )
+            except Exception:
+                return STATUS_BAD_REQUEST, b""
             with self._lock:
                 new_gid = gid not in self._by_gid
                 self._by_key[key] = gid
                 self._by_gid[gid] = serialized
-                # Continue the shard-local sequence after promotion; the
-                # shard index lives in the GID's high bits, not the
-                # per-shard counter.  Synced *migrated* entries carry a
-                # foreign shard's GID — their sequence numbers must not
-                # advance this shard's own counter.
-                if taintmap.gid_shard(gid) == self.shard_index:
-                    self._next_gid = max(self._next_gid, (gid & GID_SEQ_MASK) + 1)
+                # Continue the sequence after promotion.
+                self._next_gid = max(self._next_gid, gid + 1)
                 if new_gid:
                     self._persist_entry_locked(gid, serialized)
             if new_gid:
@@ -84,10 +81,7 @@ class ReplicatedTaintMapServer(TaintMapServer):
         ip: str,
         port: int,
         standby: Address,
-        shard_index: int = 0,
-        shard_count: int = 1,
         service_time: float = 0.0,
-        ring: Optional[taintmap.ShardRing] = None,
         store=None,
         snapshot_every: Optional[int] = None,
     ):
@@ -95,10 +89,7 @@ class ReplicatedTaintMapServer(TaintMapServer):
             kernel,
             ip,
             port,
-            shard_index,
-            shard_count,
             service_time,
-            ring=ring,
             store=store,
             snapshot_every=snapshot_every,
         )
@@ -114,15 +105,6 @@ class ReplicatedTaintMapServer(TaintMapServer):
         if not known:
             self._replicate(gid, serialized)
         return gid
-
-    def _adopt_entry(self, gid: int, serialized: bytes) -> bool:
-        # Migrated entries reach the standby through the same OP_SYNC
-        # stream as fresh allocations, so a post-handoff promotion
-        # resolves and dedups the migrated keys too.
-        adopted = super()._adopt_entry(gid, serialized)
-        if adopted:
-            self._replicate(gid, serialized)
-        return adopted
 
     def _replicate(self, gid: int, serialized: bytes) -> None:
         payload = struct.pack(">I", gid) + serialized
@@ -149,14 +131,12 @@ class ReplicatedTaintMapServer(TaintMapServer):
 class FailoverTaintMapClient(TaintMapClient):
     """A client that falls back to the standby when the primary dies.
 
-    ``primary`` and ``standby`` are each one address (single-point
-    deployment) or a sequence of per-shard addresses (sharded
-    deployment; both sequences in shard order and of equal length).
-    Each shard's replica list widens from ``[primary]`` to
-    ``[primary, standby]``; the transport rotates through it per shard.
-    A broken multiplexed connection fails every in-flight future with a
-    transport error, and each affected request retries on the standby
-    (registration and lookup are idempotent, so the retry is safe).
+    ``primary`` and ``standby`` are each one ``(ip, port)``; the replica
+    list widens from ``[primary]`` to ``[primary, standby]`` and the
+    transport rotates through it.  A broken multiplexed connection fails
+    every in-flight future with a transport error, and each affected
+    request retries on the standby (registration and lookup are
+    idempotent, so the retry is safe).
 
     Deadline errors (:class:`~repro.errors.TaintMapDeadlineError`) are
     raised to the waiting caller, *outside* the per-replica retry: a
@@ -169,43 +149,15 @@ class FailoverTaintMapClient(TaintMapClient):
     def __init__(
         self,
         node,
-        primary: Union[Address, Sequence[Address]],
-        standby: Union[Address, Sequence[Address]],
+        primary: Address,
+        standby: Address,
         cache_enabled: bool = True,
-        standby_factory=None,
         **options,
     ):
-        standbys = _normalize_addresses(standby)
-        primaries = _normalize_addresses(primary)
-        if len(standbys) != len(primaries):
-            raise TaintMapError(
-                f"{len(primaries)} primary shard(s) but "
-                f"{len(standbys)} standby address(es)"
-            )
-        super().__init__(node, primaries, cache_enabled, **options)
-        for replicas, standby_address in zip(self._shard_replicas, standbys):
-            replicas.append(standby_address)
-        #: Optional ``standby_factory(shard_index, primary_address) ->
-        #: Optional[Address]`` hook: when a ring adoption appends shards,
-        #: each new shard's replica list is widened with the factory's
-        #: standby (a None return leaves the shard standby-less).  Without
-        #: it, scaled-out shards simply run with one replica until the
-        #: deployment wires a standby in.
-        self.standby_factory = standby_factory
+        super().__init__(node, primary, cache_enabled, **options)
+        self._replicas.append(standby)
 
     @property
     def active_address(self) -> Address:
-        """Shard 0's active replica (the single-shard deployment's one)."""
-        return self.active_address_for(0)
-
-    def active_address_for(self, shard: int) -> Address:
-        return self._shard_replicas[shard][self._active[shard]]
-
-    def _replicas_for_new_shard(self, index: int, address: Address) -> list[Address]:
-        replicas = [address]
-        factory = self.standby_factory
-        if factory is not None:
-            standby = factory(index, address)
-            if standby is not None:
-                replicas.append(tuple(standby))
-        return replicas
+        """The replica requests currently go to."""
+        return self._replicas[self._active]

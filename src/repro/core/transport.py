@@ -1,4 +1,4 @@
-"""The Taint Map client transport: multiplexed connections, requests
+"""The Taint Map client transport: a multiplexed connection, requests
 sent on the caller's thread, and group commit across messages.
 
 Every :class:`~repro.core.taintmap.TaintMapClient` owns one
@@ -6,29 +6,29 @@ Every :class:`~repro.core.taintmap.TaintMapClient` owns one
 never pays for a connection of its own, and never hands its request to
 another thread to send:
 
-* **One long-lived connection per shard.**  The client upgrades each
-  connection with :data:`~repro.core.taintmap.OP_MUX_HELLO`; after the
-  acknowledgement every frame carries a 4-byte **correlation id** in
-  front of the *unchanged* sync frame bytes, so many requests can be
-  in flight at once and replies complete out of order.  The inner
-  frames — and every payload encoding: taint serialization, batch
-  formats, GID packing — are byte-identical to the sync protocol; the
-  server dispatches both through the same ``_handle``.
+* **One long-lived connection.**  The client upgrades it with
+  :data:`~repro.core.taintmap.OP_MUX_HELLO`; after the acknowledgement
+  every frame carries a 4-byte **correlation id** in front of the
+  *unchanged* sync frame bytes, so many requests can be in flight at
+  once and replies complete out of order.  The inner frames — and every
+  payload encoding: taint serialization, batch formats, GID packing —
+  are byte-identical to the sync protocol; the server dispatches both
+  through the same ``_handle``.
 
 * **Requests on the caller's thread.**  A caller packs and sends its
   own frame; the connection's reader thread (``taintmap-mux-reader``)
   matches each reply to its request's future and settles the entries
   it answers right there.  One round-trip is three thread hand-offs:
   caller → server → reader → caller.  The reader never sends: a reply
-  that needs another frame (failover to the next replica, a stale-ring
-  re-route, the rest of a batch after an unknown-GID reply) is handed
-  to a caller thread waiting on that batch.  Callers wait at most
-  ``request_deadline_s`` — a wedged shard fails the request with
+  that needs another frame (failover to the next replica, the rest of a
+  batch after an unknown-GID reply) is handed to a caller thread
+  waiting on that batch.  Callers wait at most ``request_deadline_s`` —
+  a wedged server fails the request with
   :class:`~repro.errors.TaintMapDeadlineError` instead of hanging the
-  wrapper thread — and one caller leaving at its deadline never
-  strands the others in its batch.
+  wrapper thread — and one caller leaving at its deadline never strands
+  the others in its batch.
 
-* **Group commit.**  Each shard has one open window per kind (register,
+* **Group commit.**  There is one open window per kind (register,
   lookup).  Misses from concurrent wrappers join it, identical entries
   sharing one wire entry and one result: registration is idempotent
   (same taint ⇒ same GID) and lookup is read-only.  A caller that finds
@@ -39,18 +39,17 @@ another thread to send:
   while a flush is in flight queue into the next window, and one of
   them sends it when the reply lands.  An idle caller waits for nobody;
   under load, *k* concurrent misses share one ``OP_REGISTER_MANY`` /
-  ``OP_LOOKUP_MANY`` round-trip per shard.
+  ``OP_LOOKUP_MANY`` round-trip.
 
-* **Backpressure.**  Each shard's pending entries (queued in windows
-  plus in flight) are bounded by ``max_pending``; past the high-water
-  mark new entries **block** until the shard drains, counted in
+* **Backpressure.**  Pending entries (queued in windows plus in flight)
+  are bounded by ``max_pending``; past the high-water mark new entries
+  **block** until the transport drains, counted in
   ``dista_coalesce_backpressure_total``.
 
-* **Failover with in-flight requests.**  Replica rotation is per shard:
-  a connection that dies fails every request in flight on it, and each
-  affected frame is re-sent on the shard's next replica (idempotency
-  makes the retry safe).  Semantic errors (``STATUS_*``) never fail
-  over.
+* **Failover with in-flight requests.**  A connection that dies fails
+  every request in flight on it, and each affected frame is re-sent on
+  the next replica (idempotency makes the retry safe).  Semantic errors
+  (``STATUS_*``) never fail over.
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ from repro.core.taintmap import (
     PROTOCOL_MAX_BATCH,
     STATUS_GID_EXHAUSTED,
     STATUS_OK,
-    STATUS_STALE_RING,
     STATUS_UNKNOWN_GID,
     TRANSPORT_ERRORS,
     TaintMapClient,
@@ -82,7 +80,6 @@ from repro.core.taintmap import (
     _recv_exact,
     _send_frame,
     _split_batch_lookup_response,
-    deserialize_tags,
 )
 from repro.errors import (
     TaintMapDeadlineError,
@@ -95,13 +92,13 @@ from repro.runtime.kernel import Address, TcpEndpoint
 #: Entries per frame: a larger window is sent as several frames.
 DEFAULT_MAX_BATCH = 512
 
-#: Per-shard pending-entry high-water mark (queued in windows plus
-#: carried by in-flight flushes) before backpressure engages.
+#: Pending-entry high-water mark (queued in windows plus carried by
+#: in-flight flushes) before backpressure engages.
 DEFAULT_MAX_PENDING = 8192
 
-#: Default wall-clock deadline for one ``submit``/``submit_many`` (s).
-#: Generous next to any healthy round-trip; bounds how long a wrapper
-#: thread can hang on a wedged shard.
+#: Default wall-clock deadline for one ``submit`` (s).  Generous next to
+#: any healthy round-trip; bounds how long a wrapper thread can hang on
+#: a wedged server.
 DEFAULT_DEADLINE_S = 30.0
 
 #: Why a frame was flushed: ``idle`` — no flush of its kind was in
@@ -132,16 +129,12 @@ def _closed_error() -> TaintMapError:
 def _status_error(status: int) -> TaintMapError:
     if status == STATUS_UNKNOWN_GID:
         return TaintMapError("unknown Global ID")
-    if status == STATUS_STALE_RING:
-        # Register frames re-home before this point; any other op
-        # seeing it is a protocol violation.
-        return TaintMapError("taint map rejected request routed on a stale ring")
     if status == STATUS_GID_EXHAUSTED:
-        # Structured and never retried: the shard is healthy but has no
-        # sequence numbers left — rotating to a standby (which
-        # replicates the same exhausted counter) cannot help.
+        # Structured and never retried: the server is healthy but has no
+        # Global IDs left — rotating to a standby (which replicates the
+        # same exhausted counter) cannot help.
         return TaintMapExhaustedError(
-            "taint map shard has exhausted its Global-ID sequence space"
+            "taint map has exhausted its Global-ID space"
         )
     return TaintMapError(f"taint map rejected request (status {status})")
 
@@ -240,17 +233,16 @@ class _MuxConnection:
             self._reader.join(timeout=5)
 
 
-class _ShardChannel:
-    """One shard's mux connection plus replica failover.
+class _Channel:
+    """The mux connection plus replica failover.
 
     The replica list and active index live on the owning client, so HA
-    widening (:class:`~repro.core.ha.FailoverTaintMapClient`) and
-    ``active_address_for`` introspection see the live choice.
+    widening (:class:`~repro.core.ha.FailoverTaintMapClient`) and its
+    ``active_address`` introspection see the live choice.
     """
 
-    def __init__(self, transport: "TaintMapTransport", shard: int):
+    def __init__(self, transport: "TaintMapTransport"):
         self._transport = transport
-        self._shard = shard
         self._connection: Optional[_MuxConnection] = None
         self._lock = threading.Lock()
 
@@ -270,33 +262,23 @@ class _ShardChannel:
             connection = self._connection
             if connection is None or connection.broken:
                 client = transport.client
-                address = client._shard_replicas[self._shard][
-                    client._active[self._shard]
-                ]
+                address = client._replicas[client._active]
                 connection = self._connection = _MuxConnection(
                     transport._dial(address), transport._inflight
                 )
             return connection
 
     def rotate(self, observed_active: int) -> None:
-        """Fail over to the shard's next replica (no-op if a concurrent
-        request already rotated past ``observed_active``); always drop
-        the current connection."""
+        """Fail over to the next replica (no-op if a concurrent request
+        already rotated past ``observed_active``); always drop the
+        current connection."""
         client = self._transport.client
         with self._lock:
             stale, self._connection = self._connection, None
-            if client._active[self._shard] == observed_active:
-                client._active[self._shard] = (observed_active + 1) % len(
-                    client._shard_replicas[self._shard]
-                )
+            if client._active == observed_active:
+                client._active = (observed_active + 1) % len(client._replicas)
         if stale is not None:
             self._close_quietly(stale)
-
-    def drop(self) -> None:
-        """Forget the connection *without closing it*: requests in
-        flight finish on it, new ones dial the current address."""
-        with self._lock:
-            self._connection = None
 
     def close(self) -> None:
         with self._lock:
@@ -312,17 +294,16 @@ class _ShardChannel:
 
 
 class _Batch:
-    """One window of one kind on one shard.
+    """One window of one kind.
 
     Open while callers join it; once taken — by a leader, or when the
     previous flush of its kind completes — it flies as one or more
     frames until every key has a result.
     """
 
-    __slots__ = ("shard", "kind", "keys", "results", "actions", "wakers", "done")
+    __slots__ = ("kind", "keys", "results", "actions", "wakers", "done")
 
-    def __init__(self, shard: int, kind: int):
-        self.shard = shard
+    def __init__(self, kind: int):
         self.kind = kind
         #: Entry key (serialized taint bytes, or int GID), in arrival order.
         self.keys: dict = {}
@@ -336,42 +317,22 @@ class _Batch:
 
 
 class _Flight:
-    """One frame of a batch, sent to one shard."""
+    """One frame of a batch."""
 
-    __slots__ = ("batch", "shard", "keys", "failures", "reroutes", "observed_active", "started")
+    __slots__ = ("batch", "keys", "failures", "observed_active", "started")
 
-    def __init__(self, batch: _Batch, shard: int, keys: list, reroutes: int = 0):
+    def __init__(self, batch: _Batch, keys: list):
         self.batch = batch
-        self.shard = shard
         self.keys = keys
         #: Transport failures so far (one per replica tried).
         self.failures = 0
-        #: Stale-ring re-routes that led to this frame.
-        self.reroutes = reroutes
         self.observed_active = 0
         self.started = 0.0
 
 
-class _Shard:
-    """One shard's group-commit state, guarded by its lock."""
-
-    __slots__ = ("lock", "windows", "flying", "pending", "blocked")
-
-    def __init__(self, shard: int):
-        self.lock = threading.Lock()
-        #: The open window of each kind, which arriving callers join.
-        self.windows = [_Batch(shard, KIND_REGISTER), _Batch(shard, KIND_LOOKUP)]
-        #: The batch of each kind in flight, or None.
-        self.flying: list[Optional[_Batch]] = [None, None]
-        #: Entries queued in windows plus carried by in-flight batches.
-        self.pending = 0
-        #: Wakers of callers parked at the high-water mark.
-        self.blocked: list[threading.Event] = []
-
-
 class _Call:
-    """One ``submit_many``: the caller's waker, its deadline, and the
-    batches it joined (in order, without repeats)."""
+    """One ``submit``: the caller's waker, its deadline, and the batches
+    it joined (in order, without repeats)."""
 
     __slots__ = ("waker", "deadline", "batches")
 
@@ -389,11 +350,11 @@ class _Call:
 class TaintMapTransport:
     """The request half of :class:`~repro.core.taintmap.TaintMapClient`.
 
-    ``submit``/``submit_many`` accept ``(shard, kind, entries)`` requests
-    and return one value per entry: serialized taints in and GIDs out for
-    :data:`~repro.core.taintmap.KIND_REGISTER`, GIDs in and serialized
-    taints out for :data:`~repro.core.taintmap.KIND_LOOKUP`.  Entries are
-    packed into frames only once, when a window is sent.
+    ``submit(kind, entries)`` returns one value per entry: serialized
+    taints in and GIDs out for :data:`~repro.core.taintmap.KIND_REGISTER`,
+    GIDs in and serialized taints out for
+    :data:`~repro.core.taintmap.KIND_LOOKUP`.  Entries are packed into
+    frames only once, when a window is sent.
     """
 
     def __init__(
@@ -441,59 +402,43 @@ class TaintMapTransport:
             )
             self._blocked_total = metrics.counter(
                 "dista_coalesce_backpressure_total",
-                "Entries gated at a shard's pending-window high-water mark.",
+                "Entries gated at the pending-window high-water mark.",
                 ("action",),
             ).labels(action="block")
             self._inflight = metrics.gauge(
                 "dista_taintmap_inflight_requests",
-                "Requests in flight on the multiplexed Taint Map connections.",
+                "Requests in flight on the multiplexed Taint Map connection.",
             ).labels()
-        self._lock = threading.Lock()
         self._closed = False
-        self._shards: list[_Shard] = []
-        self._channels: list[_ShardChannel] = []
-        self.grow_to(len(client._shard_replicas))
+        #: Guards the group-commit state below.
+        self._lock = threading.Lock()
+        #: The open window of each kind, which arriving callers join.
+        self._windows = [_Batch(KIND_REGISTER), _Batch(KIND_LOOKUP)]
+        #: The batch of each kind in flight, or None.
+        self._flying: list[Optional[_Batch]] = [None, None]
+        #: Entries queued in windows plus carried by in-flight batches.
+        self._pending = 0
+        #: Wakers of callers parked at the high-water mark.
+        self._blocked: list[threading.Event] = []
+        #: Dials lazily, on the first request.
+        self._channel = _Channel(self)
 
     # -- lifecycle ---------------------------------------------------------- #
 
-    def grow_to(self, shard_count: int) -> None:
-        """Ring adoption hook: give every per-shard structure a slot for
-        ``shard_count`` shards before the client's router can return a
-        new index (never shrinks).  Channels dial lazily, so a shard that
-        appears mid-flight costs nothing until its first request."""
-        with self._lock:
-            while len(self._shards) < shard_count:
-                index = len(self._shards)
-                self._channels.append(_ShardChannel(self, index))
-                self._shards.append(_Shard(index))
-
-    def readdress(self, indices: Sequence[int]) -> None:
-        """Drain adoption hook: the listed shard slots now forward to a
-        surviving shard's address.  Their cached connections are dropped
-        without closing — requests in flight finish on the old
-        connection (the drained process keeps serving until the cluster
-        stops it), while every new request dials the forwarding address."""
-        for index in indices:
-            if index < len(self._channels):
-                self._channels[index].drop()
-
     def close(self) -> None:
         """Fail every queued and in-flight entry (waking their callers),
-        then close the connections, which stops their reader threads."""
+        then close the connection, which stops its reader thread."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        for state in self._shards:
-            with state.lock:
-                for kind in (KIND_REGISTER, KIND_LOOKUP):
-                    for batch in (state.flying[kind], state.windows[kind]):
-                        if batch is not None:
-                            self._fail_batch(batch, _closed_error())
-                self._wake(state.blocked)
-                state.blocked.clear()
-        for channel in self._channels:
-            channel.close()
+            for kind in (KIND_REGISTER, KIND_LOOKUP):
+                for batch in (self._flying[kind], self._windows[kind]):
+                    if batch is not None:
+                        self._fail_batch(batch, _closed_error())
+            self._wake(self._blocked)
+            self._blocked.clear()
+        self._channel.close()
 
     def _dial(self, address: Address) -> TcpEndpoint:
         """Blocking connect + OP_MUX_HELLO upgrade."""
@@ -514,70 +459,61 @@ class TaintMapTransport:
             raise
         return endpoint
 
-    # -- sync entry points --------------------------------------------------- #
+    # -- sync entry point ---------------------------------------------------- #
 
-    def submit(self, shard: int, kind: int, entries: Sequence) -> list:
-        return self.submit_many(((shard, kind, entries),))[0]
-
-    def submit_many(self, calls: Sequence[tuple[int, int, Sequence]]) -> list[list]:
-        """Join every request's entries to its shard's window (leading
-        any window with no flush in flight), wait for all of them, and
-        return each request's per-entry values."""
+    def submit(self, kind: int, entries: Sequence) -> list:
+        """Join ``entries`` to the open window of ``kind`` (leading it
+        when no flush of that kind is in flight), wait for them, and
+        return one value per entry."""
         call = _Call(self.request_deadline_s)
         try:
-            requests = [
-                self._join(call, shard, kind, entries) for shard, kind, entries in calls
-            ]
+            slots = self._join(call, kind, entries)
             self._wait(call)
         except BaseException:
             self._leave(call)
             raise
-        out = []
-        for slots in requests:
-            values = []
-            for batch, key in slots:
-                value = batch.results[key]
-                if isinstance(value, BaseException):
-                    raise value
-                values.append(value)
-            out.append(values)
-        return out
+        values = []
+        for batch, key in slots:
+            value = batch.results[key]
+            if isinstance(value, BaseException):
+                raise value
+            values.append(value)
+        return values
 
-    def _join(self, call: _Call, shard: int, kind: int, keys: list) -> list:
-        """Add ``keys`` to the shard's open window of ``kind`` and lead
-        it when no flush of that kind is in flight; returns a
-        ``(batch, key)`` slot per key."""
-        state = self._shards[shard]
+    def _join(self, call: _Call, kind: int, keys: Sequence) -> list:
+        """Add ``keys`` to the open window of ``kind`` and lead it when
+        no flush of that kind is in flight; returns a ``(batch, key)``
+        slot per key."""
         slots = []
         index = 0
         while True:
             call.waker.clear()
-            with state.lock:
+            with self._lock:
                 if self._closed:
                     raise _closed_error()
-                window = state.windows[kind]
+                window = self._windows[kind]
                 start = index
                 while index < len(keys):
                     key = keys[index]
                     if key not in window.keys:
-                        if state.pending >= self.max_pending:
+                        if self._pending >= self.max_pending:
                             break
                         window.keys[key] = None
-                        state.pending += 1
+                        self._pending += 1
                     slots.append((window, key))
                     index += 1
                 if index > start and window not in call.batches:
                     call.batches[window] = None
                     window.wakers.append(call.waker)
                 if index == len(keys):
-                    leading = self._take(state, kind)
+                    leading = self._take(kind)
                     break
                 # At the high-water mark.  Send any window with no flush
                 # in flight first: nothing else would drain it.
-                taken = [self._take(state, KIND_REGISTER), self._take(state, KIND_LOOKUP)]
+                taken = [self._take(KIND_REGISTER), self._take(KIND_LOOKUP)]
                 if self._blocked_total is not None:
                     self._blocked_total.inc()
-                state.blocked.append(call.waker)
+                self._blocked.append(call.waker)
             for batch in taken:
                 if batch is not None:
                     self._send_window(batch, "idle")
@@ -598,8 +534,8 @@ class TaintMapTransport:
 
     def _park(self, call: _Call, batches=None) -> None:
         """Do the pending work of the call's batches, or else sleep until
-        woken: a batch settled or needs this thread, or a parked caller's
-        shard drained."""
+        woken: a batch settled or needs this thread, or the pending
+        entries of a parked caller drained."""
         for batch in call.batches if batches is None else batches:
             if batch.actions and self._act(batch):
                 return
@@ -611,24 +547,23 @@ class TaintMapTransport:
     def _leave(self, call: _Call) -> None:
         """The caller stops waiting (deadline or error).  A batch left
         with work but no waiter is failed, so its lane moves on."""
-        for batch in call.batches:
-            with self._shards[batch.shard].lock:
+        with self._lock:
+            for batch in call.batches:
                 if call.waker in batch.wakers:
                     batch.wakers.remove(call.waker)
                 if batch.actions and not batch.wakers:
                     batch.actions = []
                     self._fail_batch(batch, self._abandoned_error())
 
-    # -- group commit (callers hold the shard lock) --------------------------- #
+    # -- group commit (callers hold the lock) --------------------------------- #
 
-    @staticmethod
-    def _take(state: _Shard, kind: int) -> Optional[_Batch]:
+    def _take(self, kind: int) -> Optional[_Batch]:
         """Move a non-empty window to the in-flight slot if it is free."""
-        window = state.windows[kind]
-        if state.flying[kind] is not None or not window.keys:
+        window = self._windows[kind]
+        if self._flying[kind] is not None or not window.keys:
             return None
-        state.flying[kind] = window
-        state.windows[kind] = _Batch(window.shard, kind)
+        self._flying[kind] = window
+        self._windows[kind] = _Batch(kind)
         return window
 
     def _settle(self, batch: _Batch, results) -> None:
@@ -648,15 +583,14 @@ class TaintMapTransport:
         """Release the batch's pending budget, wake its callers and any
         parked ones, and hand the next window of its kind to a caller."""
         batch.done = True
-        state = self._shards[batch.shard]
-        state.pending -= len(batch.keys)
+        self._pending -= len(batch.keys)
         self._wake(batch.wakers)
         # Parked callers re-register if they are still over the mark.
-        self._wake(state.blocked)
-        state.blocked.clear()
-        if state.flying[batch.kind] is batch:
-            state.flying[batch.kind] = None
-            queued = self._take(state, batch.kind)
+        self._wake(self._blocked)
+        self._blocked.clear()
+        if self._flying[batch.kind] is batch:
+            self._flying[batch.kind] = None
+            queued = self._take(batch.kind)
             if queued is not None:
                 self._post(queued, (self._send_window, queued, "drain"))
 
@@ -689,14 +623,13 @@ class TaintMapTransport:
 
     def _act(self, batch: _Batch) -> bool:
         """Claim and run the batch's pending work on this thread."""
-        state = self._shards[batch.shard]
-        with state.lock:
+        with self._lock:
             actions, batch.actions = batch.actions, []
         for handler, *args in actions:
             try:
                 handler(*args)
             except Exception as exc:
-                with state.lock:
+                with self._lock:
                     self._fail_batch(batch, exc)
         return bool(actions)
 
@@ -708,7 +641,7 @@ class TaintMapTransport:
                 self._flushes[reason].inc()
                 self._window_entries.observe(len(chunk))
             reason = "size"
-            self._send(_Flight(batch, batch.shard, chunk))
+            self._send(_Flight(batch, chunk))
 
     def _send(self, flight: _Flight) -> None:
         """Send one frame on this thread, failing over on transport
@@ -717,10 +650,10 @@ class TaintMapTransport:
         pack = _pack_batch_register if kind == KIND_REGISTER else _pack_batch_lookup
         payload = pack(flight.keys)
         while True:
-            flight.observed_active = self.client._active[flight.shard]
+            flight.observed_active = self.client._active
             flight.started = time.perf_counter()
             try:
-                future = self._channels[flight.shard].request(_BATCH_OPS[kind], payload)
+                future = self._channel.request(_BATCH_OPS[kind], payload)
             except TRANSPORT_ERRORS as exc:
                 if self._failover(flight, exc):
                     continue
@@ -732,10 +665,10 @@ class TaintMapTransport:
             return
 
     def _failover(self, flight: _Flight, exc: Exception) -> bool:
-        """Rotate the shard to its next replica after a transport error;
-        True if the frame should be sent again."""
-        replicas = len(self.client._shard_replicas[flight.shard])
-        self._channels[flight.shard].rotate(flight.observed_active)
+        """Rotate to the next replica after a transport error; True if
+        the frame should be sent again."""
+        replicas = len(self.client._replicas)
+        self._channel.rotate(flight.observed_active)
         flight.failures += 1
         if self._closed:
             self._fail(flight, _closed_error())
@@ -752,42 +685,10 @@ class TaintMapTransport:
             self._send(flight)
 
     def _fail(self, flight: _Flight, error: Exception) -> None:
-        batch = flight.batch
-        with self._shards[batch.shard].lock:
-            self._settle(batch, ((key, error) for key in flight.keys))
+        with self._lock:
+            self._settle(flight.batch, ((key, error) for key in flight.keys))
 
-    def _reroute(self, flight: _Flight, response: bytes) -> None:
-        """Re-home a register frame the server stale-rung.
-
-        The reply's ring is adopted (which grows this transport's
-        per-shard state), the frame's keys regroup under the new router,
-        and each group is sent to its new shard.  Callers waiting on the
-        batch never observe the epoch flip.
-        """
-        client = self.client
-        error = client._stale_ring_error(flight.shard, response)
-        if error.ring is None:
-            self._fail(flight, error)
-            return
-        if flight.reroutes + 1 >= client.RING_RETRY_LIMIT:
-            persistent = TaintMapError(
-                f"registration still stale-rung after {client.RING_RETRY_LIMIT} "
-                "re-routes; client and server rings disagree persistently"
-            )
-            persistent.__cause__ = error
-            self._fail(flight, persistent)
-            return
-        if flight.reroutes > 0:
-            time.sleep(min(0.001 * (1 << flight.reroutes), 0.05))
-        router = client._router
-        groups: dict[int, list] = {}
-        for key in flight.keys:
-            target = router.shard_for_tags(frozenset(deserialize_tags(key)))
-            groups.setdefault(target, []).append(key)
-        for target, keys in groups.items():
-            self._send(_Flight(flight.batch, target, keys, flight.reroutes + 1))
-
-    # -- replies (reader threads) ------------------------------------------------ #
+    # -- replies (the reader thread) --------------------------------------------- #
 
     def _landed(self, flight: _Flight, future: Future) -> None:
         """Settle what one reply answers; anything that needs another
@@ -812,8 +713,6 @@ class TaintMapTransport:
                     else:
                         values = _split_batch_lookup_response(response, len(keys))
                     results = zip(keys, values)
-                elif status == STATUS_STALE_RING and batch.kind == KIND_REGISTER:
-                    action = (self._reroute, flight, response)
                 elif (
                     status == STATUS_UNKNOWN_GID
                     and len(response) == 4
@@ -832,7 +731,7 @@ class TaintMapTransport:
                     results = [(key, error) for key in keys]
             except Exception as exc:  # a malformed reply
                 results = [(key, exc) for key in keys]
-        with self._shards[batch.shard].lock:
+        with self._lock:
             self._settle(batch, results)
             if action is not None:
                 self._post(batch, action)

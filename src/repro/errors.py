@@ -42,31 +42,10 @@ class TaintMapTransportError(TaintMapError, ConnectionError):
     """
 
 
-class TaintMapStaleRingError(TaintMapError):
-    """A registration was routed with a hash ring the server has
-    superseded (``STATUS_STALE_RING``).
-
-    Deliberately **not** a ``ConnectionError``: the replica is healthy,
-    so HA failover must never rotate on it.  The reply carries the
-    server's current ring; the client adopts it and re-routes the
-    registration.  ``ring`` is the decoded :class:`ShardRing` (None when
-    the server knows it is not the owner but has no ring to share) and
-    ``adopted`` records whether this client actually moved to a newer
-    epoch — a False with a ring present means another thread already
-    adopted it, or the server itself is behind this client.
-    """
-
-    def __init__(self, message: str, ring=None, adopted: bool = False):
-        super().__init__(message)
-        self.ring = ring
-        self.adopted = adopted
-
-
 class TaintMapExhaustedError(TaintMapError):
-    """A shard ran out of Global-ID sequence numbers
-    (``STATUS_GID_EXHAUSTED``).
+    """The Taint Map ran out of Global IDs (``STATUS_GID_EXHAUSTED``).
 
-    Deliberately **not** a ``ConnectionError``: the shard is healthy and
+    Deliberately **not** a ``ConnectionError``: the server is healthy and
     answering, it simply has nothing left to allocate — failing over or
     retrying cannot help (the standby replicates the same exhausted
     counter), so the transport surfaces this immediately instead of
@@ -78,7 +57,7 @@ class TaintMapExhaustedError(TaintMapError):
 class TaintMapDeadlineError(TaintMapError, TimeoutError):
     """A Taint Map request missed its configured deadline.
 
-    Raised to the submitting wrapper thread when a wedged shard (or a
+    Raised to the submitting wrapper thread when a wedged server (or a
     stalled reader) fails to produce a response in time, instead of
     blocking the traced execution forever.
     """

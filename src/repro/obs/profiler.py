@@ -89,7 +89,7 @@ class BaselineReference:
 
     The per-call cost is measured over **loopback TCP echo round trips
     through the simulated kernel** — the same endpoint machinery (and
-    thread handoffs) both the workload's I/O calls and the resolver's
+    thread hand-offs) both the workload's I/O calls and the resolver's
     Taint Map RPCs ride on.  Calibrating against a bare in-process
     buffer instead would undercount an uninstrumented I/O call by
     orders of magnitude and make every budget unreachable: the

@@ -4,8 +4,9 @@ The paper's evaluation reasons about quantities the runtime must be able
 to *measure on itself*: Taint Map request volume and latency, taint
 population growth, wire amplification, per-method crossing counts.  This
 module is the single sink every layer reports into — one thread-safe
-:class:`MetricsRegistry` per node (plus one per kernel and per Taint Map
-shard), aggregated cluster-wide with :func:`merge_snapshots`.
+:class:`MetricsRegistry` per node (plus one for the kernel and one for
+the Taint Map server), aggregated cluster-wide with
+:func:`merge_snapshots`.
 
 Three metric kinds, mirroring the Prometheus data model:
 
@@ -19,7 +20,7 @@ Three metric kinds, mirroring the Prometheus data model:
   order statistics for O(1) recording.
 
 The interchange format is the **snapshot**: a plain dict keyed by metric
-name, JSON-serializable, mergeable across registries (shards sum), and
+name, JSON-serializable, mergeable across registries (same-name series sum), and
 renderable as Prometheus exposition text (:func:`render_exposition`).
 Scrape-time **collectors** fold pre-existing counter objects (e.g.
 :class:`~repro.core.taintmap.TaintMapStats`) into the same snapshot

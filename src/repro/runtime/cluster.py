@@ -61,10 +61,6 @@ class Cluster:
             if self.trace is None:
                 self.trace = CrossingTrace()
             self.trace.attach_lineage(self.lineage_store)
-        #: Number of Taint Map shards (shard i at TAINT_MAP_PORT + i); the
-        #: default single shard is byte-identical to the unsharded
-        #: deployment.  :meth:`scale_taint_map` changes it.
-        self.taint_map_shards = self.config.taint_map_shards
         self.kernel = SimKernel(name)
         self.fs = SimFileSystem()
         self.nodes: dict[str, SimNode] = {}
@@ -72,13 +68,8 @@ class Cluster:
         self._pids = itertools.count(1000)
         self._default_sources: list[str] = []
         self._default_sinks: list[str] = []
-        #: The sharded service (all shards); ``taint_map_server`` below
-        #: stays the shard-0 server for single-shard compatibility.
-        self.taint_map_service = None
+        #: The Taint Map server, booted by :meth:`start` in DISTA mode.
         self.taint_map_server = None
-        #: The coordinator of the most recent :meth:`scale_taint_map`
-        #: (handoff telemetry for benchmarks/tests).
-        self.last_scale_coordinator = None
         self._started = False
         self._previous_shadow: Optional[bool] = None
 
@@ -145,41 +136,22 @@ class Cluster:
         self._started = True
         return self
 
-    @property
-    def taint_map_addresses(self) -> list:
-        """Every shard slot's address (one entry for a single-shard map).
-
-        Derived from the live service ring when one exists, so retired
-        slots report their forwarding address — the address a lookup for
-        the drained shard's GID bits actually dials.
-        """
-        if self.taint_map_service is not None:
-            return list(self.taint_map_service.ring.addresses)
-        return [
-            (TAINT_MAP_IP, TAINT_MAP_PORT + index)
-            for index in range(self.taint_map_shards)
-        ]
-
     def _start_taint_map(self) -> None:
-        from repro.core.taintmap import ShardedTaintMapService
+        from repro.core.taintmap import TaintMapServer
 
         self.kernel.register_node(TAINT_MAP_IP)
-        store_factory = None
+        store = None
         if self.config.taint_map_durable:
             from repro.core.durability import FileTaintMapStore
 
-            store_factory = lambda index: FileTaintMapStore(
-                self.fs, "/var/dista/taintmap", index
-            )
-        self.taint_map_service = ShardedTaintMapService(
+            store = FileTaintMapStore(self.fs, "/var/dista/taintmap")
+        self.taint_map_server = TaintMapServer(
             self.kernel,
             TAINT_MAP_IP,
             TAINT_MAP_PORT,
-            self.taint_map_shards,
-            store_factory=store_factory,
+            store=store,
             snapshot_every=self.config.taint_map_snapshot_every,
         ).start()
-        self.taint_map_server = self.taint_map_service.servers[0]
 
     def _attach_agent(self, node: SimNode) -> None:
         if self.mode is not Mode.DISTA:
@@ -187,81 +159,20 @@ class Cluster:
         from repro.core.agent import DisTAAgent
 
         runtime = DisTAAgent(
-            self.taint_map_addresses, self.config, self.trace, self.extensions
+            self.taint_map_server.address, self.config, self.trace, self.extensions
         ).attach(node)
         if self.lineage_store is not None:
             from repro.obs.lineage import LineageRecorder
 
             recorder = LineageRecorder(self.lineage_store, node.name)
             runtime.lineage = node.registry.lineage = recorder
-        # A node added after a scale-out starts on an epoch-0 view of
-        # the (already widened) address list; hand it the live ring so
-        # its first registrations skip the stale-ring discovery hop.
-        if self.taint_map_service is not None:
-            ring = self.taint_map_service.ring
-            if ring.epoch > 0 and node.taintmap is not None:
-                node.taintmap.adopt_ring(ring)
-
-    def scale_taint_map(self, new_shard_count: int, standbys=None):
-        """Resize the Taint Map to ``new_shard_count`` *active* shards,
-        live.
-
-        Growth runs the :class:`~repro.core.elastic.RingCoordinator`
-        scale-out (boot, bulk copy, epoch flip, delta copy — no write
-        pause, no GID renumbered); a target below the current active
-        count runs the scale-**in** instead, draining the highest shards
-        into the survivors and leaving their ring slots forwarding, so
-        every GID they ever allocated keeps resolving.  Either way the
-        new ring is pushed to every attached node's client so
-        steady-state traffic never pays the stale-ring retry, and
-        drained shard processes stop only *after* that push.
-        ``standbys`` optionally maps shard index → replica addresses for
-        handoff-delivery failover.  Returns the new
-        :class:`~repro.core.taintmap.ShardRing`.
-        """
-        service = self.taint_map_service
-        if service is None:
-            raise ReproError(
-                "scale_taint_map requires a started cluster in DISTA mode"
-            )
-        active = len(service.ring.active_shards)
-        if new_shard_count == active:
-            return service.ring
-        from repro.core.elastic import RingCoordinator
-
-        coordinator = RingCoordinator(service, standbys=standbys)
-        if new_shard_count < active:
-            ring = coordinator.scale_in(new_shard_count)
-        else:
-            # Retired GID indices are never reused, so growth adds the
-            # new active shards on fresh ring slots.
-            target = service.ring.shard_count + (new_shard_count - active)
-            ceiling = self.config.taint_map_max_shards
-            if ceiling is not None and target > ceiling:
-                raise ReproError(
-                    f"scale-out target {new_shard_count} needs {target} ring "
-                    f"slots, exceeding taint_map_max_shards={ceiling}"
-                )
-            ring = coordinator.scale_to(target)
-        self.taint_map_shards = ring.shard_count
-        self.last_scale_coordinator = coordinator
-        for node in self.nodes.values():
-            if node.taintmap is not None:
-                node.taintmap.adopt_ring(ring)
-        if new_shard_count < active:
-            # Every client now routes by the successor ring; the drained
-            # processes can go away (their GIDs resolve at the slots'
-            # forwarding addresses).
-            service.stop_retired()
-        return ring
 
     def shutdown(self) -> None:
         for node in self.nodes.values():
             if node.taintmap is not None:
                 node.taintmap.close()
-        if self.taint_map_service is not None:
-            self.taint_map_service.stop()
-            self.taint_map_service = None
+        if self.taint_map_server is not None:
+            self.taint_map_server.stop()
             self.taint_map_server = None
         if self._previous_shadow is not None:
             if self._previous_shadow:
@@ -296,35 +207,24 @@ class Cluster:
         return frozenset(tags)
 
     def global_taint_count(self) -> int:
-        """Distinct global taints across every Taint Map shard."""
-        if self.taint_map_service is None:
+        """Distinct global taints registered with the Taint Map."""
+        if self.taint_map_server is None:
             return 0
-        return self.taint_map_service.global_taint_count()
+        return self.taint_map_server.global_taint_count()
 
     def wire_bytes(self, exclude_taint_map: bool = True):
         """Total bytes the kernel carried (for the 5× overhead check)."""
-        exclude = ()
-        if exclude_taint_map:
-            # Union of the ring's current slot addresses and the
-            # original per-slot addresses — a drained slot forwards to a
-            # survivor, but its pre-drain traffic ran on the original.
-            exclude = tuple(
-                set(self.taint_map_addresses)
-                | {
-                    (TAINT_MAP_IP, TAINT_MAP_PORT + index)
-                    for index in range(self.taint_map_shards)
-                }
-            )
+        exclude = ((TAINT_MAP_IP, TAINT_MAP_PORT),) if exclude_taint_map else ()
         return self.kernel.stats.total(exclude)
 
     # -- telemetry ---------------------------------------------------------- #
 
     def metrics_registries(self) -> list:
-        """Every MetricsRegistry in the cluster: nodes, kernel, shards."""
+        """Every MetricsRegistry in the cluster: nodes, kernel, Taint Map."""
         registries = [node.metrics for node in self.nodes.values()]
         registries.append(self.kernel.metrics)
-        if self.taint_map_service is not None:
-            registries.extend(self.taint_map_service.metrics_registries())
+        if self.taint_map_server is not None:
+            registries.append(self.taint_map_server.metrics)
         return registries
 
     def telemetry_snapshot(self) -> dict:

@@ -1,8 +1,7 @@
 """Tests for the multiplexed Taint Map transport: correlation-id
 framing, group commit across messages (idle, drain and size flushes),
-out-of-order response delivery, mid-frame connection kill, per-shard
-failover with in-flight requests, and the client defaults a cluster
-builds."""
+out-of-order response delivery, mid-frame connection kill, failover
+with in-flight requests, and the client defaults a cluster builds."""
 
 import struct
 import threading
@@ -21,14 +20,10 @@ from repro.core.taintmap import (
     OP_MUX_HELLO,
     OP_REGISTER,
     STATUS_OK,
-    ShardedTaintMapService,
-    ShardRouter,
     TaintMapClient,
     TaintMapServer,
     _recv_exact,
-    gid_shard,
     serialize_tags,
-    taint_key,
 )
 from repro.errors import PipeClosed, TaintMapError
 from repro.obs.registry import snapshot_total
@@ -136,7 +131,7 @@ class TestMuxFraming:
         client = TaintMapClient(node, (TAINT_MAP_IP, TAINT_MAP_PORT))
         t1 = serialize_tags(node.tree.taint_for_tag("a").tags)
         t2 = serialize_tags(node.tree.taint_for_tag("b").tags)
-        channel = client.transport._channels[0]
+        channel = client.transport._channel
 
         first = channel.request(OP_REGISTER, t1)
         second = channel.request(OP_REGISTER, t2)
@@ -171,14 +166,14 @@ class TestAsyncClientApi:
         server._service_time = 0.2
         holding = threading.Thread(target=fetch, args=("holder", holder), daemon=True)
         holding.start()
-        assert _wait_until(lambda: client.transport._shards[0].flying[1] is not None)
+        assert _wait_until(lambda: client.transport._flying[1] is not None)
         threads = [
             threading.Thread(target=fetch, args=("known", known), daemon=True),
             threading.Thread(target=fetch, args=("bogus", 0x0ABCDEF), daemon=True),
         ]
         for t in threads:
             t.start()
-        assert _wait_until(lambda: len(client.transport._shards[0].windows[1].keys) == 2)
+        assert _wait_until(lambda: len(client.transport._windows[1].keys) == 2)
         server._service_time = 0.0
         for t in [holding, *threads]:
             t.join(10)
@@ -289,6 +284,43 @@ class TestCoalescing:
 
 
 class TestFaultInjection:
+    def test_mid_frame_failure_resets_transport(self):
+        """A server dying mid-frame during the upgrade must not leave a
+        half-read connection behind — the next request gets a fresh
+        connection and clean framing."""
+        kernel = SimKernel("poison")
+        kernel.register_node(TAINT_MAP_IP)
+        fs = SimFileSystem()
+        node = _node(kernel, fs)
+        client = TaintMapClient(node, (TAINT_MAP_IP, TAINT_MAP_PORT))
+
+        listener = kernel.listen(TAINT_MAP_IP, TAINT_MAP_PORT)
+
+        def evil():
+            endpoint = listener.accept(timeout=10)
+            endpoint.recv(5)  # swallow the request head
+            # Claim an 8-byte response but deliver only half, then die.
+            endpoint.send_all(b"\x00" + struct.pack(">I", 8) + b"\x00\x00\x00\x2a")
+            endpoint.close()
+            listener.close()
+
+        evil_thread = threading.Thread(target=evil, daemon=True)
+        evil_thread.start()
+        with pytest.raises(PipeClosed):
+            client.gid_for(node.tree.taint_for_tag("victim"))
+        evil_thread.join(10)  # the address must be free before rebinding
+        # The poisoned connection was closed and discarded, not kept.
+        assert client.transport._channel._connection is None
+
+        # A real server takes over the address; the client recovers with
+        # no framing desync from the half-read response.
+        server = TaintMapServer(kernel, TAINT_MAP_IP, TAINT_MAP_PORT).start()
+        assert client.gid_for(node.tree.taint_for_tag("victim")) == 1
+        resolved = client.taint_for(1)
+        assert {t.tag for t in resolved.tags} == {"victim"}
+        client.close()
+        server.stop()
+
     def test_mid_frame_kill_fails_inflight_and_recovers(self):
         """A server dying mid-response frame fails the in-flight future
         with a transport error; once a healthy server rebinds, the same
@@ -326,52 +358,31 @@ class TestFaultInjection:
         server.stop()
         client.close()
 
-    def test_per_shard_failover_with_inflight_futures(self):
-        """Killing shard 1's primary mid-stream fails over only shard 1;
-        shard 0's connection and GIDs are undisturbed, and requests that
-        were in flight during the kill complete via the standby."""
+    def test_failover_with_inflight_futures(self):
+        """Killing the primary mid-stream fails a request in flight on
+        it over to the standby, and a GID registered before the kill
+        still resolves to the same id there."""
         kernel = SimKernel("aio-ha")
         fs = SimFileSystem()
-        shards = 2
-        primaries, standbys = [], []
-        for shard in range(shards):
-            p_ip = kernel.register_node(f"10.1.0.{shard + 1}")
-            s_ip = kernel.register_node(f"10.2.0.{shard + 1}")
-            standby = StandbyTaintMapServer(
-                kernel, s_ip, 7300, shard_index=shard, shard_count=shards
-            ).start()
-            primary = ReplicatedTaintMapServer(
-                kernel, p_ip, 7300, standby.address,
-                shard_index=shard, shard_count=shards,
-            ).start()
-            primaries.append(primary)
-            standbys.append(standby)
+        p_ip = kernel.register_node("10.1.0.1")
+        s_ip = kernel.register_node("10.2.0.1")
+        standby = StandbyTaintMapServer(kernel, s_ip, 7300).start()
+        primary = ReplicatedTaintMapServer(
+            kernel, p_ip, 7300, standby.address
+        ).start()
 
         node = _node(kernel, fs)
         client = FailoverTaintMapClient(
-            node,
-            [p.address for p in primaries],
-            [s.address for s in standbys],
-            cache_enabled=False,
+            node, primary.address, standby.address, cache_enabled=False
         )
-        router = ShardRouter(shards)
+        before = node.tree.taint_for_tag("before")
+        g_before = client.gid_for(before)
+        assert client.active_address == primary.address
 
-        def taint_on(shard, prefix):
-            for i in range(10000):
-                taint = node.tree.taint_for_tag(f"{prefix}-{i}")
-                if router.shard_for_key(taint_key(taint.tags)) == shard:
-                    return taint
-            raise AssertionError("no key found")
-
-        t0, t1 = taint_on(0, "s0"), taint_on(1, "s1")
-        g0, g1 = client.gids_for([t0, t1])
-        assert gid_shard(g0) == 0 and gid_shard(g1) == 1
-        assert client.active_address_for(1) == primaries[1].address
-
-        # Slow shard 1 down and kill its primary while a request is in
+        # Slow the primary down and kill it while a request is in
         # flight; that future must fail over to the standby.
-        primaries[1]._service_time = 0.2
-        victim = taint_on(1, "inflight")
+        primary._service_time = 0.2
+        victim = node.tree.taint_for_tag("inflight")
         result = {}
 
         def register():
@@ -379,21 +390,19 @@ class TestFaultInjection:
 
         thread = threading.Thread(target=register, daemon=True)
         thread.start()
-        time.sleep(0.05)  # the request is now mid-service on primary 1
-        primaries[1].stop()
+        time.sleep(0.05)  # the request is now mid-service on the primary
+        primary.stop()
         thread.join(10)
-        assert gid_shard(result["gid"]) == 1
-        assert client.active_address_for(1) == standbys[1].address
-        # Shard 0 never failed over.
-        assert client.active_address_for(0) == primaries[0].address
+        assert not thread.is_alive()
+        assert result["gid"] > g_before
+        assert client.active_address == standby.address
         # Replicated GIDs survive: the pre-kill registration resolves to
         # the same id on the standby.
-        assert client.gid_for(t1) == g1
+        assert client.gid_for(before) == g_before
+        assert {t.tag for t in client.taint_for(g_before).tags} == {"before"}
 
         client.close()
-        primaries[0].stop()
-        for standby in standbys:
-            standby.stop()
+        standby.stop()
 
 
 class TestCloseErrorSuppression:
@@ -402,8 +411,8 @@ class TestCloseErrorSuppression:
         teardown; the error is counted in TaintMapStats."""
         _, _, server, node = single
         client = TaintMapClient(node, server.address)
-        client.gid_for(node.tree.taint_for_tag("warm"))  # dials shard 0
-        channel = client.transport._channels[0]
+        client.gid_for(node.tree.taint_for_tag("warm"))  # dials the server
+        channel = client.transport._channel
         healthy = channel._connection
 
         class ExplodingConnection:

@@ -204,7 +204,7 @@ class TestGateFlip:
         with cluster:
             # Re-attach by hand to hold the runtime (the cluster's own
             # attach discards it); the controller rides the runtime.
-            agent = DisTAAgent(cluster.taint_map_addresses, cluster.config)
+            agent = DisTAAgent(cluster.taint_map_server.address, cluster.config)
             agent.detach(n1)
             runtime = agent.attach(n1)
             controller = runtime._budget

@@ -33,8 +33,6 @@ SAMPLES = {
     "sample_every": ("4", 4),
     "source_fraction": ("0.25", 0.25),
     "lineage": ("on", True),
-    "taint_map_shards": ("2", 2),
-    "taint_map_max_shards": ("8", 8),
     "taint_map_durable": ("on", True),
     "taint_map_snapshot_every": ("64", 64),
 }
@@ -49,8 +47,6 @@ DOCUMENTED_DEFAULTS = {
     "sample_every": 1,
     "source_fraction": 1.0,
     "lineage": False,
-    "taint_map_shards": 1,
-    "taint_map_max_shards": None,
     "taint_map_durable": False,
     "taint_map_snapshot_every": 1024,
 }
@@ -65,8 +61,6 @@ BAD_TEXT = {
     "sample_every": "0",
     "source_fraction": "1.5",
     "lineage": "maybe",
-    "taint_map_shards": "0",
-    "taint_map_max_shards": "0",
     "taint_map_durable": "maybe",
     "taint_map_snapshot_every": "0",
 }
@@ -77,8 +71,6 @@ BAD_KEYWORD = {
     "overhead_budget": 0.5,
     "sample_every": 0,
     "source_fraction": -0.1,
-    "taint_map_shards": 0,
-    "taint_map_max_shards": 0,
     "taint_map_snapshot_every": 0,
 }
 
@@ -151,6 +143,8 @@ class TestConfigTable:
         "coalesceBackpressure",
         "coalesceMaxPending",
         "taintMapShards",
+        "taintMapMinShards",
+        "taintMapMaxShards",
     ],
 )
 def test_unknown_launch_extra_is_refused(key):

@@ -17,11 +17,11 @@ from repro.taint.values import TBytes
 
 
 def _wait_until_broken(client, timeout=5.0):
-    """Block until shard 0's mux connection has seen its peer go away
+    """Block until the client's mux connection has seen its peer go away
     (its reader thread marks it broken, so the next request redials)."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        connection = client.transport._channels[0]._connection
+        connection = client.transport._channel._connection
         if connection is None or connection.broken:
             return
         time.sleep(0.005)
@@ -49,7 +49,7 @@ class TestTaintMapFailures:
         client = TaintMapClient(node, server.address)
         g1 = client.gid_for(node.tree.taint_for_tag("a"))
         # Kill the transport out from under the client.
-        client.transport._channels[0]._connection._endpoint.close()
+        client.transport._channel._connection._endpoint.close()
         _wait_until_broken(client)
         g2 = client.gid_for(node.tree.taint_for_tag("b"))
         assert g1 != g2

@@ -3,8 +3,8 @@
 Two load shapes: concurrent callers share round-trips (entries queue
 into the next window while a flush is in flight), and an idle caller
 pays exactly one round-trip per miss, with nothing to wait for.  The
-thread model: requests go out on the caller's thread, and each
-connected shard costs the client one reader thread and nothing else.
+thread model: requests go out on the caller's thread, and the
+connection costs the client one reader thread and nothing else.
 """
 
 import sys
@@ -12,14 +12,7 @@ import threading
 
 import pytest
 
-from repro.core.taintmap import (
-    ShardedTaintMapService,
-    ShardRouter,
-    TaintMapClient,
-    TaintMapServer,
-    gid_shard,
-    taint_key,
-)
+from repro.core.taintmap import TaintMapClient, TaintMapServer
 from repro.obs.registry import snapshot_total
 from repro.runtime.cluster import TAINT_MAP_IP, TAINT_MAP_PORT
 from repro.runtime.fs import SimFileSystem
@@ -82,7 +75,7 @@ class TestGroupCommitShapes:
         finally:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
-        assert client.transport._shards[0].pending == 0
+        assert client.transport._pending == 0
         registrations = threads * per_thread
         flat = [gid for row in gids for gid in row]
         assert None not in flat
@@ -113,12 +106,12 @@ class TestGroupCommitShapes:
 
 
 class TestThreadModel:
-    def test_one_reader_per_connected_shard_and_nothing_else(self):
+    def test_one_reader_and_nothing_else(self):
         kernel = SimKernel("thread-model")
         fs = SimFileSystem()
         kernel.register_node(TAINT_MAP_IP)
-        service = ShardedTaintMapService(kernel, TAINT_MAP_IP, TAINT_MAP_PORT, shard_count=2)
-        service.start()
+        server = TaintMapServer(kernel, TAINT_MAP_IP, TAINT_MAP_PORT)
+        server.start()
         node = _node(kernel, fs)
         before = set(threading.enumerate())
 
@@ -129,28 +122,19 @@ class TestThreadModel:
                 if t not in before and t.name != "taintmap-conn"
             ]
 
-        client = TaintMapClient(node, service.addresses)
+        client = TaintMapClient(node, server.address)
         assert client_threads() == []
 
-        router = ShardRouter(2)
-        taint = next(
-            t
-            for t in (node.tree.taint_for_tag(f"tm-{i}") for i in range(1000))
-            if router.shard_for_key(taint_key(t.tags)) == 0
-        )
-        assert gid_shard(client.gid_for(taint)) == 0
+        assert client.gid_for(node.tree.taint_for_tag("tm-0")) == 1
         owned = client_threads()
         assert [t.name for t in owned] == ["taintmap-mux-reader"]
-        # Touching the second shard adds exactly its reader.
-        other = next(
-            t
-            for t in (node.tree.taint_for_tag(f"tm1-{i}") for i in range(1000))
-            if router.shard_for_key(taint_key(t.tags)) == 1
-        )
-        assert gid_shard(client.gid_for(other)) == 1
-        owned = client_threads()
-        assert sorted(t.name for t in owned) == ["taintmap-mux-reader"] * 2
+        # More requests reuse the connection: still exactly one reader.
+        assert client.gids_for(
+            [node.tree.taint_for_tag(f"tm-{i}") for i in range(1, 4)]
+        ) == [2, 3, 4]
+        assert client.taint_for(1) is not None
+        assert client_threads() == owned
 
         client.close()
         assert not any(t.is_alive() for t in owned)
-        service.stop()
+        server.stop()

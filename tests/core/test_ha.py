@@ -10,7 +10,15 @@ from repro.core.ha import (
     ReplicatedTaintMapServer,
     StandbyTaintMapServer,
 )
-from repro.core.taintmap import TaintMapClient, serialize_tags
+from repro.core.taintmap import (
+    OP_LOOKUP,
+    STATUS_BAD_REQUEST,
+    STATUS_OK,
+    TaintMapClient,
+    _recv_exact,
+    _send_frame,
+    serialize_tags,
+)
 from repro.errors import TaintMapError
 from repro.runtime.fs import SimFileSystem
 from repro.runtime.kernel import SimKernel
@@ -112,6 +120,35 @@ class TestReplication:
         assert g2 > g1
         client.close()
         standby_client.close()
+
+
+class TestMalformedSync:
+    @pytest.mark.parametrize(
+        "payload",
+        [b"\x01", struct.pack(">I", 7) + b"\xff\xff"],
+        ids=["short", "undecodable-tags"],
+    )
+    def test_bad_request_keeps_the_connection(self, ha_setup, payload):
+        """A malformed OP_SYNC is answered STATUS_BAD_REQUEST like any
+        other op, and the same connection keeps serving."""
+        kernel, node, primary, standby = ha_setup
+        client = TaintMapClient(node, PRIMARY)
+        gid = client.gid_for(node.tree.taint_for_tag("kept"))
+        client.close()
+        raw = kernel.connect(node.ip, STANDBY)
+
+        def request(op, body):
+            _send_frame(raw, bytes([op]), body)
+            status = _recv_exact(raw, 1)[0]
+            (length,) = struct.unpack(">I", _recv_exact(raw, 4))
+            return status, _recv_exact(raw, length) if length else b""
+
+        assert request(OP_SYNC, payload) == (STATUS_BAD_REQUEST, b"")
+        status, serialized = request(OP_LOOKUP, struct.pack(">I", gid))
+        assert status == STATUS_OK
+        assert serialized == standby._by_gid[gid]
+        assert standby.global_taint_count() == 1
+        raw.close()
 
 
 class TestFailoverClient:

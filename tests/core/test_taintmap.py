@@ -1,5 +1,6 @@
 """Tests for the Taint Map service, protocol, and caching (Fig. 9)."""
 
+import struct
 import threading
 
 import pytest
@@ -7,8 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.taintmap import (
+    OP_MUX_HELLO,
+    OP_REGISTER,
+    OP_REGISTER_MANY,
+    STATUS_OK,
     TaintMapClient,
     TaintMapServer,
+    _pack_batch_register,
+    _recv_exact,
     deserialize_tags,
     serialize_tags,
     taint_key,
@@ -191,6 +198,63 @@ class TestTaintMapService:
         assert server.global_taint_count() == 16
 
 
+    def test_many_threads_fresh_taints(self, service):
+        """Many threads registering fresh taints concurrently through one
+        shared client — GID uniqueness, full round-trip, race-free
+        counters."""
+        server, n1, n2, c1, c2 = service
+        threads_n, per_thread = 8, 24
+        results: list[list[tuple]] = [[] for _ in range(threads_n)]
+        taints = [
+            [n1.tree.taint_for_tag(f"cc-{t}-{i}") for i in range(per_thread)]
+            for t in range(threads_n)
+        ]
+        barrier = threading.Barrier(threads_n)
+
+        def worker(t):
+            barrier.wait()
+            for taint in taints[t]:
+                results[t].append((c1.gid_for(taint), taint))
+
+        workers = [
+            threading.Thread(target=worker, args=(t,)) for t in range(threads_n)
+        ]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(30)
+        assert not any(w.is_alive() for w in workers)
+        flat = [entry for bucket in results for entry in bucket]
+        total = threads_n * per_thread
+        assert len(flat) == total
+        gids = [gid for gid, _ in flat]
+        # Distinct taints ⇒ unique GIDs.
+        assert len(set(gids)) == total
+        assert server.global_taint_count() == total
+        # Counters are race-free: the server counts exactly the client's
+        # sends (coalescing may merge concurrent misses into one
+        # request, never drop one), one entry per taint.
+        assert 0 < c1.requests_sent <= total
+        snapshot = server.stats.snapshot()
+        assert snapshot["register_requests"] == c1.requests_sent
+        assert snapshot["register_entries"] == total
+        assert snapshot["global_taints"] == total
+        client_stats = c1.stats.snapshot()
+        assert client_stats["cache_misses"] == total
+        # Full round-trip: every taint resolves from another node.
+        for gid, taint in flat:
+            resolved = c2.taint_for(gid)
+            assert {t.tag for t in resolved.tags} == {t.tag for t in taint.tags}
+
+    def test_unbounded_cache_never_evicts(self, service):
+        server, n1, _, c1, _ = service
+        taints = [n1.tree.taint_for_tag(f"u{i}") for i in range(64)]
+        gids = [c1.gid_for(t) for t in taints]
+        assert c1.requests_sent == 64
+        assert [c1.gid_for(t) for t in taints] == gids
+        assert c1.requests_sent == 64  # Fig. 9 semantics preserved
+
+
 class TestForeignTaintRegistration:
     def test_gid_cache_does_not_collide_across_trees(self, service):
         """Regression: the client's GID cache must key on taint identity,
@@ -208,21 +272,94 @@ class TestForeignTaintRegistration:
         assert {t.tag for t in resolved.tags} == {"theirs"}
 
 
-class TestStatsMerge:
-    def test_merge_sums_keywise(self):
-        from repro.core.taintmap import TaintMapStats
+def _boot_golden(name="golden"):
+    kernel = SimKernel(name)
+    kernel.register_node(TAINT_MAP_IP)
+    server = TaintMapServer(kernel, TAINT_MAP_IP, TAINT_MAP_PORT).start()
+    node = SimNode(
+        "n", kernel.register_node("10.0.0.1"), 1, kernel, SimFileSystem(), Mode.DISTA
+    )
+    return kernel, server, node
 
-        a, b = TaintMapStats(), TaintMapStats()
-        a.bump("register_requests", 3)
-        a.bump("global_taints", 2)
-        b.bump("register_requests", 4)
-        b.bump("cache_hits", 5)
-        merged = TaintMapStats.merge(a.snapshot(), b.snapshot())
-        assert merged["register_requests"] == 7
-        assert merged["global_taints"] == 2
-        assert merged["cache_hits"] == 5
 
-    def test_merge_of_nothing_is_empty(self):
-        from repro.core.taintmap import TaintMapStats
+class TestGoldenFrames:
+    """The server and client emit the seed protocol's frames byte for
+    byte: GIDs 1, 2, 3, … and unchanged payload encodings."""
 
-        assert TaintMapStats.merge() == {}
+    def test_register_response_bytes(self):
+        kernel, server, node = _boot_golden()
+        taint = node.tree.taint_for_tag("golden")
+        payload = serialize_tags(taint.tags)
+        raw = kernel.connect(node.ip, server.address)
+        raw.send_all(bytes([OP_REGISTER]) + struct.pack(">I", len(payload)) + payload)
+        # PR-1 golden frame: STATUS_OK, 4-byte length, GID 1.
+        assert _recv_exact(raw, 9) == b"\x00" + struct.pack(">I", 4) + struct.pack(">I", 1)
+        raw.close()
+        server.stop()
+
+    def test_batch_register_response_bytes(self):
+        kernel, server, node = _boot_golden()
+        entries = [
+            serialize_tags(node.tree.taint_for_tag(f"g{i}").tags) for i in range(3)
+        ]
+        payload = _pack_batch_register(entries)
+        raw = kernel.connect(node.ip, server.address)
+        raw.send_all(
+            bytes([OP_REGISTER_MANY]) + struct.pack(">I", len(payload)) + payload
+        )
+        expected = b"\x00" + struct.pack(">I", 12) + struct.pack(">3I", 1, 2, 3)
+        assert _recv_exact(raw, len(expected)) == expected
+        raw.close()
+        server.stop()
+
+    def test_client_register_frame_is_seed_identical(self):
+        """Inside its correlation-id envelope, the client's register is
+        the seed protocol's batch frame."""
+        kernel = SimKernel("diff")
+        kernel.register_node(TAINT_MAP_IP)
+        fs = SimFileSystem()
+        node = SimNode(
+            "n", kernel.register_node("10.0.0.1"), 1, kernel, fs, Mode.DISTA
+        )
+        listener = kernel.listen(TAINT_MAP_IP, TAINT_MAP_PORT)
+        captured = []
+
+        def fake_server():
+            endpoint = listener.accept(timeout=10)
+            assert _recv_exact(endpoint, 5) == bytes([OP_MUX_HELLO]) + struct.pack(">I", 0)
+            endpoint.send_all(bytes([STATUS_OK]) + struct.pack(">I", 0))
+            corr = _recv_exact(endpoint, 4)
+            head = _recv_exact(endpoint, 1)
+            (length,) = struct.unpack(">I", _recv_exact(endpoint, 4))
+            payload = _recv_exact(endpoint, length) if length else b""
+            captured.append(head + struct.pack(">I", length) + payload)
+            # The seed server's golden reply: STATUS_OK, len 4, GID 1.
+            endpoint.send_all(
+                corr + b"\x00" + struct.pack(">I", 4) + struct.pack(">I", 1)
+            )
+            endpoint.close()
+            listener.close()
+
+        thread = threading.Thread(target=fake_server, daemon=True)
+        thread.start()
+        client = TaintMapClient(node, (TAINT_MAP_IP, TAINT_MAP_PORT))
+        taint = node.tree.taint_for_tag("seed")
+        # Serialize before registering: gid_for stamps the allocated GID
+        # into the tag, and the on-wire frame carries the pre-stamp form.
+        serialized = serialize_tags(taint.tags)
+        assert client.gid_for(taint) == 1
+        thread.join(10)
+        batch = _pack_batch_register([serialized])
+        expected = bytes([OP_REGISTER_MANY]) + struct.pack(">I", len(batch)) + batch
+        assert captured == [expected]
+        client.close()
+
+    def test_server_allocates_seed_gids(self):
+        _, server, node = _boot_golden("diff-gids")
+        client = TaintMapClient(node, server.address)
+        gids = [
+            client.gid_for(node.tree.taint_for_tag(f"g{i}")) for i in range(5)
+        ]
+        assert gids == [1, 2, 3, 4, 5]  # the seed protocol's 1, 2, 3, …
+        client.close()
+        server.stop()

@@ -1,6 +1,6 @@
 """Regression tests for the Taint Map transport's hardening: 16-bit
 batch-count overflow (protocol chunking at the window split), shutdown
-with an in-flight flush, per-request deadlines on a stalled shard,
+with an in-flight flush, per-request deadlines on a stalled server,
 fresh broken-connection errors, correlation-id wrap, and blocking
 backpressure.
 """
@@ -118,7 +118,7 @@ class TestShutdownWithInflightFlush:
         kernel = SimKernel("close-test")
         kernel.register_node(TAINT_MAP_IP)
         fs = SimFileSystem()
-        # Slow shard: the flush is guaranteed in flight when we close.
+        # Slow server: the flush is guaranteed in flight when we close.
         server = TaintMapServer(
             kernel, TAINT_MAP_IP, TAINT_MAP_PORT, service_time=0.6
         )
@@ -135,8 +135,8 @@ class TestShutdownWithInflightFlush:
 
         thread = threading.Thread(target=register, daemon=True)
         thread.start()
-        state = client.transport._shards[0]
-        assert _wait_until(lambda: state.flying[0] is not None)
+        transport = client.transport
+        assert _wait_until(lambda: transport._flying[0] is not None)
         started = time.monotonic()
         client.close()
         assert time.monotonic() - started < 8.0
@@ -144,14 +144,14 @@ class TestShutdownWithInflightFlush:
         assert not thread.is_alive(), "submitter still blocked after close()"
         assert errors and isinstance(errors[0], TaintMapError)
         # The failed batch released its budget and its lane.
-        assert state.pending == 0 and state.flying == [None, None]
+        assert transport._pending == 0 and transport._flying == [None, None]
         client.close()  # idempotent
         server.stop()
 
 
 class TestRequestDeadline:
-    def test_deadline_expires_on_stalled_shard(self, single):
-        """A shard that accepts the upgrade but never answers fails the
+    def test_deadline_expires_on_stalled_server(self, single):
+        """A server that accepts the upgrade but never answers fails the
         request with a timeout error instead of wedging the caller."""
         kernel, _, server, node = single
         server.stop()
@@ -198,7 +198,7 @@ class TestBrokenConnectionErrors:
         _, _, server, node = single
         client = TaintMapClient(node, server.address)
         assert client.gid_for(node.tree.taint_for_tag("pre")) > 0
-        connection = client.transport._channels[0]._connection
+        connection = client.transport._channel._connection
         connection._endpoint.close()
         assert _wait_until(lambda: connection.broken)
 
@@ -226,7 +226,7 @@ class TestCorrelationIdWrap:
         _, _, server, node = single
         client = TaintMapClient(node, server.address)
         gids = [client.gid_for(node.tree.taint_for_tag("wrap0"))]
-        connection = client.transport._channels[0]._connection
+        connection = client.transport._channel._connection
         # Jump the counter to the edge of the 4-byte field; the next
         # requests use corr ids 2**32-2, 2**32-1, 0, 1 on the wire.
         connection._corr = itertools.count(2**32 - 2)
@@ -244,7 +244,7 @@ class TestCorrelationIdWrap:
         _, _, server, node = single
         client = TaintMapClient(node, server.address)
         assert client.gid_for(node.tree.taint_for_tag("collide0")) > 0
-        connection = client.transport._channels[0]._connection
+        connection = client.transport._channel._connection
         with connection._lock:
             connection._pending[1] = Future()
         # The next allocation computes (2**32 + 1) & 0xFFFFFFFF == 1 —
@@ -257,7 +257,7 @@ class TestCorrelationIdWrap:
 
 
 class TestBackpressure:
-    """A slow shard keeps one flush in flight, so later registrations
+    """A slow server keeps one flush in flight, so later registrations
     queue in the next window and count against ``max_pending``."""
 
     def _register_async(self, client, node, tag):
@@ -266,7 +266,7 @@ class TestBackpressure:
 
         def run():
             try:
-                future.set_result(client.transport.submit(0, KIND_REGISTER, [payload])[0])
+                future.set_result(client.transport.submit(KIND_REGISTER, [payload])[0])
             except Exception as exc:  # noqa: BLE001 - checked by the test
                 future.set_exception(exc)
 
@@ -277,19 +277,19 @@ class TestBackpressure:
         _, _, server, node = single
         server._service_time = 0.3
         client = TaintMapClient(node, server.address, max_pending=2)
-        state = client.transport._shards[0]
+        transport = client.transport
         first = self._register_async(client, node, "blk0")
-        assert _wait_until(lambda: state.flying[0] is not None)
+        assert _wait_until(lambda: transport._flying[0] is not None)
         second = self._register_async(client, node, "blk1")
-        assert _wait_until(lambda: state.pending == 2)
+        assert _wait_until(lambda: transport._pending == 2)
         # The third parks at the mark until the in-flight flush lands.
         third = self._register_async(client, node, "blk2")
-        assert _wait_until(lambda: state.blocked)
+        assert _wait_until(lambda: transport._blocked)
         assert not third.done()
         assert first.result(timeout=5) > 0
         assert second.result(timeout=5) > 0
         assert third.result(timeout=5) > 0
-        assert _wait_until(lambda: state.pending == 0)
+        assert _wait_until(lambda: transport._pending == 0)
         client.close()
 
     def test_block_policy_sends_a_window_its_own_caller_filled(self, single):
@@ -301,7 +301,7 @@ class TestBackpressure:
         gids = client.gids_for(taints)
         assert len(set(gids)) == 7
         assert server.stats.register_requests == 3  # 3 + 3 + 1
-        assert client.transport._shards[0].pending == 0
+        assert client.transport._pending == 0
         client.close()
 
 

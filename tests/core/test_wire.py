@@ -190,7 +190,7 @@ class TestPerByteReference:
             max_size=8,
         ),
         gids=st.tuples(
-            st.integers(min_value=1 << 28, max_value=0xFFFFFFFF),  # shard bits set
+            st.integers(min_value=1 << 28, max_value=0xFFFFFFFF),  # high byte set
             st.integers(min_value=1, max_value=0xFFFFFFFF),
             st.integers(min_value=1, max_value=0xFFFFFFFF),
         ).filter(lambda gids: len(set(gids)) == 3),
