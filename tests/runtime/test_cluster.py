@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.runtime.cluster import TAINT_MAP_IP, TAINT_MAP_PORT, Cluster
+from repro.runtime.cluster import TAINT_MAP_IP, Cluster
 from repro.runtime.fs import SimFileSystem
 from repro.runtime.logger import LOG_INFO_DESCRIPTOR
 from repro.runtime.modes import Mode
@@ -49,7 +49,7 @@ class TestTopology:
         with Cluster(Mode.PHOSPHOR) as phosphor:
             assert phosphor.taint_map_server is None
         with Cluster(Mode.DISTA) as dista:
-            assert dista.taint_map_server.address == (TAINT_MAP_IP, TAINT_MAP_PORT)
+            assert dista.taint_map_server is not None
             assert dista.kernel.has_node(TAINT_MAP_IP)
 
     def test_start_is_idempotent(self):
