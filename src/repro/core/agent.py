@@ -154,29 +154,10 @@ class DisTAAgent:
             if extension.name in node.jni._extensions:
                 node.jni.patch(extension.name, extension.build(runtime))
         node.taintmap = client
-        if config.overhead_budget is not None:
-            self._attach_budget(node, runtime)
+        # dista_sampled_out_total reads the registry's own tally at
+        # scrape time, so the source hook stays unchanged.
+        node.metrics.register_collector(node.registry.telemetry_samples)
         return runtime
-
-    def _attach_budget(self, node, runtime: wrappers.DisTARuntime) -> None:
-        """Budgeted tracking: an
-        :class:`~repro.taint.budget.OverheadBudgetController` with the
-        configured ``sample_every`` as its coverage floor, attached to the
-        runtime.  Without a budget there is no controller at all, so
-        tracking is bit-identical to the unbudgeted agent."""
-        from repro.obs.profiler import baseline_reference
-        from repro.taint.budget import BudgetConfig, OverheadBudgetController
-
-        controller = OverheadBudgetController(
-            BudgetConfig(
-                overhead_budget=self.config.overhead_budget,
-                sample_every=self.config.sample_every,
-            ),
-            baseline_reference(),
-            registry=getattr(node, "registry", None),
-            metrics=getattr(node, "metrics", None),
-        )
-        runtime.attach_budget(controller)
 
     def detach(self, node) -> None:
         node.jni.unpatch_all()

@@ -32,9 +32,6 @@ _SWITCH_VALUES = {
     "no": False,
 }
 
-#: Spellings of "no budget" (``0`` and negative ratios also disable).
-_UNLIMITED_BUDGET = ("unlimited", "off", "none", "")
-
 
 def parse_switch(value: str) -> bool:
     """Parse an on/off value."""
@@ -56,14 +53,6 @@ def _parse_wrapper_types(value: str) -> frozenset:
     """``1+2+3`` → ``frozenset({1, 2, 3})`` (``+`` because extras split
     on commas)."""
     return frozenset(int(part) for part in value.split("+"))
-
-
-def _parse_budget(value: str) -> Optional[float]:
-    """A ratio over baseline, or ``None`` for any "no budget" spelling."""
-    if value.strip().lower() in _UNLIMITED_BUDGET:
-        return None
-    budget = float(value)
-    return budget if budget > 0.0 else None
 
 
 def _from_env(env: str, parse, default):
@@ -114,14 +103,8 @@ class DisTAConfig:
     request_deadline_s: Optional[float] = _row(
         "taintMapDeadlineS", float, DEFAULT_DEADLINE_S, env="DISTA_TAINTMAP_DEADLINE_S"
     )
-    #: Budgeted tracking: overhead ceiling as a ratio over baseline (e.g.
-    #: 1.05).  ``None`` = unlimited: no controller is built, so tracking
-    #: is bit-identical to the unbudgeted agent.
-    overhead_budget: Optional[float] = _row(
-        "overheadBudget", _parse_budget, None, env="DISTA_OVERHEAD_BUDGET"
-    )
     #: Flow sampling: track every k-th flow admitted at source
-    #: registration.  With a budget it is the controller's coverage floor.
+    #: registration; the rest reach sinks untainted.
     sample_every: int = _row("taintSampleEvery", int, 1)
     #: Fraction of source firings that taint (the overhead sweep's knob).
     source_fraction: float = _row("taintSourceFraction", float, 1.0)
@@ -145,11 +128,6 @@ class DisTAConfig:
                 f"wrapper_types must be a non-empty subset of {{1, 2, 3}}, "
                 f"got {sorted(self.wrapper_types)}",
             ),
-            (
-                self.overhead_budget is not None and self.overhead_budget < 1.0,
-                f"overhead_budget is a ratio over baseline and must be >= 1.0 "
-                f"(or None for unlimited), got {self.overhead_budget}",
-            ),
             (self.sample_every < 1, f"sample_every must be >= 1, got {self.sample_every}"),
             (
                 not 0.0 <= self.source_fraction <= 1.0,
@@ -168,7 +146,7 @@ class DisTAConfig:
     @classmethod
     def from_extras(cls, extras: dict) -> "DisTAConfig":
         """The config a launch argument's extras spell (every pair but
-        ``taintSources``/``taintSinks``/``taintMap``); rows they leave
+        ``taintSources``/``taintSinks``); rows they leave
         unset keep their defaults.  An unknown key is an error, so a
         typo never silently changes behaviour."""
         rows = {row.metadata["extra"]: row for row in fields(cls)}
@@ -220,7 +198,6 @@ class AgentOptions:
 
     taint_sources: str = ""
     taint_sinks: str = ""
-    taint_map: str = ""
     extras: dict = field(default_factory=dict)
 
     @classmethod
@@ -239,8 +216,6 @@ class AgentOptions:
                 options.taint_sources = value
             elif key == "taintSinks":
                 options.taint_sinks = value
-            elif key == "taintMap":
-                options.taint_map = value
             else:
                 options.extras[key] = value
         return options

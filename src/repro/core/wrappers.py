@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import threading
 import weakref
-from time import perf_counter
 from typing import Optional
 
 from repro.core import wire
@@ -61,11 +60,6 @@ class DisTARuntime:
         #: Per-node LineageRecorder (NULL_LINEAGE when lineage is off;
         #: its ``enabled`` False short-circuits every hook below).
         self.lineage = NULL_LINEAGE
-        #: Optional OverheadBudgetController (budgeted tracking).  When
-        #: ``None`` — the default, and always the case with an
-        #: unlimited budget — every budget hook below is skipped and
-        #: behaviour is bit-identical to unbudgeted tracking.
-        self._budget = None
         self._lock = threading.Lock()
         self._decoders: dict[int, wire.CellDecoder] = {}
         #: (method, direction) -> bound metric children; record_io runs
@@ -115,16 +109,6 @@ class DisTARuntime:
         ``channel`` names the wire channel (see ``TcpEndpoint.send_channel``)
         so the trace can correlate this send with its receive into a span.
         """
-        budget = self._budget
-        if self._io_calls is not None or budget is not None:
-            total = len(data)
-            tainted = (
-                data.tainted_byte_count()
-                if hasattr(data, "tainted_byte_count")
-                else 0
-            )
-        if budget is not None:
-            budget.account_io(method, direction, total, tainted)
         if self._io_calls is not None:
             children = self._io_children.get((method, direction))
             if children is None:
@@ -138,8 +122,13 @@ class DisTARuntime:
                 )
                 self._io_children[(method, direction)] = children
             calls, io_bytes, io_tainted, crossings, fast, slow = children
+            tainted = (
+                data.tainted_byte_count()
+                if hasattr(data, "tainted_byte_count")
+                else 0
+            )
             calls.inc()
-            io_bytes.inc(total)
+            io_bytes.inc(len(data))
             io_tainted.inc(tainted)
             if tainted:
                 crossings.inc()
@@ -152,68 +141,12 @@ class DisTARuntime:
                 slow.inc()
         self.trace.record(self.node.name, direction, method, data, channel=channel)
 
-    def attach_budget(self, controller) -> None:
-        """Wire an OverheadBudgetController into this runtime.
-
-        Replaces the resolver with a facade that times the **taint→GID
-        (encode) direction** — GID registration and its Taint Map
-        round-trips, the marginal cost this node *originates* by
-        sending labels — and feeds it to the controller.  The GID→taint
-        (decode) direction is deliberately untimed: a receiver has no
-        actuator for the labels someone else put on the wire, so that
-        cost is attributed to (and shed by) the *sender's* controller —
-        gating a sender strips its labels and zeroes every downstream
-        receiver's decode cost cluster-wide.  Each cost has exactly one
-        responsible controller; nothing is double-counted.  The fast
-        path never calls the resolver, so untainted and sampled-out
-        traffic contribute zero.
-        """
-        self._budget = controller
-        add_seconds = controller.add_tracking_seconds
-
-        def timed(fn):
-            if fn is None:
-                return None
-
-            def call(arg):
-                started = perf_counter()
-                try:
-                    return fn(arg)
-                finally:
-                    add_seconds(perf_counter() - started)
-
-            return call
-
-        base = self.resolver
-        self.resolver = wire.LabelResolver(
-            timed(base.gid_for),
-            base.taint_for,
-            timed(base.gids_for),
-            base.taints_for,
-        )
-
-    def outgoing(self, data: TBytes, method: Optional[str] = None) -> TBytes:
-        """Apply gating and the configured granularity to outgoing data.
-
-        ``method`` is the sender's ``record_io`` name; when the budget
-        controller has gated it, labels are stripped so the data (and
-        every downstream receiver) dispatches through the zero-taint
-        fast path — the wire frames are byte-identical to untainted
-        traffic, so "untracked" costs the same as "untainted".
-        """
+    def outgoing(self, data: TBytes) -> TBytes:
+        """Apply the configured granularity to outgoing data."""
         # Zero-taint fast path: untainted data is identical under both
         # granularities, so skip the overall-taint fold entirely.
         if data.labels is None:
             return data
-        budget = self._budget
-        if budget is not None and method is not None and budget.is_gated(method):
-            # The gate strips labels: the flow continues untracked.
-            # Lineage marks the cut explicitly (a partial tree), so a
-            # gated flow is never silently missing; the fast-path check
-            # above guarantees this never runs on zero-taint traffic.
-            if self.lineage.enabled:
-                self.lineage.gated_event(method, data)
-            return TBytes.raw(data.data)
         if self.byte_granularity:
             return data
         overall = data.overall_taint()
@@ -304,9 +237,7 @@ def make_socket_write0(runtime: DisTARuntime):
     def wrapper(original):
         def socket_write0(fd, data: TBytes) -> None:
             runtime.record_io("send", "socketWrite0", data, channel=fd.send_channel)
-            cells = wire.encode_cells(
-                runtime.outgoing(data, "socketWrite0"), runtime.resolver
-            )
+            cells = wire.encode_cells(runtime.outgoing(data), runtime.resolver)
             original(fd, TBytes.raw(cells))
 
         return socket_write0
@@ -376,7 +307,7 @@ def make_datagram_send(runtime: DisTARuntime):
                 packet.payload(),
                 channel=("udp", tuple(packet.socket_address())),
             )
-            payload = runtime.outgoing(packet.payload(), "datagram.send")
+            payload = runtime.outgoing(packet.payload())
             _check_envelope_fits(len(payload))
             envelope = wire.encode_packet(
                 payload, runtime.resolver
@@ -482,9 +413,7 @@ def make_disp_write0(runtime: DisTARuntime):
     def wrapper(original):
         def disp_write0(fd, mem, position, count, blocking=True, timeout=None) -> int:
             runtime.node.jni.calls.hit("FileDispatcherImpl#write0")
-            data = runtime.outgoing(
-                runtime.native_read(mem, position, count), "dispatcher.write0"
-            )
+            data = runtime.outgoing(runtime.native_read(mem, position, count))
             runtime.record_io(
                 "send", "dispatcher.write0", data, channel=fd.send_channel
             )
@@ -543,9 +472,7 @@ def make_dgram_disp_write0(runtime: DisTARuntime):
     def wrapper(original):
         def dgram_disp_write0(fd, mem, position, count, destination) -> int:
             runtime.node.jni.calls.hit("DatagramDispatcherImpl#write0")
-            data = runtime.outgoing(
-                runtime.native_read(mem, position, count), "dgram_dispatcher.write0"
-            )
+            data = runtime.outgoing(runtime.native_read(mem, position, count))
             runtime.record_io(
                 "send", "dgram_dispatcher.write0", data,
                 channel=("udp", tuple(destination)),
@@ -590,9 +517,7 @@ def make_dgram_channel_send0(runtime: DisTARuntime):
     def wrapper(original):
         def dgram_channel_send0(fd, mem, position, count, destination) -> int:
             runtime.node.jni.calls.hit("DatagramChannelImpl#send0")
-            data = runtime.outgoing(
-                runtime.native_read(mem, position, count), "dgram_channel.send0"
-            )
+            data = runtime.outgoing(runtime.native_read(mem, position, count))
             runtime.record_io(
                 "send", "dgram_channel.send0", data,
                 channel=("udp", tuple(destination)),

@@ -15,11 +15,9 @@ Y, with per-hop latency*.  It stitches three existing event streams into
   trace already correlates;
 * **sink arrivals** (``SourceSinkRegistry.sink``) complete the flow.
 
-Budget interactions are explicit, never silent: a flow sampled out by
+Sampling is explicit, never silent: a flow sampled out by
 ``sample_every`` appears as a *stub* tree whose root disposition is
-``sampled_out``, and a send gated by the overhead-budget controller
-leaves a :class:`GatedCut` marker on every flow it truncated — partial
-trees are marked partial, not missing.
+``sampled_out`` — partial trees are marked partial, not missing.
 
 The cluster-side :class:`LineageStore` is bounded (``max_flows``) with
 eviction accounting in the ``CrossingTrace.dropped`` tradition: a store
@@ -141,18 +139,6 @@ class SinkArrival:
         }
 
 
-@dataclass
-class GatedCut:
-    """A budget-gated send that truncated this flow (explicit, not silent)."""
-
-    node: str
-    method: str
-    timestamp: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {"node": self.node, "method": self.method, "timestamp": self.timestamp}
-
-
 class TreeNode:
     """One node of a flow tree: the root, or one hop's landing point."""
 
@@ -190,7 +176,6 @@ class FlowTree:
         self.root = root
         self.root_node = TreeNode(root.node, None, 1)
         self.sinks: list = []
-        self.gated: list = []
         self.completed = False
         self.max_depth = 1
         #: Hop tree nodes in send order (the hop-ordering ground truth).
@@ -309,9 +294,9 @@ class FlowTree:
 
     @property
     def partial(self) -> bool:
-        """True when this tree is explicitly incomplete: sampled out,
-        budget-gated, or carrying uncorrelated/in-flight hops."""
-        if self.root.disposition == SAMPLED_OUT or self.gated:
+        """True when this tree is explicitly incomplete: sampled out, or
+        carrying uncorrelated/in-flight hops."""
+        if self.root.disposition == SAMPLED_OUT:
             return True
         return any(
             h.disposition == UNCORRELATED or not h.complete for h in self.hops
@@ -333,7 +318,6 @@ class FlowTree:
             "root": self.root.as_dict(),
             "hops": hops,
             "sinks": [s.as_dict() for s in self.sinks],
-            "gated": [g.as_dict() for g in self.gated],
         }
 
     def render(self) -> str:
@@ -384,8 +368,6 @@ class FlowTree:
         walk(self.root_node, "  ")
         for arrival in self.sinks:
             lines.append(f"  ✓ sink {arrival.node} {arrival.descriptor}")
-        for cut in self.gated:
-            lines.append(f"  ✗ gated send {cut.method} on {cut.node} (budget)")
         return "\n".join(lines)
 
 
@@ -504,15 +486,6 @@ class LineageStore:
                     self.completed_total += 1
                     self._depth_hist.observe(flow.sink_depth)
 
-    def record_gated(self, node: str, method: str, tags, timestamp=None) -> None:
-        """A budget-gated send: an explicit cut marker on each flow the
-        stripped payload carried (the flow continues untracked)."""
-        timestamp = time.monotonic() if timestamp is None else timestamp
-        with self._lock:
-            for tag in tags:
-                flow = self._flow_for(tag, origin=node)
-                flow.gated.append(GatedCut(node, method, timestamp))
-
     def _enforce_bound(self) -> None:
         while len(self._flows) > self.max_flows:
             victim_key = None
@@ -613,8 +586,8 @@ class LineageStore:
         or Perfetto): one *process* track per cluster node, one *thread*
         lane per flow; hops are complete ("X") events on the sender's
         track spanning send→receive, linked across tracks by flow
-        ("s"/"f") events keyed on the span id; sources, sinks and gated
-        cuts are instant ("i") events.
+        ("s"/"f") events keyed on the span id; sources and sinks are
+        instant ("i") events.
         """
         flows = self.flows()
         nodes: list = []
@@ -737,17 +710,6 @@ class LineageStore:
                         "ts": us(arrival.timestamp),
                     }
                 )
-            for cut in flow.gated:
-                events.append(
-                    {
-                        "ph": "i",
-                        "s": "p",
-                        "name": f"gated {cut.method}",
-                        "pid": pid_of[cut.node],
-                        "tid": tid,
-                        "ts": us(cut.timestamp),
-                    }
-                )
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
     @staticmethod
@@ -758,7 +720,6 @@ class LineageStore:
             + [h.sender for h in flow.hops]
             + [h.receiver for h in flow.hops]
             + [s.node for s in flow.sinks]
-            + [g.node for g in flow.gated]
         ):
             if name is not None and name not in names:
                 names.append(name)
@@ -808,7 +769,7 @@ class LineageStore:
 
 
 class LineageRecorder:
-    """Per-node recorder: forwards source/sink/gated events to the store.
+    """Per-node recorder: forwards source/sink events to the store.
 
     One per attached node (built by the agent), stamped with the node
     name so cluster-side stitching never guesses origins.  Every hook is
@@ -835,15 +796,6 @@ class LineageRecorder:
         if tags:
             self.store.record_sink(self.node_name, descriptor, tags, detail)
 
-    def gated_event(self, method: str, data) -> None:
-        """A budget-gated send on this node.  Reached only when the
-        payload actually carried labels (the gate strips them), so the
-        overall-taint fold here never runs on the zero-taint path."""
-        taint = data.overall_taint() if hasattr(data, "overall_taint") else None
-        if taint is None or taint.is_empty:
-            return
-        self.store.record_gated(self.node_name, method, taint.tags)
-
 
 class NullLineageRecorder:
     """The no-op recorder: full :class:`LineageRecorder` API parity,
@@ -860,9 +812,6 @@ class NullLineageRecorder:
         return None
 
     def sink_event(self, descriptor: str, tags, detail: str = "") -> None:
-        return None
-
-    def gated_event(self, method: str, data) -> None:
         return None
 
 

@@ -17,12 +17,10 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from statistics import median
-from time import perf_counter
-from typing import Optional
 
 from repro.core.config import DisTAConfig
 from repro.errors import TelemetryError
-from repro.obs.registry import snapshot_max, snapshot_quantile, snapshot_total
+from repro.obs.registry import snapshot_quantile, snapshot_total
 from repro.runtime.modes import Mode
 from repro.systems.common import SIM
 
@@ -31,16 +29,6 @@ DEFAULT_SYSTEMS = ("ZooKeeper", "MapReduce/Yarn", "ActiveMQ")
 
 #: Tainted-traffic fractions the sweep visits, 0% → 100%.
 DEFAULT_SWEEP_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-#: Overhead ceilings the budget sweep visits; ``None`` = unlimited.
-DEFAULT_SWEEP_BUDGETS = (1.02, 1.05, 1.10, None)
-
-#: Absolute slack on the convergence canary: the steady-state ratio is
-#: a wall-clock measurement over whatever traffic the final controller
-#: configuration happened to carry — O(10)-call samples in the smaller
-#: SIM workloads — so scheduler noise of a few hundred microseconds
-#: moves it by tenths.
-BUDGET_CANARY_SLACK = 0.35
 
 
 # --------------------------------------------------------------------- #
@@ -70,103 +58,6 @@ def best_run(module, mode: Mode, scenario=None, repeats: int = 1, config=None):
 def baseline_seconds(module, repeats: int = 1) -> float:
     """The BASELINE (uninstrumented) timing reference for one system."""
     return best_run(module, Mode.BASELINE, None, repeats).duration
-
-
-# --------------------------------------------------------------------- #
-# Calibrated baseline cost model (the budget controller's denominator)
-# --------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class BaselineReference:
-    """Calibrated per-call / per-byte cost of uninstrumented I/O.
-
-    The budget controller needs a live estimate of what a traffic window
-    *would* have cost without tracking; re-running the workload under
-    :attr:`Mode.BASELINE` mid-flight is obviously not an option, so we
-    time the environment's transport once per process and model a window
-    as ``calls * seconds_per_call + bytes * seconds_per_byte``.
-
-    The per-call cost is measured over **loopback TCP echo round trips
-    through the simulated kernel** — the same endpoint machinery (and
-    thread hand-offs) both the workload's I/O calls and the resolver's
-    Taint Map RPCs ride on.  Calibrating against a bare in-process
-    buffer instead would undercount an uninstrumented I/O call by
-    orders of magnitude and make every budget unreachable: the
-    numerator (timed resolver RPCs) and the denominator must be in the
-    same units.  The marginal per-byte cost comes from a cheap
-    :class:`BytePipe` transfer — payload volume costs the same either
-    way, it is the round trips that differ.
-    """
-
-    seconds_per_call: float
-    seconds_per_byte: float
-
-    def seconds_for(self, calls: int, nbytes: int) -> float:
-        return calls * self.seconds_per_call + nbytes * self.seconds_per_byte
-
-    @classmethod
-    def calibrate(cls, rounds: int = 64, payload: int = 4096) -> "BaselineReference":
-        import threading
-
-        from repro.runtime.kernel import SimKernel
-        from repro.runtime.pipes import BytePipe
-
-        # Per-call: echo round trips over simulated loopback TCP.
-        kernel = SimKernel("baseline-calibration")
-        ip = kernel.register_node("10.255.255.1")
-        listener = kernel.listen(ip, 1)
-
-        def echo() -> None:
-            endpoint = listener.accept()
-            try:
-                while True:
-                    chunk = endpoint.recv(64)
-                    if not chunk:
-                        return
-                    endpoint.send_all(chunk)
-            except Exception:
-                return
-
-        server = threading.Thread(target=echo, daemon=True)
-        server.start()
-        client = kernel.connect(ip, (ip, 1))
-        one = b"x"
-        client.send_all(one)  # warm the path before timing
-        client.recv(1)
-        started = perf_counter()
-        for _ in range(rounds):
-            client.send_all(one)
-            client.recv(1)
-        per_call = (perf_counter() - started) / rounds
-        client.close()
-        listener.close()
-        server.join(timeout=5.0)
-
-        # Per-byte: marginal cost of moving payload through a buffer.
-        pipe = BytePipe(capacity=max(payload * 2, 64 * 1024))
-        big = bytes(payload)
-        byte_rounds = 256
-        started = perf_counter()
-        for _ in range(byte_rounds):
-            pipe.write_all(big)
-            pipe.read_exact(payload)
-        per_payload = (perf_counter() - started) / byte_rounds
-        return cls(
-            seconds_per_call=max(per_call, 1e-9),
-            seconds_per_byte=max(per_payload / payload, 1e-12),
-        )
-
-
-_BASELINE_REFERENCE: Optional[BaselineReference] = None
-
-
-def baseline_reference() -> BaselineReference:
-    """Process-wide calibration, measured once on first use."""
-    global _BASELINE_REFERENCE
-    if _BASELINE_REFERENCE is None:
-        _BASELINE_REFERENCE = BaselineReference.calibrate()
-    return _BASELINE_REFERENCE
 
 
 @dataclass
@@ -327,208 +218,6 @@ class TaintedFractionSweep:
             lines.append(
                 "!!! fast-path contract violated: "
                 + ", ".join(f"{p.system}@{p.tainted_fraction:.2f}" for p in broken)
-            )
-        return "\n".join(lines)
-
-
-def _snapshot_min(snapshot: dict, name: str, labels=None):
-    """Min over matching counter/gauge series (the per-node worst case
-    for coverage gauges), or ``None``."""
-    entry = snapshot.get(name)
-    if entry is None or entry["type"] == "histogram":
-        return None
-    values = [
-        s["value"]
-        for s in entry["samples"]
-        if not labels or all(s["labels"].get(k) == str(v) for k, v in labels.items())
-    ]
-    return min(values) if values else None
-
-
-@dataclass
-class BudgetPoint:
-    """One (system, overhead budget) cell of the budget sweep."""
-
-    system: str
-    #: The ceiling this leg ran under; ``None`` = unlimited (no
-    #: controller at all — must be bit-identical to unbudgeted runs).
-    budget: Optional[float]
-    baseline_seconds: float
-    dista_seconds: float
-    #: Wall overhead vs the BASELINE run (context; dominated by sim
-    #: instrumentation, not what the controller governs).
-    overhead_ratio: float
-    #: Worst per-node steady-state controller estimate: overhead being
-    #: paid at the final converged configuration — the governed quantity
-    #: the convergence canary checks (0.0 when unlimited).
-    controller_ratio: float
-    #: Worst per-node tick-windowed EWMA at end of run (context only —
-    #: it freezes on the last tick, which in a short workload can be
-    #: the breach spike that triggered the final shed).
-    smoothed_ratio: float
-    #: Tainted bytes relative to this system's unlimited leg — the
-    #: headline "coverage bought per unit of budget" number.
-    coverage: float
-    #: Worst per-node actuator coverage gauges (1.0 when unlimited).
-    coverage_sampling: float
-    coverage_methods: float
-    crossings: int
-    taintmap_rpcs: int
-    tainted_bytes: int
-    sheds: int
-    #: The convergence canary: under a ceiling the controller must end
-    #: at/below budget (within :data:`BUDGET_CANARY_SLACK`) while still
-    #: tracking a nonzero flow set; unlimited legs must show **no**
-    #: controller telemetry at all.
-    budget_ok: bool = True
-
-
-class BudgetSweep:
-    """Overhead-budget sweep: coverage bought at each ceiling (ISSUE 7).
-
-    Per system: the **unlimited** leg runs first (no controller — the
-    no-op reference fixing 100% coverage), then each budgeted leg.  The
-    same BASELINE timing and :func:`best_run` lifecycle as the
-    tainted-fraction sweep; the same JSON point schema
-    (``system``/``point``/``overhead``/``coverage``).
-    """
-
-    def __init__(self, systems=None, budgets=DEFAULT_SWEEP_BUDGETS, repeats: int = 1):
-        if repeats < 1:
-            raise TelemetryError("repeats must be >= 1")
-        self.systems = tuple(systems) if systems is not None else DEFAULT_SYSTEMS
-        self.budgets = tuple(budgets)
-        self.repeats = repeats
-        self.points: list[BudgetPoint] = []
-
-    def run(self) -> list[BudgetPoint]:
-        from repro.systems import ALL_SYSTEMS
-
-        self.points = []
-        for name in self.systems:
-            module = ALL_SYSTEMS[name]
-            baseline = baseline_seconds(module, self.repeats)
-            by_budget: dict = {}
-            # Unlimited first: it fixes the 100%-coverage reference the
-            # budgeted legs' relative coverage is measured against.
-            ordered = [None] + [b for b in self.budgets if b is not None]
-            reference_bytes = 0
-            for budget in ordered:
-                dista = best_run(
-                    module,
-                    Mode.DISTA,
-                    SIM,
-                    self.repeats,
-                    DisTAConfig(overhead_budget=budget),
-                )
-                if budget is None:
-                    reference_bytes = int(
-                        snapshot_total(dista.telemetry, "dista_jni_tainted_bytes_total")
-                    )
-                by_budget[budget] = self._point(
-                    name, budget, baseline, dista, reference_bytes
-                )
-            self.points.extend(
-                by_budget[budget] for budget in self.budgets if budget in by_budget
-            )
-        return self.points
-
-    def _point(
-        self, name: str, budget, baseline: float, dista, reference_bytes: int
-    ) -> BudgetPoint:
-        telemetry = dista.telemetry
-        crossings = int(snapshot_total(telemetry, "dista_crossings_total"))
-        rpcs = int(snapshot_total(telemetry, "dista_taintmap_requests_total"))
-        tainted = int(snapshot_total(telemetry, "dista_jni_tainted_bytes_total"))
-        sheds = int(snapshot_total(telemetry, "dista_budget_sheds_total"))
-        ratio = snapshot_max(telemetry, "dista_budget_steady_overhead_ratio")
-        ewma = snapshot_max(telemetry, "dista_budget_overhead_ratio")
-        sampling = _snapshot_min(
-            telemetry, "dista_budget_coverage", {"actuator": "sampling"}
-        )
-        methods = _snapshot_min(
-            telemetry, "dista_budget_coverage", {"actuator": "methods"}
-        )
-        coverage = tainted / reference_bytes if reference_bytes > 0 else 0.0
-        if budget is None:
-            # The no-op guarantee: no controller ⇒ no budget telemetry.
-            ok = ratio is None and ewma is None and sheds == 0 and crossings > 0
-        else:
-            ok = (
-                tainted > 0
-                and crossings > 0
-                and ratio is not None
-                and ratio <= budget + BUDGET_CANARY_SLACK
-            )
-        return BudgetPoint(
-            system=name,
-            budget=budget,
-            baseline_seconds=baseline,
-            dista_seconds=dista.duration,
-            overhead_ratio=dista.duration / baseline if baseline > 0 else 0.0,
-            controller_ratio=ratio if ratio is not None else 0.0,
-            smoothed_ratio=ewma if ewma is not None else 0.0,
-            coverage=coverage,
-            coverage_sampling=sampling if sampling is not None else 1.0,
-            coverage_methods=methods if methods is not None else 1.0,
-            crossings=crossings,
-            taintmap_rpcs=rpcs,
-            tainted_bytes=tainted,
-            sheds=sheds,
-            budget_ok=ok,
-        )
-
-    # -- reporting ---------------------------------------------------------- #
-
-    def broken_points(self) -> list[BudgetPoint]:
-        """Points violating the convergence canary (see ``budget_ok``)."""
-        return [p for p in self.points if not p.budget_ok]
-
-    def as_dict(self) -> dict:
-        points = []
-        for point in self.points:
-            entry = asdict(point)
-            entry.update(
-                point=point.budget if point.budget is not None else "unlimited",
-                overhead=point.overhead_ratio,
-                coverage=point.coverage,
-            )
-            points.append(entry)
-        return {
-            "benchmark": "budget_sweep",
-            "scenario": SIM,
-            "repeats": self.repeats,
-            "budgets": [b if b is not None else "unlimited" for b in self.budgets],
-            "canary_slack": BUDGET_CANARY_SLACK,
-            "points": points,
-        }
-
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.as_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    def render(self) -> str:
-        lines = [
-            f"{'system':18s} {'budget':>9s} {'ctrl':>6s} {'cover':>6s} "
-            f"{'smpl':>5s} {'meth':>5s} {'sheds':>6s} {'bytes':>8s} {'cross':>6s}"
-        ]
-        for p in self.points:
-            budget = f"{p.budget:.2f}x" if p.budget is not None else "unlim"
-            lines.append(
-                f"{p.system:18s} {budget:>9s} {p.controller_ratio:5.2f}x "
-                f"{p.coverage:6.3f} {p.coverage_sampling:5.2f} "
-                f"{p.coverage_methods:5.2f} {p.sheds:6d} {p.tainted_bytes:8d} "
-                f"{p.crossings:6d}"
-            )
-        broken = self.broken_points()
-        if broken:
-            lines.append(
-                "!!! budget canary violated: "
-                + ", ".join(
-                    f"{p.system}@{p.budget if p.budget is not None else 'unlimited'}"
-                    for p in broken
-                )
             )
         return "\n".join(lines)
 

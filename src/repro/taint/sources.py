@@ -64,15 +64,15 @@ class SourceSinkRegistry:
     #: value (the tainted-traffic knob of the overhead sweep).  1.0 is
     #: the paper's behaviour: every firing taints.
     source_fraction: float = 1.0
-    #: Budgeted tracking's flow-sampling period: admit (taint) every
-    #: ``k``-th matching source firing, counted deterministically per
-    #: registry.  1 admits every flow (the paper's behaviour); the
-    #: overhead-budget controller (:mod:`repro.taint.budget`) adapts
-    #: this attribute at runtime.  A sampled-out flow's value is
+    #: Flow-sampling period: admit (taint) every ``k``-th matching
+    #: source firing, counted deterministically per registry.  1 admits
+    #: every flow (the paper's behaviour).  The cluster sets it once from
+    #: ``DisTAConfig.sample_every``.  A sampled-out flow's value is
     #: returned untainted, so it dispatches through the zero-taint fast
     #: path everywhere downstream — never touching the resolver or the
     #: Taint Map — and its wire frames are byte-identical to untainted
-    #: traffic.
+    #: traffic.  It reaches its sinks untainted and is counted in
+    #: :attr:`sampled_out` (``dista_sampled_out_total``).
     sample_every: int = 1
 
     def __post_init__(self) -> None:
@@ -86,7 +86,7 @@ class SourceSinkRegistry:
         self._auto_counter = 0
         self._sample_counter = 0
         self._flow_counter = 0
-        #: Matching source firings gated out by flow sampling.
+        #: Matching source firings left untracked by flow sampling.
         self.sampled_out = 0
         #: Matching source firings admitted by flow sampling (only
         #: counted while ``sample_every`` > 1; with sampling off the
@@ -122,7 +122,7 @@ class SourceSinkRegistry:
         1.0 always does, and reruns are reproducible.
 
         ``sample_every`` = k > 1 additionally admits only every k-th
-        matching firing (budgeted tracking's flow sampling).  Admission
+        matching firing (flow sampling).  Admission
         is a plain per-registry counter — independent of timing, Taint
         Map transport and thread scheduling — so the same workload
         admits the identical flow set on every run.
@@ -185,6 +185,17 @@ class SourceSinkRegistry:
         return observation
 
     # -- reporting -------------------------------------------------------- #
+
+    def telemetry_samples(self) -> dict:
+        """Snapshot fragment for the node's metrics registry (registered
+        by the agent on attach)."""
+        return {
+            "dista_sampled_out_total": {
+                "type": "counter",
+                "help": "Source firings flow sampling left untracked.",
+                "samples": [{"labels": {}, "value": self.sampled_out}],
+            }
+        }
 
     def tainted_observations(self) -> list[SinkObservation]:
         with self._lock:

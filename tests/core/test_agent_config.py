@@ -91,8 +91,8 @@ class TestAgentOptions:
         )
         assert options.taint_sources == "src.spec"
         assert options.taint_sinks == "sink.spec"
-        assert options.taint_map == "10.0.255.1:7170"
-        assert options.extras == {"verbose": "1"}
+        # Not a launch flag: left for DisTAConfig.from_extras to refuse.
+        assert options.extras == {"taintMap": "10.0.255.1:7170", "verbose": "1"}
 
     def test_parse_empty(self):
         assert AgentOptions.parse("") == AgentOptions()

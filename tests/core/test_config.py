@@ -29,7 +29,6 @@ SAMPLES = {
     "byte_granularity": ("message", False),
     "wrapper_types": ("1+3", frozenset({1, 3})),
     "request_deadline_s": ("2.5", 2.5),
-    "overhead_budget": ("1.05", 1.05),
     "sample_every": ("4", 4),
     "source_fraction": ("0.25", 0.25),
     "lineage": ("on", True),
@@ -43,7 +42,6 @@ DOCUMENTED_DEFAULTS = {
     "byte_granularity": True,
     "wrapper_types": frozenset({1, 2, 3}),
     "request_deadline_s": 30.0,
-    "overhead_budget": None,
     "sample_every": 1,
     "source_fraction": 1.0,
     "lineage": False,
@@ -57,7 +55,6 @@ BAD_TEXT = {
     "byte_granularity": "word",
     "wrapper_types": "1+4",
     "request_deadline_s": "soon",
-    "overhead_budget": "0.5",
     "sample_every": "0",
     "source_fraction": "1.5",
     "lineage": "maybe",
@@ -68,7 +65,6 @@ BAD_TEXT = {
 #: field → keyword value that must be refused (rows with a range).
 BAD_KEYWORD = {
     "wrapper_types": frozenset({4}),
-    "overhead_budget": 0.5,
     "sample_every": 0,
     "source_fraction": -0.1,
     "taint_map_snapshot_every": 0,
@@ -136,7 +132,9 @@ class TestConfigTable:
 @pytest.mark.parametrize(
     "key",
     [
+        "overheadBudget",
         "overheadBugdet",
+        "taintMap",
         "gidCacheCapacity",
         "gidCacheAdmission",
         "budgetWarmStart",
@@ -151,7 +149,7 @@ def test_unknown_launch_extra_is_refused(key):
     with pytest.raises(ConfigError, match=re.escape(key)) as caught:
         launch_cluster(Mode.DISTA, f"{key}=1")
     # The error lists the valid keys, so the typo is easy to fix.
-    assert "overheadBudget" in str(caught.value)
+    assert "taintSampleEvery" in str(caught.value)
 
 
 def test_agent_options_keep_arbitrary_pairs():

@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,8 @@ from repro.obs.registry import (
     snapshot_quantile,
     snapshot_total,
 )
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestBuckets:
@@ -229,3 +233,22 @@ class TestMerging:
         text = render_exposition(merge_snapshots(r1.snapshot()))
         assert text.startswith("# TYPE c_total counter")
         assert text.endswith("\n")
+
+
+class TestMetricCatalog:
+    def test_catalog_matches_declared_families(self):
+        """docs/OBSERVABILITY.md's catalog lists exactly the families the
+        code declares: names passed to ``.counter(``/``.gauge(``/
+        ``.histogram(`` plus the keys of collector fragments."""
+        declared = set()
+        for path in (ROOT / "src" / "repro").rglob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            declared.update(
+                re.findall(r'\.(?:counter|gauge|histogram)\(\s*"(\w+)"', text)
+            )
+            declared.update(re.findall(r'"(\w+)":\s*\{\s*"type":', text))
+        doc = (ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+        section = doc.split("## Metric catalog", 1)[1].split("\n#", 1)[0]
+        catalog = set(re.findall(r"^\| `(\w+)` \|", section, re.M))
+        assert declared, "no metric family found in the source"
+        assert catalog == declared

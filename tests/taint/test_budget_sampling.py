@@ -1,9 +1,9 @@
-"""Flow sampling at source registration (budgeted tracking).
+"""Flow sampling at source registration (static partial tracking).
 
 ``sample_every`` = k admits every k-th matching source firing through a
 plain per-registry counter — no clocks, no randomness — so the admitted
 flow set is a pure function of firing order: identical on every run,
-every transport, every machine.
+every transport, every machine.  Nothing changes k while a run is live.
 """
 
 import pytest
