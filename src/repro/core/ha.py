@@ -106,11 +106,26 @@ class ReplicatedTaintMapServer(TaintMapServer):
             self._replicate(gid, serialized)
         return gid
 
+    def stop(self) -> None:
+        super().stop()
+        # Close the replication connection too, or the standby keeps a
+        # connection thread blocked on it until its idle timeout.
+        with self._standby_lock:
+            self._close_standby()
+
+    def _close_standby(self) -> None:
+        endpoint, self._standby_endpoint = self._standby_endpoint, None
+        if endpoint is not None:
+            endpoint.close()
+
     def _replicate(self, gid: int, serialized: bytes) -> None:
         payload = struct.pack(">I", gid) + serialized
         with self._standby_lock:
             try:
                 if self._standby_endpoint is None or self._standby_endpoint.closed:
+                    if not self._running:  # stopped: never redial the standby
+                        self.replication_failures += 1
+                        return
                     self._standby_endpoint = self._kernel.connect(
                         self.address[0], self._standby_address
                     )
@@ -125,7 +140,7 @@ class ReplicatedTaintMapServer(TaintMapServer):
                     self.replication_failures += 1
             except Exception:
                 self.replication_failures += 1
-                self._standby_endpoint = None
+                self._close_standby()
 
 
 class FailoverTaintMapClient(TaintMapClient):
@@ -134,16 +149,18 @@ class FailoverTaintMapClient(TaintMapClient):
     ``primary`` and ``standby`` are each one ``(ip, port)``; the replica
     list widens from ``[primary]`` to ``[primary, standby]`` and the
     transport rotates through it.  A broken multiplexed connection fails
-    every in-flight future with a transport error, and each affected
-    request retries on the standby (registration and lookup are
-    idempotent, so the retry is safe).
+    every request in flight on it with a transport error, and the caller
+    that finds it dead re-sends each of them on the standby (registration
+    and lookup are idempotent, so the retry is safe).  A connection found
+    dead at send time is first redialed once on the same replica, so an
+    idle drop is not mistaken for a dead primary.
 
     Deadline errors (:class:`~repro.errors.TaintMapDeadlineError`) are
     raised to the waiting caller, *outside* the per-replica retry: a
     request that times out is surfaced rather than replayed against the
     standby — by then the caller has already waited the full deadline.
     The batch that carried it still settles for the other callers
-    waiting on it, who also run its failover.
+    waiting on it, whichever of them reads its reply or fails it over.
     """
 
     def __init__(

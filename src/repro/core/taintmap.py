@@ -470,6 +470,9 @@ class TaintMapServer:
             pass
         finally:
             endpoint.close()
+            with self._lock:
+                if endpoint in self._connections:
+                    self._connections.remove(endpoint)
 
     def _serve_mux(self, endpoint: TcpEndpoint) -> None:
         """Accept loop for one upgraded (multiplexed) connection.
@@ -762,11 +765,12 @@ class TaintMapClient:
 
     ``address`` is the server's ``(ip, port)``.  Requests travel over one
     :class:`~repro.core.transport.TaintMapTransport`: a multiplexed
-    connection, sent on the calling thread, with concurrent cache misses
-    group-committed into one batched round-trip.  ``transport_options``
-    tune it (``max_batch``, ``request_deadline_s``, ``max_pending``).
-    The client owns the connection's reader thread, so every client must
-    be released with :meth:`close`.
+    connection whose requests are sent and replies read on the calling
+    threads, with concurrent cache misses group-committed into one
+    batched round-trip.  ``transport_options`` tune it (``max_batch``,
+    ``request_deadline_s``, ``max_pending``).  The client owns no thread,
+    but its connection stays open until :meth:`close`, so every client
+    must be released with it.
 
     ``cache_enabled=False`` exists only for the ablation benchmark — it
     re-registers every byte's taint, demonstrating why Fig. 9's step ②

@@ -1,55 +1,52 @@
 """The Taint Map client transport: a multiplexed connection, requests
-sent on the caller's thread, and group commit across messages.
+sent and replies read on the caller's thread, and group commit across
+messages.
 
 Every :class:`~repro.core.taintmap.TaintMapClient` owns one
-:class:`TaintMapTransport`.  A wrapper thread that misses its cache
-never pays for a connection of its own, and never hands its request to
-another thread to send:
+:class:`TaintMapTransport` and no thread:
 
-* **One long-lived connection.**  The client upgrades it with
-  :data:`~repro.core.taintmap.OP_MUX_HELLO`; after the acknowledgement
-  every frame carries a 4-byte **correlation id** in front of the
-  *unchanged* sync frame bytes, so many requests can be in flight at
-  once and replies complete out of order.  The inner frames — and every
-  payload encoding: taint serialization, batch formats, GID packing —
-  are byte-identical to the sync protocol; the server dispatches both
-  through the same ``_handle``.
+* **One long-lived connection.**  Upgraded with
+  :data:`~repro.core.taintmap.OP_MUX_HELLO`, after which every frame is
+  a 4-byte **correlation id** in front of the *unchanged* sync frame
+  bytes, so many requests are in flight at once and replies complete out
+  of order.  Every payload encoding is byte-identical to the sync
+  protocol; the server dispatches both through the same ``_handle``.
 
-* **Requests on the caller's thread.**  A caller packs and sends its
-  own frame; the connection's reader thread (``taintmap-mux-reader``)
-  matches each reply to its request's future and settles the entries
-  it answers right there.  One round-trip is three thread hand-offs:
-  caller → server → reader → caller.  The reader never sends: a reply
-  that needs another frame (failover to the next replica, the rest of a
-  batch after an unknown-GID reply) is handed to a caller thread
-  waiting on that batch.  Callers wait at most ``request_deadline_s`` —
-  a wedged server fails the request with
-  :class:`~repro.errors.TaintMapDeadlineError` instead of hanging the
-  wrapper thread — and one caller leaving at its deadline never strands
-  the others in its batch.
+* **The read turn.**  A caller sends its own frame and waits; one
+  waiting caller at a time holds the read turn, reads the connection and
+  settles every reply frame it finds, its own or another caller's.  A
+  round-trip is two thread hand-offs (caller → server → caller).  Three
+  rules keep replies draining: (1) nobody sends while holding the turn —
+  the holder releases it and wakes the parked callers first, so full
+  request and reply pipes never wait on each other; (2) a window larger
+  than ``max_batch`` goes out one frame at a time, the next when the
+  previous one's reply lands; (3) a connection found dead at send time
+  (an idle drop is found no earlier) is redialed once, on the same
+  replica, before a replica failure is counted.  Work a reply calls for
+  — the next frame, the window queued behind a finished flush, failover,
+  the rest of a batch after an unknown-GID reply — runs on the thread
+  that read it.  A partial reply frame stays buffered for the next
+  holder, so a caller leaving at ``request_deadline_s``
+  (:class:`~repro.errors.TaintMapDeadlineError`) never desynchronizes
+  the framing or strands the others in its batch.
 
-* **Group commit.**  There is one open window per kind (register,
-  lookup).  Misses from concurrent wrappers join it, identical entries
-  sharing one wire entry and one result: registration is idempotent
-  (same taint ⇒ same GID) and lookup is read-only.  A caller that finds
-  no flush of that kind in flight **leads**: it takes the window and
-  sends it at once, split into frames of at most ``max_batch`` entries
-  (never past the 16-bit protocol ceiling,
+* **Group commit.**  One open window per kind (register, lookup);
+  identical entries share one wire entry and one result (registration
+  is idempotent, lookup read-only).  A caller that finds no flush of
+  that kind in flight **leads**: it sends the window at once, in frames
+  of at most ``max_batch`` entries (≤
   :data:`~repro.core.taintmap.PROTOCOL_MAX_BATCH`).  Callers arriving
-  while a flush is in flight queue into the next window, and one of
-  them sends it when the reply lands.  An idle caller waits for nobody;
-  under load, *k* concurrent misses share one ``OP_REGISTER_MANY`` /
-  ``OP_LOOKUP_MANY`` round-trip.
+  while a flush is in flight queue into the next window, sent when that
+  flush completes, so *k* concurrent misses share one round-trip.
 
-* **Backpressure.**  Pending entries (queued in windows plus in flight)
-  are bounded by ``max_pending``; past the high-water mark new entries
-  **block** until the transport drains, counted in
-  ``dista_coalesce_backpressure_total``.
+* **Backpressure.**  Pending entries (queued plus in flight) are bounded
+  by ``max_pending``; past it callers **block**, still reading replies
+  when the turn is free (``dista_coalesce_backpressure_total``).
 
-* **Failover with in-flight requests.**  A connection that dies fails
-  every request in flight on it, and each affected frame is re-sent on
-  the next replica (idempotency makes the retry safe).  Semantic errors
-  (``STATUS_*``) never fail over.
+* **Failover.**  A connection that dies fails every request in flight
+  on it, and each frame is re-sent on the next replica (idempotency
+  makes the retry safe).  ``STATUS_*`` errors and deadlines never fail
+  over.
 """
 
 from __future__ import annotations
@@ -58,9 +55,7 @@ import itertools
 import struct
 import threading
 import time
-from concurrent.futures import Future
-from functools import partial
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.core.taintmap import (
     KIND_LOOKUP,
@@ -82,6 +77,8 @@ from repro.core.taintmap import (
     _split_batch_lookup_response,
 )
 from repro.errors import (
+    PipeClosed,
+    SimTimeout,
     TaintMapDeadlineError,
     TaintMapError,
     TaintMapExhaustedError,
@@ -115,6 +112,9 @@ _CORR_MASK = 0xFFFFFFFF
 #: The wire op carrying each kind's frames.
 _BATCH_OPS = (OP_REGISTER_MANY, OP_LOOKUP_MANY)
 
+#: Bytes the turn holder asks for in one read.
+_READ_SIZE = 1 << 16
+
 
 def mux_frame(corr: int, op: int, payload: bytes) -> bytes:
     """One multiplexed request frame: a correlation-id prefix followed
@@ -142,95 +142,98 @@ def _status_error(status: int) -> TaintMapError:
 class _MuxConnection:
     """One upgraded connection: correlated frames, out-of-order replies.
 
-    Callers send on their own threads, one frame at a time under a send
-    lock (interleaved partial writes would desynchronize framing).  The
-    reader thread completes each request's future when its correlated
-    reply arrives, running the future's callbacks right there.
+    The transport's lock guards the request table, the broken flag and
+    the read turn.  Frames go out whole under a send lock; only the turn
+    holder reads, keeping a partial reply frame in ``_buffer``.
     """
 
     def __init__(self, endpoint: TcpEndpoint, inflight=None):
         self._endpoint = endpoint
-        self._pending: dict[int, Future] = {}
+        #: Correlation id → the flight waiting for that reply.
+        self._pending: dict[int, _Flight] = {}
         self._corr = itertools.count(1)
-        self._lock = threading.Lock()
         self._send_lock = threading.Lock()
         self._broken: Optional[Exception] = None
         #: Optional gauge child tracking in-flight request depth.
         self._inflight = inflight
-        self._reader = threading.Thread(
-            target=self._read_loop, name="taintmap-mux-reader", daemon=True
-        )
-        self._reader.start()
+        #: True while a caller holds the read turn.
+        self.reading = False
+        self._buffer = bytearray()
 
     @property
     def broken(self) -> bool:
         return self._broken is not None
 
-    def request(self, op: int, payload: bytes) -> Future:
-        """Send one frame on the calling thread.  The future completes
-        with ``(status, response)`` when the correlated reply arrives
-        (in any order), or fails if the connection dies first."""
-        future: Future = Future()
-        with self._lock:
-            if self._broken is not None:
-                # A fresh exception per caller: re-raising the one cached
-                # instance would cross-contaminate tracebacks between
-                # unrelated requests (and mutate the original's context).
-                raise TaintMapTransportError(
-                    f"taint map mux connection is broken: {self._broken}"
-                ) from self._broken
+    # -- the request table (callers hold the transport's lock) -------------- #
+
+    def enlist(self, flight: "_Flight") -> int:
+        """Allocate the correlation id ``flight``'s reply will carry."""
+        if self._broken is not None:
+            # A fresh exception per caller: re-raising the one cached
+            # instance would cross-contaminate tracebacks between
+            # unrelated requests (and mutate the original's context).
+            raise TaintMapTransportError(
+                f"taint map mux connection is broken: {self._broken}"
+            ) from self._broken
+        corr = next(self._corr) & _CORR_MASK
+        # After a 32-bit wrap a fresh id can collide with one still in
+        # flight; overwriting its entry would leave that caller hanging.
+        while corr in self._pending:
             corr = next(self._corr) & _CORR_MASK
-            # After a 32-bit wrap a fresh id can collide with one still in
-            # flight; overwriting its future would leave that caller hanging.
-            while corr in self._pending:
-                corr = next(self._corr) & _CORR_MASK
-            self._pending[corr] = future
-            if self._inflight is not None:
-                self._inflight.inc()
-        try:
-            with self._send_lock:
-                self._endpoint.send_all(mux_frame(corr, op, payload))
-        except BaseException:
-            with self._lock:
-                dropped = self._pending.pop(corr, None) is not None
-            if dropped and self._inflight is not None:
-                self._inflight.dec()
-            raise
-        return future
+        self._pending[corr] = flight
+        if self._inflight is not None:
+            self._inflight.inc()
+        return corr
 
-    def _read_loop(self) -> None:
-        endpoint = self._endpoint
-        try:
-            while True:
-                corr, status, length = MUX_HEAD.unpack(_recv_exact(endpoint, MUX_HEAD.size))
-                response = _recv_exact(endpoint, length) if length else b""
-                with self._lock:
-                    future = self._pending.pop(corr, None)
-                    if future is not None and self._inflight is not None:
-                        self._inflight.dec()
-                if future is not None:
-                    future.set_result((status, response))
-        except Exception as exc:
-            self._fail_pending(exc)
-            endpoint.close()
+    def take(self, corr: int) -> Optional["_Flight"]:
+        """The flight a reply answers, or None if it is no longer here."""
+        flight = self._pending.pop(corr, None)
+        if flight is not None and self._inflight is not None:
+            self._inflight.dec()
+        return flight
 
-    def _fail_pending(self, exc: Exception) -> None:
-        """Connection death: every in-flight future gets the transport
-        error, so its request can fail over to the next replica."""
-        with self._lock:
+    def fail(self, exc: Exception) -> list:
+        """Connection death: mark it broken and hand back every flight
+        it will never answer, so each can fail over."""
+        if self._broken is None:
             self._broken = exc
-            pending = list(self._pending.values())
-            self._pending.clear()
-            if pending and self._inflight is not None:
-                self._inflight.dec(len(pending))
-        for future in pending:
-            future.set_exception(exc)
+        flights = list(self._pending.values())
+        self._pending.clear()
+        if flights and self._inflight is not None:
+            self._inflight.dec(len(flights))
+        return flights
+
+    # -- I/O (no lock held) --------------------------------------------------- #
+
+    def write(self, corr: int, op: int, payload: bytes) -> None:
+        with self._send_lock:
+            self._endpoint.send_all(mux_frame(corr, op, payload))
+
+    def receive(self, timeout: Optional[float]) -> list:
+        """Read once as the turn holder and return every reply frame now
+        complete, as ``(corr, status, response)``.  Raises
+        :class:`~repro.errors.SimTimeout` past ``timeout`` and
+        :class:`~repro.errors.PipeClosed` at EOF."""
+        chunk = self._endpoint.recv(_READ_SIZE, timeout)
+        if not chunk:
+            raise PipeClosed("taint map connection closed")
+        buffer = self._buffer
+        buffer += chunk
+        frames = []
+        pos, head = 0, MUX_HEAD.size
+        while len(buffer) - pos >= head:
+            corr, status, length = MUX_HEAD.unpack_from(buffer, pos)
+            end = pos + head + length
+            if end > len(buffer):
+                break
+            frames.append((corr, status, bytes(buffer[pos + head : end])))
+            pos = end
+        del buffer[:pos]
+        return frames
 
     def close(self) -> None:
-        """Close the endpoint and wait for the reader thread to stop."""
+        """Close the endpoint, which ends a read in progress."""
         self._endpoint.close()
-        if self._reader is not threading.current_thread():
-            self._reader.join(timeout=5)
 
 
 class _Channel:
@@ -246,13 +249,10 @@ class _Channel:
         self._connection: Optional[_MuxConnection] = None
         self._lock = threading.Lock()
 
-    def request(self, op: int, payload: bytes) -> Future:
+    def connection(self) -> _MuxConnection:
         connection = self._connection
-        if connection is None or connection.broken:
-            connection = self._connected()
-        return connection.request(op, payload)
-
-    def _connected(self) -> _MuxConnection:
+        if connection is not None and not connection.broken:
+            return connection
         with self._lock:
             transport = self._transport
             # A send racing close() must not re-dial the endpoint the
@@ -268,17 +268,20 @@ class _Channel:
                 )
             return connection
 
+    def discard(self, connection: _MuxConnection) -> None:
+        """Drop and close a dead connection; the next send redials."""
+        with self._lock:
+            if self._connection is connection:
+                self._connection = None
+        self._close_quietly(connection)
+
     def rotate(self, observed_active: int) -> None:
         """Fail over to the next replica (no-op if a concurrent request
-        already rotated past ``observed_active``); always drop the
-        current connection."""
+        already rotated past ``observed_active``)."""
         client = self._transport.client
         with self._lock:
-            stale, self._connection = self._connection, None
             if client._active == observed_active:
                 client._active = (observed_active + 1) % len(client._replicas)
-        if stale is not None:
-            self._close_quietly(stale)
 
     def close(self) -> None:
         with self._lock:
@@ -294,14 +297,11 @@ class _Channel:
 
 
 class _Batch:
-    """One window of one kind.
+    """One window of one kind: open while callers join it, then — taken
+    by a leader, or when the previous flush of its kind completes — sent
+    one frame at a time until every key has a result."""
 
-    Open while callers join it; once taken — by a leader, or when the
-    previous flush of its kind completes — it flies as one or more
-    frames until every key has a result.
-    """
-
-    __slots__ = ("kind", "keys", "results", "actions", "wakers", "done")
+    __slots__ = ("kind", "keys", "results", "unsent", "done")
 
     def __init__(self, kind: int):
         self.kind = kind
@@ -309,37 +309,36 @@ class _Batch:
         self.keys: dict = {}
         #: Entry key → GID / serialized taint, or the exception it failed with.
         self.results: dict = {}
-        #: Work only a caller thread may do: ``(handler, *args)``.
-        self.actions: list = []
-        #: The waker of every caller still waiting on this batch.
-        self.wakers: list[threading.Event] = []
+        #: Once taken, the keys no frame has carried yet.
+        self.unsent: list = []
         self.done = False
 
 
 class _Flight:
     """One frame of a batch."""
 
-    __slots__ = ("batch", "keys", "failures", "observed_active", "started")
+    __slots__ = ("batch", "keys", "failures", "redialed", "observed_active", "started")
 
     def __init__(self, batch: _Batch, keys: list):
         self.batch = batch
         self.keys = keys
         #: Transport failures so far (one per replica tried).
         self.failures = 0
+        #: Whether the frame was already re-sent on a redialed connection.
+        self.redialed = False
         self.observed_active = 0
         self.started = 0.0
 
 
 class _Call:
-    """One ``submit``: the caller's waker, its deadline, and the batches
-    it joined (in order, without repeats)."""
+    """One ``submit``: its deadline and the batches it joined (in
+    order, without repeats)."""
 
-    __slots__ = ("waker", "deadline", "batches")
+    __slots__ = ("deadline", "batches")
 
     def __init__(self, deadline_s: Optional[float]):
-        self.waker = threading.Event()
         self.deadline = None if deadline_s is None else time.monotonic() + deadline_s
-        self.batches: dict[_Batch, None] = {}
+        self.batches: list[_Batch] = []
 
     def remaining(self) -> Optional[float]:
         if self.deadline is None:
@@ -354,7 +353,7 @@ class TaintMapTransport:
     taints in and GIDs out for :data:`~repro.core.taintmap.KIND_REGISTER`,
     GIDs in and serialized taints out for
     :data:`~repro.core.taintmap.KIND_LOOKUP`.  Entries are packed into
-    frames only once, when a window is sent.
+    frames only once, when a frame is sent.
     """
 
     def __init__(
@@ -410,16 +409,22 @@ class TaintMapTransport:
                 "Requests in flight on the multiplexed Taint Map connection.",
             ).labels()
         self._closed = False
-        #: Guards the group-commit state below.
+        #: Guards the group-commit state below and the connection's
+        #: request table and read turn.
         self._lock = threading.Lock()
+        #: Parked callers sleep here; any change that may let one of
+        #: them go on (a batch done, the turn released, a frame sent
+        #: with the turn free, pending entries drained) wakes them all.
+        self._changed = threading.Condition(self._lock)
+        self._parked = 0
         #: The open window of each kind, which arriving callers join.
         self._windows = [_Batch(KIND_REGISTER), _Batch(KIND_LOOKUP)]
         #: The batch of each kind in flight, or None.
         self._flying: list[Optional[_Batch]] = [None, None]
         #: Entries queued in windows plus carried by in-flight batches.
         self._pending = 0
-        #: Wakers of callers parked at the high-water mark.
-        self._blocked: list[threading.Event] = []
+        #: Callers parked at the high-water mark.
+        self._blocked = 0
         #: Dials lazily, on the first request.
         self._channel = _Channel(self)
 
@@ -427,7 +432,7 @@ class TaintMapTransport:
 
     def close(self) -> None:
         """Fail every queued and in-flight entry (waking their callers),
-        then close the connection, which stops its reader thread."""
+        then close the connection, which ends a caller's read."""
         with self._lock:
             if self._closed:
                 return
@@ -435,9 +440,9 @@ class TaintMapTransport:
             for kind in (KIND_REGISTER, KIND_LOOKUP):
                 for batch in (self._flying[kind], self._windows[kind]):
                     if batch is not None:
-                        self._fail_batch(batch, _closed_error())
-            self._wake(self._blocked)
-            self._blocked.clear()
+                        error = _closed_error()
+                        self._settle(batch, ((key, error) for key in batch.keys))
+            self._wake()
         self._channel.close()
 
     def _dial(self, address: Address) -> TcpEndpoint:
@@ -466,12 +471,8 @@ class TaintMapTransport:
         when no flush of that kind is in flight), wait for them, and
         return one value per entry."""
         call = _Call(self.request_deadline_s)
-        try:
-            slots = self._join(call, kind, entries)
-            self._wait(call)
-        except BaseException:
-            self._leave(call)
-            raise
+        slots = self._join(call, kind, entries)
+        self._await(call, lambda: all(batch.done for batch in call.batches))
         values = []
         for batch, key in slots:
             value = batch.results[key]
@@ -487,7 +488,6 @@ class TaintMapTransport:
         slots = []
         index = 0
         while True:
-            call.waker.clear()
             with self._lock:
                 if self._closed:
                     raise _closed_error()
@@ -503,235 +503,233 @@ class TaintMapTransport:
                     slots.append((window, key))
                     index += 1
                 if index > start and window not in call.batches:
-                    call.batches[window] = None
-                    window.wakers.append(call.waker)
+                    call.batches.append(window)
                 if index == len(keys):
-                    leading = self._take(kind)
+                    leading = self._lead(kind)
                     break
                 # At the high-water mark.  Send any window with no flush
                 # in flight first: nothing else would drain it.
-                taken = [self._take(KIND_REGISTER), self._take(KIND_LOOKUP)]
+                taken = [self._lead(KIND_REGISTER), self._lead(KIND_LOOKUP)]
                 if self._blocked_total is not None:
                     self._blocked_total.inc()
-                self._blocked.append(call.waker)
-            for batch in taken:
-                if batch is not None:
-                    self._send_window(batch, "idle")
-            self._park(call)
-        if leading is not None:
-            self._send_window(leading, "idle")
+                self._blocked += 1
+            try:
+                self._send(*taken)
+                self._await(call, lambda: self._closed or self._pending < self.max_pending)
+            finally:
+                with self._lock:
+                    self._blocked -= 1
+        self._send(leading)
         return slots
 
-    def _wait(self, call: _Call) -> None:
-        """Wait until every batch the call joined is done, doing any
-        work a batch hands this thread on the way."""
+    def _await(self, call: _Call, ready: Callable[[], bool]) -> None:
+        """Return once ``ready()`` holds.  Meanwhile read replies while
+        the read turn is free and a reply is due, or else sleep until
+        woken or the call's deadline."""
         while True:
-            call.waker.clear()
-            waiting = [batch for batch in call.batches if not batch.done]
-            if not waiting:
-                return
-            self._park(call, waiting)
+            with self._lock:
+                if ready():
+                    return
+                connection = self._channel._connection
+                if connection is None or connection.reading or not connection._pending:
+                    self._parked += 1
+                    try:
+                        woken = self._changed.wait(call.remaining())
+                    finally:
+                        self._parked -= 1
+                    if not woken and not ready():
+                        raise self._deadline_error()
+                    continue
+                connection.reading = True
+            self._send(*self._read_turn(connection, call, ready))
 
-    def _park(self, call: _Call, batches=None) -> None:
-        """Do the pending work of the call's batches, or else sleep until
-        woken: a batch settled or needs this thread, or the pending
-        entries of a parked caller drained."""
-        for batch in call.batches if batches is None else batches:
-            if batch.actions and self._act(batch):
-                return
-        if not call.waker.wait(call.remaining()):
-            raise TaintMapDeadlineError(
-                f"taint map request exceeded its {self.request_deadline_s}s deadline"
-            )
-
-    def _leave(self, call: _Call) -> None:
-        """The caller stops waiting (deadline or error).  A batch left
-        with work but no waiter is failed, so its lane moves on."""
-        with self._lock:
-            for batch in call.batches:
-                if call.waker in batch.wakers:
-                    batch.wakers.remove(call.waker)
-                if batch.actions and not batch.wakers:
-                    batch.actions = []
-                    self._fail_batch(batch, self._abandoned_error())
+    def _deadline_error(self) -> TaintMapDeadlineError:
+        return TaintMapDeadlineError(
+            f"taint map request exceeded its {self.request_deadline_s}s deadline"
+        )
 
     # -- group commit (callers hold the lock) --------------------------------- #
 
-    def _take(self, kind: int) -> Optional[_Batch]:
-        """Move a non-empty window to the in-flight slot if it is free."""
+    def _wake(self) -> None:
+        if self._parked:
+            self._changed.notify_all()
+
+    def _lead(self, kind: int, reason: str = "idle") -> Optional[_Flight]:
+        """Take a non-empty window of ``kind`` in flight if no flush of
+        its kind is, and return its first frame."""
         window = self._windows[kind]
         if self._flying[kind] is not None or not window.keys:
             return None
         self._flying[kind] = window
         self._windows[kind] = _Batch(kind)
-        return window
+        window.unsent = list(window.keys)
+        return self._frame(window, reason)
 
-    def _settle(self, batch: _Batch, results) -> None:
+    def _frame(self, batch: _Batch, reason: str) -> Optional[_Flight]:
+        """The batch's next frame, or None once every key went out."""
+        if batch.done or not batch.unsent:
+            return None
+        keys, batch.unsent = batch.unsent[: self.max_batch], batch.unsent[self.max_batch :]
+        if self._flushes is not None:
+            self._flushes[reason].inc()
+            self._window_entries.observe(len(keys))
+        return _Flight(batch, keys)
+
+    def _settle(self, batch: _Batch, results) -> Optional[_Flight]:
         """Record ``(key, value or exception)`` results (the first one
-        for a key wins); finish the batch when its last key settles."""
+        for a key wins) and return the frame to send next: the batch's
+        next frame, or — when its last key settled — the first frame of
+        the window queued behind it."""
         if batch.done:
-            return
+            return None
         for key, value in results:
             batch.results.setdefault(key, value)
-        if len(batch.results) == len(batch.keys):
-            self._finish(batch)
-
-    def _fail_batch(self, batch: _Batch, error: Exception) -> None:
-        self._settle(batch, ((key, error) for key in batch.keys))
-
-    def _finish(self, batch: _Batch) -> None:
-        """Release the batch's pending budget, wake its callers and any
-        parked ones, and hand the next window of its kind to a caller."""
+        if len(batch.results) < len(batch.keys):
+            return self._frame(batch, "size")
         batch.done = True
         self._pending -= len(batch.keys)
-        self._wake(batch.wakers)
-        # Parked callers re-register if they are still over the mark.
-        self._wake(self._blocked)
-        self._blocked.clear()
+        self._wake()
         if self._flying[batch.kind] is batch:
             self._flying[batch.kind] = None
-            queued = self._take(batch.kind)
-            if queued is not None:
-                self._post(queued, (self._send_window, queued, "drain"))
+            if not self._closed:
+                return self._lead(batch.kind, "drain")
+        return None
 
-    def _post(self, batch: _Batch, action: tuple) -> None:
-        """Hand work to a caller thread waiting on ``batch``.  With the
-        transport closed, or no caller left waiting, the batch's
-        unsettled entries fail instead."""
-        if batch.done:
-            return
-        if self._closed:
-            self._fail_batch(batch, _closed_error())
-        elif not batch.wakers:
-            self._fail_batch(batch, self._abandoned_error())
-        else:
-            batch.actions.append(action)
-            self._wake(batch.wakers)
+    def _landed(self, flight: _Flight, status: int, response: bytes) -> Optional[_Flight]:
+        """Settle what one reply answers; returns the frame it calls
+        for next, if any."""
+        batch = flight.batch
+        keys = flight.keys
+        client = self.client
+        client.requests_sent += 1
+        client._observe_rpc(_BATCH_OPS[batch.kind], time.perf_counter() - flight.started)
+        try:
+            if status == STATUS_OK:
+                if batch.kind == KIND_REGISTER:
+                    values = struct.unpack(f">{len(keys)}I", response)
+                else:
+                    values = _split_batch_lookup_response(response, len(keys))
+                return self._settle(batch, zip(keys, values))
+            if (
+                status == STATUS_UNKNOWN_GID
+                and len(response) == 4
+                and struct.unpack(">I", response)[0] in keys
+            ):
+                # The server names the offending GID: fail that entry
+                # alone and re-send the rest (one extra round-trip)
+                # instead of failing the whole frame.
+                (bad,) = struct.unpack(">I", response)
+                flight.keys = [key for key in keys if key != bad]
+                error = TaintMapError("unknown Global ID")
+                if flight.keys and not batch.done:
+                    batch.results.setdefault(bad, error)
+                    return flight
+                return self._settle(batch, ((bad, error),))
+            error = _status_error(status)
+        except Exception as exc:  # a malformed reply
+            error = exc
+        return self._settle(batch, ((key, error) for key in keys))
 
-    @staticmethod
-    def _wake(wakers: list) -> None:
-        for waker in wakers:
-            waker.set()
+    # -- sending (never while holding the read turn) --------------------------- #
 
-    @staticmethod
-    def _abandoned_error() -> TaintMapError:
-        return TaintMapError(
-            "taint map request abandoned: every caller waiting on it left"
-        )
+    def _send(self, *flights: Optional[_Flight]) -> None:
+        """Send frames on this thread until none is left: the given
+        ones, their re-sends, and the frames settling a failed one
+        calls for."""
+        queue = list(flights)
+        while queue:
+            flight = queue.pop()
+            if flight is not None:
+                try:
+                    queue.extend(self._transmit(flight))
+                except Exception as exc:  # never leave a batch half sent
+                    queue.append(self._fail(flight, exc))
 
-    # -- sending (caller threads only) ----------------------------------------- #
-
-    def _act(self, batch: _Batch) -> bool:
-        """Claim and run the batch's pending work on this thread."""
-        with self._lock:
-            actions, batch.actions = batch.actions, []
-        for handler, *args in actions:
-            try:
-                handler(*args)
-            except Exception as exc:
-                with self._lock:
-                    self._fail_batch(batch, exc)
-        return bool(actions)
-
-    def _send_window(self, batch: _Batch, reason: str) -> None:
-        keys = list(batch.keys)
-        for start in range(0, len(keys), self.max_batch):
-            chunk = keys[start : start + self.max_batch]
-            if self._flushes is not None:
-                self._flushes[reason].inc()
-                self._window_entries.observe(len(chunk))
-            reason = "size"
-            self._send(_Flight(batch, chunk))
-
-    def _send(self, flight: _Flight) -> None:
-        """Send one frame on this thread, failing over on transport
-        errors; the reply is handled by :meth:`_landed`."""
+    def _transmit(self, flight: _Flight) -> list:
+        """Send one frame; returns what its failure calls for."""
         kind = flight.batch.kind
         pack = _pack_batch_register if kind == KIND_REGISTER else _pack_batch_lookup
         payload = pack(flight.keys)
-        while True:
-            flight.observed_active = self.client._active
-            flight.started = time.perf_counter()
-            try:
-                future = self._channel.request(_BATCH_OPS[kind], payload)
-            except TRANSPORT_ERRORS as exc:
-                if self._failover(flight, exc):
-                    continue
-                return
-            except TaintMapError as exc:
-                self._fail(flight, exc)
-                return
-            future.add_done_callback(partial(self._landed, flight))
-            return
+        flight.observed_active = self.client._active
+        flight.started = time.perf_counter()
+        try:
+            connection = self._channel.connection()
+        except TRANSPORT_ERRORS as exc:
+            return [self._retry(flight, exc)]
+        corr = None
+        try:
+            with self._lock:
+                corr = connection.enlist(flight)
+                if not connection.reading:
+                    self._wake()
+            connection.write(corr, _BATCH_OPS[kind], payload)
+            return []
+        except TRANSPORT_ERRORS as exc:
+            with self._lock:
+                if corr is not None and connection.take(corr) is None:
+                    return []  # a reader already failed it over
+                orphans = connection.fail(exc)
+            # Found dead at send time (rule 3): redial the same replica
+            # once before counting a replica failure.
+            self._channel.discard(connection)
+            return [self._retry(each, exc, redial=True) for each in (flight, *orphans)]
 
-    def _failover(self, flight: _Flight, exc: Exception) -> bool:
-        """Rotate to the next replica after a transport error; True if
-        the frame should be sent again."""
+    def _retry(self, flight: _Flight, exc: Exception, redial: bool = False) -> Optional[_Flight]:
+        """A transport error took ``flight``'s frame.  Returns the frame
+        to send again — on a redialed connection once when ``redial``,
+        else on the next replica — or whatever failing it calls for."""
+        if redial and not flight.redialed:
+            flight.redialed = True
+            return flight
         replicas = len(self.client._replicas)
         self._channel.rotate(flight.observed_active)
         flight.failures += 1
         if self._closed:
-            self._fail(flight, _closed_error())
-        elif flight.failures < replicas:
-            return True
-        elif replicas == 1:
-            self._fail(flight, exc)  # single replica: surface the error itself
-        else:
-            self._fail(flight, TaintMapError(f"all taint map replicas unreachable: {exc}"))
-        return False
+            return self._fail(flight, _closed_error())
+        if flight.failures < replicas:
+            return flight
+        if replicas == 1:
+            return self._fail(flight, exc)  # single replica: surface the error itself
+        return self._fail(flight, TaintMapError(f"all taint map replicas unreachable: {exc}"))
 
-    def _resend_after_failure(self, flight: _Flight, exc: Exception) -> None:
-        if self._failover(flight, exc):
-            self._send(flight)
-
-    def _fail(self, flight: _Flight, error: Exception) -> None:
+    def _fail(self, flight: _Flight, error: Exception) -> Optional[_Flight]:
         with self._lock:
-            self._settle(flight.batch, ((key, error) for key in flight.keys))
+            return self._settle(flight.batch, ((key, error) for key in flight.keys))
 
-    # -- replies (the reader thread) --------------------------------------------- #
+    # -- replies (the read turn) ---------------------------------------------- #
 
-    def _landed(self, flight: _Flight, future: Future) -> None:
-        """Settle what one reply answers; anything that needs another
-        frame becomes work for a caller thread waiting on the batch."""
-        batch = flight.batch
-        keys = flight.keys
-        results = ()
-        action = None
+    def _read_turn(self, connection: _MuxConnection, call: _Call, ready) -> list:
+        """Read as the turn holder, settling every reply frame found,
+        until ``ready()`` holds, a reply calls for a send, or nothing is
+        left in flight.  Releases the turn and returns the frames to
+        send."""
         try:
-            status, response = future.result()
-        except Exception as exc:
-            action = (self._resend_after_failure, flight, exc)
-        else:
-            client = self.client
-            with client.stats._lock:
-                client.requests_sent += 1
-            client._observe_rpc(_BATCH_OPS[batch.kind], time.perf_counter() - flight.started)
-            try:
-                if status == STATUS_OK:
-                    if batch.kind == KIND_REGISTER:
-                        values = struct.unpack(f">{len(keys)}I", response)
-                    else:
-                        values = _split_batch_lookup_response(response, len(keys))
-                    results = zip(keys, values)
-                elif (
-                    status == STATUS_UNKNOWN_GID
-                    and len(response) == 4
-                    and struct.unpack(">I", response)[0] in keys
-                ):
-                    # The server names the offending GID: fail that entry
-                    # alone and re-send the rest (one extra round-trip)
-                    # instead of failing the whole frame.
-                    (bad,) = struct.unpack(">I", response)
-                    flight.keys = [key for key in keys if key != bad]
-                    results = ((bad, TaintMapError("unknown Global ID")),)
-                    if flight.keys:
-                        action = (self._send, flight)
-                else:
-                    error = _status_error(status)
-                    results = [(key, error) for key in keys]
-            except Exception as exc:  # a malformed reply
-                results = [(key, exc) for key in keys]
-        with self._lock:
-            self._settle(batch, results)
-            if action is not None:
-                self._post(batch, action)
+            while True:
+                frames = connection.receive(call.remaining())
+                with self._lock:
+                    sends = []
+                    for corr, status, response in frames:
+                        flight = connection.take(corr)
+                        if flight is not None:
+                            sends.append(self._landed(flight, status, response))
+                    if any(sends) or ready() or not connection._pending:
+                        self._release(connection)
+                        return sends
+        except SimTimeout:
+            with self._lock:
+                self._release(connection)
+            raise self._deadline_error() from None
+        except TRANSPORT_ERRORS as exc:
+            with self._lock:
+                orphans = connection.fail(exc)
+                self._release(connection)
+            self._channel.discard(connection)
+            return [self._retry(flight, exc) for flight in orphans]
+        except BaseException:
+            with self._lock:
+                self._release(connection)
+            raise
+
+    def _release(self, connection: _MuxConnection) -> None:
+        connection.reading = False
+        self._wake()

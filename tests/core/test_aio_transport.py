@@ -17,8 +17,10 @@ from repro.core.ha import (
     StandbyTaintMapServer,
 )
 from repro.core.taintmap import (
+    OP_LOOKUP_MANY,
     OP_MUX_HELLO,
     OP_REGISTER,
+    OP_REGISTER_MANY,
     STATUS_OK,
     TaintMapClient,
     TaintMapServer,
@@ -91,56 +93,58 @@ class TestMuxFraming:
         assert gid == 1
         endpoint.close()
 
-    def test_out_of_order_responses_resolve_correct_futures(self, single):
-        """Two concurrent requests whose responses arrive in reverse
-        order must each resolve their own caller."""
+    def test_out_of_order_responses_settle_their_own_callers(self, single):
+        """Two frames in flight whose replies arrive in reverse order
+        must each settle their own caller, whichever caller reads them."""
         kernel, _, server, node = single
         server.stop()
         listener = kernel.listen(TAINT_MAP_IP, TAINT_MAP_PORT)
-        release = threading.Event()
+        looked_up = serialize_tags(node.tree.taint_for_tag("b").tags)
 
         def reordering_server():
             endpoint = listener.accept(timeout=10)
             # Hello upgrade.
             _recv_exact(endpoint, 5)
             endpoint.send_all(bytes([STATUS_OK]) + struct.pack(">I", 0))
-            # Read two register frames, then answer them REVERSED with
-            # distinguishable GIDs.
-            frames = []
+            # Read a register and a lookup frame, then answer them
+            # REVERSED.
+            frames = {}
             for _ in range(2):
                 (corr,) = struct.unpack(">I", _recv_exact(endpoint, 4))
-                _recv_exact(endpoint, 1)
+                op = _recv_exact(endpoint, 1)[0]
                 (length,) = struct.unpack(">I", _recv_exact(endpoint, 4))
                 _recv_exact(endpoint, length)
-                frames.append(corr)
-            release.wait(10)
-            for index, corr in enumerate(reversed(frames)):
+                frames[op] = corr
+            replies = {
+                OP_LOOKUP_MANY: struct.pack(">I", len(looked_up)) + looked_up,
+                OP_REGISTER_MANY: struct.pack(">I", 1000),
+            }
+            for op in reversed(list(frames)):
                 endpoint.send_all(
-                    struct.pack(">I", corr)
+                    struct.pack(">I", frames[op])
                     + bytes([STATUS_OK])
-                    + struct.pack(">I", 4)
-                    + struct.pack(">I", 1000 + index)
+                    + struct.pack(">I", len(replies[op]))
+                    + replies[op]
                 )
             listener.close()
 
         thread = threading.Thread(target=reordering_server, daemon=True)
         thread.start()
+        client = TaintMapClient(node, (TAINT_MAP_IP, TAINT_MAP_PORT), cache_enabled=False)
+        results = {}
 
-        # Two registrations would share one window; send two separate
-        # frames on the channel instead.
-        client = TaintMapClient(node, (TAINT_MAP_IP, TAINT_MAP_PORT))
-        t1 = serialize_tags(node.tree.taint_for_tag("a").tags)
-        t2 = serialize_tags(node.tree.taint_for_tag("b").tags)
-        channel = client.transport._channel
+        def register():
+            results["gid"] = client.gid_for(node.tree.taint_for_tag("a"))
 
-        first = channel.request(OP_REGISTER, t1)
-        second = channel.request(OP_REGISTER, t2)
-        release.set()
-        # Responses were sent reversed: the *second* request's corr came
-        # back first carrying 1000, the first's carrying 1001.
-        assert first.result(10) == (STATUS_OK, struct.pack(">I", 1001))
-        assert second.result(10) == (STATUS_OK, struct.pack(">I", 1000))
+        registering = threading.Thread(target=register, daemon=True)
+        registering.start()
+        # The register frame is in flight before the lookup joins it.
+        assert _wait_until(lambda: client.transport._flying[0] is not None)
+        results["taint"] = client.taint_for(77)
+        registering.join(10)
         thread.join(10)
+        assert results["gid"] == 1000
+        assert {t.tag for t in results["taint"].tags} == {"b"}
         client.close()
 
 

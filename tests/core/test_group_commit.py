@@ -3,8 +3,8 @@
 Two load shapes: concurrent callers share round-trips (entries queue
 into the next window while a flush is in flight), and an idle caller
 pays exactly one round-trip per miss, with nothing to wait for.  The
-thread model: requests go out on the caller's thread, and the
-connection costs the client one reader thread and nothing else.
+thread model: requests go out and replies are read on the callers'
+threads, so the client owns no thread.
 """
 
 import sys
@@ -106,7 +106,9 @@ class TestGroupCommitShapes:
 
 
 class TestThreadModel:
-    def test_one_reader_and_nothing_else(self):
+    def test_client_owns_no_threads(self):
+        """Requests go out and replies are read on the callers' threads:
+        a connected client owns no thread at all."""
         kernel = SimKernel("thread-model")
         fs = SimFileSystem()
         kernel.register_node(TAINT_MAP_IP)
@@ -126,15 +128,16 @@ class TestThreadModel:
         assert client_threads() == []
 
         assert client.gid_for(node.tree.taint_for_tag("tm-0")) == 1
-        owned = client_threads()
-        assert [t.name for t in owned] == ["taintmap-mux-reader"]
-        # More requests reuse the connection: still exactly one reader.
+        connection = client.transport._channel._connection
+        assert connection is not None and client_threads() == []
+        # More requests reuse the connection and still start no thread.
         assert client.gids_for(
             [node.tree.taint_for_tag(f"tm-{i}") for i in range(1, 4)]
         ) == [2, 3, 4]
         assert client.taint_for(1) is not None
-        assert client_threads() == owned
+        assert client.transport._channel._connection is connection
+        assert client_threads() == []
 
         client.close()
-        assert not any(t.is_alive() for t in owned)
+        assert connection._endpoint.closed
         server.stop()

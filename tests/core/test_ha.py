@@ -1,6 +1,8 @@
 """Tests for the replicated Taint Map and failover client (paper §VI)."""
 
 import struct
+import threading
+import time
 
 import pytest
 
@@ -98,6 +100,26 @@ class TestReplication:
         assert len(set(gids)) == 3
         assert all(g > warm[0] for g in gids)
         client.close()
+
+    def test_stop_closes_the_replication_connection(self, ha_setup):
+        """Shortly after the primary stops, the standby holds no
+        connection and no thread from it: stop() closes the replication
+        connection instead of leaving it to the standby's idle timeout."""
+        kernel, node, primary, standby = ha_setup
+        before = set(threading.enumerate())
+        client = TaintMapClient(node, PRIMARY)
+        client.gid_for(node.tree.taint_for_tag("replicated"))
+        assert len(standby._connections) == 1  # the replication connection
+        client.close()
+        primary.stop()
+        started = [t for t in threading.enumerate() if t not in before]
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline and (
+            standby._connections or any(t.is_alive() for t in started)
+        ):
+            time.sleep(0.01)
+        assert standby._connections == []
+        assert not any(t.is_alive() for t in started)
 
     def test_primary_survives_standby_outage(self, ha_setup):
         kernel, node, primary, standby = ha_setup

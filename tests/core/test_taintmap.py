@@ -2,6 +2,7 @@
 
 import struct
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +97,22 @@ def service():
 
 
 class TestTaintMapService:
+    def test_server_forgets_closed_connections(self, service):
+        """Each connection leaves the server's list when its serving
+        thread exits, so client create/close cycles do not pile up
+        closed endpoints."""
+        server, n1, _, c1, c2 = service
+        c1.close()
+        c2.close()
+        for i in range(50):
+            client = TaintMapClient(n1, server.address)
+            assert client.gid_for(n1.tree.taint_for_tag(f"cycle-{i}")) > 0
+            client.close()
+        deadline = time.monotonic() + 5
+        while server._connections and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(server._connections) == 0
+
     def test_empty_taint_never_contacts_the_map(self, service):
         server, n1, _, c1, _ = service
         assert c1.gid_for(None) == 0

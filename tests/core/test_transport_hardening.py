@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.taintmap import (
     KIND_REGISTER,
-    OP_REGISTER,
     PROTOCOL_MAX_BATCH,
     STATUS_OK,
     TaintMapClient,
@@ -200,12 +199,16 @@ class TestBrokenConnectionErrors:
         assert client.gid_for(node.tree.taint_for_tag("pre")) > 0
         connection = client.transport._channel._connection
         connection._endpoint.close()
-        assert _wait_until(lambda: connection.broken)
+        # The next request finds the connection dead, marks it broken
+        # and redials.
+        assert client.gid_for(node.tree.taint_for_tag("post")) > 0
+        assert connection.broken
+        assert client.transport._channel._connection is not connection
 
         raised = []
         for _ in range(2):
-            with pytest.raises(TaintMapTransportError) as caught:
-                connection.request(OP_REGISTER, b"")
+            with client.transport._lock, pytest.raises(TaintMapTransportError) as caught:
+                connection.enlist(None)
             raised.append(caught.value)
         first, second = raised
         assert isinstance(first, TaintMapTransportError)
@@ -239,20 +242,20 @@ class TestCorrelationIdWrap:
 
     def test_wrapped_corr_id_skips_still_pending_ids(self, single):
         """A wrapped id that collides with a still-pending request must
-        be skipped at allocation — overwriting the pending future would
+        be skipped at allocation — overwriting the pending request would
         leave its caller hanging until the deadline."""
         _, _, server, node = single
         client = TaintMapClient(node, server.address)
         assert client.gid_for(node.tree.taint_for_tag("collide0")) > 0
         connection = client.transport._channel._connection
-        with connection._lock:
-            connection._pending[1] = Future()
+        planted = object()
+        with client.transport._lock:
+            connection._pending[1] = planted
         # The next allocation computes (2**32 + 1) & 0xFFFFFFFF == 1 —
         # exactly the planted in-flight id.
         connection._corr = itertools.count(2**32 + 1)
         assert client.gid_for(node.tree.taint_for_tag("collide1")) > 0
-        assert 1 in connection._pending, "pending future was overwritten"
-        assert not connection._pending[1].done()
+        assert connection._pending.get(1) is planted, "pending request was overwritten"
         client.close()
 
 
