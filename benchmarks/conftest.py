@@ -1,18 +1,17 @@
-"""Shared configuration for the benchmark suite.
+"""Shared configuration for the two overhead-ordering checks.
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest benchmarks/ -q
 
-Each module regenerates one table or figure of the paper's evaluation;
-the ``table*_report`` "benchmarks" also print the rendered table (use
-``-s`` to see them inline, or read the captured output).
+Both time single min-of-2 runs, so they are not part of the tier-1
+suite; they stay until Tables V/VI come from paired benchmark legs.
 """
 
 import pytest
 
-#: Payload size for benchmark workloads.  Smaller than the test-suite
-#: default so the full 3-mode × 30-case matrix stays fast; ratios are
+#: Payload size for the Table V workloads.  Smaller than the test-suite
+#: default so the 3-mode × 30-case matrix stays fast; ratios are
 #: size-stable above ~8 KiB.
 BENCH_SIZE = 16 * 1024
 

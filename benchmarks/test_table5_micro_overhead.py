@@ -1,34 +1,6 @@
-"""Table V — micro-benchmark runtime overhead (Original/Phosphor/DisTA).
-
-Benchmarks the bulk-socket case under each mode (the headline ratio) and
-regenerates the full table with paper-comparison columns.
-"""
-
-import pytest
+"""Table V — micro-benchmark runtime overhead ordering."""
 
 from repro.bench.overhead import run_table5
-from repro.bench.tables import table5
-from repro.microbench.cases import CASES_BY_NAME
-from repro.microbench.workload import run_case
-from repro.runtime.modes import Mode
-
-
-@pytest.mark.parametrize("mode", [Mode.ORIGINAL, Mode.PHOSPHOR, Mode.DISTA])
-def test_benchmark_socket_bulk(benchmark, mode, bench_size):
-    case = CASES_BY_NAME["socket_bytes_bulk"]
-    benchmark(lambda: run_case(case, mode, size=bench_size))
-
-
-@pytest.mark.parametrize("mode", [Mode.ORIGINAL, Mode.PHOSPHOR, Mode.DISTA])
-def test_benchmark_netty_socket(benchmark, mode, bench_size):
-    case = CASES_BY_NAME["netty_socket"]
-    benchmark(lambda: run_case(case, mode, size=bench_size))
-
-
-def test_table5_report(bench_size):
-    report = table5(size=bench_size, repeats=2)
-    print("\n" + report)
-    assert "Average" in report
 
 
 def test_overhead_ordering_holds(bench_size):

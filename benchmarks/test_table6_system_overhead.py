@@ -1,41 +1,6 @@
-"""Table VI — real-system runtime overhead (5 systems × 5 configurations)."""
-
-import pytest
+"""Table VI — real-system runtime overhead ordering (5 systems × 5 configurations)."""
 
 from repro.bench.overhead import run_table6
-from repro.bench.tables import table3, table4, table6
-from repro.runtime.modes import Mode
-from repro.systems import ALL_SYSTEMS
-from repro.systems.common import SDT, SIM
-
-CONFIGS = [
-    ("original", Mode.ORIGINAL, None),
-    ("phosphor-sdt", Mode.PHOSPHOR, SDT),
-    ("dista-sdt", Mode.DISTA, SDT),
-    ("phosphor-sim", Mode.PHOSPHOR, SIM),
-    ("dista-sim", Mode.DISTA, SIM),
-]
-
-
-@pytest.mark.parametrize("system", list(ALL_SYSTEMS), ids=lambda s: s.replace("/", "_"))
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c[0])
-def test_benchmark_system(benchmark, system, config):
-    _, mode, scenario = config
-    module = ALL_SYSTEMS[system]
-    benchmark.pedantic(
-        lambda: module.run_workload(mode, scenario), rounds=2, iterations=1
-    )
-
-
-def test_table3_and_4_reports():
-    print("\n" + table3())
-    print("\n" + table4())
-
-
-def test_table6_report():
-    report = table6(repeats=2)
-    print("\n" + report)
-    assert "Average" in report
 
 
 def test_dista_ordering_holds_per_scenario():

@@ -6,9 +6,7 @@ from repro.bench.overhead import (
     NetworkOverheadResult,
     OverheadRow,
     SystemOverheadRow,
-    TaintCountRow,
     measure_network_overhead,
-    measure_taint_counts,
     run_table5,
     run_table6,
 )

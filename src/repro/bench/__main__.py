@@ -4,14 +4,19 @@ Options::
 
     --quick        faster single-repeat run with smaller payloads
     --json PATH    additionally dump machine-readable results to PATH
+
+Each timed table is measured once; the printed and the JSON report are
+built from the same rows.
 """
 
 import argparse
 import json
 
 from repro.bench.overhead import (
+    NetworkOverheadResult,
+    OverheadRow,
+    SystemOverheadRow,
     measure_network_overhead,
-    measure_taint_counts,
     run_table5,
     run_table6,
 )
@@ -19,10 +24,12 @@ from repro.bench.tables import full_report
 from repro.core.launch import all_launch_scripts
 
 
-def results_as_dict(quick: bool) -> dict:
+def results_as_dict(
+    table5_rows: list[OverheadRow],
+    table6_rows: list[SystemOverheadRow],
+    network: NetworkOverheadResult,
+) -> dict:
     """Machine-readable version of the regenerated evaluation."""
-    size = 8 * 1024 if quick else 32 * 1024
-    repeats = 1 if quick else 2
     table5 = [
         {
             "case": row.name,
@@ -32,10 +39,10 @@ def results_as_dict(quick: bool) -> dict:
             "paper_phosphor": row.paper_phosphor,
             "paper_dista": row.paper_dista,
         }
-        for row in run_table5(size=size, repeats=repeats)
+        for row in table5_rows
     ]
     table6 = []
-    for row in run_table6(repeats=repeats):
+    for row in table6_rows:
         p_sdt, d_sdt, p_sim, d_sim = row.overheads()
         table6.append(
             {
@@ -48,7 +55,6 @@ def results_as_dict(quick: bool) -> dict:
                 "paper": list(row.paper),
             }
         )
-    network = measure_network_overhead()
     return {
         "table5": table5,
         "table6": table6,
@@ -59,12 +65,13 @@ def results_as_dict(quick: bool) -> dict:
         },
         "taint_counts": [
             {
-                "system": row.system,
-                "scenario": row.scenario,
-                "global_taints": row.global_taints,
-                "dista_overhead": row.overhead,
+                "system": row.name,
+                "scenario": scenario,
+                "global_taints": taints,
+                "dista_overhead": overhead,
             }
-            for row in measure_taint_counts()
+            for row in table6_rows[:-1]  # the last row is the average
+            for scenario, taints, overhead in row.taint_counts()
         ],
         "usability_loc": {
             name: script.changed_loc for name, script in all_launch_scripts().items()
@@ -77,10 +84,15 @@ def main() -> None:
     parser.add_argument("--quick", action="store_true")
     parser.add_argument("--json", metavar="PATH", default=None)
     args = parser.parse_args()
-    print(full_report(quick=args.quick))
+    size = 8 * 1024 if args.quick else 32 * 1024
+    repeats = 1 if args.quick else 2
+    table5_rows = run_table5(size=size, repeats=repeats)
+    table6_rows = run_table6(repeats=repeats)
+    network = measure_network_overhead()
+    print(full_report(table5_rows, table6_rows, network))
     if args.json:
         with open(args.json, "w") as handle:
-            json.dump(results_as_dict(args.quick), handle, indent=2)
+            json.dump(results_as_dict(table5_rows, table6_rows, network), handle, indent=2)
         print(f"\nmachine-readable results written to {args.json}")
 
 

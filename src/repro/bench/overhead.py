@@ -138,6 +138,14 @@ class SystemOverheadRow:
             self.dista_sim_s / self.original_s,
         )
 
+    def taint_counts(self) -> tuple:
+        """§V-F: (scenario, global taints, DisTA overhead) for SDT and SIM."""
+        _, d_sdt, _, d_sim = self.overheads()
+        return (
+            (SDT, self.sdt_global_taints, d_sdt),
+            (SIM, self.sim_global_taints, d_sim),
+        )
+
 
 def _measure_system(module, mode: Mode, scenario, repeats: int) -> tuple[float, int]:
     best = None
@@ -197,22 +205,3 @@ def measure_network_overhead(size: int = 16 * 1024) -> NetworkOverheadResult:
     original = run_case(case, Mode.ORIGINAL, size=size)
     dista = run_case(case, Mode.DISTA, size=size)
     return NetworkOverheadResult(original.wire_bytes, dista.wire_bytes)
-
-
-@dataclass
-class TaintCountRow:
-    system: str
-    scenario: str
-    global_taints: int
-    overhead: float
-
-
-def measure_taint_counts(repeats: int = 1) -> list[TaintCountRow]:
-    """§V-F: global-taint populations — SDT small (1–6), SIM larger."""
-    rows = []
-    for name, module in ALL_SYSTEMS.items():
-        original, _ = _measure_system(module, Mode.ORIGINAL, None, repeats)
-        for scenario in (SDT, SIM):
-            duration, taints = _measure_system(module, Mode.DISTA, scenario, repeats)
-            rows.append(TaintCountRow(name, scenario, taints, duration / original))
-    return rows

@@ -1,13 +1,13 @@
-"""Regeneration of every table in the paper, as printable reports."""
+"""Regeneration of every table in the paper, as printable reports.
+
+The timed tables render rows measured by :mod:`repro.bench.overhead`,
+so one measurement feeds both the printed and the machine-readable
+report.
+"""
 
 from __future__ import annotations
 
-from repro.bench.overhead import (
-    measure_network_overhead,
-    measure_taint_counts,
-    run_table5,
-    run_table6,
-)
+from repro.bench.overhead import NetworkOverheadResult, OverheadRow, SystemOverheadRow
 from repro.bench.report import fmt_ms, fmt_ratio, render_table
 from repro.core.agent import INSTRUMENTED_METHODS
 from repro.core.launch import all_launch_scripts
@@ -93,10 +93,10 @@ def table4() -> str:
     )
 
 
-def table5(size: int = 32 * 1024, repeats: int = 2) -> str:
+def table5(measured: list[OverheadRow]) -> str:
     """Table V: micro-benchmark runtime overhead."""
     rows = []
-    for row in run_table5(size=size, repeats=repeats):
+    for row in measured:
         rows.append(
             (
                 row.name,
@@ -126,10 +126,10 @@ def table5(size: int = 32 * 1024, repeats: int = 2) -> str:
     )
 
 
-def table6(repeats: int = 2) -> str:
+def table6(measured: list[SystemOverheadRow]) -> str:
     """Table VI: real-system runtime overhead."""
     rows = []
-    for row in run_table6(repeats=repeats):
+    for row in measured:
         p_sdt, d_sdt, p_sim, d_sim = row.overheads()
         paper = row.paper
         rows.append(
@@ -218,8 +218,7 @@ def usability_table() -> str:
     )
 
 
-def network_overhead_report(size: int = 16 * 1024) -> str:
-    result = measure_network_overhead(size=size)
+def network_overhead_report(result: NetworkOverheadResult) -> str:
     rows = [
         ("Original", result.original_bytes, "1.00x"),
         ("DisTA", result.dista_bytes, f"{result.ratio:.2f}x"),
@@ -232,10 +231,12 @@ def network_overhead_report(size: int = 16 * 1024) -> str:
     )
 
 
-def taint_count_report(repeats: int = 1) -> str:
+def taint_count_report(table6_rows: list[SystemOverheadRow]) -> str:
+    """§V-F: global taints per scenario, from Table VI's DisTA runs."""
     rows = [
-        (row.system, row.scenario, row.global_taints, fmt_ratio(row.overhead))
-        for row in measure_taint_counts(repeats=repeats)
+        (row.name, scenario, taints, fmt_ratio(overhead))
+        for row in table6_rows[:-1]  # the last row is the average
+        for scenario, taints, overhead in row.taint_counts()
     ]
     return render_table(
         "Global taints per scenario (§V-F)",
@@ -245,20 +246,22 @@ def taint_count_report(repeats: int = 1) -> str:
     )
 
 
-def full_report(quick: bool = False) -> str:
-    """All tables, in paper order."""
-    size = 8 * 1024 if quick else 32 * 1024
-    repeats = 1 if quick else 2
+def full_report(
+    table5_rows: list[OverheadRow],
+    table6_rows: list[SystemOverheadRow],
+    network: NetworkOverheadResult,
+) -> str:
+    """All tables, in paper order, with the timed ones from measured rows."""
     sections = [
         table1(),
-        table2(size=min(size, 8 * 1024)),
+        table2(),
         table3(),
         table4(),
         implementation_table(),
-        table5(size=size, repeats=repeats),
-        table6(repeats=repeats),
+        table5(table5_rows),
+        table6(table6_rows),
         usability_table(),
-        network_overhead_report(),
-        taint_count_report(repeats=1),
+        network_overhead_report(network),
+        taint_count_report(table6_rows),
     ]
     return "\n\n".join(sections)

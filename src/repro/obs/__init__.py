@@ -1,11 +1,10 @@
-"""Cluster-wide telemetry (registry, /metrics exposition, lineage, profiler).
+"""Cluster-wide telemetry (registry, /metrics exposition, lineage).
 
 Only the registry and lineage are imported eagerly: :mod:`repro.runtime.kernel`
 and :mod:`repro.runtime.node` construct registries at import time, and
 :mod:`repro.taint.sources` / :mod:`repro.core.wrappers` hold the
-``NULL_LINEAGE`` recorder — while :mod:`repro.obs.http` and
-:mod:`repro.obs.profiler` sit *above* the runtime stack; loading them
-here would be circular.
+``NULL_LINEAGE`` recorder — while :mod:`repro.obs.http` sits *above* the
+runtime stack; loading it here would be circular.
 """
 
 from repro.obs.lineage import (
@@ -34,8 +33,6 @@ __all__ = [
     "DEFAULT_LOWEST",
     "FlowTree",
     "FragmentHistogram",
-    "LineageOverheadSweep",
-    "LineagePoint",
     "LineageRecorder",
     "LineageStore",
     "MetricFamily",
@@ -43,10 +40,6 @@ __all__ = [
     "MetricsServer",
     "NULL_LINEAGE",
     "NullLineageRecorder",
-    "OverheadProfiler",
-    "SweepPoint",
-    "SystemProfile",
-    "TaintedFractionSweep",
     "bucket_bounds",
     "bucket_index",
     "merge_snapshots",
@@ -61,15 +54,4 @@ def __getattr__(name):
         from repro.obs.http import MetricsServer
 
         return MetricsServer
-    if name in (
-        "OverheadProfiler",
-        "SystemProfile",
-        "TaintedFractionSweep",
-        "SweepPoint",
-        "LineageOverheadSweep",
-        "LineagePoint",
-    ):
-        from repro.obs import profiler
-
-        return getattr(profiler, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,8 +10,6 @@ class Mode(enum.Enum):
 
     #: Uninstrumented baseline: no shadows, unpatched JNI table.
     ORIGINAL = "original"
-    #: Alias used by the §V-F overhead profiler (same value, same member).
-    BASELINE = "original"
     #: Phosphor only: intra-node shadows + the naive JNI summary wrapper
     #: of paper Fig. 4 (inter-node taints are lost).
     PHOSPHOR = "phosphor"

@@ -1,10 +1,19 @@
 """Sanity tests for the table-regeneration harness itself."""
 
+import json
+import sys
+from collections import Counter
+
 import pytest
 
+from repro.bench import __main__ as bench_main
+from repro.bench import tables
 from repro.bench.overhead import (
     PAPER_TABLE5,
     PAPER_TABLE6,
+    NetworkOverheadResult,
+    OverheadRow,
+    SystemOverheadRow,
     measure_network_overhead,
     run_table5,
     run_table6,
@@ -79,3 +88,82 @@ class TestOverheadHarness:
         result = measure_network_overhead(size=2048)
         assert result.original_bytes > 0
         assert 4.9 <= result.ratio <= 5.1
+
+
+
+def _row(printed: str, title: str, *key: str) -> list:
+    """The cells of the row whose first cells are ``key``, in the printed
+    table whose title starts with ``title``."""
+    table = next(text for text in printed.split("\n\n") if text.startswith(title))
+    for line in table.splitlines():
+        cells = [cell.strip() for cell in line.split(" | ")]
+        if tuple(cells[: len(key)]) == key:
+            return cells
+    raise AssertionError(f"no row {key} in\n{table}")
+
+
+class TestMain:
+    def test_measures_once_and_writes_the_printed_ratios(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        calls = Counter()
+
+        def counting(name, result):
+            def measure(*args, **kwargs):
+                calls[name] += 1
+                return result
+
+            return measure
+
+        table5_rows = [
+            OverheadRow("JRE Socket-Best", 0.010, 0.021, 0.051, 2.07, 2.45),
+            OverheadRow("Average", 0.010, 0.026, 0.043, 2.62, 3.95),
+        ]
+        table6_rows = [
+            SystemOverheadRow(
+                "ZooKeeper", 0.100, 0.130, 0.170, 0.140, 0.230, 2, 40,
+                PAPER_TABLE6["ZooKeeper"],
+            ),
+            SystemOverheadRow(
+                "Average", 0.100, 0.130, 0.170, 0.140, 0.230,
+                paper=PAPER_TABLE6["Average"],
+            ),
+        ]
+        monkeypatch.setattr(bench_main, "run_table5", counting("table5", table5_rows))
+        monkeypatch.setattr(bench_main, "run_table6", counting("table6", table6_rows))
+        monkeypatch.setattr(
+            bench_main,
+            "measure_network_overhead",
+            counting("network", NetworkOverheadResult(1000, 5000)),
+        )
+        # Table II is not timed; keep the 30 cases out of this test.
+        monkeypatch.setattr(tables, "table2", lambda **_: "== Table II ==")
+        path = tmp_path / "out.json"
+        monkeypatch.setattr(sys, "argv", ["repro.bench", "--quick", "--json", str(path)])
+
+        bench_main.main()
+
+        assert calls == {"table5": 1, "table6": 1, "network": 1}
+        printed = capsys.readouterr().out
+        results = json.loads(path.read_text())
+        for row in results["table5"]:
+            cells = _row(printed, "== Table V ", row["case"])
+            assert cells[3] == fmt_ratio(row["phosphor_overhead"])
+            assert cells[6] == fmt_ratio(row["dista_overhead"])
+        for row in results["table6"]:
+            cells = _row(printed, "== Table VI ", row["system"])
+            assert cells[2::2] == [
+                fmt_ratio(row[key])
+                for key in ("phosphor_sdt", "dista_sdt", "phosphor_sim", "dista_sim")
+            ]
+        ratio = results["network_overhead"]["ratio"]
+        assert _row(printed, "== Network overhead", "DisTA")[2] == f"{ratio:.2f}x"
+        # The taint counts come from Table VI's system rows, not the average.
+        counts = results["taint_counts"]
+        assert [(r["scenario"], r["global_taints"]) for r in counts] == [
+            ("SDT", 2),
+            ("SIM", 40),
+        ]
+        for row in counts:
+            cells = _row(printed, "== Global taints", row["system"], row["scenario"])
+            assert cells[2:] == [str(row["global_taints"]), fmt_ratio(row["dista_overhead"])]

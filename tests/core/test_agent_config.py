@@ -1,5 +1,9 @@
 """Tests for the agent inventory (Table I), options, specs, launch model."""
 
+import importlib
+import pathlib
+from collections import Counter
+
 import pytest
 
 from repro.core.agent import (
@@ -23,6 +27,12 @@ class TestTable1Inventory:
     def test_three_wrapper_types(self):
         types = {m.wrapper_type for m in INSTRUMENTED_METHODS}
         assert types == {1, 2, 3}
+
+    def test_methods_per_wrapper_type(self):
+        """§III-B/C: the TCP stream methods and friends are Type 1, the 3
+        UDP methods Type 2, the dispatcher/direct-buffer family Type 3."""
+        counts = Counter(m.wrapper_type for m in INSTRUMENTED_METHODS)
+        assert counts == {1: 5, 2: 3, 3: 15}
 
     def test_table1_rows_present(self):
         """The explicitly printed rows of paper Table I."""
@@ -126,6 +136,21 @@ class TestLaunchScripts:
         """The paper: "we only modify 3 LOC in ZooKeeper's zkEnv.sh"."""
         scripts = all_launch_scripts()
         assert scripts["ZooKeeper"].changed_loc == 3
+
+    def test_every_script_within_10_loc(self):
+        for name, script in all_launch_scripts().items():
+            assert script.changed_loc <= 10, name
+
+    def test_systems_need_no_source_changes(self):
+        """§V-E: zero source-code modifications. No module of the five
+        systems names the agent or the Taint Map client; the per-JVM JNI
+        table is the only integration point."""
+        for system in ("zookeeper", "mapreduce", "activemq", "rocketmq", "hbase"):
+            package = importlib.import_module(f"repro.systems.{system}")
+            for path in pathlib.Path(package.__file__).parent.rglob("*.py"):
+                source = path.read_text()
+                assert "DisTAAgent" not in source, f"{system}/{path.name} hooks DisTA"
+                assert "TaintMapClient" not in source, f"{system}/{path.name} hooks DisTA"
 
     def test_average_is_about_10_loc(self):
         """§V-E: "On average, we modify 10 LOC in launch scripts"."""

@@ -2,7 +2,7 @@
 
 A workload's telemetry must describe *that workload*, not whatever the
 registry accumulated during setup or earlier runs on the same process.
-The profiler isolates runs with ``diff_snapshots(after, before)``;
+Workload runs isolate themselves with ``diff_snapshots(after, before)``;
 ``MetricsRegistry.reset`` zeroes families in place without invalidating
 hot-path handles; ``merge_snapshots`` sums colliding series across
 registries.
@@ -260,7 +260,7 @@ class TestExpositionEscaping:
 
 class TestWorkloadTelemetryIsolation:
     def test_back_to_back_runs_report_identical_activity(self):
-        """The profiler regression: run the same SIM workload twice on
+        """The metric-bleed regression: run the same SIM workload twice on
         one process — the second report must not inherit the first
         run's counts (or any attach-time setup traffic)."""
         from repro.obs.registry import snapshot_total as total
