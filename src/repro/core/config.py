@@ -106,7 +106,8 @@ class DisTAConfig:
     #: Flow sampling: track every k-th flow admitted at source
     #: registration; the rest reach sinks untainted.
     sample_every: int = _row("taintSampleEvery", int, 1)
-    #: Fraction of source firings that taint (the overhead sweep's knob).
+    #: Fraction of source firings that taint, gated deterministically
+    #: (the tainted-fraction telemetry tests drive it from 0 to 1).
     source_fraction: float = _row("taintSourceFraction", float, 1.0)
     #: Flow lineage: a cluster-wide ``LineageStore`` fed by a
     #: ``CrossingTrace`` (created when the cluster has none).

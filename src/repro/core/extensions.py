@@ -10,12 +10,19 @@ on the per-JVM :class:`~repro.jre.jni.JniTable` (so it exists whether or
 not DisTA is attached), and an :class:`ExtensionPoint` tells the agent
 which of the three wrapper types to apply:
 
-* ``STREAM`` — the method moves a byte stream over a TCP-like fd
-  (wrapped like ``socketRead0``/``socketWrite0``);
-* ``PACKET`` — the method moves whole datagrams (wrapped like
-  ``send``/``receive0``);
+* ``STREAM`` — the method moves a byte stream over a
+  :class:`~repro.runtime.kernel.TcpEndpoint`, with the
+  ``socketWrite0``/``socketRead0`` contracts;
+* ``PACKET`` — the method moves whole datagrams:
+  ``send(fd, data, destination)`` and ``receive(fd) -> (data, source)``
+  over a :class:`~repro.runtime.kernel.UdpEndpoint`;
 * custom — supply your own wrapper factory, receiving the
   :class:`~repro.core.wrappers.DisTARuntime`.
+
+``STREAM`` and ``PACKET`` methods run the built-in Type-1 and Type-2
+wrapper bodies, labelled with the method's name, so their crossings
+reach the same telemetry, crossing trace and lineage as the built-in
+methods' (``dista_jni_calls_total{method="<name>"}``).
 """
 
 from __future__ import annotations
@@ -24,10 +31,15 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.core import wire
-from repro.core.wrappers import DisTARuntime, _check_envelope_fits
+from repro.core.wrappers import (
+    DisTARuntime,
+    make_cell_receive,
+    make_cell_send,
+    unwrap_datagram,
+    wrap_datagram,
+)
 from repro.errors import InstrumentationError
-from repro.taint.values import TByteArray, TBytes
+from repro.taint.values import TBytes
 
 
 class WrapperType(enum.Enum):
@@ -60,98 +72,36 @@ class ExtensionPoint:
                 )
             return self.factory(runtime)
         if self.wrapper_type is WrapperType.STREAM:
-            return (
-                _make_stream_send(runtime)
-                if self.direction == "send"
-                else _make_stream_receive(runtime)
-            )
-        return (
-            _make_packet_send(runtime)
-            if self.direction == "send"
-            else _make_packet_receive(runtime)
-        )
+            if self.direction == "send":
+                return make_cell_send(runtime, self.name)
+            return make_cell_receive(runtime, self.name)
+        if self.direction == "send":
+            return _make_packet_send(runtime, self.name)
+        return _make_packet_receive(runtime, self.name)
 
 
-def _make_stream_send(runtime: DisTARuntime):
-    """Type-1 sender: data+taints → cell stream → original method."""
-
-    def wrapper(original):
-        def patched(fd, data: TBytes, *args, **kwargs):
-            cells = wire.encode_cells(
-                runtime.outgoing(data), runtime.client.gid_for, runtime.client.gids_for
-            )
-            return original(fd, TBytes.raw(cells), *args, **kwargs)
-
-        return patched
-
-    return wrapper
-
-
-def _make_stream_receive(runtime: DisTARuntime):
-    """Type-1 receiver: original → enlarged read → split data/taints.
-
-    The original must follow the ``socketRead0`` contract:
-    ``original(fd, buf, offset, length) -> count | EOF``.
-    """
-    from repro.jre.jni import EOF
-
-    def wrapper(original):
-        def patched(fd, buf: TByteArray, offset: int, length: int, *args, **kwargs):
-            length = min(length, len(buf) - offset)
-            decoder = runtime.decoder_for(fd)
-            staging = TByteArray.raw(wire.wire_length(length))
-            while True:
-                count = original(fd, staging, 0, len(staging), *args, **kwargs)
-                if count == EOF:
-                    decoder.check_clean_eof()
-                    return EOF
-                decoded = decoder.feed(
-                    staging.read(0, count).data,
-                    runtime.client.taint_for,
-                    runtime.client.taints_for,
-                )
-                if decoded:
-                    buf.write(offset, decoded)
-                    return len(decoded)
-
-        return patched
-
-    return wrapper
-
-
-def _make_packet_send(runtime: DisTARuntime):
+def _make_packet_send(runtime: DisTARuntime, method: str):
     """Type-2 sender: ``original(fd, data, destination)`` with whole
     datagrams; the payload is enveloped."""
 
     def wrapper(original):
         def patched(fd, data: TBytes, destination, *args, **kwargs):
-            payload = runtime.outgoing(data)
-            _check_envelope_fits(len(payload))
-            envelope = wire.encode_packet(
-                payload, runtime.client.gid_for, runtime.client.gids_for
-            )
-            return original(fd, TBytes.raw(envelope), destination, *args, **kwargs)
+            sealed = wrap_datagram(runtime, method, data, destination)
+            return original(fd, sealed, destination, *args, **kwargs)
 
         return patched
 
     return wrapper
 
 
-def _make_packet_receive(runtime: DisTARuntime):
+def _make_packet_receive(runtime: DisTARuntime, method: str):
     """Type-2 receiver: ``original(fd) -> (data, source)``."""
 
     def wrapper(original):
         def patched(fd, *args, **kwargs):
             data, source = original(fd, *args, **kwargs)
             raw = data if isinstance(data, TBytes) else TBytes.raw(bytes(data))
-            if wire.is_enveloped(raw.data):
-                return (
-                    wire.decode_packet(
-                        raw.data, runtime.client.taint_for, runtime.client.taints_for
-                    ),
-                    source,
-                )
-            return TBytes(raw.data), source
+            return unwrap_datagram(runtime, method, raw, fd), source
 
         return patched
 

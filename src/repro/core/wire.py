@@ -39,7 +39,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from repro.errors import WireFormatError
-from repro.taint.values import LabelRuns, TBytes
+from repro.taint.values import LabelRuns, TByteArray, TBytes
 
 #: Width of a Global ID on the wire ("4 bytes in default", §V-F).
 GID_WIDTH = 4
@@ -207,6 +207,8 @@ class CellDecoder:
     The kernel delivers whatever byte counts it likes; whole cells are
     decoded and partial trailing cells are kept as residue for the next
     ``feed`` — this is DisTA's receiver-side answer to partial reads.
+    One decoder serves one stream and one reader at a time, so it also
+    keeps that stream's :meth:`staging` array.
     """
 
     def __init__(self) -> None:
@@ -215,16 +217,30 @@ class CellDecoder:
         #: place, instead of re-copying ``residue + wire`` into a fresh
         #: bytes object on every call while a partial cell is pending.
         self._buffer = bytearray()
+        self._staging = TByteArray.raw(0)
+
+    def staging(self, size: int) -> TByteArray:
+        """An array of at least ``size`` bytes to read wire bytes into.
+
+        The same array is returned on every call, grown to the largest
+        ``size`` asked for, so a receive allocates nothing the size of
+        its wire bytes.  Its contents are only valid until the next read.
+        """
+        if len(self._staging) < size:
+            self._staging = TByteArray.raw(size)
+        return self._staging
 
     def feed(
         self,
-        wire: bytes,
+        wire: Union[bytes, bytearray, memoryview],
         taint_for: Union[TaintFor, LabelResolver],
         taints_for: Optional[TaintsFor] = None,
     ) -> TBytes:
         """Decode every complete cell in ``residue + wire``.
 
-        ``taint_for`` may be a :class:`LabelResolver`."""
+        ``wire`` may be a view of a reused array (see :meth:`staging`):
+        the result never refers to it.  ``taint_for`` may be a
+        :class:`LabelResolver`."""
         taint_for, taints_for = _taint_resolvers(taint_for, taints_for)
         buffered = bool(self._buffer)
         if buffered:

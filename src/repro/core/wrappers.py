@@ -9,7 +9,7 @@ enlarged buffer and split the result back into data and taints.
 * **Type 1 — stream oriented** (``socketRead0``/``socketWrite0``): the
   TCP byte stream becomes a stream of 5-byte cells; a per-fd
   :class:`~repro.core.wire.CellDecoder` absorbs arbitrary read
-  boundaries.
+  boundaries and keeps the staging array the enlarged reads land in.
 * **Type 2 — packet oriented** (``send``/``receive0``/``peekData``):
   each datagram is re-wrapped in a fresh packet carrying the envelope —
   the original packet object is never mutated on the send path, because
@@ -233,45 +233,60 @@ class DisTARuntime:
 # --------------------------------------------------------------------- #
 
 
-def make_socket_write0(runtime: DisTARuntime):
-    def wrapper(original):
-        def socket_write0(fd, data: TBytes) -> None:
-            runtime.record_io("send", "socketWrite0", data, channel=fd.send_channel)
-            cells = wire.encode_cells(runtime.outgoing(data), runtime.resolver)
-            original(fd, TBytes.raw(cells))
+def make_cell_send(runtime: DisTARuntime, method: str):
+    """Type-1 sender for ``original(fd, data, ...)``: data + taints →
+    cell stream → original.  ``method`` labels its telemetry."""
 
-        return socket_write0
+    def wrapper(original):
+        def cell_send(fd, data: TBytes, *args, **kwargs):
+            runtime.record_io("send", method, data, channel=fd.send_channel)
+            cells = wire.encode_cells(runtime.outgoing(data), runtime.resolver)
+            return original(fd, TBytes.raw(cells), *args, **kwargs)
+
+        return cell_send
 
     return wrapper
 
 
-def make_socket_read0(runtime: DisTARuntime):
+def make_cell_receive(runtime: DisTARuntime, method: str):
+    """Type-1 receiver for ``original(fd, buf, offset, length, ...) ->
+    count | EOF``: an enlarged read into the stream's staging array,
+    split back into data and taints.  ``method`` labels its telemetry."""
+
     def wrapper(original):
-        def socket_read0(fd, buf: TByteArray, offset: int, length: int, timeout=None) -> int:
+        def cell_receive(fd, buf: TByteArray, offset: int, length: int, *args, **kwargs) -> int:
             length = min(length, len(buf) - offset)
+            if length <= 0:
+                # Nothing asked for: 0, not EOF, even with a partial
+                # cell buffered (java.io's read(b, off, 0)).
+                return 0
             decoder = runtime.decoder_for(fd)
-            staging = TByteArray.raw(wire.wire_length(length))
+            budget = wire.wire_length(length)
+            staging = decoder.staging(budget)
             while True:
-                kwargs = {} if timeout is None else {"timeout": timeout}
-                count = original(fd, staging, 0, len(staging), **kwargs)
+                count = original(fd, staging, 0, budget, *args, **kwargs)
                 if count == EOF:
                     decoder.check_clean_eof()
                     return EOF
-                decoded = decoder.feed(
-                    staging.read(0, count).data, runtime.resolver
-                )
+                decoded = decoder.feed(memoryview(staging.data)[:count], runtime.resolver)
                 if decoded:
-                    runtime.record_io(
-                        "receive", "socketRead0", decoded, channel=fd.receive_channel
-                    )
+                    runtime.record_io("receive", method, decoded, channel=fd.receive_channel)
                     buf.write(offset, decoded)
                     return len(decoded)
                 # A partial cell arrived; keep blocking until a whole
                 # cell (the receiver-side fix for mismatched lengths).
 
-        return socket_read0
+        return cell_receive
 
     return wrapper
+
+
+def make_socket_write0(runtime: DisTARuntime):
+    return make_cell_send(runtime, "socketWrite0")
+
+
+def make_socket_read0(runtime: DisTARuntime):
+    return make_cell_receive(runtime, "socketRead0")
 
 
 def make_socket_available(runtime: DisTARuntime):
@@ -298,23 +313,25 @@ def _check_envelope_fits(data_length: int) -> None:
         )
 
 
+def wrap_datagram(runtime: DisTARuntime, method: str, data: TBytes, destination) -> TBytes:
+    """Type-2 send body: record the crossing, then wrap the payload and
+    its taints in one envelope.  ``method`` labels its telemetry."""
+    runtime.record_io("send", method, data, channel=("udp", tuple(destination)))
+    payload = runtime.outgoing(data)
+    _check_envelope_fits(len(payload))
+    return TBytes.raw(wire.encode_packet(payload, runtime.resolver))
+
+
 def make_datagram_send(runtime: DisTARuntime):
     def wrapper(original):
         def datagram_send(fd, packet: DatagramPacket) -> None:
-            runtime.record_io(
-                "send",
-                "datagram.send",
-                packet.payload(),
-                channel=("udp", tuple(packet.socket_address())),
-            )
-            payload = runtime.outgoing(packet.payload())
-            _check_envelope_fits(len(payload))
-            envelope = wire.encode_packet(
-                payload, runtime.resolver
-            )
+            address = packet.socket_address()
             # A fresh packet: mutating the caller's packet could change
             # application semantics (paper Fig. 7).
-            wrapped = DatagramPacket(TBytes.raw(envelope), address=packet.socket_address())
+            wrapped = DatagramPacket(
+                wrap_datagram(runtime, "datagram.send", packet.payload(), address),
+                address=address,
+            )
             original(fd, wrapped)
 
         return datagram_send
@@ -329,16 +346,21 @@ def _decode_incoming_datagram(runtime: DisTARuntime, raw: TBytes) -> TBytes:
     return TBytes(raw.data)
 
 
+def unwrap_datagram(runtime: DisTARuntime, method: str, raw: TBytes, fd) -> TBytes:
+    """Type-2 receive body: split a datagram into data and taints, then
+    record the crossing.  ``method`` labels its telemetry."""
+    decoded = _decode_incoming_datagram(runtime, raw)
+    runtime.record_io("receive", method, decoded, channel=("udp", tuple(fd.address)))
+    return decoded
+
+
 def make_datagram_receive0(runtime: DisTARuntime):
     def wrapper(original):
         def datagram_receive0(fd, packet: DatagramPacket, timeout=None) -> None:
             staging = DatagramPacket(TByteArray.raw(MAX_DATAGRAM))
             kwargs = {} if timeout is None else {"timeout": timeout}
             original(fd, staging, **kwargs)
-            decoded = _decode_incoming_datagram(runtime, staging.payload())
-            runtime.record_io(
-                "receive", "datagram.receive0", decoded, channel=("udp", tuple(fd.address))
-            )
+            decoded = unwrap_datagram(runtime, "datagram.receive0", staging.payload(), fd)
             packet.fill_from_wire(decoded, staging.address)
 
         return datagram_receive0

@@ -44,14 +44,15 @@ class NativeMemory:
     def read(self, position: int, count: int) -> bytes:
         if position < 0 or position + count > self.size:
             raise JavaIOError(f"native read [{position}, {position + count}) out of bounds")
-        return bytes(self._data[position : position + count])
+        # One copy each way through a view (see TByteArray.read/write).
+        return bytes(memoryview(self._data)[position : position + count])
 
     def write(self, position: int, data: bytes) -> None:
         if position < 0 or position + len(data) > self.size:
             raise JavaIOError(
                 f"native write [{position}, {position + len(data)}) out of bounds"
             )
-        self._data[position : position + len(data)] = data
+        memoryview(self._data)[position : position + len(data)] = data
 
 
 class ByteBuffer:

@@ -136,11 +136,15 @@ class JniTable:
     ) -> int:
         """``SocketInputStream.socketRead0``: blocking partial read.
 
-        Returns the byte count, or ``EOF``.  Received bytes carry empty
-        labels: the true taint stayed on the sending node.
+        Returns the byte count (0 for a zero-length request), or ``EOF``.
+        Received bytes carry empty labels: the true taint stayed on the
+        sending node.
         """
         self.calls.hit("SocketInputStream#socketRead0")
-        chunk = fd.recv(min(length, len(buf) - offset), timeout)
+        length = min(length, len(buf) - offset)
+        if length <= 0:
+            return 0
+        chunk = fd.recv(length, timeout)
         if not chunk:
             return EOF
         buf.write(offset, TBytes.raw(chunk))

@@ -102,6 +102,10 @@ class SocketInputStream(InputStream):
         self._timeout = timeout
 
     def read_into(self, buf: TByteArray, offset: int, length: int) -> int:
+        if length == 0:
+            # java.io contract: a zero-length read returns 0 without
+            # reaching the native method, even mid-cell or at EOF.
+            return 0
         return self._node.jni.socket_read0(self._fd, buf, offset, length, self._timeout)
 
     def available(self) -> int:

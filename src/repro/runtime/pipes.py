@@ -15,6 +15,7 @@ preserved datagram boundaries.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from typing import Optional
 
 from repro.errors import PipeClosed, SimTimeout
@@ -38,6 +39,11 @@ class BytePipe:
       paper's "mismatched serialized taint length" problem (§III-D.2) is
       a direct consequence of these semantics.
     * closing the write end makes drained readers see EOF.
+
+    The buffer is a queue of the writers' ``bytes`` segments, not one
+    ``bytearray``: a write enqueues its bytes without copying them, and
+    a read that takes exactly the head segment hands that object over.
+    Any other read copies once, into a result sized to what it returns.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY, max_segment: Optional[int] = None):
@@ -46,7 +52,11 @@ class BytePipe:
         self._capacity = capacity
         #: Optional cap on bytes returned per read, to force partial reads.
         self._max_segment = max_segment
-        self._buffer = bytearray()
+        #: Written segments in order; the head one is consumed from
+        #: ``_head_offset`` on.  ``_buffered`` counts the unread bytes.
+        self._segments: deque = deque()
+        self._head_offset = 0
+        self._buffered = 0
         self._lock = threading.Lock()
         self._readable = threading.Condition(self._lock)
         self._writable = threading.Condition(self._lock)
@@ -63,7 +73,7 @@ class BytePipe:
         with self._lock:
             if self._write_closed:
                 raise PipeClosed("write end already closed")
-            while len(self._buffer) >= self._capacity:
+            while self._buffered >= self._capacity:
                 if self._read_closed:
                     raise PipeClosed("peer closed the connection")
                 if not self._writable.wait(timeout):
@@ -72,9 +82,11 @@ class BytePipe:
                     raise PipeClosed("write end closed while blocked")
             if self._read_closed:
                 raise PipeClosed("peer closed the connection")
-            space = self._capacity - len(self._buffer)
-            chunk = data[:space]
-            self._buffer.extend(chunk)
+            # Slicing all of a ``bytes`` value returns it, so a write that
+            # fits is queued without a copy.
+            chunk = bytes(data[: self._capacity - self._buffered])
+            self._segments.append(chunk)
+            self._buffered += len(chunk)
             self.bytes_transferred += len(chunk)
             self._readable.notify_all()
             return len(chunk)
@@ -99,20 +111,47 @@ class BytePipe:
         if max_bytes <= 0:
             return b""
         with self._lock:
-            while not self._buffer:
+            while not self._buffered:
                 if self._write_closed:
                     return b""
                 if self._read_closed:
                     raise PipeClosed("read end already closed")
                 if not self._readable.wait(timeout):
                     raise SimTimeout("pipe read timed out (no data)")
-            limit = max_bytes
+            limit = min(max_bytes, self._buffered)
             if self._max_segment is not None:
                 limit = min(limit, self._max_segment)
-            chunk = bytes(self._buffer[:limit])
-            del self._buffer[:limit]
+            chunk = self._take(limit)
             self._writable.notify_all()
             return chunk
+
+    def _take(self, count: int) -> bytes:
+        """Dequeue the next ``count`` buffered bytes (lock held)."""
+        self._buffered -= count
+        segments = self._segments
+        head = segments[0]
+        start = self._head_offset
+        end = start + count
+        if end < len(head):
+            self._head_offset = end
+            return head[start:end]
+        segments.popleft()
+        self._head_offset = 0
+        if end == len(head):
+            # Slicing all of a ``bytes`` object returns it uncopied.
+            return head[start:]
+        # Spans segments: one copy, joined from views.
+        pieces = [memoryview(head)[start:]]
+        count = end - len(head)
+        while count >= len(segments[0]):
+            head = segments.popleft()
+            pieces.append(head)
+            count -= len(head)
+            if not count:
+                return b"".join(pieces)
+        self._head_offset = count
+        pieces.append(memoryview(segments[0])[:count])
+        return b"".join(pieces)
 
     def read_exact(self, n: int, timeout: float = DEFAULT_TIMEOUT) -> bytes:
         """Read exactly ``n`` bytes; raises :class:`PipeClosed` on EOF."""
@@ -127,7 +166,8 @@ class BytePipe:
     def close_read(self) -> None:
         with self._lock:
             self._read_closed = True
-            self._buffer.clear()
+            self._segments.clear()
+            self._head_offset = self._buffered = 0
             self._readable.notify_all()
             self._writable.notify_all()
 
@@ -135,7 +175,7 @@ class BytePipe:
 
     def available(self) -> int:
         with self._lock:
-            return len(self._buffer)
+            return self._buffered
 
     @property
     def write_closed(self) -> bool:
@@ -143,7 +183,7 @@ class BytePipe:
 
     def at_eof(self) -> bool:
         with self._lock:
-            return self._write_closed and not self._buffer
+            return self._write_closed and not self._buffered
 
 
 class DatagramBox:

@@ -565,7 +565,10 @@ class TByteArray:
         end = offset + len(source)
         if end > len(self.data):
             raise IndexError(f"write [{offset}:{end}) exceeds buffer size {len(self.data)}")
-        self.data[offset:end] = source.data
+        # Through a view, this is one memcpy: assigning ``bytes`` to a
+        # ``bytearray`` slice first copies them into a temporary
+        # ``bytearray`` (CPython 3.11).
+        memoryview(self.data)[offset:end] = source.data
         if source.labels is not None:
             self._ensure_labels()[offset:end] = source.labels
         elif self.labels is not None:
@@ -574,7 +577,8 @@ class TByteArray:
     def read(self, offset: int, length: int) -> TBytes:
         end = offset + length
         labels = self.labels.slice(offset, end) if self.labels is not None else None
-        return TBytes(bytes(self.data[offset:end]), labels)
+        # One copy; ``bytes(self.data[offset:end])`` would make two.
+        return TBytes(bytes(memoryview(self.data)[offset:end]), labels)
 
     def snapshot(self) -> TBytes:
         return self.read(0, len(self.data))

@@ -13,6 +13,7 @@ from repro.core.agent import DisTAAgent
 from repro.core.extensions import ExtensionPoint, WrapperType
 from repro.errors import InstrumentationError
 from repro.jre.jni import EOF
+from repro.obs.registry import snapshot_total
 from repro.runtime.cluster import TAINT_MAP_IP, TAINT_MAP_PORT, Cluster
 from repro.runtime.modes import Mode
 from repro.taint.values import TByteArray, TBytes
@@ -97,6 +98,25 @@ class TestCustomTransportTracking:
         assert received == b"zero-copy!"
         assert {t.tag for t in received.overall_taint().tags} == {"rdma-secret"}
 
+    def test_custom_crossings_reach_telemetry(self, custom_cluster):
+        """Extension wrappers run the built-in bodies, so their crossings
+        are counted under the extension's name like any JNI method's."""
+        cluster, n1, n2 = custom_cluster
+        listener = n1.kernel.listen(n2.ip, 7903)
+        client_fd = n1.kernel.connect(n1.ip, (n2.ip, 7903))
+        server_fd = listener.accept()
+        taint = n1.tree.taint_for_tag("counted")
+        n1.jni.rdma_send0(client_fd, TBytes.tainted(b"metered", taint))
+        assert n2.jni.rdma_recv0(server_fd, TByteArray(7), 0, 7) == 7
+        snap = cluster.telemetry_snapshot()
+        for direction, method in (("send", "rdma_send0"), ("receive", "rdma_recv0")):
+            labels = {"method": method, "direction": direction}
+            assert snapshot_total(snap, "dista_jni_calls_total", labels) == 1
+            assert snapshot_total(snap, "dista_jni_tainted_bytes_total", labels) == 7
+            assert snapshot_total(
+                snap, "dista_fastpath_total", {"site": method, "path": "slow"}
+            ) == 1
+
     def test_byte_precision_preserved(self, custom_cluster):
         cluster, n1, n2 = custom_cluster
         listener = n1.kernel.listen(n2.ip, 7901)
@@ -161,3 +181,10 @@ class TestPacketExtension:
             assert data == b"packet"
             assert {t.tag for t in data.overall_taint().tags} == {"vendor-udp"}
             assert source == (n1.ip, 7950)
+            snap = cluster.telemetry_snapshot()
+            for direction, method in (
+                ("send", "vendor_dgram_send"),
+                ("receive", "vendor_dgram_recv"),
+            ):
+                labels = {"method": method, "direction": direction}
+                assert snapshot_total(snap, "dista_jni_calls_total", labels) == 1

@@ -6,6 +6,8 @@ boundaries, the packet-envelope interop fallback, native-memory shadow
 bookkeeping, and error paths.
 """
 
+import tracemalloc
+
 import pytest
 
 from repro.core import wire
@@ -84,6 +86,33 @@ class TestType1StreamWrappers:
         assert n2.jni.socket_read0(conn._endpoint, buf, 0, 8) == 2
         assert n2.jni.socket_read0(conn._endpoint, buf, 0, 8) == EOF
 
+    def test_zero_length_read_mid_cell_returns_zero(self, dista_pair):
+        """``read(b, off, 0)`` returns 0 (java.io); with a partial cell
+        buffered it is neither EOF nor a stream that ended mid-cell."""
+        cluster, n1, n2 = dista_pair
+        conn, client, _ = _connect(n1, n2, 9505)
+        client._endpoint.send_all(b"A\0\0\0\0" + b"B\0")  # a cell + 2/5 of one
+        ins = conn.get_input_stream()
+        assert ins.read(8) == b"A"
+        buf = TByteArray(8)
+        assert ins.read_into(buf, 0, 0) == 0
+        assert n2.jni.socket_read0(conn._endpoint, buf, 0, 0) == 0
+        client._endpoint.send_all(b"\0\0\0")
+        assert ins.read(8) == b"B"
+
+    @pytest.mark.parametrize("mode", [Mode.ORIGINAL, Mode.DISTA])
+    def test_zero_length_read_returns_zero_in_every_mode(self, mode):
+        cluster = Cluster(mode)
+        n1 = cluster.add_node("n1")
+        n2 = cluster.add_node("n2")
+        with cluster:
+            conn, client, _ = _connect(n1, n2, 9506)
+            client.get_output_stream().write(TBytes(b"xy"))
+            ins = conn.get_input_stream()
+            assert ins.read_into(TByteArray(4), 0, 0) == 0
+            assert n2.jni.socket_read0(conn._endpoint, TByteArray(4), 0, 0) == 0
+            assert ins.read_fully(2) == b"xy"
+
     def test_write_counts_both_jni_hits(self, dista_pair):
         """The wrapper calls the *original* method (Fig. 6), so the
         unpatched counter still increments."""
@@ -92,6 +121,49 @@ class TestType1StreamWrappers:
         before = n1.jni.calls.count("SocketOutputStream#socketWrite0")
         client.get_output_stream().write(TBytes(b"x"))
         assert n1.jni.calls.count("SocketOutputStream#socketWrite0") == before + 1
+
+
+class TestWireCopies:
+    """A warm clean read copies each hop once, into buffers that outlive
+    it: the pipe hands over the sender's segment, the receive wrapper
+    reuses its connection's staging array, and byte arrays copy through
+    views.  Counted in bytes with tracemalloc, so it is deterministic."""
+
+    MESSAGE = 32 * 1024
+
+    @pytest.mark.parametrize(
+        "mode, bound",
+        [
+            # Below the message's 160 KiB of cells: no wire-sized
+            # temporary at all.
+            (Mode.DISTA, wire.wire_length(MESSAGE)),
+            # Two message-sized buffers: the array InputStream.read reads
+            # into and the TBytes it returns, plus slack for the small
+            # objects around them (~0.5 KiB on CPython 3.11), far below
+            # the third message-sized copy this guards against.
+            (Mode.ORIGINAL, 2 * MESSAGE + 4096),
+        ],
+    )
+    def test_clean_read_fully_peak_stays_below_the_wire_bytes(self, mode, bound):
+        cluster = Cluster(mode)
+        n1 = cluster.add_node("n1")
+        n2 = cluster.add_node("n2")
+        with cluster:
+            conn, client, _ = _connect(n1, n2, 9507)
+            out, ins = client.get_output_stream(), conn.get_input_stream()
+            message = bytes(range(256)) * (self.MESSAGE // 256)
+            for _ in range(3):
+                out.write(TBytes(message))
+                assert ins.read_fully(self.MESSAGE) == message
+            out.write(TBytes(message))  # whole in the pipe before tracing
+            tracemalloc.start()
+            try:
+                received = ins.read_fully(self.MESSAGE)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert received == message
+            assert peak < bound, f"{mode.value} read peaked at {peak} bytes"
 
 
 class TestType2PacketWrappers:

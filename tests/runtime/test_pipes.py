@@ -1,5 +1,6 @@
 """Unit + property tests for the simulated kernel transport primitives."""
 
+import itertools
 import threading
 
 import pytest
@@ -95,13 +96,32 @@ class TestBytePipe:
         assert pipe.write(b"") == 0
         assert pipe.read(0) == b""
 
+    def test_reads_over_segments(self):
+        """A read of exactly the head segment hands the written object
+        over; reads ending inside a segment or spanning several copy."""
+        pipe = BytePipe()
+        first = b"abcdef"
+        for segment in (first, b"ghij", b"kl", b"mnop", b"qr"):
+            pipe.write(segment)
+        assert pipe.read(6) is first
+        assert pipe.read(2) == b"gh"
+        assert pipe.read(4) == b"ijkl"  # spans, ends on a segment end
+        assert pipe.read(5) == b"mnopq"  # spans, ends inside a segment
+        assert pipe.available() == 1
+        assert pipe.read(100) == b"r"
+        assert pipe.available() == 0
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.lists(st.binary(min_size=1, max_size=64), min_size=1, max_size=20),
-        st.integers(min_value=1, max_value=17),
+        # Cycled read sizes: up to 150 over segments of up to 64 bytes
+        # in a 128-byte pipe, so reads end inside a segment, span
+        # segments, and take whole ones.
+        st.lists(st.integers(min_value=1, max_value=150), min_size=1, max_size=8),
     )
-    def test_stream_is_order_preserving_and_lossless(self, chunks, read_size):
+    def test_stream_is_order_preserving_and_lossless(self, chunks, read_sizes):
         pipe = BytePipe(capacity=128)
+        sizes = itertools.cycle(read_sizes)
         expected = b"".join(chunks)
 
         def writer():
@@ -113,7 +133,7 @@ class TestBytePipe:
         t.start()
         received = bytearray()
         while True:
-            chunk = pipe.read(read_size, timeout=10)
+            chunk = pipe.read(next(sizes), timeout=10)
             if not chunk:
                 break
             received.extend(chunk)
