@@ -18,7 +18,6 @@ from repro.core.ha import (
     ReplicatedTaintMapServer,
     StandbyTaintMapServer,
 )
-from repro.core.trace import Crossing, CrossingTrace
 from repro.core.config import AgentOptions, DisTAConfig, TaintSpec
 from repro.core.launch import LaunchScript, all_launch_scripts, average_changed_loc
 from repro.core.taintmap import (
@@ -44,8 +43,6 @@ from repro.core.wrappers import DisTARuntime
 
 __all__ = [
     "AgentOptions",
-    "Crossing",
-    "CrossingTrace",
     "ExtensionPoint",
     "FailoverTaintMapClient",
     "ReplicatedTaintMapServer",

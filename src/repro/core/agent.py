@@ -112,9 +112,7 @@ class DisTAAgent:
     """Attaches DisTA's inter-node tracking to a simulated JVM.
 
     ``config`` carries every knob (:class:`~repro.core.config.DisTAConfig`;
-    default: ``DisTAConfig()``).  ``trace`` is an optional
-    :class:`~repro.core.trace.CrossingTrace` shared by every node this
-    agent attaches to, and ``extensions`` are user
+    default: ``DisTAConfig()``), and ``extensions`` are user
     :class:`~repro.core.extensions.ExtensionPoint` objects for
     system-specific native methods (paper §VI).
     """
@@ -123,13 +121,11 @@ class DisTAAgent:
         self,
         taint_map_address,
         config: Optional[DisTAConfig] = None,
-        trace=None,
         extensions: tuple = (),
     ):
         #: The Taint Map server's ``(ip, port)``.
         self.taint_map_address = taint_map_address
         self.config = config if config is not None else DisTAConfig()
-        self.trace = trace
         self.extensions = tuple(extensions)
 
     def attach(self, node) -> wrappers.DisTARuntime:
@@ -144,8 +140,6 @@ class DisTAAgent:
             request_deadline_s=config.request_deadline_s,
         )
         runtime = wrappers.DisTARuntime(node, client, config.byte_granularity)
-        if self.trace is not None:
-            runtime.trace = self.trace
         for target, (wrapper_type, factory) in _WRAPPER_FACTORIES_BY_TYPE.items():
             if wrapper_type not in config.wrapper_types:
                 continue

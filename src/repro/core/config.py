@@ -109,8 +109,8 @@ class DisTAConfig:
     #: Fraction of source firings that taint, gated deterministically
     #: (the tainted-fraction telemetry tests drive it from 0 to 1).
     source_fraction: float = _row("taintSourceFraction", float, 1.0)
-    #: Flow lineage: a cluster-wide ``LineageStore`` fed by a
-    #: ``CrossingTrace`` (created when the cluster has none).
+    #: Flow lineage: one cluster-wide ``LineageStore`` records sources,
+    #: tainted crossings and sinks as flow trees.
     lineage: bool = _row("lineage", parse_switch, False)
     #: The Taint Map keeps a WAL plus snapshots in the in-sim filesystem,
     #: so a restarted server resumes its GID sequence instead of

@@ -21,8 +21,8 @@ which of the three wrapper types to apply:
 
 ``STREAM`` and ``PACKET`` methods run the built-in Type-1 and Type-2
 wrapper bodies, labelled with the method's name, so their crossings
-reach the same telemetry, crossing trace and lineage as the built-in
-methods' (``dista_jni_calls_total{method="<name>"}``).
+reach the same telemetry and lineage as the built-in methods'
+(``dista_jni_calls_total{method="<name>"}``).
 """
 
 from __future__ import annotations

@@ -28,9 +28,7 @@ from typing import Optional
 
 from repro.core import wire
 from repro.core.taintmap import TaintMapClient
-from repro.core.trace import NULL_TRACE
 from repro.errors import WireFormatError
-from repro.obs.lineage import NULL_LINEAGE
 from repro.jre.jni import EOF, UNAVAILABLE
 from repro.jre.buffer import NativeMemory
 from repro.jre.datagram_api import DatagramPacket
@@ -46,7 +44,6 @@ class DisTARuntime:
         node,
         client: TaintMapClient,
         byte_granularity: bool = True,
-        trace=NULL_TRACE,
     ):
         self.node = node
         self.client = client
@@ -55,11 +52,8 @@ class DisTARuntime:
         self.resolver = wire.LabelResolver.for_client(client)
         #: False only in the granularity ablation: whole-message tainting.
         self.byte_granularity = byte_granularity
-        #: Optional CrossingTrace recording tainted boundary crossings.
-        self.trace = trace
-        #: Per-node LineageRecorder (NULL_LINEAGE when lineage is off;
-        #: its ``enabled`` False short-circuits every hook below).
-        self.lineage = NULL_LINEAGE
+        #: The cluster's LineageStore when lineage is on, else ``None``.
+        self.lineage = None
         self._lock = threading.Lock()
         self._decoders: dict[int, wire.CellDecoder] = {}
         #: (method, direction) -> bound metric children; record_io runs
@@ -104,11 +98,15 @@ class DisTARuntime:
             )
 
     def record_io(self, direction: str, method: str, data, channel=None) -> None:
-        """One wrapper-boundary event: telemetry plus the crossing trace.
+        """One wrapper-boundary event: telemetry, plus a hop edge in the
+        lineage store for a tainted crossing while lineage is on.
 
-        ``channel`` names the wire channel (see ``TcpEndpoint.send_channel``)
-        so the trace can correlate this send with its receive into a span.
+        Sends are recorded after :meth:`outgoing`, as they cross the
+        wire.  ``channel`` names the wire channel (see
+        ``TcpEndpoint.send_channel``) so the store can pair this send
+        with its receive into a span.
         """
+        tainted = data.tainted_byte_count()
         if self._io_calls is not None:
             children = self._io_children.get((method, direction))
             if children is None:
@@ -122,11 +120,6 @@ class DisTARuntime:
                 )
                 self._io_children[(method, direction)] = children
             calls, io_bytes, io_tainted, crossings, fast, slow = children
-            tainted = (
-                data.tainted_byte_count()
-                if hasattr(data, "tainted_byte_count")
-                else 0
-            )
             calls.inc()
             io_bytes.inc(len(data))
             io_tainted.inc(tainted)
@@ -139,7 +132,10 @@ class DisTARuntime:
                 fast.inc()
             else:
                 slow.inc()
-        self.trace.record(self.node.name, direction, method, data, channel=channel)
+        if tainted and self.lineage is not None:
+            self.lineage.record_crossing(
+                self.node.name, direction, method, data, tainted, channel
+            )
 
     def outgoing(self, data: TBytes) -> TBytes:
         """Apply the configured granularity to outgoing data."""
@@ -239,8 +235,9 @@ def make_cell_send(runtime: DisTARuntime, method: str):
 
     def wrapper(original):
         def cell_send(fd, data: TBytes, *args, **kwargs):
+            data = runtime.outgoing(data)
             runtime.record_io("send", method, data, channel=fd.send_channel)
-            cells = wire.encode_cells(runtime.outgoing(data), runtime.resolver)
+            cells = wire.encode_cells(data, runtime.resolver)
             return original(fd, TBytes.raw(cells), *args, **kwargs)
 
         return cell_send
@@ -316,8 +313,8 @@ def _check_envelope_fits(data_length: int) -> None:
 def wrap_datagram(runtime: DisTARuntime, method: str, data: TBytes, destination) -> TBytes:
     """Type-2 send body: record the crossing, then wrap the payload and
     its taints in one envelope.  ``method`` labels its telemetry."""
-    runtime.record_io("send", method, data, channel=("udp", tuple(destination)))
     payload = runtime.outgoing(data)
+    runtime.record_io("send", method, payload, channel=("udp", tuple(destination)))
     _check_envelope_fits(len(payload))
     return TBytes.raw(wire.encode_packet(payload, runtime.resolver))
 

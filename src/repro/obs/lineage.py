@@ -1,43 +1,54 @@
 """End-to-end flow lineage: cross-node taint provenance trees.
 
-The crossing trace (:mod:`repro.core.trace`) answers "which boundary did
-this taint cross"; this module answers the question operators actually
-ask — *show me every hop PII from source X took before it reached sink
-Y, with per-hop latency*.  It stitches three existing event streams into
-**flow trees**, one per ``(tag value, origin LocalId)`` flow:
+DisTA is pitched for debugging and in-house analysis (§IV): knowing
+*that* a taint reached a sink is often not enough, you want the path.
+The :class:`LineageStore` is the one flow record.  It answers *show me
+every hop PII from source X took before it reached sink Y, with per-hop
+latency* by stitching three event streams into **flow trees**, one per
+``(tag value, origin LocalId)`` flow:
 
 * **source registrations** (``SourceSinkRegistry.source``) root the tree;
-* **crossing spans** (PR 4's parked-span channel adoption) become child
-  edges — a send parents under the frontier node of its sender, the
-  receive that adopts the same span id closes the hop with the remote
-  timestamp, so per-hop latency and byte counts come for free and **no
-  new wire bytes** are needed: lineage context rides the span ids the
-  trace already correlates;
+* **tainted boundary crossings** (``DisTARuntime.record_io``) become
+  child edges.  A tainted send allocates a causal span id and parks it,
+  with its tainted byte count, on the wire channel it wrote to: the
+  shared kernel pipe for TCP, the destination address for UDP.  The
+  receive that drains those bytes on the other node adopts the span and
+  closes the hop, so per-hop latency and byte counts come for free and
+  **no new wire bytes** are needed;
 * **sink arrivals** (``SourceSinkRegistry.sink``) complete the flow.
+
+Receives are charged against the pending sends on their channel in send
+order, in tainted bytes on both ends: a split read keeps a span until
+its bytes are drained, a read that drains several sends closes each of
+their hops with the bytes it drained, and untainted bytes never use a
+budget up.  Every flow a message carried shares its span and gets the
+bytes each read drains from it.  A receive whose flow drained no send
+(an uninstrumented peer, a send forgotten at the per-channel bound)
+gets a fresh span and an explicit ``uncorrelated`` hop rather than a
+guess.
 
 Sampling is explicit, never silent: a flow sampled out by
 ``sample_every`` appears as a *stub* tree whose root disposition is
-``sampled_out`` — partial trees are marked partial, not missing.
+``sampled_out``; partial trees are marked partial, not missing.
 
-The cluster-side :class:`LineageStore` is bounded (``max_flows``) with
-eviction accounting in the ``CrossingTrace.dropped`` tradition: a store
-that forgot flows says so (:attr:`LineageStore.evicted`,
-``dista_lineage_flows_evicted_total``).
+The store is bounded (``max_flows``) and a store that forgot flows says
+so (:attr:`LineageStore.evicted`, ``dista_lineage_flows_evicted_total``).
 
-Hot-path discipline: every recorder hook is reached only *behind* the
-``labels is None`` zero-taint fast path — untainted traffic never
-constructs an event — and the per-node :class:`LineageRecorder` carries
-an ``enabled`` flag callers check first, so the disabled configuration
-(:data:`NULL_LINEAGE`) costs one attribute read.
+Hot-path discipline: the cluster hands its store to every node's
+``DisTARuntime`` and ``SourceSinkRegistry`` only when
+``DisTAConfig.lineage`` is on (``None`` otherwise), and ``record_io``
+calls it only for a tainted crossing.  Untainted traffic never reaches
+the store, and with lineage off a crossing pays one ``is None`` test.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from collections import OrderedDict, deque
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.obs.registry import FragmentHistogram
@@ -53,6 +64,11 @@ UNCORRELATED = "uncorrelated"  # receive with no matching send
 
 #: Default bound on retained flows (evictions are counted, not silent).
 DEFAULT_MAX_FLOWS = 4096
+
+#: Per-channel bound on sends no receive has drained (lost datagrams,
+#: uninstrumented receivers); beyond it the oldest is forgotten, so the
+#: store cannot leak on one-way traffic.  Its hop stays in flight.
+MAX_PENDING_PER_CHANNEL = 1024
 
 #: Tree-depth histogram layout: powers of two from depth 1; 16 buckets
 #: cover any realistic hop chain.
@@ -161,7 +177,7 @@ class FlowTree:
     the root for the origin), and the receive adopting the same span id
     completes the edge and advances the receiver's frontier.  Split
     reads merge into the existing hop by span instead of forking a
-    child, mirroring the trace's byte-budget correlation.
+    child.  A hop's byte counts are its message's tainted bytes.
     """
 
     def __init__(self, key, root: SourceRoot):
@@ -180,7 +196,6 @@ class FlowTree:
         self.max_depth = 1
         #: Hop tree nodes in send order (the hop-ordering ground truth).
         self.hop_nodes: list = []
-        self._by_span: dict = {}
         self._frontier: dict = {}
         if root.node is not None:
             self._frontier[root.node] = self.root_node
@@ -210,63 +225,66 @@ class FlowTree:
 
     # -- assembly (called by the store, under its lock) -------------------- #
 
-    def record_send(self, crossing) -> None:
-        existing = self._by_span.get(crossing.span)
-        if existing is not None:
-            # Same span sent twice for one flow (chunked writes under a
-            # single correlation): fold the bytes into the open hop.
-            existing.hop.sent_bytes += crossing.data_bytes
-            return
-        parent = self._frontier.get(crossing.node, self.root_node)
+    def record_send(
+        self, span: int, node: str, method: str, count: int, timestamp: float
+    ) -> TreeNode:
+        """Open a hop for a send; returns its tree node, which the store
+        parks on the wire channel until a receive drains it."""
+        parent = self._frontier.get(node, self.root_node)
         hop = Hop(
-            span=crossing.span,
-            sender=crossing.node,
-            send_method=crossing.method,
-            sent_bytes=crossing.data_bytes,
-            send_timestamp=crossing.timestamp,
+            span=span,
+            sender=node,
+            send_method=method,
+            sent_bytes=count,
+            send_timestamp=timestamp,
         )
-        node = TreeNode(crossing.node, hop, parent.depth + 1)
-        parent.children.append(node)
-        self.hop_nodes.append(node)
-        self._by_span[crossing.span] = node
-        self.max_depth = max(self.max_depth, node.depth)
+        tree_node = TreeNode(node, hop, parent.depth + 1)
+        self._attach(parent, tree_node)
+        return tree_node
 
-    def record_receive(self, crossing) -> Optional[Hop]:
-        """Close (or extend) the hop for a receive; returns the hop when
-        this receive completed it (for latency telemetry)."""
-        node = self._by_span.get(crossing.span)
-        if node is None or node.hop is None:
-            # No matching send for this flow: an uninstrumented peer or
-            # coalesced wire traffic.  Attach under the root, explicitly
-            # marked rather than guessed.
-            hop = Hop(
-                span=crossing.span,
-                receiver=crossing.node,
-                receive_method=crossing.method,
-                received_bytes=crossing.data_bytes,
-                receive_timestamp=crossing.timestamp,
-                disposition=UNCORRELATED,
-            )
-            tree_node = TreeNode(crossing.node, hop, self.root_node.depth + 1)
-            self.root_node.children.append(tree_node)
-            self.hop_nodes.append(tree_node)
-            self._by_span[crossing.span] = tree_node
-            self.max_depth = max(self.max_depth, tree_node.depth)
-            self._frontier[crossing.node] = tree_node
-            return hop
-        hop = node.hop
-        if hop.receiver is None:
-            hop.receiver = crossing.node
-            hop.receive_method = crossing.method
-            hop.received_bytes = crossing.data_bytes
-            hop.receive_timestamp = crossing.timestamp
-            node.node = crossing.node
-            self._frontier[crossing.node] = node
-            return hop
-        # A split read draining the same span: accumulate bytes, keep
-        # the first receive's timestamp (latency = first byte arrival).
-        hop.received_bytes += crossing.data_bytes
-        return None
+    def record_receive(
+        self, tree_node: TreeNode, node: str, method: str, count: int, timestamp: float
+    ) -> Optional[Hop]:
+        """Close (or extend) a hop this flow sent with ``count`` bytes a
+        receive drained from it; returns the hop when this receive
+        completed it (for latency telemetry)."""
+        hop = tree_node.hop
+        if hop.receiver is not None:
+            # A split read draining the same span: accumulate bytes,
+            # keep the first receive's timestamp (latency = first byte
+            # arrival).
+            hop.received_bytes += count
+            return None
+        hop.receiver = node
+        hop.receive_method = method
+        hop.received_bytes = count
+        hop.receive_timestamp = timestamp
+        tree_node.node = node
+        self._frontier[node] = tree_node
+        return hop
+
+    def record_uncorrelated(
+        self, span: int, node: str, method: str, count: int, timestamp: float
+    ) -> None:
+        """A receive that drained no send of this flow: an uninstrumented
+        peer or a forgotten send.  Attach under the root, explicitly
+        marked rather than guessed."""
+        hop = Hop(
+            span=span,
+            receiver=node,
+            receive_method=method,
+            received_bytes=count,
+            receive_timestamp=timestamp,
+            disposition=UNCORRELATED,
+        )
+        tree_node = TreeNode(node, hop, self.root_node.depth + 1)
+        self._attach(self.root_node, tree_node)
+        self._frontier[node] = tree_node
+
+    def _attach(self, parent: TreeNode, tree_node: TreeNode) -> None:
+        parent.children.append(tree_node)
+        self.hop_nodes.append(tree_node)
+        self.max_depth = max(self.max_depth, tree_node.depth)
 
     def record_sink(self, arrival: SinkArrival) -> bool:
         """Append a sink arrival; True when it completed the flow."""
@@ -374,8 +392,8 @@ class FlowTree:
 class LineageStore:
     """Bounded cluster-side store of flow trees, with a query API.
 
-    One store per cluster; every node's :class:`LineageRecorder` and the
-    cluster's :class:`~repro.core.trace.CrossingTrace` feed it.  At
+    One store per cluster, fed by every node's ``SourceSinkRegistry``
+    (sources, sinks) and ``DisTARuntime`` (crossings).  At
     ``max_flows`` the oldest flow is evicted — completed flows first,
     then open ones — and every eviction is counted
     (:attr:`evicted`, ``dista_lineage_flows_evicted_total``): a store
@@ -393,19 +411,26 @@ class LineageStore:
         self.completed_total = 0
         self._depth_hist = FragmentHistogram(lowest=1.0, buckets=DEPTH_BUCKETS)
         self._hop_hists: dict = {}
+        self._spans = itertools.count(1)
+        #: channel key → FIFO of ``[tainted bytes not yet received,
+        #: [(flow, hop tree node), ...]]``, one entry per send no
+        #: receive has drained yet.
+        self._pending: dict = {}
 
     # -- ingestion --------------------------------------------------------- #
 
-    def _flow_for(self, tag, origin: Optional[str] = None) -> FlowTree:
+    def _flow_for(self, tag, origin: Optional[str], timestamp: float) -> FlowTree:
         key = tag.key()
         flow = self._flows.get(key)
         if flow is None:
+            # Stamped with the event that created it, so an implicit
+            # root is never later than its first hop.
             flow = FlowTree(
                 key,
                 SourceRoot(
                     node=origin,
                     descriptor="",
-                    timestamp=time.monotonic(),
+                    timestamp=timestamp,
                     disposition=IMPLICIT,
                 ),
             )
@@ -452,26 +477,72 @@ class LineageStore:
             )
             self._enforce_bound()
 
-    def record_crossing(self, crossing) -> None:
-        """One tainted boundary crossing (fed by the CrossingTrace,
-        inside its record path): becomes a hop edge on every flow whose
-        tag the payload carried."""
-        is_send = crossing.direction == "send"
+    def record_crossing(
+        self, node: str, direction: str, method: str, data, tainted: int, channel=None
+    ) -> None:
+        """One tainted boundary crossing (from ``DisTARuntime.record_io``):
+        a hop edge on every flow whose tag ``data`` carries.  ``tainted``
+        is its tainted byte count and ``channel`` its wire channel (see
+        ``TcpEndpoint.send_channel``), the key that pairs a send with the
+        receives draining it."""
+        tags: set = set()
+        for label in data.labels.unique_labels():
+            if label is not None:
+                tags.update(label.tags)
         with self._lock:
-            for tag in crossing.tags:
-                flow = self._flow_for(
-                    tag, origin=crossing.node if is_send else None
-                )
-                if is_send:
-                    flow.record_send(crossing)
-                else:
-                    hop = flow.record_receive(crossing)
-                    if hop is not None and hop.latency is not None:
-                        site = hop.send_method or hop.receive_method or "?"
-                        hist = self._hop_hists.get(site)
+            # Inside the lock: a span's send must be parked and stamped
+            # before any receive draining it, across node threads.
+            timestamp = time.monotonic()
+            if direction == "send":
+                span = next(self._spans)
+                sent = []
+                for tag in tags:
+                    flow = self._flow_for(tag, node, timestamp)
+                    sent.append((flow, flow.record_send(span, node, method, tainted, timestamp)))
+                if channel is not None:
+                    queue = self._pending.setdefault(channel, deque())
+                    queue.append([tainted, sent])
+                    if len(queue) > MAX_PENDING_PER_CHANNEL:
+                        queue.popleft()
+                return
+            matched = set()
+            for count, sent in self._drain(channel, tainted):
+                for flow, tree_node in sent:
+                    matched.add(flow)
+                    hop = flow.record_receive(tree_node, node, method, count, timestamp)
+                    if hop is not None:
+                        hist = self._hop_hists.get(hop.send_method)
                         if hist is None:
-                            hist = self._hop_hists[site] = FragmentHistogram()
+                            hist = self._hop_hists[hop.send_method] = FragmentHistogram()
                         hist.observe(hop.latency)
+            span = None
+            for tag in tags:
+                flow = self._flow_for(tag, None, timestamp)
+                if flow not in matched:
+                    span = span or next(self._spans)
+                    flow.record_uncorrelated(span, node, method, tainted, timestamp)
+
+    def _drain(self, channel, tainted: int) -> list:
+        """Charge a receive's ``tainted`` bytes to the oldest pending
+        sends on ``channel``: ``[(bytes drained, hops of that send)]`` in
+        send order.  What one send does not take carries onto the next,
+        so a read spanning two messages closes both hops, and every flow
+        a message carried gets the bytes drained from it."""
+        queue = self._pending.get(channel)
+        if not queue:
+            return []
+        drained = []
+        while queue and tainted > 0:
+            head = queue[0]
+            count = min(head[0], tainted)
+            drained.append((count, head[1]))
+            tainted -= count
+            head[0] -= count
+            if not head[0]:
+                queue.popleft()
+        if not queue:
+            del self._pending[channel]
+        return drained
 
     def record_sink(
         self, node: str, descriptor: str, tags, detail: str = "", timestamp=None
@@ -481,7 +552,7 @@ class LineageStore:
         arrival = SinkArrival(node, descriptor, detail, timestamp)
         with self._lock:
             for tag in tags:
-                flow = self._flow_for(tag, origin=None)
+                flow = self._flow_for(tag, None, timestamp)
                 if flow.record_sink(arrival):
                     self.completed_total += 1
                     self._depth_hist.observe(flow.sink_depth)
@@ -530,8 +601,7 @@ class LineageStore:
             ]
 
     def hops(self, tag_value) -> Optional[FlowTree]:
-        """The flow tree for a tag value (most recent when reused) —
-        the tree-shaped upgrade of ``CrossingTrace.hops``'s node path."""
+        """The flow tree for a tag value (most recent when reused)."""
         with self._lock:
             found = None
             for flow in self._flows.values():
@@ -766,53 +836,3 @@ class LineageStore:
                 "samples": hop_samples,
             },
         }
-
-
-class LineageRecorder:
-    """Per-node recorder: forwards source/sink events to the store.
-
-    One per attached node (built by the agent), stamped with the node
-    name so cluster-side stitching never guesses origins.  Every hook is
-    dispatched *behind* the zero-taint fast path and behind the caller's
-    ``recorder.enabled`` check, so the disabled configuration
-    (:data:`NULL_LINEAGE`) costs one attribute read on the hot path.
-    """
-
-    __slots__ = ("store", "node_name")
-
-    enabled = True
-
-    def __init__(self, store: LineageStore, node_name: str):
-        self.store = store
-        self.node_name = node_name
-
-    def source_event(self, descriptor: str, tag, detail: str = "") -> None:
-        self.store.record_source(self.node_name, descriptor, tag, detail)
-
-    def sampled_out_event(self, descriptor: str) -> None:
-        self.store.record_sampled_out(self.node_name, descriptor)
-
-    def sink_event(self, descriptor: str, tags, detail: str = "") -> None:
-        if tags:
-            self.store.record_sink(self.node_name, descriptor, tags, detail)
-
-
-class NullLineageRecorder:
-    """The no-op recorder: full :class:`LineageRecorder` API parity,
-    ``enabled`` False so hot paths skip event construction entirely."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    def source_event(self, descriptor: str, tag, detail: str = "") -> None:
-        return None
-
-    def sampled_out_event(self, descriptor: str) -> None:
-        return None
-
-    def sink_event(self, descriptor: str, tags, detail: str = "") -> None:
-        return None
-
-
-NULL_LINEAGE = NullLineageRecorder()

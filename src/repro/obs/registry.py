@@ -160,7 +160,7 @@ class FragmentHistogram:
     """A standalone histogram series for scrape-time collector fragments.
 
     Components that join a registry via :meth:`MetricsRegistry.register_collector`
-    (TaintMapStats, CrossingTrace, the lineage store) own their counters
+    (TaintMapStats, the lineage store) own their counters
     directly rather than through a :class:`MetricFamily`.  This gives
     them the same power-of-two-bucket histogram the registry uses —
     O(1) ``frexp`` recording under a private lock — plus a
@@ -368,7 +368,7 @@ class MetricsRegistry:
 
     def register_collector(self, fn: Callable[[], dict]) -> None:
         """``fn()`` returns a snapshot fragment read fresh per scrape —
-        how pre-existing counters (TaintMapStats, CrossingTrace) join
+        how pre-existing counters (TaintMapStats, the lineage store) join
         the registry without double-accounting."""
         with self._lock:
             if fn not in self._collectors:

@@ -64,44 +64,6 @@ def flows_from_result(result) -> list[TaintFlow]:
     return flows_from_observations(result.tainted_observations, result.node_ips)
 
 
-def render_crossing_timeline(
-    trace, tag_value=None, title: str = "Crossing timeline"
-) -> str:
-    """Per-span timeline of tainted boundary crossings.
-
-    Renders correlated (send, receive) hops first — one line per pair,
-    with the per-hop latency from the spans' monotonic timestamps — then
-    any uncorrelated crossings.  If the trace dropped crossings at
-    capacity, the timeline is explicitly marked incomplete: a truncated
-    trace that *looks* complete is worse than no trace."""
-    lines = [f"=== {title} ==="]
-    pairs = trace.span_pairs(tag_value)
-    paired_sequences = set()
-    for send, receive in pairs:
-        paired_sequences.add(send.sequence)
-        paired_sequences.add(receive.sequence)
-        latency_us = (receive.timestamp - send.timestamp) * 1e6
-        lines.append(
-            f"s{send.span:<4d} {send.node} --{send.data_bytes}B--> "
-            f"{receive.node}  ({send.method} -> {receive.method}, "
-            f"{latency_us:.0f}us)"
-        )
-    crossings = (
-        trace.for_tag(tag_value) if tag_value is not None else list(trace.crossings)
-    )
-    unpaired = [c for c in crossings if c.sequence not in paired_sequences]
-    for crossing in unpaired:
-        lines.append(crossing.describe())
-    lines.append(f"--- {len(pairs)} hop(s), {len(unpaired)} unpaired ---")
-    dropped = getattr(trace, "dropped", 0)
-    if dropped:
-        lines.append(
-            f"WARNING: timeline incomplete — {dropped} crossing(s) dropped "
-            f"at capacity {trace.capacity}; raise CrossingTrace(capacity=...)"
-        )
-    return "\n".join(lines)
-
-
 def render_flow_report(flows: list[TaintFlow], title: str = "Taint flows") -> str:
     """Human-readable report, cross-node flows first."""
     lines = [f"=== {title} ==="]

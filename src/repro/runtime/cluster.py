@@ -37,7 +37,6 @@ class Cluster:
         mode: Mode = Mode.ORIGINAL,
         name: str = "cluster",
         config: Optional[DisTAConfig] = None,
-        trace=None,
         extensions: tuple = (),
     ):
         self.mode = mode
@@ -45,22 +44,16 @@ class Cluster:
         #: Every DisTA knob; the default ``DisTAConfig()`` reads its
         #: environment variables here, at construction.
         self.config = config if config is not None else DisTAConfig()
-        #: Optional :class:`~repro.core.trace.CrossingTrace` and user
-        #: :class:`~repro.core.extensions.ExtensionPoint` objects, handed
-        #: to every node's agent.
-        self.trace = trace
+        #: User :class:`~repro.core.extensions.ExtensionPoint` objects,
+        #: handed to every node's agent.
         self.extensions = tuple(extensions)
-        #: Flow lineage stitches hop edges from the crossing trace, so
-        #: enabling it creates a ``CrossingTrace`` unless one was given.
+        #: The cluster-wide flow record (``DisTAConfig.lineage``), or
+        #: ``None``; every attached node's runtime and registry hold it.
         self.lineage_store = None
         if self.config.lineage:
-            from repro.core.trace import CrossingTrace
             from repro.obs.lineage import LineageStore
 
             self.lineage_store = LineageStore()
-            if self.trace is None:
-                self.trace = CrossingTrace()
-            self.trace.attach_lineage(self.lineage_store)
         self.kernel = SimKernel(name)
         self.fs = SimFileSystem()
         self.nodes: dict[str, SimNode] = {}
@@ -123,13 +116,9 @@ class Cluster:
             self._start_taint_map()
         for node in self.nodes.values():
             self._attach_agent(node)
-        if self.trace is not None and hasattr(self.trace, "telemetry_samples"):
-            # The trace is cluster-wide, so its gauges live on the kernel
-            # registry (one fragment, not one per node).
-            self.kernel.metrics.register_collector(self.trace.telemetry_samples)
         if self.lineage_store is not None:
-            # The store is cluster-wide too: its telemetry joins the
-            # kernel registry beside the trace fragment.
+            # The store is cluster-wide, so its telemetry lives on the
+            # kernel registry (one fragment, not one per node).
             self.kernel.metrics.register_collector(
                 self.lineage_store.telemetry_samples
             )
@@ -159,13 +148,9 @@ class Cluster:
         from repro.core.agent import DisTAAgent
 
         runtime = DisTAAgent(
-            self.taint_map_server.address, self.config, self.trace, self.extensions
+            self.taint_map_server.address, self.config, self.extensions
         ).attach(node)
-        if self.lineage_store is not None:
-            from repro.obs.lineage import LineageRecorder
-
-            recorder = LineageRecorder(self.lineage_store, node.name)
-            runtime.lineage = node.registry.lineage = recorder
+        runtime.lineage = node.registry.lineage = self.lineage_store
 
     def shutdown(self) -> None:
         for node in self.nodes.values():

@@ -152,8 +152,8 @@ class TcpEndpoint:
     #
     # Both TcpEndpoint ends of one connection share the same BytePipe
     # objects (the sender's _tx IS the receiver's _rx), so the pipe's
-    # identity names the wire channel on both nodes — the key
-    # CrossingTrace uses to correlate a tainted send with its receive.
+    # identity names the wire channel on both nodes — the key the
+    # lineage store uses to pair a tainted send with its receive.
 
     @property
     def send_channel(self) -> tuple:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import Hashable, Optional
 
-from repro.obs.lineage import NULL_LINEAGE
 from repro.taint.tags import TaintTag
 from repro.taint.tree import Taint, TaintTree
 from repro.taint.values import Label, taint_of, with_taint
@@ -61,8 +60,8 @@ class SourceSinkRegistry:
     source_patterns: list = field(default_factory=list)
     sink_patterns: list = field(default_factory=list)
     #: Fraction of matching source firings that actually taint their
-    #: value (the tainted-traffic knob of the overhead sweep).  1.0 is
-    #: the paper's behaviour: every firing taints.
+    #: value (the tainted-fraction telemetry tests drive it from 0 to
+    #: 1).  1.0 is the paper's behaviour: every firing taints.
     source_fraction: float = 1.0
     #: Flow-sampling period: admit (taint) every ``k``-th matching
     #: source firing, counted deterministically per registry.  1 admits
@@ -77,10 +76,10 @@ class SourceSinkRegistry:
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
-        #: Per-node lineage recorder (``NULL_LINEAGE`` when lineage is
-        #: off: ``enabled`` False, so the hooks below cost one attribute
-        #: read).  The agent swaps in a live recorder on attach.
-        self.lineage = NULL_LINEAGE
+        #: The cluster's LineageStore when lineage is on, else ``None``
+        #: (the hooks below then cost one ``is None`` test).  The
+        #: cluster sets it when it attaches the agent.
+        self.lineage = None
         self.source_events: list[SourceEvent] = []
         self.observations: list[SinkObservation] = []
         self._auto_counter = 0
@@ -141,8 +140,8 @@ class SourceSinkRegistry:
             if not admitted:
                 # Sampled-out flows are visible in lineage as explicit
                 # stub trees — marked, never silently missing.
-                if self.lineage.enabled:
-                    self.lineage.sampled_out_event(descriptor)
+                if self.lineage is not None:
+                    self.lineage.record_sampled_out(self.node_name, descriptor)
                 return value
         fraction = self.source_fraction
         if fraction < 1.0:
@@ -160,8 +159,8 @@ class SourceSinkRegistry:
         tag = next(iter(taint.tags))
         with self._lock:
             self.source_events.append(SourceEvent(descriptor, self.node_name, tag, detail))
-        if self.lineage.enabled:
-            self.lineage.source_event(descriptor, tag, detail)
+        if self.lineage is not None:
+            self.lineage.record_source(self.node_name, descriptor, tag, detail)
         return with_taint(value, taint)
 
     def sink(self, descriptor: str, *values, detail: str = "") -> Optional[SinkObservation]:
@@ -180,8 +179,8 @@ class SourceSinkRegistry:
         observation = SinkObservation(descriptor, self.node_name, frozenset(tags), detail)
         with self._lock:
             self.observations.append(observation)
-        if tags and self.lineage.enabled:
-            self.lineage.sink_event(descriptor, observation.tags, detail)
+        if tags and self.lineage is not None:
+            self.lineage.record_sink(self.node_name, descriptor, observation.tags, detail)
         return observation
 
     # -- reporting -------------------------------------------------------- #

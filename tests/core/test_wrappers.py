@@ -11,10 +11,20 @@ import tracemalloc
 import pytest
 
 from repro.core import wire
+from repro.core.config import DisTAConfig
 from repro.errors import WireFormatError
-from repro.jre import ByteBuffer, DatagramPacket, DatagramSocket, ServerSocket, Socket
+from repro.jre import (
+    ByteBuffer,
+    DatagramPacket,
+    DatagramSocket,
+    ServerSocket,
+    ServerSocketChannel,
+    Socket,
+    SocketChannel,
+)
 from repro.jre.buffer import NativeMemory
 from repro.jre.jni import EOF
+from repro.obs.registry import snapshot_total
 from repro.runtime.cluster import Cluster
 from repro.runtime.modes import Mode
 from repro.runtime.pipes import BytePipe
@@ -288,3 +298,55 @@ class TestRuntimeHelpers:
         coarse = DisTARuntime(n1, n1.taintmap, byte_granularity=False)
         assert precise.outgoing(half).label_at(1) is None
         assert coarse.outgoing(half).label_at(1) is taint
+
+
+def _exchange_over_socket(n1, n2, data):
+    conn, client, _ = _connect(n1, n2, 9560)
+    client.get_output_stream().write(data)
+    conn.get_input_stream().read_fully(len(data))
+
+
+def _exchange_over_datagram(n1, n2, data):
+    sender = DatagramSocket(n1, 5060)
+    receiver = DatagramSocket(n2, 5060)
+    sender.send(DatagramPacket(data, address=(n2.ip, 5060)))
+    receiver.receive(DatagramPacket(16))
+
+
+def _exchange_over_channel(n1, n2, data):
+    server = ServerSocketChannel.open(n2).bind(9561)
+    client = SocketChannel.open(n1).connect((n2.ip, 9561))
+    conn = server.accept()
+    client.write_fully(ByteBuffer.wrap(data))
+    conn.read_fully(ByteBuffer.allocate(len(data)))
+
+
+class TestSendsRecordWhatCrossesTheWire:
+    @pytest.mark.parametrize(
+        "exchange, send_method, receive_method",
+        [
+            (_exchange_over_socket, "socketWrite0", "socketRead0"),
+            (_exchange_over_datagram, "datagram.send", "datagram.receive0"),
+            (_exchange_over_channel, "dispatcher.write0", "dispatcher.read0"),
+        ],
+        ids=["type1", "type2", "type3"],
+    )
+    def test_message_granularity_counts_tainted_bytes_on_the_wire(
+        self, exchange, send_method, receive_method
+    ):
+        """Under granularity=message a "XX.." write with 2 tainted bytes
+        puts 4 tainted bytes on the wire; every wrapper type records the
+        send after that widening, so both ends count 4."""
+        cluster = Cluster(Mode.DISTA, config=DisTAConfig(byte_granularity=False))
+        n1 = cluster.add_node("n1")
+        n2 = cluster.add_node("n2")
+        with cluster:
+            taint = n1.tree.taint_for_tag("msg")
+            exchange(n1, n2, TBytes.tainted(b"XX", taint) + TBytes(b".."))
+            snap = cluster.telemetry_snapshot()
+        family = "dista_jni_tainted_bytes_total"
+        assert snapshot_total(snap, family, {"method": send_method, "direction": "send"}) == 4.0
+        assert (
+            snapshot_total(snap, family, {"method": receive_method, "direction": "receive"})
+            == 4.0
+        )

@@ -6,13 +6,11 @@ correct hop ordering, byte counts and disposition labels, while the
 wire stays byte-identical with lineage on and off.
 """
 
-import inspect
 import json
 
 import pytest
 
 from repro.core.config import DisTAConfig
-from repro.core.trace import Crossing
 from repro.jre import ServerSocket, Socket
 from repro.jre.http import http_get
 from repro.obs.lineage import (
@@ -21,13 +19,12 @@ from repro.obs.lineage import (
     TRACED,
     TRACKED,
     UNCORRELATED,
-    LineageRecorder,
     LineageStore,
-    NullLineageRecorder,
 )
 from repro.runtime.cluster import Cluster
 from repro.runtime.modes import Mode
-from repro.taint.tags import TaintTag
+from repro.taint.tags import LocalId, TaintTag
+from repro.taint.tree import TaintTree
 from repro.taint.values import TBytes
 
 SOURCE_DESCRIPTOR = "app.ConfigReader#read"
@@ -69,10 +66,8 @@ def run_relay(lineage: bool):
     return wire, received, cluster.lineage_store
 
 
-# One leg: the multiplexed ("async") Taint Map transport every client
-# runs on.
-@pytest.fixture(params=["async"])
-def relay_store(request):
+@pytest.fixture()
+def relay_store():
     _, received, store = run_relay(lineage=True)
     assert received == (PAYLOAD, PAYLOAD)
     return store
@@ -226,18 +221,12 @@ class TestExplicitPartialTrees:
 
     def test_uncorrelated_receive_attaches_under_root(self):
         store = LineageStore()
-        tag = TaintTag("stray", 1)
-        crossing = Crossing(
-            sequence=1,
-            node="n2",
-            direction="receive",
-            method="java.net.SocketInputStream#read",
-            data_bytes=5,
-            tags=frozenset({tag}),
-            span=99,
-            timestamp=1.0,
+        tree = TaintTree(LocalId("10.0.0.1", 1))
+        data = TBytes.tainted(b"stray", tree.taint_for_tag("stray"))
+        # A receive with no send pending on its channel.
+        store.record_crossing(
+            "n2", "receive", "java.net.SocketInputStream#read", data, 5, ("tcp", 99)
         )
-        store.record_crossing(crossing)
         flow = store.hops("stray")
         assert flow.root.disposition == IMPLICIT
         (hop,) = flow.hops
@@ -359,31 +348,3 @@ class TestLineageTelemetryAndEndpoint:
                 assert http_get(n2, metrics.address, "/lineage.json").status == 404
             finally:
                 metrics.stop()
-
-
-class TestRecorderParity:
-    def _public_api(self, cls):
-        return {
-            name: getattr(cls, name)
-            for name in dir(cls)
-            if not name.startswith("_")
-        }
-
-    def test_null_recorder_mirrors_live_recorder(self):
-        live = self._public_api(LineageRecorder)
-        null = self._public_api(NullLineageRecorder)
-        live_methods = {n for n, v in live.items() if inspect.isfunction(v)}
-        null_methods = {n for n, v in null.items() if inspect.isfunction(v)}
-        assert live_methods == null_methods
-        for name in live_methods:
-            assert inspect.signature(live[name]) == inspect.signature(
-                null[name]
-            ), f"{name}: signature drift"
-        assert LineageRecorder.enabled is True
-        assert NullLineageRecorder.enabled is False
-
-    def test_null_recorder_hooks_are_inert(self):
-        null = NullLineageRecorder()
-        assert null.source_event("d", object()) is None
-        assert null.sampled_out_event("d") is None
-        assert null.sink_event("d", [object()]) is None

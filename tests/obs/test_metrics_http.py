@@ -30,10 +30,8 @@ TRANSPORT_FAMILIES = (
 )
 
 
-# One leg: the multiplexed ("async") Taint Map transport every client
-# runs on.
-@pytest.fixture(params=["async"])
-def scraped(request):
+@pytest.fixture()
+def scraped():
     cluster = Cluster(Mode.DISTA)
     n1 = cluster.add_node("n1")
     n2 = cluster.add_node("n2")
