@@ -99,13 +99,6 @@ class ReplicatedTaintMapServer(TaintMapServer):
         self.replicated = 0
         self.replication_failures = 0
 
-    def _register(self, tags, serialized: bytes) -> int:
-        known = taintmap.taint_key(tags) in self._by_key
-        gid = super()._register(tags, serialized)
-        if not known:
-            self._replicate(gid, serialized)
-        return gid
-
     def stop(self) -> None:
         super().stop()
         # Close the replication connection too, or the standby keeps a
@@ -118,7 +111,9 @@ class ReplicatedTaintMapServer(TaintMapServer):
         if endpoint is not None:
             endpoint.close()
 
-    def _replicate(self, gid: int, serialized: bytes) -> None:
+    def _allocated(self, gid: int, serialized: bytes) -> None:
+        """Replicate each new allocation to the standby before it is
+        acknowledged."""
         payload = struct.pack(">I", gid) + serialized
         with self._standby_lock:
             try:

@@ -203,6 +203,27 @@ def deserialize_tags(raw: bytes) -> list[TaintTag]:
 #: (reply), payload length.
 MUX_HEAD = struct.Struct(">IBI")
 
+#: Bytes one read of a multiplexed connection asks for.
+MUX_READ_SIZE = 1 << 16
+
+
+def take_frames(buffer: bytearray) -> list[tuple[int, int, bytes]]:
+    """Remove every complete multiplexed frame from the front of
+    ``buffer`` and return them in order as ``(corr, code, payload)``;
+    ``code`` is a request's op or a reply's status.  A partial frame
+    stays in ``buffer`` for the next read."""
+    frames = []
+    pos, head, size = 0, MUX_HEAD.size, len(buffer)
+    while size - pos >= head:
+        corr, code, length = MUX_HEAD.unpack_from(buffer, pos)
+        end = pos + head + length
+        if end > size:
+            break
+        frames.append((corr, code, bytes(buffer[pos + head : end])))
+        pos = end
+    del buffer[:pos]
+    return frames
+
 
 def _send_frame(endpoint: TcpEndpoint, head: bytes, payload: bytes) -> None:
     endpoint.send_all(head + struct.pack(">I", len(payload)) + payload)
@@ -301,6 +322,12 @@ class TaintMapStats:
         with self._lock:
             setattr(self, counter, getattr(self, counter) + amount)
 
+    def count_cache(self, hits: int, misses: int) -> None:
+        """One client call's cache hits and misses, in one update."""
+        with self._lock:
+            self.cache_hits += hits
+            self.cache_misses += misses
+
     def snapshot(self) -> dict:
         with self._lock:
             return {
@@ -317,43 +344,6 @@ class TaintMapStats:
                 "wal_snapshots": self.wal_snapshots,
                 "wal_torn_records": self.wal_torn_records,
             }
-
-
-class _Cache:
-    """Thread-safe, unbounded GID/taint mapping with hit/miss counting.
-
-    Nothing is ever evicted: a taint that has crossed the network once
-    never costs another Taint Map request (Fig. 9's "does not need to
-    request a Global ID again").
-    """
-
-    def __init__(self, stats: TaintMapStats):
-        self._stats = stats
-        self._lock = threading.Lock()
-        self._entries: dict = {}
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def get(self, key):
-        with self._lock:
-            value = self._entries.get(key)
-        self._stats.bump("cache_misses" if value is None else "cache_hits")
-        return value
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._entries[key] = value
-
-    def setdefault(self, key, value) -> None:
-        """Insert without touching hit/miss accounting (secondary fills)."""
-        with self._lock:
-            self._entries.setdefault(key, value)
 
 
 class TaintMapServer:
@@ -475,22 +465,29 @@ class TaintMapServer:
                     self._connections.remove(endpoint)
 
     def _serve_mux(self, endpoint: TcpEndpoint) -> None:
-        """Accept loop for one upgraded (multiplexed) connection.
+        """Serve loop for one upgraded (multiplexed) connection.
 
         Each frame is ``corr:4`` + the unchanged sync request frame
         (``op:1 | len:4 | payload``); each response echoes the
         correlation id in front of the unchanged sync response frame.
         Requests pipeline: the client never waits for one response
         before sending the next, so thousands of registrations can be
-        in flight on this single connection.  Handling stays serial
-        (the single-point service model) but a batched request pays
-        ``service_time`` once for its whole window.
+        in flight on this single connection.  Each wake-up takes one
+        read and serves every complete frame in it, in order, replying
+        to each as it is served; a partial frame waits in the buffer for
+        the next read, and EOF (inside a frame or not) ends the loop.
+        Handling stays serial (the single-point service model) but a
+        batched request pays ``service_time`` once for its whole window.
         """
+        buffer = bytearray()
         while self._running:
-            corr, op, length = MUX_HEAD.unpack(_recv_exact(endpoint, MUX_HEAD.size))
-            payload = _recv_exact(endpoint, length) if length else b""
-            status, response = self._service(op, payload)
-            endpoint.send_all(MUX_HEAD.pack(corr, status, len(response)) + response)
+            chunk = endpoint.recv(MUX_READ_SIZE)
+            if not chunk:
+                return
+            buffer += chunk
+            for corr, op, payload in take_frames(buffer):
+                status, response = self._service(op, payload)
+                endpoint.send_all(MUX_HEAD.pack(corr, status, len(response)) + response)
 
     def _service(self, op: int, payload: bytes) -> tuple[int, bytes]:
         """Serial handling: the map is one single-point service."""
@@ -690,7 +687,13 @@ class TaintMapServer:
         with self.stats._lock:
             self.stats.global_taints += 1
         self._maybe_snapshot()
+        self._allocated(gid, serialized)
         return gid
+
+    def _allocated(self, gid: int, serialized: bytes) -> None:
+        """Hook: ``gid`` was just allocated to ``serialized``.  Runs
+        outside ``_lock``, once per allocation, before the reply that
+        acknowledges it is sent (the HA primary replicates here)."""
 
     @property
     def gid_headroom(self) -> int:
@@ -797,15 +800,21 @@ class TaintMapClient:
         self._cache_enabled = cache_enabled
         #: Client-side counters: cache hits/misses.
         self.stats = TaintMapStats()
+        #: Guards both caches.  A call reads them under one hold and
+        #: records what it resolved under one more.  Nothing is ever
+        #: evicted: a taint that has crossed the network once never
+        #: costs another Taint Map request (Fig. 9's "does not need to
+        #: request a Global ID again").
+        self._cache_lock = threading.Lock()
         #: taint node identity → (Global ID, taint handle).  Keyed by
         #: ``id(node)`` (not the per-tree rank, which collides between
         #: different trees when a foreign taint handle is registered).
         #: The entry holds a strong reference to the taint so its node
         #: can never be garbage-collected while cached — otherwise a
         #: reused ``id()`` could alias a dead node's Global ID.
-        self._gid_cache = _Cache(self.stats)
+        self._gid_cache: dict[int, tuple[int, Taint]] = {}
         #: Global ID → local Taint handle.
-        self._taint_cache = _Cache(self.stats)
+        self._taint_cache: dict[int, Taint] = {}
         self.requests_sent = 0
         #: Node telemetry (None for bare test nodes without a registry).
         self._metrics = getattr(node, "metrics", None)
@@ -871,20 +880,39 @@ class TaintMapClient:
         if self._batch_entries is not None:
             self._op_child(self._batch_entries, op).observe(entries)
 
+    def _cached(self, cache: dict, keys: Sequence) -> tuple[list, dict]:
+        """Read ``cache`` for every key that is not ``None`` under one lock
+        hold, and count the call's hits and misses in one update.  Returns
+        the cached values by position, and each missed key with the
+        positions it fills."""
+        values = [None] * len(keys)
+        misses: dict = {}
+        looked = 0
+        with self._cache_lock:
+            for i, key in enumerate(keys):
+                if key is None:
+                    continue
+                looked += 1
+                value = values[i] = cache.get(key)
+                if value is None:
+                    misses.setdefault(key, []).append(i)
+        if self._cache_enabled:
+            missed = sum(map(len, misses.values()))
+            self.stats.count_cache(looked - missed, missed)
+        return values, misses
+
     # -- sender side (Fig. 9 steps 1-2) ---------------------------------- #
 
     def gid_for(self, taint: Optional[Taint]) -> int:
         """Global ID for a taint; 0 for the empty taint."""
         if taint is None or taint.is_empty:
             return 0
-        key = id(taint.node)
-        if self._cache_enabled:
-            cached = self._gid_cache.get(key)
-            if cached is not None:
-                return cached[0]
-        (gid,) = self.transport.submit(KIND_REGISTER, [serialize_tags(taint.tags)])
-        self._record_registered(taint, gid)
-        return gid
+        (cached,), _ = self._cached(self._gid_cache, [id(taint.node)])
+        if cached is not None:
+            return cached[0]
+        gids = self.transport.submit(KIND_REGISTER, [serialize_tags(taint.tags)])
+        self._record_registered([taint], gids)
+        return gids[0]
 
     def gids_for(self, taints: Sequence[Optional[Taint]]) -> list[int]:
         """Global IDs for a batch of taints, resolving all cache misses
@@ -894,44 +922,35 @@ class TaintMapClient:
         most one request on first send, and zero on resend (Fig. 9's
         "does not need to request a Global ID again", batched).
         """
-        gids: list[Optional[int]] = [None] * len(taints)
-        misses: dict[int, tuple[Taint, list[int]]] = {}
-        for i, taint in enumerate(taints):
-            if taint is None or taint.is_empty:
-                gids[i] = 0
-                continue
-            key = id(taint.node)
-            if self._cache_enabled:
-                cached = self._gid_cache.get(key)
-                if cached is not None:
-                    gids[i] = cached[0]
-                    continue
-            if key in misses:
-                misses[key][1].append(i)
-            else:
-                misses[key] = (taint, [i])
+        keys = [None if t is None or t.is_empty else id(t.node) for t in taints]
+        cached, misses = self._cached(self._gid_cache, keys)
+        gids = [0 if entry is None else entry[0] for entry in cached]
         if misses:
-            entries = list(misses.values())
-            self._observe_batch(OP_REGISTER_MANY, len(entries))
+            fresh = [taints[positions[0]] for positions in misses.values()]
+            self._observe_batch(OP_REGISTER_MANY, len(fresh))
             new_gids = self.transport.submit(
-                KIND_REGISTER, [serialize_tags(taint.tags) for taint, _ in entries]
+                KIND_REGISTER, [serialize_tags(taint.tags) for taint in fresh]
             )
-            for (taint, positions), gid in zip(entries, new_gids):
-                self._record_registered(taint, gid)
+            self._record_registered(fresh, new_gids)
+            for positions, gid in zip(misses.values(), new_gids):
                 for i in positions:
                     gids[i] = gid
-        return gids  # type: ignore[return-value]
+        return gids
 
-    def _record_registered(self, taint: Taint, gid: int) -> None:
+    def _record_registered(self, taints: Sequence[Taint], gids: Sequence[int]) -> None:
         if self._cache_enabled:
-            self._gid_cache.put(id(taint.node), (gid, taint))
-            self._taint_cache.setdefault(gid, taint)
+            with self._cache_lock:
+                for taint, gid in zip(taints, gids):
+                    self._gid_cache[id(taint.node)] = (gid, taint)
+                    self._taint_cache.setdefault(gid, taint)
         # Paper §III-D.1: a tag's GlobalID field is set when it first
         # crosses the network (meaningful for singleton taints).
-        if len(taint.tags) == 1:
-            tag = next(iter(taint.tags))
-            if tag.global_id == 0:
-                tag.global_id = gid
+        for taint, gid in zip(taints, gids):
+            tags = taint.tags
+            if len(tags) == 1:
+                (tag,) = tags
+                if tag.global_id == 0:
+                    tag.global_id = gid
 
     # -- receiver side (Fig. 9 steps 4-5) ---------------------------------- #
 
@@ -939,44 +958,35 @@ class TaintMapClient:
         """Resolve a received Global ID into a taint in *this* node's tree."""
         if gid == 0:
             return None
-        if self._cache_enabled:
-            cached = self._taint_cache.get(gid)
-            if cached is not None:
-                return cached
-        (serialized,) = self.transport.submit(KIND_LOOKUP, [gid])
-        return self._record_resolved(gid, serialized)
+        (cached,), _ = self._cached(self._taint_cache, [gid])
+        if cached is not None:
+            return cached
+        serialized = self.transport.submit(KIND_LOOKUP, [gid])
+        return self._record_resolved([gid], serialized)[0]
 
     def taints_for(self, gids: Sequence[int]) -> list[Optional[Taint]]:
         """Local taints for a batch of Global IDs, resolving all cache
         misses in one ``OP_LOOKUP_MANY`` round-trip."""
-        taints: list[Optional[Taint]] = [None] * len(gids)
-        misses: dict[int, list[int]] = {}
-        for i, gid in enumerate(gids):
-            if gid == 0:
-                continue
-            if self._cache_enabled:
-                cached = self._taint_cache.get(gid)
-                if cached is not None:
-                    taints[i] = cached
-                    continue
-            misses.setdefault(gid, []).append(i)
+        taints, misses = self._cached(self._taint_cache, [gid or None for gid in gids])
         if misses:
             pending = list(misses)
             self._observe_batch(OP_LOOKUP_MANY, len(pending))
             serialized_taints = self.transport.submit(KIND_LOOKUP, pending)
-            for gid, serialized in zip(pending, serialized_taints):
-                taint = self._record_resolved(gid, serialized)
-                for i in misses[gid]:
+            resolved = self._record_resolved(pending, serialized_taints)
+            for positions, taint in zip(misses.values(), resolved):
+                for i in positions:
                     taints[i] = taint
         return taints
 
-    def _record_resolved(self, gid: int, serialized: bytes) -> Taint:
-        tags = deserialize_tags(serialized)
-        taint = self._node.tree.taint_for_tags(tags)
+    def _record_resolved(self, gids: Sequence[int], serialized: Sequence[bytes]) -> list[Taint]:
+        tree = self._node.tree
+        taints = [tree.taint_for_tags(deserialize_tags(raw)) for raw in serialized]
         if self._cache_enabled:
-            self._taint_cache.put(gid, taint)
-            self._gid_cache.setdefault(id(taint.node), (gid, taint))
-        return taint
+            with self._cache_lock:
+                for gid, taint in zip(gids, taints):
+                    self._taint_cache[gid] = taint
+                    self._gid_cache.setdefault(id(taint.node), (gid, taint))
+        return taints
 
     def close(self) -> None:
         self.transport.close()

@@ -61,6 +61,7 @@ from repro.core.taintmap import (
     KIND_LOOKUP,
     KIND_REGISTER,
     MUX_HEAD,
+    MUX_READ_SIZE,
     OP_LOOKUP_MANY,
     OP_MUX_HELLO,
     OP_REGISTER_MANY,
@@ -75,6 +76,7 @@ from repro.core.taintmap import (
     _recv_exact,
     _send_frame,
     _split_batch_lookup_response,
+    take_frames,
 )
 from repro.errors import (
     PipeClosed,
@@ -111,9 +113,6 @@ _CORR_MASK = 0xFFFFFFFF
 
 #: The wire op carrying each kind's frames.
 _BATCH_OPS = (OP_REGISTER_MANY, OP_LOOKUP_MANY)
-
-#: Bytes the turn holder asks for in one read.
-_READ_SIZE = 1 << 16
 
 
 def mux_frame(corr: int, op: int, payload: bytes) -> bytes:
@@ -214,22 +213,11 @@ class _MuxConnection:
         complete, as ``(corr, status, response)``.  Raises
         :class:`~repro.errors.SimTimeout` past ``timeout`` and
         :class:`~repro.errors.PipeClosed` at EOF."""
-        chunk = self._endpoint.recv(_READ_SIZE, timeout)
+        chunk = self._endpoint.recv(MUX_READ_SIZE, timeout)
         if not chunk:
             raise PipeClosed("taint map connection closed")
-        buffer = self._buffer
-        buffer += chunk
-        frames = []
-        pos, head = 0, MUX_HEAD.size
-        while len(buffer) - pos >= head:
-            corr, status, length = MUX_HEAD.unpack_from(buffer, pos)
-            end = pos + head + length
-            if end > len(buffer):
-                break
-            frames.append((corr, status, bytes(buffer[pos + head : end])))
-            pos = end
-        del buffer[:pos]
-        return frames
+        self._buffer += chunk
+        return take_frames(self._buffer)
 
     def close(self) -> None:
         """Close the endpoint, which ends a read in progress."""

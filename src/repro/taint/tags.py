@@ -37,10 +37,11 @@ class TaintTag:
     Identity (equality / hashing) is defined by ``(tag, local_id)`` only:
     the tree rank ``ID`` differs between nodes (each JVM has its own tree)
     and ``GlobalID`` is assigned lazily, so neither can participate in
-    identity without breaking cross-node tag comparison.
+    identity without breaking cross-node tag comparison.  Both identity
+    fields are fixed at construction, so the hash is computed once.
     """
 
-    __slots__ = ("tag", "local_id", "tree_id", "global_id")
+    __slots__ = ("tag", "local_id", "tree_id", "global_id", "_hash")
 
     def __init__(
         self,
@@ -55,6 +56,7 @@ class TaintTag:
         self.tree_id = tree_id
         #: Taint Map identifier; 0 until the tag first crosses the network.
         self.global_id = global_id
+        self._hash = hash((tag, local_id))
 
     def key(self) -> tuple[Hashable, LocalId]:
         """The cross-node identity of this tag."""
@@ -66,7 +68,7 @@ class TaintTag:
         return self.tag == other.tag and self.local_id == other.local_id
 
     def __hash__(self) -> int:
-        return hash((self.tag, self.local_id))
+        return self._hash
 
     def __repr__(self) -> str:
         return (

@@ -16,9 +16,13 @@ is enough for the hot paths (per-byte label arrays).
 from __future__ import annotations
 
 import threading
+from operator import attrgetter
 from typing import Hashable, Iterable, Optional
 
 from repro.taint.tags import LocalId, TaintTag
+
+#: Sort key: a tag's rank in its tree (the paper's ``ID``).
+_RANK = attrgetter("tree_id")
 
 
 class TreeNode:
@@ -71,7 +75,11 @@ class Taint:
         return not self.node.tag_set
 
     def union(self, other: "Taint") -> "Taint":
-        """Combine two taints (paper: taint propagation is tag-set union)."""
+        """Combine two taints (paper: taint propagation is tag-set union).
+
+        When ``other`` adds only tags ranked above this taint's, the
+        cost is one new node per added tag (:meth:`TaintTree.combine`).
+        """
         if other is self or other.is_empty:
             return self
         if self.is_empty:
@@ -95,6 +103,11 @@ class Taint:
 class TaintTree:
     """Per-JVM taint storage: the singleton tree of Fig. 3.
 
+    Three rules keep the tree canonical: every root-to-node path ascends
+    by tag rank; ``_set_index`` alone decides which node (and so which
+    handle) a tag set has; and :meth:`combine` appends to a path only
+    above its last rank.
+
     Thread safe: real distributed-system nodes run many worker threads
     (e.g. ZooKeeper's SendWorker/RecvWorker) that all propagate taints.
     """
@@ -108,8 +121,6 @@ class TaintTree:
         self._set_index: dict[frozenset[TaintTag], TreeNode] = {frozenset(): self.root}
         #: Registered tags in insertion order (rank == paper's ``ID``).
         self._tags: dict[TaintTag, TaintTag] = {}
-        #: Memoized unions keyed by the two nodes' ids.
-        self._union_cache: dict[tuple[int, int], TreeNode] = {}
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -141,12 +152,16 @@ class TaintTree:
 
         Tags arriving from other nodes (via the Taint Map) keep their
         origin ``LocalID`` but receive a fresh local rank, which is how
-        the paper avoids cross-node tag conflicts.
+        the paper avoids cross-node tag conflicts.  A tag object already
+        ranked by another tree is interned as a copy, so ranking it here
+        cannot reorder that tree's paths.
         """
         with self._lock:
             existing = self._tags.get(tag)
             if existing is not None:
                 return existing
+            if tag.tree_id:
+                tag = TaintTag(tag.tag, tag.local_id, global_id=tag.global_id)
             tag.tree_id = len(self._tags) + 1
             self._tags[tag] = tag
             return tag
@@ -158,48 +173,58 @@ class TaintTree:
     def taint_for_tag(self, tag_value: Hashable, local_id: Optional[LocalId] = None) -> Taint:
         """The taint ``{tag}`` for a source point: a child of the root."""
         tag = self.new_tag(tag_value, local_id)
-        return self.taint_for_tags([tag])
+        with self._lock:
+            return self._append(self.root, (tag,)).taint
 
     # ------------------------------------------------------------------ #
     # Canonical tag-set lookup and combination
     # ------------------------------------------------------------------ #
 
-    def _rank(self, tag: TaintTag) -> int:
-        interned = self._tags.get(tag)
-        return interned.tree_id if interned is not None else 1 << 30
-
     def taint_for_tags(self, tags: Iterable[TaintTag]) -> Taint:
         """Canonical taint for an arbitrary tag set.
 
-        Walks from the root appending tags in registration-rank order, so
-        equal tag sets always resolve to the same node regardless of the
-        order combinations happened in.
+        A set already in the tree is found without interning anything.
+        Otherwise its tags are interned and appended from the root in
+        rank order, so equal tag sets always resolve to the same node
+        regardless of the order combinations happened in.
         """
+        key = frozenset(tags)
         with self._lock:
-            interned = [self.register_tag(t) for t in tags]
-            key = frozenset(interned)
             node = self._set_index.get(key)
-            if node is not None:
-                return node.taint
-            node = self.root
-            for tag in sorted(interned, key=lambda t: t.tree_id):
-                child = node.children.get(tag)
-                if child is None:
-                    child = self._new_node(tag, node)
-                    node.children[tag] = child
-                    self._set_index.setdefault(child.tag_set, child)
-                node = child
-            self._set_index[key] = node
+            if node is None:
+                interned = [self.register_tag(t) for t in key]
+                node = self._append(self.root, sorted(interned, key=_RANK))
             return node.taint
 
     def combine(self, a: Taint, b: Taint) -> Taint:
-        """Union of two taints, memoized on the node pair."""
+        """Union of two taints of this tree.
+
+        Fig. 3's union appends child nodes: when every tag ``b`` adds
+        outranks the last tag on ``a``'s path, the result extends that
+        path by one node per added tag.  Any other new set is appended
+        from the root in rank order.
+        """
+        base = a.node
+        tags = base.tag_set | b.node.tag_set
         with self._lock:
-            key = (a.node.node_id, b.node.node_id)
-            cached = self._union_cache.get(key)
-            if cached is not None:
-                return cached.taint
-            result = self.taint_for_tags(a.tags | b.tags)
-            self._union_cache[key] = result.node
-            self._union_cache[(key[1], key[0])] = result.node
-            return result
+            node = self._set_index.get(tags)
+            if node is None:
+                added = sorted(tags - base.tag_set, key=_RANK)
+                if base.tag is None or added[0].tree_id > base.tag.tree_id:
+                    node = self._append(base, added)
+                else:
+                    node = self._append(self.root, sorted(tags, key=_RANK))
+            return node.taint
+
+    def _append(self, node: TreeNode, ranked: Iterable[TaintTag]) -> TreeNode:
+        """Walk down from ``node`` along ``ranked`` (interned tags, each
+        outranking the last), adding and indexing the missing nodes.
+        Caller holds the lock."""
+        for tag in ranked:
+            child = node.children.get(tag)
+            if child is None:
+                child = self._new_node(tag, node)
+                node.children[tag] = child
+                self._set_index.setdefault(child.tag_set, child)
+            node = child
+        return node

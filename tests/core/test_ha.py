@@ -90,6 +90,24 @@ class TestReplication:
         client.close()
         standby_client.close()
 
+    def test_reregistering_a_known_taint_does_not_replicate(self, ha_setup):
+        """Only a new allocation is streamed to the standby: the same
+        taint registered again, past every client cache, answers its
+        original GID and sends nothing."""
+        kernel, node, primary, standby = ha_setup
+        client = TaintMapClient(node, PRIMARY)
+        taint = node.tree.taint_for_tag("known")
+        gid = client.gid_for(taint)
+        assert primary.replicated == 1
+        uncached = TaintMapClient(node, PRIMARY, cache_enabled=False)
+        assert uncached.gid_for(taint) == gid
+        assert uncached.gids_for([taint, taint]) == [gid, gid]
+        assert primary.stats.snapshot()["register_requests"] == 3
+        assert primary.replicated == 1
+        assert primary.replication_failures == 0
+        client.close()
+        uncached.close()
+
     def test_failover_client_batches_through_failover(self, ha_setup):
         kernel, node, primary, standby = ha_setup
         client = FailoverTaintMapClient(node, PRIMARY, STANDBY)

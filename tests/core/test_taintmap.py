@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.taintmap import (
+    MUX_HEAD,
     OP_MUX_HELLO,
     OP_REGISTER,
     OP_REGISTER_MANY,
@@ -21,7 +22,7 @@ from repro.core.taintmap import (
     serialize_tags,
     taint_key,
 )
-from repro.errors import TaintMapError
+from repro.errors import SimTimeout, TaintMapError
 from repro.runtime.cluster import TAINT_MAP_IP, TAINT_MAP_PORT
 from repro.runtime.fs import SimFileSystem
 from repro.runtime.kernel import SimKernel
@@ -289,6 +290,7 @@ class TestForeignTaintRegistration:
         assert {t.tag for t in resolved.tags} == {"theirs"}
 
 
+
 def _boot_golden(name="golden"):
     kernel = SimKernel(name)
     kernel.register_node(TAINT_MAP_IP)
@@ -380,3 +382,69 @@ class TestGoldenFrames:
         assert gids == [1, 2, 3, 4, 5]  # the seed protocol's 1, 2, 3, …
         client.close()
         server.stop()
+
+
+class TestMuxServeLoop:
+    """The server's multiplexed loop reads whatever has arrived and
+    serves every complete frame in it, whatever the write boundaries."""
+
+    @staticmethod
+    def _upgraded(name):
+        kernel, server, node = _boot_golden(name)
+        raw = kernel.connect(node.ip, server.address)
+        raw.send_all(bytes([OP_MUX_HELLO]) + struct.pack(">I", 0))
+        assert _recv_exact(raw, 5) == bytes([STATUS_OK]) + struct.pack(">I", 0)
+        return server, node, raw
+
+    @staticmethod
+    def _register_frame(corr, node, name):
+        payload = serialize_tags(node.tree.taint_for_tag(name).tags)
+        return MUX_HEAD.pack(corr, OP_REGISTER, len(payload)) + payload
+
+    @staticmethod
+    def _reply(raw):
+        corr, status, length = MUX_HEAD.unpack(_recv_exact(raw, MUX_HEAD.size))
+        return corr, status, _recv_exact(raw, length)
+
+    @staticmethod
+    def _nothing_more(raw):
+        with pytest.raises(SimTimeout):
+            raw.recv(1, timeout=0.05)
+
+    def test_every_frame_answered_once_in_order(self):
+        server, node, raw = self._upgraded("mux-split")
+        frames = [
+            self._register_frame(corr, node, f"m{corr}")
+            for corr in (7, 0xFFFFFFFF, 3, 40, 41)
+        ]
+        raw.send_all(frames[0] + frames[1] + frames[2])
+        replies = [self._reply(raw) for _ in range(3)]
+        # One frame split inside its 9-byte head, then one split inside
+        # its payload; a partial frame is never answered.
+        for frame, cut in ((frames[3], 4), (frames[4], MUX_HEAD.size + 5)):
+            raw.send_all(frame[:cut])
+            self._nothing_more(raw)
+            raw.send_all(frame[cut:])
+            replies.append(self._reply(raw))
+        self._nothing_more(raw)
+        assert replies == [
+            (corr, STATUS_OK, struct.pack(">I", gid))
+            for gid, corr in enumerate((7, 0xFFFFFFFF, 3, 40, 41), start=1)
+        ]
+        raw.close()
+        server.stop()
+
+    def test_eof_inside_a_frame_ends_the_serve_thread(self):
+        before = set(threading.enumerate())
+        server, node, raw = self._upgraded("mux-eof")
+        (serving,) = [
+            t for t in threading.enumerate()
+            if t not in before and t.name == "taintmap-conn"
+        ]
+        raw.send_all(self._register_frame(9, node, "torn")[: MUX_HEAD.size + 3])
+        raw.close()
+        serving.join(5)
+        assert not serving.is_alive()
+        assert server._connections == []
+        server.stop()
+

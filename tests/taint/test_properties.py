@@ -3,9 +3,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.taintmap import deserialize_tags, serialize_tags
 from repro.taint import LocalId, TBytes, TStr, TaintTree
 
 LOCAL = LocalId("10.0.0.1", 1)
+REMOTE = LocalId("10.0.0.2", 2)
 
 
 def fresh_tree() -> TaintTree:
@@ -47,6 +49,49 @@ def test_node_count_bounded_by_distinct_sets(sets):
     distinct = {frozenset(s) for s in sets}
     max_len = max((len(s) for s in sets), default=0)
     assert tree.node_count() <= 1 + len(distinct) * max(1, max_len)
+
+
+#: One taint to union: its tag names, and whether its tags arrive from
+#: another node's tree (serialized, so ranked here in arrival order).
+taint_specs = st.lists(
+    st.tuples(st.frozensets(tag_names, min_size=1, max_size=4), st.booleans()),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(taint_specs, st.randoms(use_true_random=False))
+def test_unions_keep_the_tree_canonical(specs, rnd):
+    """Unions in any order, mixing local tags with tags interned from
+    another tree, reach the canonical handle of their tag set; every
+    path ascends by rank; the node-count bound holds."""
+    tree = fresh_tree()
+    remote = TaintTree(REMOTE)
+    taints = []
+    for names, foreign in specs:
+        if foreign:
+            raw = serialize_tags(frozenset(remote.new_tag(n) for n in names))
+            taints.append(tree.taint_for_tags(deserialize_tags(raw)))
+        else:
+            taints.append(tree.taint_for_tags([tree.new_tag(n) for n in names]))
+    materialized = {t.tags for t in taints}
+    rnd.shuffle(taints)
+    result = taints[0]
+    for taint in taints[1:]:
+        result = result.union(taint) if rnd.random() < 0.5 else taint.union(result)
+        materialized.add(result.tags)
+    expected = frozenset().union(*materialized)
+    assert result.tags == expected
+    assert result is tree.taint_for_tags(expected)
+    pending = [tree.root]
+    while pending:
+        node = pending.pop()
+        assert tree._set_index[node.tag_set] is node
+        for child in node.children.values():
+            assert node.tag is None or child.tag.tree_id > node.tag.tree_id
+            pending.append(child)
+    max_len = max(len(s) for s in materialized)
+    assert tree.node_count() <= 1 + len(materialized) * max_len
 
 
 @given(st.binary(max_size=64), st.binary(max_size=64), tag_names, tag_names)

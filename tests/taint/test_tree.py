@@ -1,5 +1,8 @@
 """Unit tests for the per-JVM taint tree (paper §II-B, Fig. 3)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.taint import LocalId, Taint, TaintTag, TaintTree
@@ -109,11 +112,42 @@ class TestCombination:
         # Only the nodes on the canonical chain t0→t1→t2→t3 may be added.
         assert grown <= 3
 
+    def test_union_adding_a_higher_rank_appends_one_node(self, tree, monkeypatch):
+        """Fig. 3: a union appends child nodes.  Adding one tag that
+        outranks a 6-tag taint's path interns nothing and adds exactly
+        the one node below it."""
+        six = tree.empty
+        for i in range(6):
+            six = six.union(tree.taint_for_tag(f"t{i}"))
+        seventh = tree.taint_for_tag("t6")
+        interned = []
+        register = tree.register_tag
+        monkeypatch.setattr(
+            tree, "register_tag", lambda tag: interned.append(tag) or register(tag)
+        )
+        before = tree.node_count()
+        seven = six.union(seventh)
+        assert interned == []
+        assert tree.node_count() == before + 1
+        assert seven.node.parent is six.node
+        assert tags(seven) == {f"t{i}" for i in range(7)}
+
+    def test_tag_ranked_by_another_tree_is_interned_as_a_copy(self, tree):
+        """A rank belongs to one tree: interning another tree's tag
+        object must not re-rank it there."""
+        other = TaintTree(LocalId("10.0.0.2", 1))
+        other.new_tag("first")
+        theirs = other.new_tag("shared")
+        tree.new_tag("a")
+        tree.new_tag("b")
+        mine = tree.taint_for_tags([theirs])
+        (local,) = mine.tags
+        assert local == theirs and local is not theirs
+        assert (local.tree_id, theirs.tree_id) == (3, 2)
+
 
 class TestConcurrency:
     def test_parallel_combination_converges(self, tree):
-        import threading
-
         taints = [tree.taint_for_tag(f"t{i}") for i in range(8)]
         results = []
 
@@ -130,5 +164,39 @@ class TestConcurrency:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(10)
+        assert not any(t.is_alive() for t in threads)
         assert all(r is results[0] for r in results)
+
+    def test_parallel_appends_keep_one_handle_per_set(self, tree):
+        """Eight threads grow overlapping chains, each union adding a
+        higher-ranked tag (the append path), under a tiny switch
+        interval: every tag set still ends up with exactly one handle."""
+        singles = [tree.taint_for_tag(f"t{i}") for i in range(10)]
+        seen: list[list[Taint]] = [[] for _ in range(8)]
+
+        def worker(k):
+            for start in range(k % 4, len(singles)):
+                combined = singles[start]
+                for single in singles[start + 1 :]:
+                    combined = combined.union(single)
+                    seen[k].append(combined)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        handles: dict[frozenset, set] = {}
+        for taint in (taint for found in seen for taint in found):
+            handles.setdefault(taint.tags, set()).add(id(taint))
+        assert len(handles) == 45  # every run t_i..t_j with i < j
+        assert all(len(ids) == 1 for ids in handles.values())
+        for tag_set, (handle_id,) in handles.items():
+            assert id(tree.taint_for_tags(tag_set)) == handle_id
