@@ -18,6 +18,7 @@ same effect as the paper wrapping each entry point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from repro.core import wrappers
@@ -89,17 +90,24 @@ _WRAPPER_FACTORIES_BY_TYPE = {
     "datagram_peek_data": (2, wrappers.make_datagram_peek_data),
     "disp_read0": (3, wrappers.make_disp_read0),
     "disp_write0": (3, wrappers.make_disp_write0),
-    "dgram_disp_read0": (3, wrappers.make_dgram_disp_read0),
-    "dgram_disp_write0": (3, wrappers.make_dgram_disp_write0),
-    "dgram_channel_send0": (3, wrappers.make_dgram_channel_send0),
-    "dgram_channel_receive0": (3, wrappers.make_dgram_channel_receive0),
+    "dgram_disp_read0": (3, partial(
+        wrappers.make_dgram_receive, call="DatagramDispatcherImpl#read0",
+        method="dgram_dispatcher.read0", with_source=False,
+    )),
+    "dgram_disp_write0": (3, partial(
+        wrappers.make_dgram_send, call="DatagramDispatcherImpl#write0",
+        method="dgram_dispatcher.write0",
+    )),
+    "dgram_channel_send0": (3, partial(
+        wrappers.make_dgram_send, call="DatagramChannelImpl#send0",
+        method="dgram_channel.send0",
+    )),
+    "dgram_channel_receive0": (3, partial(
+        wrappers.make_dgram_receive, call="DatagramChannelImpl#receive0",
+        method="dgram_channel.receive0", with_source=True,
+    )),
     "direct_get": (3, wrappers.make_direct_get),
     "direct_put": (3, wrappers.make_direct_put),
-}
-
-#: patch target → wrapper factory constructor (all types).
-_WRAPPER_FACTORIES = {
-    name: factory for name, (_type, factory) in _WRAPPER_FACTORIES_BY_TYPE.items()
 }
 
 

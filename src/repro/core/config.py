@@ -16,8 +16,7 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Optional
 
-from repro.core.taintmap import TaintMapServer
-from repro.core.transport import DEFAULT_DEADLINE_S
+from repro.core.taintmap import DEFAULT_DEADLINE_S, TaintMapServer
 from repro.errors import ConfigError
 
 #: Accepted spellings for on/off launch extras.

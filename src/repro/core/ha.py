@@ -19,12 +19,12 @@ from typing import Optional
 
 from repro.core import taintmap
 from repro.core.taintmap import (
+    DEFAULT_DEADLINE_S,
     STATUS_BAD_REQUEST,
     STATUS_OK,
     TaintMapClient,
     TaintMapServer,
-    _recv_exact,
-    _send_frame,
+    round_trip,
 )
 from repro.runtime.kernel import Address, SimKernel, TcpEndpoint
 
@@ -33,12 +33,18 @@ OP_SYNC = 3
 
 
 class StandbyTaintMapServer(TaintMapServer):
-    """A replica that accepts verbatim GID allocations from the primary."""
+    """A replica that accepts verbatim GID allocations from the primary.
+
+    An ``OP_SYNC`` that would break the GID ⇄ taint bijection is
+    answered ``STATUS_BAD_REQUEST`` and changes nothing: GID 0 (the
+    empty taint), a known GID for another taint, or a taint already
+    bound to another GID.  A repeat of a known allocation is a no-op.
+    """
 
     def _handle(self, op: int, payload: bytes) -> tuple[int, bytes]:
         if op == OP_SYNC:
-            # Validated like OP_REGISTER: a malformed frame is answered,
-            # never allowed to close the primary's connection.
+            # A malformed frame is answered, never allowed to close the
+            # primary's connection.
             if len(payload) < 4:
                 return STATUS_BAD_REQUEST, b""
             (gid,) = struct.unpack(">I", payload[:4])
@@ -50,12 +56,15 @@ class StandbyTaintMapServer(TaintMapServer):
             except Exception:
                 return STATUS_BAD_REQUEST, b""
             with self._lock:
+                bound = self._by_key.get(key)
                 new_gid = gid not in self._by_gid
-                self._by_key[key] = gid
-                self._by_gid[gid] = serialized
-                # Continue the sequence after promotion.
-                self._next_gid = max(self._next_gid, gid + 1)
+                if gid == 0 or bound != (None if new_gid else gid):
+                    return STATUS_BAD_REQUEST, b""
                 if new_gid:
+                    self._by_key[key] = gid
+                    self._by_gid[gid] = serialized
+                    # Continue the sequence after promotion.
+                    self._next_gid = max(self._next_gid, gid + 1)
                     self._persist_entry_locked(gid, serialized)
             if new_gid:
                 # Keep the population counter in sync with the state the
@@ -124,11 +133,7 @@ class ReplicatedTaintMapServer(TaintMapServer):
                     self._standby_endpoint = self._kernel.connect(
                         self.address[0], self._standby_address
                     )
-                _send_frame(self._standby_endpoint, bytes([OP_SYNC]), payload)
-                status = _recv_exact(self._standby_endpoint, 1)[0]
-                (length,) = struct.unpack(">I", _recv_exact(self._standby_endpoint, 4))
-                if length:
-                    _recv_exact(self._standby_endpoint, length)
+                status, _ = round_trip(self._standby_endpoint, OP_SYNC, payload)
                 if status == STATUS_OK:
                     self.replicated += 1
                 else:
@@ -164,9 +169,9 @@ class FailoverTaintMapClient(TaintMapClient):
         primary: Address,
         standby: Address,
         cache_enabled: bool = True,
-        **options,
+        request_deadline_s: Optional[float] = DEFAULT_DEADLINE_S,
     ):
-        super().__init__(node, primary, cache_enabled, **options)
+        super().__init__(node, primary, cache_enabled, request_deadline_s)
         self._replicas.append(standby)
 
     @property

@@ -30,24 +30,19 @@ import time
 from typing import Optional, Sequence
 
 from repro.core import durability
-from repro.errors import TaintMapError, TaintMapExhaustedError
+from repro.errors import PipeClosed, TaintMapError, TaintMapExhaustedError
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.kernel import Address, SimKernel, TcpEndpoint
 from repro.taint.tags import LocalId, TaintTag
 from repro.taint.tree import Taint
 
-OP_REGISTER = 1
-OP_LOOKUP = 2
-# 3 is OP_SYNC (repro.core.ha) — the HA replication op shares this
-# opcode namespace through the Standby's ``_handle`` fallthrough.
+# Ops 1 and 2 (single register and lookup) and 6 (the old framing
+# upgrade) are retired and never reused: the fallthrough answers them
+# STATUS_BAD_REQUEST.  3 is OP_SYNC (repro.core.ha) — the HA
+# replication op shares this opcode namespace through the Standby's
+# ``_handle`` fallthrough.
 OP_REGISTER_MANY = 4
 OP_LOOKUP_MANY = 5
-#: Connection upgrade: the first frame of a multiplexed client
-#: (:mod:`repro.core.transport`).  After the server acknowledges
-#: with ``STATUS_OK``, every subsequent frame on the connection carries
-#: a 4-byte correlation-id prefix in front of the *unchanged* sync frame
-#: bytes, and responses may be delivered out of order.
-OP_MUX_HELLO = 6
 
 STATUS_OK = 0
 STATUS_UNKNOWN_GID = 1
@@ -63,12 +58,9 @@ STATUS_GID_EXHAUSTED = 4
 #: Human-readable op names for telemetry labels (op 3 is OP_SYNC in
 #: :mod:`repro.core.ha`, which shares this opcode namespace).
 OP_NAMES = {
-    OP_REGISTER: "register",
-    OP_LOOKUP: "lookup",
     3: "sync",
     OP_REGISTER_MANY: "register_many",
     OP_LOOKUP_MANY: "lookup_many",
-    OP_MUX_HELLO: "mux_hello",
 }
 
 
@@ -92,9 +84,14 @@ TRANSPORT_ERRORS = (ConnectionError, EOFError, OSError, TimeoutError)
 #: Hard protocol ceiling on entries per ``OP_REGISTER_MANY`` /
 #: ``OP_LOOKUP_MANY`` frame: both batch payloads wire-encode their entry
 #: count as an unsigned 16-bit integer (``>H``).  Larger logical batches
-#: must be chunked into multiple frames — each frame byte-identical to
-#: the classic protocol — never packed into one oversized frame.
+#: are chunked into multiple frames, never packed into one oversized
+#: frame.
 PROTOCOL_MAX_BATCH = 0xFFFF
+
+#: Default wall-clock deadline for one client request (s).  Generous
+#: next to any healthy round-trip; bounds how long a wrapper thread can
+#: hang on a wedged server.
+DEFAULT_DEADLINE_S = 30.0
 
 #: Entry kinds of a transport request
 #: (:meth:`~repro.core.transport.TaintMapTransport.submit`): a
@@ -199,12 +196,19 @@ def deserialize_tags(raw: bytes) -> list[TaintTag]:
 # --------------------------------------------------------------------- #
 
 
-#: A multiplexed frame's head: correlation id, op (request) or status
-#: (reply), payload length.
+#: A frame's head: correlation id, op (request) or status (reply),
+#: payload length.  Every frame on a Taint Map connection has it, from
+#: the connection's first byte.
 MUX_HEAD = struct.Struct(">IBI")
 
 #: Bytes one read of a multiplexed connection asks for.
 MUX_READ_SIZE = 1 << 16
+
+
+def mux_frame(corr: int, code: int, payload: bytes) -> bytes:
+    """One frame: ``corr | code | len | payload``, where ``code`` is a
+    request's op or a reply's status."""
+    return MUX_HEAD.pack(corr, code, len(payload)) + payload
 
 
 def take_frames(buffer: bytearray) -> list[tuple[int, int, bytes]]:
@@ -225,22 +229,22 @@ def take_frames(buffer: bytearray) -> list[tuple[int, int, bytes]]:
     return frames
 
 
-def _send_frame(endpoint: TcpEndpoint, head: bytes, payload: bytes) -> None:
-    endpoint.send_all(head + struct.pack(">I", len(payload)) + payload)
+def round_trip(endpoint: TcpEndpoint, op: int, payload: bytes) -> tuple[int, bytes]:
+    """Send one request on a connection that carries no other, block
+    until its reply is whole, and return ``(status, payload)``.
 
-
-def _recv_exact(endpoint: TcpEndpoint, n: int) -> bytes:
-    out = bytearray()
-    while len(out) < n:
-        chunk = endpoint.recv(n - len(out))
+    For the §VI replication stream, which sends one ``OP_SYNC`` at a
+    time.  Raises :class:`~repro.errors.PipeClosed` at EOF and
+    :class:`~repro.errors.SimTimeout` past the kernel's read timeout."""
+    endpoint.send_all(mux_frame(0, op, payload))
+    buffer = bytearray()
+    while True:
+        chunk = endpoint.recv(MUX_READ_SIZE)
         if not chunk:
-            # Transport-level failure (distinct from protocol errors, so
-            # HA clients know the replica itself is gone).
-            from repro.errors import PipeClosed
-
             raise PipeClosed("taint map connection closed mid-frame")
-        out.extend(chunk)
-    return bytes(out)
+        buffer += chunk
+        for _corr, status, response in take_frames(buffer):
+            return status, response
 
 
 def _pack_batch_register(entries: Sequence[bytes]) -> bytes:
@@ -441,21 +445,30 @@ class TaintMapServer:
     # -- request handling --------------------------------------------------- #
 
     def _serve(self, endpoint: TcpEndpoint) -> None:
+        """Serve loop for one connection.
+
+        Each request is ``corr | op | len | payload`` and each reply
+        echoes the correlation id in front of ``status | len | payload``.
+        Requests pipeline: the client never waits for one reply before
+        sending the next, so thousands of registrations can be in flight
+        on this single connection.  Each wake-up takes one read and
+        serves every complete frame in it, in order, replying to each as
+        it is served; a partial frame waits in the buffer for the next
+        read.  EOF (inside a frame or not) ends the loop, and so does a
+        connection idle past the kernel's 30 s read timeout.  Handling
+        stays serial (the single-point service model) but a batched
+        request pays ``service_time`` once for its whole window.
+        """
+        buffer = bytearray()
         try:
             while self._running:
-                head = endpoint.recv(1)
-                if not head:
+                chunk = endpoint.recv(MUX_READ_SIZE)
+                if not chunk:
                     return
-                (length,) = struct.unpack(">I", _recv_exact(endpoint, 4))
-                payload = _recv_exact(endpoint, length) if length else b""
-                if head[0] == OP_MUX_HELLO:
-                    # Upgrade: the rest of this connection speaks the
-                    # correlation-id multiplexed framing.
-                    _send_frame(endpoint, bytes([STATUS_OK]), b"")
-                    self._serve_mux(endpoint)
-                    return
-                status, response = self._service(head[0], payload)
-                _send_frame(endpoint, bytes([status]), response)
+                buffer += chunk
+                for corr, op, payload in take_frames(buffer):
+                    status, response = self._service(op, payload)
+                    endpoint.send_all(mux_frame(corr, status, response))
         except Exception:
             pass
         finally:
@@ -463,31 +476,6 @@ class TaintMapServer:
             with self._lock:
                 if endpoint in self._connections:
                     self._connections.remove(endpoint)
-
-    def _serve_mux(self, endpoint: TcpEndpoint) -> None:
-        """Serve loop for one upgraded (multiplexed) connection.
-
-        Each frame is ``corr:4`` + the unchanged sync request frame
-        (``op:1 | len:4 | payload``); each response echoes the
-        correlation id in front of the unchanged sync response frame.
-        Requests pipeline: the client never waits for one response
-        before sending the next, so thousands of registrations can be
-        in flight on this single connection.  Each wake-up takes one
-        read and serves every complete frame in it, in order, replying
-        to each as it is served; a partial frame waits in the buffer for
-        the next read, and EOF (inside a frame or not) ends the loop.
-        Handling stays serial (the single-point service model) but a
-        batched request pays ``service_time`` once for its whole window.
-        """
-        buffer = bytearray()
-        while self._running:
-            chunk = endpoint.recv(MUX_READ_SIZE)
-            if not chunk:
-                return
-            buffer += chunk
-            for corr, op, payload in take_frames(buffer):
-                status, response = self._service(op, payload)
-                endpoint.send_all(MUX_HEAD.pack(corr, status, len(response)) + response)
 
     def _service(self, op: int, payload: bytes) -> tuple[int, bytes]:
         """Serial handling: the map is one single-point service."""
@@ -504,33 +492,6 @@ class TaintMapServer:
         return status, response
 
     def _handle(self, op: int, payload: bytes) -> tuple[int, bytes]:
-        if op == OP_REGISTER:
-            with self.stats._lock:
-                self.stats.register_requests += 1
-                self.stats.register_entries += 1
-            try:
-                tags = frozenset(deserialize_tags(payload))
-            except Exception:
-                return STATUS_BAD_REQUEST, b""
-            try:
-                gid = self._register(tags, payload)
-            except TaintMapExhaustedError:
-                # Structured, non-retried: the connection stays open, so
-                # the client surfaces this instead of burning a failover.
-                return STATUS_GID_EXHAUSTED, b""
-            return STATUS_OK, struct.pack(">I", gid)
-        if op == OP_LOOKUP:
-            with self.stats._lock:
-                self.stats.lookup_requests += 1
-                self.stats.lookup_entries += 1
-            if len(payload) != 4:
-                return STATUS_BAD_REQUEST, b""
-            (gid,) = struct.unpack(">I", payload)
-            with self._lock:
-                serialized = self._by_gid.get(gid)
-            if serialized is None:
-                return STATUS_UNKNOWN_GID, b""
-            return STATUS_OK, serialized
         if op == OP_REGISTER_MANY:
             with self.stats._lock:
                 self.stats.register_requests += 1
@@ -770,10 +731,10 @@ class TaintMapClient:
     :class:`~repro.core.transport.TaintMapTransport`: a multiplexed
     connection whose requests are sent and replies read on the calling
     threads, with concurrent cache misses group-committed into one
-    batched round-trip.  ``transport_options`` tune it (``max_batch``,
-    ``request_deadline_s``, ``max_pending``).  The client owns no thread,
-    but its connection stays open until :meth:`close`, so every client
-    must be released with it.
+    batched round-trip.  ``request_deadline_s`` bounds each request
+    (``None`` or a non-positive value disables it).  The client owns no
+    thread, but its connection stays open until :meth:`close`, so every
+    client must be released with it.
 
     ``cache_enabled=False`` exists only for the ablation benchmark — it
     re-registers every byte's taint, demonstrating why Fig. 9's step ②
@@ -785,7 +746,7 @@ class TaintMapClient:
         node,
         address: Address,
         cache_enabled: bool = True,
-        **transport_options,
+        request_deadline_s: Optional[float] = DEFAULT_DEADLINE_S,
     ):
         # Imported here: the transport module imports this one.
         from repro.core.transport import TaintMapTransport
@@ -842,7 +803,7 @@ class TaintMapClient:
         #: (family, op) -> bound metric child: every RPC observes these,
         #: so the labels() lookups are done once per op.
         self._op_children: dict = {}
-        self.transport = TaintMapTransport(self, **transport_options)
+        self.transport = TaintMapTransport(self, request_deadline_s)
         if self._metrics is not None:
             self._metrics.register_collector(self._cache_samples)
 
@@ -905,14 +866,7 @@ class TaintMapClient:
 
     def gid_for(self, taint: Optional[Taint]) -> int:
         """Global ID for a taint; 0 for the empty taint."""
-        if taint is None or taint.is_empty:
-            return 0
-        (cached,), _ = self._cached(self._gid_cache, [id(taint.node)])
-        if cached is not None:
-            return cached[0]
-        gids = self.transport.submit(KIND_REGISTER, [serialize_tags(taint.tags)])
-        self._record_registered([taint], gids)
-        return gids[0]
+        return self.gids_for([taint])[0]
 
     def gids_for(self, taints: Sequence[Optional[Taint]]) -> list[int]:
         """Global IDs for a batch of taints, resolving all cache misses
@@ -956,13 +910,7 @@ class TaintMapClient:
 
     def taint_for(self, gid: int) -> Optional[Taint]:
         """Resolve a received Global ID into a taint in *this* node's tree."""
-        if gid == 0:
-            return None
-        (cached,), _ = self._cached(self._taint_cache, [gid])
-        if cached is not None:
-            return cached
-        serialized = self.transport.submit(KIND_LOOKUP, [gid])
-        return self._record_resolved([gid], serialized)[0]
+        return self.taints_for([gid])[0]
 
     def taints_for(self, gids: Sequence[int]) -> list[Optional[Taint]]:
         """Local taints for a batch of Global IDs, resolving all cache

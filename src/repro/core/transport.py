@@ -5,12 +5,10 @@ messages.
 Every :class:`~repro.core.taintmap.TaintMapClient` owns one
 :class:`TaintMapTransport` and no thread:
 
-* **One long-lived connection.**  Upgraded with
-  :data:`~repro.core.taintmap.OP_MUX_HELLO`, after which every frame is
-  a 4-byte **correlation id** in front of the *unchanged* sync frame
-  bytes, so many requests are in flight at once and replies complete out
-  of order.  Every payload encoding is byte-identical to the sync
-  protocol; the server dispatches both through the same ``_handle``.
+* **One long-lived connection.**  From its first byte every frame is
+  ``corr | op | len | payload`` (:data:`~repro.core.taintmap.MUX_HEAD`):
+  a 4-byte **correlation id** lets many requests be in flight at once
+  and replies complete out of order.
 
 * **The read turn.**  A caller sends its own frame and waits; one
   waiting caller at a time holds the read turn, reads the connection and
@@ -34,10 +32,9 @@ Every :class:`~repro.core.taintmap.TaintMapClient` owns one
   identical entries share one wire entry and one result (registration
   is idempotent, lookup read-only).  A caller that finds no flush of
   that kind in flight **leads**: it sends the window at once, in frames
-  of at most ``max_batch`` entries (≤
-  :data:`~repro.core.taintmap.PROTOCOL_MAX_BATCH`).  Callers arriving
-  while a flush is in flight queue into the next window, sent when that
-  flush completes, so *k* concurrent misses share one round-trip.
+  of at most ``max_batch`` entries.  Callers arriving while a flush is
+  in flight queue into the next window, sent when that flush completes,
+  so *k* concurrent misses share one round-trip.
 
 * **Backpressure.**  Pending entries (queued plus in flight) are bounded
   by ``max_pending``; past it callers **block**, still reading replies
@@ -60,12 +57,9 @@ from typing import Callable, Optional, Sequence
 from repro.core.taintmap import (
     KIND_LOOKUP,
     KIND_REGISTER,
-    MUX_HEAD,
     MUX_READ_SIZE,
     OP_LOOKUP_MANY,
-    OP_MUX_HELLO,
     OP_REGISTER_MANY,
-    PROTOCOL_MAX_BATCH,
     STATUS_GID_EXHAUSTED,
     STATUS_OK,
     STATUS_UNKNOWN_GID,
@@ -73,9 +67,8 @@ from repro.core.taintmap import (
     TaintMapClient,
     _pack_batch_lookup,
     _pack_batch_register,
-    _recv_exact,
-    _send_frame,
     _split_batch_lookup_response,
+    mux_frame,
     take_frames,
 )
 from repro.errors import (
@@ -86,19 +79,15 @@ from repro.errors import (
     TaintMapExhaustedError,
     TaintMapTransportError,
 )
-from repro.runtime.kernel import Address, TcpEndpoint
+from repro.runtime.kernel import TcpEndpoint
 
-#: Entries per frame: a larger window is sent as several frames.
+#: Entries per frame: a larger window is sent as several frames.  Below
+#: the 16-bit :data:`~repro.core.taintmap.PROTOCOL_MAX_BATCH`.
 DEFAULT_MAX_BATCH = 512
 
 #: Pending-entry high-water mark (queued in windows plus carried by
 #: in-flight flushes) before backpressure engages.
 DEFAULT_MAX_PENDING = 8192
-
-#: Default wall-clock deadline for one ``submit`` (s).  Generous next to
-#: any healthy round-trip; bounds how long a wrapper thread can hang on
-#: a wedged server.
-DEFAULT_DEADLINE_S = 30.0
 
 #: Why a frame was flushed: ``idle`` — no flush of its kind was in
 #: flight, so the window went at once; ``drain`` — sent when the previous
@@ -113,12 +102,6 @@ _CORR_MASK = 0xFFFFFFFF
 
 #: The wire op carrying each kind's frames.
 _BATCH_OPS = (OP_REGISTER_MANY, OP_LOOKUP_MANY)
-
-
-def mux_frame(corr: int, op: int, payload: bytes) -> bytes:
-    """One multiplexed request frame: a correlation-id prefix followed
-    by the **unchanged** sync frame bytes (``op | len | payload``)."""
-    return MUX_HEAD.pack(corr, op, len(payload)) + payload
 
 
 def _closed_error() -> TaintMapError:
@@ -139,7 +122,7 @@ def _status_error(status: int) -> TaintMapError:
 
 
 class _MuxConnection:
-    """One upgraded connection: correlated frames, out-of-order replies.
+    """One connection: correlated frames, out-of-order replies.
 
     The transport's lock guards the request table, the broken flag and
     the read turn.  Frames go out whole under a send lock; only the turn
@@ -250,10 +233,9 @@ class _Channel:
             connection = self._connection
             if connection is None or connection.broken:
                 client = transport.client
-                address = client._replicas[client._active]
-                connection = self._connection = _MuxConnection(
-                    transport._dial(address), transport._inflight
-                )
+                node = client._node
+                endpoint = node.kernel.connect(node.ip, client._replicas[client._active])
+                connection = self._connection = _MuxConnection(endpoint, transport._inflight)
             return connection
 
     def discard(self, connection: _MuxConnection) -> None:
@@ -341,30 +323,19 @@ class TaintMapTransport:
     taints in and GIDs out for :data:`~repro.core.taintmap.KIND_REGISTER`,
     GIDs in and serialized taints out for
     :data:`~repro.core.taintmap.KIND_LOOKUP`.  Entries are packed into
-    frames only once, when a frame is sent.
+    frames only once, when a frame is sent.  ``request_deadline_s``
+    bounds each ``submit``; ``None`` or a non-positive value disables it.
     """
 
-    def __init__(
-        self,
-        client: TaintMapClient,
-        max_batch: int = DEFAULT_MAX_BATCH,
-        request_deadline_s: Optional[float] = DEFAULT_DEADLINE_S,
-        max_pending: int = DEFAULT_MAX_PENDING,
-    ):
-        if max_batch < 1:
-            raise TaintMapError(f"max_batch must be >= 1, got {max_batch}")
-        if max_pending < 1:
-            raise TaintMapError(f"max_pending must be >= 1, got {max_pending}")
+    def __init__(self, client: TaintMapClient, request_deadline_s: Optional[float]):
         self.client = client
-        #: A frame's entry count is wire-encoded in 16 bits; larger
-        #: thresholds would build unencodable frames.
-        self.max_batch = min(max_batch, PROTOCOL_MAX_BATCH)
+        self.max_batch = DEFAULT_MAX_BATCH
+        self.max_pending = DEFAULT_MAX_PENDING
         self.request_deadline_s = (
             None
             if request_deadline_s is None or request_deadline_s <= 0
             else float(request_deadline_s)
         )
-        self.max_pending = max_pending
         # Group-commit telemetry on the owning node's registry (None for
         # bare test nodes).  Label children are pre-declared so /metrics
         # always exposes them.
@@ -432,25 +403,6 @@ class TaintMapTransport:
                         self._settle(batch, ((key, error) for key in batch.keys))
             self._wake()
         self._channel.close()
-
-    def _dial(self, address: Address) -> TcpEndpoint:
-        """Blocking connect + OP_MUX_HELLO upgrade."""
-        node = self.client._node
-        endpoint = node.kernel.connect(node.ip, address)
-        try:
-            _send_frame(endpoint, bytes([OP_MUX_HELLO]), b"")
-            status = _recv_exact(endpoint, 1)[0]
-            (length,) = struct.unpack(">I", _recv_exact(endpoint, 4))
-            if length:
-                _recv_exact(endpoint, length)
-            if status != STATUS_OK:
-                raise TaintMapError(
-                    f"taint map refused multiplexed upgrade (status {status})"
-                )
-        except BaseException:
-            endpoint.close()
-            raise
-        return endpoint
 
     # -- sync entry point ---------------------------------------------------- #
 

@@ -25,16 +25,19 @@ byte pattern (``b"\\0" + gid`` per cell, or the bare ``gid`` in an
 envelope trailer) and scatters the data bytes in with one slice
 assignment.  Decoding views the GID column through numpy in native byte
 order — equality and zero tests do not depend on it — and converts only
-one GID per run back to its big-endian value.  When the caller supplies
-the batched resolvers (``gids_for``/``taints_for``, see
-:class:`~repro.core.taintmap.TaintMapClient`), all of a message's
+one GID per run back to its big-endian value.
+
+The codecs resolve labels through one ``resolver``: any object with
+``gids_for(labels)`` and ``taints_for(gids)``, each mapping a batch in
+one call.  The wrappers pass the node's
+:class:`~repro.core.taintmap.TaintMapClient`, so all of a message's
 distinct labels resolve in a single Taint Map round-trip.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -52,59 +55,6 @@ PACKET_MAGIC = b"\xd7\x5a"
 PACKET_VERSION = 1
 PACKET_HEADER = len(PACKET_MAGIC) + 1 + 4
 
-#: ``gid_for(label)`` maps a Taint (or None) to its Global ID.
-GidFor = Callable[[Optional[object]], int]
-#: ``taint_for(gid)`` maps a Global ID back to a local Taint (or None).
-TaintFor = Callable[[int], Optional[object]]
-#: Batched variants: one call resolves every distinct label of a message.
-GidsFor = Callable[[Sequence], list]
-TaintsFor = Callable[[Sequence[int]], list]
-
-class LabelResolver:
-    """The codec-facing slice of a Taint Map client: the four label ↔
-    Global-ID resolvers bundled as one value.
-
-    The wrappers hand this to the codecs instead of individual
-    callables, so the whole resolution path — including the multiplexed,
-    group-commit transport behind it (:mod:`repro.core.transport`) —
-    is swappable in one place.  Every codec below also still accepts the
-    bare callables for backwards compatibility.
-    """
-
-    __slots__ = ("gid_for", "gids_for", "taint_for", "taints_for")
-
-    def __init__(
-        self,
-        gid_for: GidFor,
-        taint_for: TaintFor,
-        gids_for: Optional[GidsFor] = None,
-        taints_for: Optional[TaintsFor] = None,
-    ):
-        self.gid_for = gid_for
-        self.taint_for = taint_for
-        self.gids_for = gids_for
-        self.taints_for = taints_for
-
-    @classmethod
-    def for_client(cls, client) -> "LabelResolver":
-        """Resolvers bound to a Taint Map client's batched methods."""
-        return cls(
-            client.gid_for, client.taint_for, client.gids_for, client.taints_for
-        )
-
-
-def _gid_resolvers(gid_for, gids_for):
-    if isinstance(gid_for, LabelResolver):
-        return gid_for.gid_for, gid_for.gids_for
-    return gid_for, gids_for
-
-
-def _taint_resolvers(taint_for, taints_for):
-    if isinstance(taint_for, LabelResolver):
-        return taint_for.taint_for, taint_for.taints_for
-    return taint_for, taints_for
-
-
 _GID_BE = np.dtype(">u4")
 #: One wire cell as a structured scalar: decoding views the byte stream
 #: through this dtype directly — a single contiguous read, no
@@ -114,39 +64,22 @@ _CELL_DTYPE = np.dtype([("data", np.uint8), ("gid", np.uint32)])
 assert _CELL_DTYPE.itemsize == CELL_WIDTH
 
 
-def _coerce_runs(length: int, labels) -> Optional[LabelRuns]:
-    if labels is None or isinstance(labels, LabelRuns):
-        return labels
-    return LabelRuns.from_list(labels)
-
-
-def _resolve_gids(labels: LabelRuns, gid_for: GidFor, gids_for: Optional[GidsFor]) -> dict:
-    """Map each distinct run label (by identity) to its Global ID."""
+def _gid_runs(labels: LabelRuns, resolver) -> list:
+    """``(Global ID, byte count)`` per run, in order, gaps as GID 0.
+    Each distinct run label resolves once, in one batch."""
     unique = labels.unique_labels()
-    if gids_for is not None:
-        gids = gids_for(unique)
-    else:
-        gids = [gid_for(label) for label in unique]
-    return {id(label): gid for label, gid in zip(unique, gids)}
-
-
-def _gid_runs(labels: LabelRuns, gid_for: GidFor, gids_for: Optional[GidsFor]) -> list:
-    """``(Global ID, byte count)`` per run, in order, gaps as GID 0."""
-    mapping = _resolve_gids(labels, gid_for, gids_for)
+    mapping = {id(label): gid for label, gid in zip(unique, resolver.gids_for(unique))}
     mapping[id(None)] = 0
     return [(mapping[id(label)], end - start) for start, end, label in labels.iter_runs()]
 
 
-def _label_runs(
-    gids: np.ndarray, taint_for: TaintFor, taints_for: Optional[TaintsFor] = None
-) -> Optional[LabelRuns]:
+def _label_runs(gids: np.ndarray, resolver) -> Optional[LabelRuns]:
     """Shadow runs from a per-byte GID column viewed in native byte order.
 
     Run boundaries are GID changes, and equality and zero tests do not
     depend on byte order, so only one GID per run is converted back to
-    its big-endian value.  Each distinct GID resolves once (one batched
-    round-trip when ``taints_for`` is supplied).  Returns ``None`` when
-    every GID is 0 (untainted payload).
+    its big-endian value.  Each distinct GID resolves once, in one
+    batch.  Returns ``None`` when every GID is 0 (untainted payload).
     """
     n = int(gids.shape[0])
     if n == 0:
@@ -164,27 +97,18 @@ def _label_runs(
     run_gids = gids[starts].view(_GID_BE).tolist()
     ends = starts[1:] + [n]
     unique = sorted({g for g in run_gids if g})
-    if taints_for is not None:
-        mapping = dict(zip(unique, taints_for(unique)))
-    else:
-        mapping = {g: taint_for(g) for g in unique}
+    mapping = dict(zip(unique, resolver.taints_for(unique)))
     return LabelRuns(
         n, ((s, e, mapping[g]) for s, e, g in zip(starts, ends, run_gids) if g)
     )
 
 
-def encode_cells(
-    data: TBytes, gid_for: Union[GidFor, LabelResolver], gids_for: Optional[GidsFor] = None
-) -> bytes:
-    """Serialize data + per-byte labels into a 5-byte cell stream.
-
-    ``gid_for`` may be a :class:`LabelResolver` in place of the bare
-    callables (the wrapper-facing form)."""
-    gid_for, gids_for = _gid_resolvers(gid_for, gids_for)
+def encode_cells(data: TBytes, resolver) -> bytes:
+    """Serialize data + per-byte labels into a 5-byte cell stream."""
     length = len(data)
     if length == 0:
         return b""
-    labels = _coerce_runs(length, data.labels)
+    labels = data.labels
     if labels is None or not labels.has_labels():
         # Zero-taint fast path: every GID is 0, so the frame is just the
         # data column scattered into a zeroed cell grid — no resolver
@@ -195,7 +119,7 @@ def encode_cells(
         return out.tobytes()
     out = bytearray().join(
         (b"\0" + gid.to_bytes(GID_WIDTH, "big")) * count
-        for gid, count in _gid_runs(labels, gid_for, gids_for)
+        for gid, count in _gid_runs(labels, resolver)
     )
     out[0::CELL_WIDTH] = data.data
     return bytes(out)
@@ -230,18 +154,11 @@ class CellDecoder:
             self._staging = TByteArray.raw(size)
         return self._staging
 
-    def feed(
-        self,
-        wire: Union[bytes, bytearray, memoryview],
-        taint_for: Union[TaintFor, LabelResolver],
-        taints_for: Optional[TaintsFor] = None,
-    ) -> TBytes:
+    def feed(self, wire: Union[bytes, bytearray, memoryview], resolver) -> TBytes:
         """Decode every complete cell in ``residue + wire``.
 
         ``wire`` may be a view of a reused array (see :meth:`staging`):
-        the result never refers to it.  ``taint_for`` may be a
-        :class:`LabelResolver`."""
-        taint_for, taints_for = _taint_resolvers(taint_for, taints_for)
+        the result never refers to it."""
         buffered = bool(self._buffer)
         if buffered:
             self._buffer += wire
@@ -258,7 +175,7 @@ class CellDecoder:
         # All-zero GID columns mean an untainted payload: _label_runs
         # returns None and no taint resolution happens (the decode-side
         # zero-taint fast path).
-        labels = _label_runs(body["gid"], taint_for, taints_for)
+        labels = _label_runs(body["gid"], resolver)
         consumed = cells * CELL_WIDTH
         # Release the numpy view before resizing: a bytearray refuses to
         # shrink while a buffer export is live.
@@ -293,23 +210,18 @@ def max_data_for_wire(wire_budget: int) -> int:
     return wire_budget // CELL_WIDTH
 
 
-def encode_packet(
-    data: TBytes, gid_for: Union[GidFor, LabelResolver], gids_for: Optional[GidsFor] = None
-) -> bytes:
-    """Serialize one datagram payload + taints into an envelope.
-
-    ``gid_for`` may be a :class:`LabelResolver`."""
-    gid_for, gids_for = _gid_resolvers(gid_for, gids_for)
+def encode_packet(data: TBytes, resolver) -> bytes:
+    """Serialize one datagram payload + taints into an envelope."""
     length = len(data)
     header = PACKET_MAGIC + bytes([PACKET_VERSION]) + struct.pack(">I", length)
-    labels = _coerce_runs(length, data.labels)
+    labels = data.labels
     if labels is None or not labels.has_labels():
         # Zero-taint fast path: the GID trailer is all zeroes — emit it
         # directly, byte-identical to the general path below.
         return header + data.data + bytes(length * GID_WIDTH)
     return header + data.data + b"".join(
         gid.to_bytes(GID_WIDTH, "big") * count
-        for gid, count in _gid_runs(labels, gid_for, gids_for)
+        for gid, count in _gid_runs(labels, resolver)
     )
 
 
@@ -317,19 +229,13 @@ def is_enveloped(raw: bytes) -> bool:
     return raw[: len(PACKET_MAGIC)] == PACKET_MAGIC
 
 
-def decode_packet(
-    raw: bytes,
-    taint_for: Union[TaintFor, LabelResolver],
-    taints_for: Optional[TaintsFor] = None,
-) -> TBytes:
+def decode_packet(raw: bytes, resolver) -> TBytes:
     """Parse an envelope back into labelled bytes.
 
-    ``taint_for`` may be a :class:`LabelResolver`.  Raises
-    :class:`WireFormatError` on malformed envelopes; callers that
+    Raises :class:`WireFormatError` on malformed envelopes; callers that
     want uninstrumented-sender interop should check :func:`is_enveloped`
     first and fall back to treating the payload as plain data.
     """
-    taint_for, taints_for = _taint_resolvers(taint_for, taints_for)
     if not is_enveloped(raw):
         raise WireFormatError("datagram payload lacks the DisTA envelope magic")
     if len(raw) < PACKET_HEADER:
@@ -348,7 +254,7 @@ def decode_packet(
     data = raw[PACKET_HEADER : PACKET_HEADER + length]
     gid_area = raw[PACKET_HEADER + length : expected]
     gids = np.frombuffer(gid_area, dtype=np.uint32)
-    labels = _label_runs(gids, taint_for, taints_for)
+    labels = _label_runs(gids, resolver)
     if labels is None:
         return TBytes.raw(data)
     return TBytes(data, labels)

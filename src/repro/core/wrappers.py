@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Optional
 
 from repro.core import wire
 from repro.core.taintmap import TaintMapClient
-from repro.errors import WireFormatError
+from repro.errors import SimTimeout, WireFormatError
 from repro.jre.jni import EOF, UNAVAILABLE
 from repro.jre.buffer import NativeMemory
 from repro.jre.datagram_api import DatagramPacket
@@ -46,10 +45,9 @@ class DisTARuntime:
         byte_granularity: bool = True,
     ):
         self.node = node
+        #: The codecs resolve labels through the client's batched
+        #: ``gids_for``/``taints_for``.
         self.client = client
-        #: Every wrapper resolves labels through this bundle, so the
-        #: codecs never see the client or its transport.
-        self.resolver = wire.LabelResolver.for_client(client)
         #: False only in the granularity ablation: whole-message tainting.
         self.byte_granularity = byte_granularity
         #: The cluster's LineageStore when lineage is on, else ``None``.
@@ -237,7 +235,7 @@ def make_cell_send(runtime: DisTARuntime, method: str):
         def cell_send(fd, data: TBytes, *args, **kwargs):
             data = runtime.outgoing(data)
             runtime.record_io("send", method, data, channel=fd.send_channel)
-            cells = wire.encode_cells(data, runtime.resolver)
+            cells = wire.encode_cells(data, runtime.client)
             return original(fd, TBytes.raw(cells), *args, **kwargs)
 
         return cell_send
@@ -265,7 +263,7 @@ def make_cell_receive(runtime: DisTARuntime, method: str):
                 if count == EOF:
                     decoder.check_clean_eof()
                     return EOF
-                decoded = decoder.feed(memoryview(staging.data)[:count], runtime.resolver)
+                decoded = decoder.feed(memoryview(staging.data)[:count], runtime.client)
                 if decoded:
                     runtime.record_io("receive", method, decoded, channel=fd.receive_channel)
                     buf.write(offset, decoded)
@@ -316,7 +314,7 @@ def wrap_datagram(runtime: DisTARuntime, method: str, data: TBytes, destination)
     payload = runtime.outgoing(data)
     runtime.record_io("send", method, payload, channel=("udp", tuple(destination)))
     _check_envelope_fits(len(payload))
-    return TBytes.raw(wire.encode_packet(payload, runtime.resolver))
+    return TBytes.raw(wire.encode_packet(payload, runtime.client))
 
 
 def make_datagram_send(runtime: DisTARuntime):
@@ -338,7 +336,7 @@ def make_datagram_send(runtime: DisTARuntime):
 
 def _decode_incoming_datagram(runtime: DisTARuntime, raw: TBytes) -> TBytes:
     if wire.is_enveloped(raw.data):
-        return wire.decode_packet(raw.data, runtime.resolver)
+        return wire.decode_packet(raw.data, runtime.client)
     # Uninstrumented sender: plain payload, no taints to recover.
     return TBytes(raw.data)
 
@@ -436,7 +434,7 @@ def make_disp_write0(runtime: DisTARuntime):
             runtime.record_io(
                 "send", "dispatcher.write0", data, channel=fd.send_channel
             )
-            cells = wire.encode_cells(data, runtime.resolver)
+            cells = wire.encode_cells(data, runtime.client)
             # The simulated kernel's buffers are sized so a full cell
             # write completes; see DESIGN.md (blocking simplification).
             fd.send_all(cells)
@@ -469,7 +467,7 @@ def make_disp_read0(runtime: DisTARuntime):
                     if raw == b"":
                         decoder.check_clean_eof()
                         return EOF
-                decoded = decoder.feed(raw, runtime.resolver)
+                decoded = decoder.feed(raw, runtime.client)
                 if decoded:
                     runtime.record_io(
                         "receive",
@@ -487,77 +485,37 @@ def make_disp_read0(runtime: DisTARuntime):
     return wrapper
 
 
-def make_dgram_disp_write0(runtime: DisTARuntime):
+def make_dgram_send(runtime: DisTARuntime, call: str, method: str):
+    """Type-3 datagram sender for ``original(fd, mem, position, count,
+    destination) -> count``: native memory and its shadow → one envelope
+    → ``sendto``.  ``call`` names the JNI method and ``method`` labels
+    its telemetry."""
+
     def wrapper(original):
-        def dgram_disp_write0(fd, mem, position, count, destination) -> int:
-            runtime.node.jni.calls.hit("DatagramDispatcherImpl#write0")
+        def dgram_send(fd, mem, position, count, destination) -> int:
+            runtime.node.jni.calls.hit(call)
             data = runtime.outgoing(runtime.native_read(mem, position, count))
-            runtime.record_io(
-                "send", "dgram_dispatcher.write0", data,
-                channel=("udp", tuple(destination)),
-            )
+            runtime.record_io("send", method, data, channel=("udp", tuple(destination)))
             _check_envelope_fits(count)
-            fd.sendto(wire.encode_packet(data, runtime.resolver), destination)
+            fd.sendto(wire.encode_packet(data, runtime.client), destination)
             return count
 
-        return dgram_disp_write0
+        return dgram_send
 
     return wrapper
 
 
-def make_dgram_disp_read0(runtime: DisTARuntime):
+def make_dgram_receive(runtime: DisTARuntime, call: str, method: str, with_source: bool):
+    """Type-3 datagram receiver for ``original(fd, mem, position, count,
+    blocking, timeout)``: one envelope off the socket → data into native
+    memory, taints into its shadow.  Returns the byte count (or
+    ``UNAVAILABLE``), paired with the sender's address when
+    ``with_source``.  ``call`` names the JNI method and ``method`` labels
+    its telemetry."""
+
     def wrapper(original):
-        def dgram_disp_read0(fd, mem, position, count, blocking=True, timeout=None) -> int:
-            runtime.node.jni.calls.hit("DatagramDispatcherImpl#read0")
-            from repro.errors import SimTimeout
-
-            try:
-                raw, _source = fd.recvfrom(
-                    (timeout if timeout is not None else 30.0) if blocking else 0.001
-                )
-            except SimTimeout:
-                if blocking:
-                    raise
-                return UNAVAILABLE
-            decoded = _decode_incoming_datagram(runtime, TBytes(raw))[:count]
-            runtime.record_io(
-                "receive", "dgram_dispatcher.read0", decoded,
-                channel=("udp", tuple(fd.address)),
-            )
-            runtime.native_write(mem, position, decoded)
-            return len(decoded)
-
-        return dgram_disp_read0
-
-    return wrapper
-
-
-def make_dgram_channel_send0(runtime: DisTARuntime):
-    def wrapper(original):
-        def dgram_channel_send0(fd, mem, position, count, destination) -> int:
-            runtime.node.jni.calls.hit("DatagramChannelImpl#send0")
-            data = runtime.outgoing(runtime.native_read(mem, position, count))
-            runtime.record_io(
-                "send", "dgram_channel.send0", data,
-                channel=("udp", tuple(destination)),
-            )
-            _check_envelope_fits(count)
-            fd.sendto(wire.encode_packet(data, runtime.resolver), destination)
-            return count
-
-        return dgram_channel_send0
-
-    return wrapper
-
-
-def make_dgram_channel_receive0(runtime: DisTARuntime):
-    def wrapper(original):
-        def dgram_channel_receive0(
-            fd, mem, position, count, blocking=True, timeout=None
-        ) -> tuple[int, Optional[tuple]]:
-            runtime.node.jni.calls.hit("DatagramChannelImpl#receive0")
-            from repro.errors import SimTimeout
-
+        def dgram_receive(fd, mem, position, count, blocking=True, timeout=None):
+            runtime.node.jni.calls.hit(call)
             try:
                 raw, source = fd.recvfrom(
                     (timeout if timeout is not None else 30.0) if blocking else 0.001
@@ -565,15 +523,14 @@ def make_dgram_channel_receive0(runtime: DisTARuntime):
             except SimTimeout:
                 if blocking:
                     raise
-                return UNAVAILABLE, None
+                return (UNAVAILABLE, None) if with_source else UNAVAILABLE
             decoded = _decode_incoming_datagram(runtime, TBytes(raw))[:count]
             runtime.record_io(
-                "receive", "dgram_channel.receive0", decoded,
-                channel=("udp", tuple(fd.address)),
+                "receive", method, decoded, channel=("udp", tuple(fd.address))
             )
             runtime.native_write(mem, position, decoded)
-            return len(decoded), source
+            return (len(decoded), source) if with_source else len(decoded)
 
-        return dgram_channel_receive0
+        return dgram_receive
 
     return wrapper

@@ -9,7 +9,7 @@ import pytest
 from repro.core.agent import (
     INSTRUMENTED_METHODS,
     DisTAAgent,
-    _WRAPPER_FACTORIES,
+    _WRAPPER_FACTORIES_BY_TYPE,
     instrumented_method_count,
 )
 from repro.core.config import AgentOptions, TaintSpec
@@ -55,9 +55,9 @@ class TestTable1Inventory:
         for m in INSTRUMENTED_METHODS:
             assert (m.patch_target is not None) or (m.covered_by is not None)
             if m.patch_target is not None:
-                assert m.patch_target in _WRAPPER_FACTORIES
+                assert m.patch_target in _WRAPPER_FACTORIES_BY_TYPE
             if m.covered_by is not None:
-                assert m.covered_by in _WRAPPER_FACTORIES
+                assert m.covered_by in _WRAPPER_FACTORIES_BY_TYPE
 
     def test_udp_methods_are_type2_tcp_streams_type1(self):
         for m in INSTRUMENTED_METHODS:

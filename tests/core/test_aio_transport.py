@@ -17,15 +17,15 @@ from repro.core.ha import (
     StandbyTaintMapServer,
 )
 from repro.core.taintmap import (
+    MUX_READ_SIZE,
     OP_LOOKUP_MANY,
-    OP_MUX_HELLO,
-    OP_REGISTER,
     OP_REGISTER_MANY,
     STATUS_OK,
     TaintMapClient,
     TaintMapServer,
-    _recv_exact,
+    _pack_batch_register,
     serialize_tags,
+    take_frames,
 )
 from repro.errors import PipeClosed, TaintMapError
 from repro.obs.registry import snapshot_total
@@ -44,6 +44,19 @@ def _flushes(node, reason):
     return snapshot_total(
         node.metrics.snapshot(), "dista_coalesce_flush_total", {"reason": reason}
     )
+
+
+def _read_frames(endpoint, count):
+    """Read until ``count`` whole frames arrived; returns them as
+    ``(corr, code, payload)``."""
+    buffer, frames = bytearray(), []
+    while len(frames) < count:
+        chunk = endpoint.recv(MUX_READ_SIZE)
+        if not chunk:
+            raise PipeClosed("connection closed mid-frame")
+        buffer += chunk
+        frames += take_frames(buffer)
+    return frames
 
 
 def _wait_until(predicate, timeout=5.0):
@@ -67,30 +80,23 @@ def single():
 
 class TestMuxFraming:
     def test_golden_frame_bytes(self):
-        """A mux frame is the sync frame with a 4-byte corr prefix —
-        the payload encodings themselves are byte-identical."""
+        """A frame is a 4-byte corr, the op, a 4-byte length and the
+        payload, all big-endian."""
         payload = b"\x01\x02\x03"
-        frame = mux_frame(0xDEADBEEF, OP_REGISTER, payload)
-        assert frame == b"\xde\xad\xbe\xef" + bytes([OP_REGISTER]) + b"\x00\x00\x00\x03" + payload
+        frame = mux_frame(0xDEADBEEF, OP_REGISTER_MANY, payload)
+        assert frame == (
+            b"\xde\xad\xbe\xef" + bytes([OP_REGISTER_MANY]) + b"\x00\x00\x00\x03" + payload
+        )
 
-    def test_hello_handshake_then_correlated_roundtrip(self, single):
-        """Raw protocol: OP_MUX_HELLO upgrade, then a correlated register
-        whose inner bytes are the unchanged sync frame."""
+    def test_correlated_roundtrip_from_the_first_byte(self, single):
+        """Raw protocol: a connection's first frame is already a
+        correlated request, and its reply echoes the correlation id."""
         kernel, _, server, node = single
         endpoint = kernel.connect(node.ip, server.address)
-        endpoint.send_all(bytes([OP_MUX_HELLO]) + struct.pack(">I", 0))
-        assert _recv_exact(endpoint, 1)[0] == STATUS_OK
-        assert struct.unpack(">I", _recv_exact(endpoint, 4)) == (0,)
-
         taint = node.tree.taint_for_tag("raw")
-        payload = serialize_tags(taint.tags)
-        endpoint.send_all(mux_frame(77, OP_REGISTER, payload))
-        (corr,) = struct.unpack(">I", _recv_exact(endpoint, 4))
-        status = _recv_exact(endpoint, 1)[0]
-        (length,) = struct.unpack(">I", _recv_exact(endpoint, 4))
-        assert (corr, status, length) == (77, STATUS_OK, 4)
-        (gid,) = struct.unpack(">I", _recv_exact(endpoint, 4))
-        assert gid == 1
+        payload = _pack_batch_register([serialize_tags(taint.tags)])
+        endpoint.send_all(mux_frame(77, OP_REGISTER_MANY, payload))
+        assert _read_frames(endpoint, 1) == [(77, STATUS_OK, struct.pack(">I", 1))]
         endpoint.close()
 
     def test_out_of_order_responses_settle_their_own_callers(self, single):
@@ -103,18 +109,9 @@ class TestMuxFraming:
 
         def reordering_server():
             endpoint = listener.accept(timeout=10)
-            # Hello upgrade.
-            _recv_exact(endpoint, 5)
-            endpoint.send_all(bytes([STATUS_OK]) + struct.pack(">I", 0))
             # Read a register and a lookup frame, then answer them
             # REVERSED.
-            frames = {}
-            for _ in range(2):
-                (corr,) = struct.unpack(">I", _recv_exact(endpoint, 4))
-                op = _recv_exact(endpoint, 1)[0]
-                (length,) = struct.unpack(">I", _recv_exact(endpoint, 4))
-                _recv_exact(endpoint, length)
-                frames[op] = corr
+            frames = {op: corr for corr, op, _ in _read_frames(endpoint, 2)}
             replies = {
                 OP_LOOKUP_MANY: struct.pack(">I", len(looked_up)) + looked_up,
                 OP_REGISTER_MANY: struct.pack(">I", 1000),
@@ -195,11 +192,6 @@ class TestAsyncClientApi:
         with pytest.raises(TaintMapError, match="closed"):
             client.gid_for(node.tree.taint_for_tag("post"))
 
-    def test_bad_max_batch_rejected(self, single):
-        _, _, server, node = single
-        with pytest.raises(TaintMapError, match="max_batch"):
-            TaintMapClient(node, server.address, max_batch=0)
-
 
 class TestCoalescing:
     def test_concurrent_registrations_coalesce_to_one_roundtrip(self, single):
@@ -255,7 +247,8 @@ class TestCoalescing:
         """A window larger than max_batch goes out at once as several
         frames: the first an ``idle`` flush, the rest ``size`` flushes."""
         _, _, server, node = single
-        client = TaintMapClient(node, server.address, cache_enabled=False, max_batch=8)
+        client = TaintMapClient(node, server.address, cache_enabled=False)
+        client.transport.max_batch = 8
         taints = [node.tree.taint_for_tag(f"mb-{i}") for i in range(20)]
         gids = client.gids_for(taints)
         assert len(set(gids)) == 20
@@ -267,7 +260,7 @@ class TestCoalescing:
         """Under max_batch there is no timer to wait out: a lone request
         with no flush in flight is sent at once, as an ``idle`` flush."""
         _, _, server, node = single
-        client = TaintMapClient(node, server.address, cache_enabled=False, max_batch=64)
+        client = TaintMapClient(node, server.address, cache_enabled=False)
         gid = client.gid_for(node.tree.taint_for_tag("timer"))
         assert gid == 1
         assert _flushes(node, "idle") == 1
@@ -289,9 +282,9 @@ class TestCoalescing:
 
 class TestFaultInjection:
     def test_mid_frame_failure_resets_transport(self):
-        """A server dying mid-frame during the upgrade must not leave a
-        half-read connection behind — the next request gets a fresh
-        connection and clean framing."""
+        """A server dying mid-frame must not leave a half-read
+        connection behind — the next request gets a fresh connection and
+        clean framing."""
         kernel = SimKernel("poison")
         kernel.register_node(TAINT_MAP_IP)
         fs = SimFileSystem()
@@ -339,13 +332,8 @@ class TestFaultInjection:
 
         def evil():
             endpoint = listener.accept(timeout=10)
-            _recv_exact(endpoint, 5)  # hello
-            endpoint.send_all(bytes([STATUS_OK]) + struct.pack(">I", 0))
             # Swallow one request, answer with a truncated frame, die.
-            (corr,) = struct.unpack(">I", _recv_exact(endpoint, 4))
-            _recv_exact(endpoint, 1)
-            (length,) = struct.unpack(">I", _recv_exact(endpoint, 4))
-            _recv_exact(endpoint, length)
+            ((corr, _, _),) = _read_frames(endpoint, 1)
             endpoint.send_all(struct.pack(">I", corr) + bytes([STATUS_OK]) + struct.pack(">I", 8) + b"\x2a")
             endpoint.close()
             listener.close()
@@ -446,6 +434,5 @@ class TestTransportSelection:
         agent = DisTAAgent(server.address)
         runtime = agent.attach(node)
         assert isinstance(runtime.client, TaintMapClient)
-        assert runtime.resolver.gids_for == runtime.client.gids_for
-        assert runtime.resolver.taints_for == runtime.client.taints_for
+        assert runtime.client is node.taintmap
         agent.detach(node)

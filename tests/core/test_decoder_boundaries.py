@@ -5,6 +5,8 @@ every offset must reassemble identical data and identical label runs —
 the receiver-side guarantee behind the fixed-width cell design (§III-D).
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import wire
@@ -32,7 +34,10 @@ def _resolvers(tree):
             by_gid[gid] = taint
         return gid
 
-    return gid_for, by_gid.__getitem__
+    return SimpleNamespace(
+        gids_for=lambda taints: [gid_for(taint) for taint in taints],
+        taints_for=lambda gids: [by_gid[gid] for gid in gids],
+    )
 
 
 def _message(tree):
@@ -44,16 +49,16 @@ def _message(tree):
 
 def test_split_at_every_offset(tree):
     data = _message(tree)
-    gid_for, taint_for = _resolvers(tree)
-    cells = wire.encode_cells(data, gid_for)
-    whole = wire.CellDecoder().feed(cells, taint_for)
+    table = _resolvers(tree)
+    cells = wire.encode_cells(data, table)
+    whole = wire.CellDecoder().feed(cells, table)
     assert whole.data == data.data
     assert whole.labels == data.labels
 
     for split in range(1, wire.CELL_WIDTH * 3 + 1):
         decoder = wire.CellDecoder()
         pieces = [
-            decoder.feed(cells[i : i + split], taint_for)
+            decoder.feed(cells[i : i + split], table)
             for i in range(0, len(cells), split)
         ]
         combined = TBytes.concat(pieces)
@@ -64,11 +69,11 @@ def test_split_at_every_offset(tree):
 
 def test_every_prefix_decodes_whole_cells_only(tree):
     data = _message(tree)
-    gid_for, taint_for = _resolvers(tree)
-    cells = wire.encode_cells(data, gid_for)
+    table = _resolvers(tree)
+    cells = wire.encode_cells(data, table)
     for cut in range(len(cells) + 1):
         decoder = wire.CellDecoder()
-        decoded = decoder.feed(cells[:cut], taint_for)
+        decoded = decoder.feed(cells[:cut], table)
         whole_cells = cut // wire.CELL_WIDTH
         assert len(decoded) == whole_cells
         assert decoder.residue_len == cut % wire.CELL_WIDTH
@@ -78,10 +83,10 @@ def test_every_prefix_decodes_whole_cells_only(tree):
 
 
 def test_untainted_stream_stays_labelless(tree):
-    gid_for, taint_for = _resolvers(tree)
-    cells = wire.encode_cells(TBytes(b"hello"), gid_for)
+    table = _resolvers(tree)
+    cells = wire.encode_cells(TBytes(b"hello"), table)
     decoder = wire.CellDecoder()
-    parts = [decoder.feed(cells[i : i + 2], taint_for) for i in range(0, len(cells), 2)]
+    parts = [decoder.feed(cells[i : i + 2], table) for i in range(0, len(cells), 2)]
     combined = TBytes.concat(parts)
     assert combined.data == b"hello"
     assert combined.overall_taint() is None

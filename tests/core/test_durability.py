@@ -24,10 +24,11 @@ from repro.core.durability import (
 )
 from repro.core.taintmap import (
     MAX_GID,
-    OP_REGISTER,
+    OP_REGISTER_MANY,
     STATUS_GID_EXHAUSTED,
     TaintMapClient,
     TaintMapServer,
+    _pack_batch_register,
     serialize_tags,
 )
 from repro.errors import TaintMapExhaustedError
@@ -274,7 +275,7 @@ class TestGidExhaustion:
         kernel, server, node = _boot(name="exhaust-wire")
         self._exhaust(server)
         payload = serialize_tags(node.tree.taint_for_tag("wire").tags)
-        status, response = server._handle(OP_REGISTER, payload)
+        status, response = server._handle(OP_REGISTER_MANY, _pack_batch_register([payload]))
         assert status == STATUS_GID_EXHAUSTED
         assert response == b""
         server.stop()

@@ -34,7 +34,8 @@ from repro.taint.values import LabelRuns
 
 class CountingResolver:
     """A local gid<->taint table that counts resolver invocations, so
-    tests can assert the fast path never consulted it."""
+    tests can assert the fast path never consulted it.  It has only the
+    batched pair, so the codecs demonstrably call nothing else."""
 
     def __init__(self):
         self._gids: dict[int, int] = {}
@@ -51,17 +52,9 @@ class CountingResolver:
             self._taints[gid] = label
         return gid
 
-    def gid_for(self, label):
-        self.calls += 1
-        return self._gid(label)
-
     def gids_for(self, labels):
         self.calls += 1
         return [self._gid(label) for label in labels]
-
-    def taint_for(self, gid):
-        self.calls += 1
-        return self._taints.get(gid)
 
     def taints_for(self, gids):
         self.calls += 1
@@ -124,9 +117,7 @@ class TestDifferentialEncoding:
                 # Lock in GID assignment order before encoding.
                 expected = reference_cells(value.data, _shadow_gids(value, resolver))
                 assert expected == reference_cells(value.data, gids)
-                encoded = wire.encode_cells(
-                    value, resolver.gid_for, resolver.gids_for
-                )
+                encoded = wire.encode_cells(value, resolver)
                 assert encoded == expected, f"pattern {name}: frame differs"
 
     def test_packet_envelope_matches_reference_at_every_pattern(self, tree):
@@ -135,9 +126,7 @@ class TestDifferentialEncoding:
                 resolver = CountingResolver()
                 expected = reference_packet(value.data, _shadow_gids(value, resolver))
                 assert expected == reference_packet(value.data, gids)
-                encoded = wire.encode_packet(
-                    value, resolver.gid_for, resolver.gids_for
-                )
+                encoded = wire.encode_packet(value, resolver)
                 assert encoded == expected, f"pattern {name}: envelope differs"
 
     def test_untainted_encode_never_calls_resolver(self, tree):
@@ -145,31 +134,27 @@ class TestDifferentialEncoding:
         no Taint Map round-trip for clean payloads."""
         with POLICY.shadows(True):
             resolver = CountingResolver()
-            wire.encode_cells(TBytes(b"clean"), resolver.gid_for, resolver.gids_for)
-            wire.encode_packet(TBytes(b"clean"), resolver.gid_for, resolver.gids_for)
+            wire.encode_cells(TBytes(b"clean"), resolver)
+            wire.encode_packet(TBytes(b"clean"), resolver)
             assert resolver.calls == 0
             # Sanity: a tainted payload does consult it.
             hot = TBytes.tainted(b"hot", tree.taint_for_tag("hot"))
-            wire.encode_cells(hot, resolver.gid_for, resolver.gids_for)
+            wire.encode_cells(hot, resolver)
             assert resolver.calls > 0
 
     def test_decode_recovers_shadow_equal_values(self, tree):
         with POLICY.shadows(True):
             for name, value, _ in _patterns(tree):
                 resolver = CountingResolver()
-                cells = wire.encode_cells(value, resolver.gid_for, resolver.gids_for)
+                cells = wire.encode_cells(value, resolver)
                 decoder = wire.CellDecoder()
-                out = decoder.feed(cells, resolver.taint_for, resolver.taints_for)
+                out = decoder.feed(cells, resolver)
                 assert out.data == value.data, name
                 assert [out.label_at(i) for i in range(len(out))] == [
                     value.label_at(i) for i in range(len(value))
                 ], name
-                envelope = wire.encode_packet(
-                    value, resolver.gid_for, resolver.gids_for
-                )
-                out2 = wire.decode_packet(
-                    envelope, resolver.taint_for, resolver.taints_for
-                )
+                envelope = wire.encode_packet(value, resolver)
+                out2 = wire.decode_packet(envelope, resolver)
                 assert out2.data == value.data, name
                 assert [out2.label_at(i) for i in range(len(out2))] == [
                     value.label_at(i) for i in range(len(value))
@@ -180,11 +165,11 @@ class TestDifferentialEncoding:
         or call the taint resolver."""
         with POLICY.shadows(True):
             resolver = CountingResolver()
-            cells = wire.encode_cells(TBytes(b"clean"), resolver.gid_for)
-            out = wire.CellDecoder().feed(cells, resolver.taint_for, resolver.taints_for)
+            cells = wire.encode_cells(TBytes(b"clean"), resolver)
+            out = wire.CellDecoder().feed(cells, resolver)
             assert out.labels is None
-            envelope = wire.encode_packet(TBytes(b"clean"), resolver.gid_for)
-            out2 = wire.decode_packet(envelope, resolver.taint_for, resolver.taints_for)
+            envelope = wire.encode_packet(TBytes(b"clean"), resolver)
+            out2 = wire.decode_packet(envelope, resolver)
             assert out2.labels is None
             assert resolver.calls == 0
 
@@ -263,17 +248,13 @@ class TestIncrementalResidue:
             ta = tree.taint_for_tag("drip")
             value = TBytes(b"xx") + TBytes.tainted(b"hot", ta) + TBytes(b"yy")
             resolver = CountingResolver()
-            cells = wire.encode_cells(value, resolver.gid_for, resolver.gids_for)
+            cells = wire.encode_cells(value, resolver)
 
-            bulk = wire.CellDecoder().feed(
-                cells, resolver.taint_for, resolver.taints_for
-            )
+            bulk = wire.CellDecoder().feed(cells, resolver)
             decoder = wire.CellDecoder()
             pieces = []
             for i in range(len(cells)):
-                out = decoder.feed(
-                    cells[i : i + 1], resolver.taint_for, resolver.taints_for
-                )
+                out = decoder.feed(cells[i : i + 1], resolver)
                 if len(out):
                     pieces.append(out)
                 # Residue never reaches a whole cell.
@@ -293,7 +274,7 @@ class TestIncrementalResidue:
             ta = tree.taint_for_tag("ragged")
             value = TBytes.tainted(bytes(range(64)), ta)
             resolver = CountingResolver()
-            cells = wire.encode_cells(value, resolver.gid_for, resolver.gids_for)
+            cells = wire.encode_cells(value, resolver)
             decoder = wire.CellDecoder()
             collected = TBytes.empty()
             sizes = itertools.cycle((1, 2, 3, 7, 11, 13, 4, 9))  # no cell multiples
@@ -301,7 +282,7 @@ class TestIncrementalResidue:
             while position < len(cells):
                 chunk = cells[position : position + next(sizes)]
                 position += len(chunk)
-                out = decoder.feed(chunk, resolver.taint_for, resolver.taints_for)
+                out = decoder.feed(chunk, resolver)
                 if len(out):
                     collected = collected + out
             assert collected.data == value.data
@@ -310,7 +291,7 @@ class TestIncrementalResidue:
 
     def test_partial_cell_residue_then_eof_raises(self):
         decoder = wire.CellDecoder()
-        decoder.feed(b"\x41\x00\x00", lambda gid: None)
+        decoder.feed(b"\x41\x00\x00", CountingResolver())
         assert decoder.residue_len == 3
         from repro.errors import WireFormatError
 

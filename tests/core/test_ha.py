@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.core.durability import MemoryTaintMapStore
 from repro.core.ha import (
     OP_SYNC,
     FailoverTaintMapClient,
@@ -13,12 +14,15 @@ from repro.core.ha import (
     StandbyTaintMapServer,
 )
 from repro.core.taintmap import (
-    OP_LOOKUP,
+    OP_LOOKUP_MANY,
+    OP_REGISTER_MANY,
     STATUS_BAD_REQUEST,
     STATUS_OK,
     TaintMapClient,
-    _recv_exact,
-    _send_frame,
+    _pack_batch_lookup,
+    _pack_batch_register,
+    _split_batch_lookup_response,
+    round_trip,
     serialize_tags,
 )
 from repro.errors import TaintMapError
@@ -26,6 +30,7 @@ from repro.runtime.fs import SimFileSystem
 from repro.runtime.kernel import SimKernel
 from repro.runtime.modes import Mode
 from repro.runtime.node import SimNode
+from repro.taint import LocalId, TaintTree
 
 PRIMARY = ("10.0.255.1", 7170)
 STANDBY = ("10.0.255.2", 7170)
@@ -176,19 +181,56 @@ class TestMalformedSync:
         gid = client.gid_for(node.tree.taint_for_tag("kept"))
         client.close()
         raw = kernel.connect(node.ip, STANDBY)
-
-        def request(op, body):
-            _send_frame(raw, bytes([op]), body)
-            status = _recv_exact(raw, 1)[0]
-            (length,) = struct.unpack(">I", _recv_exact(raw, 4))
-            return status, _recv_exact(raw, length) if length else b""
-
-        assert request(OP_SYNC, payload) == (STATUS_BAD_REQUEST, b"")
-        status, serialized = request(OP_LOOKUP, struct.pack(">I", gid))
+        assert round_trip(raw, OP_SYNC, payload) == (STATUS_BAD_REQUEST, b"")
+        status, response = round_trip(raw, OP_LOOKUP_MANY, _pack_batch_lookup([gid]))
         assert status == STATUS_OK
+        (serialized,) = _split_batch_lookup_response(response, 1)
         assert serialized == standby._by_gid[gid]
         assert standby.global_taint_count() == 1
         raw.close()
+
+    def test_syncs_that_break_the_bijection_are_refused(self):
+        """GID 0, a known GID for another taint, and a taint already
+        bound to another GID are each refused, leaving the state and
+        the WAL as they were; once promoted, the standby still answers
+        every taint with its own GID."""
+        kernel = SimKernel("ha-bijection")
+        store = MemoryTaintMapStore()
+        standby = StandbyTaintMapServer(
+            kernel, kernel.register_node(STANDBY[0]), STANDBY[1], store=store
+        )
+        tree = TaintTree(LocalId("10.0.0.1", 1))
+        first, second = (
+            serialize_tags(tree.taint_for_tag(name).tags) for name in ("first", "second")
+        )
+
+        def sync(gid, serialized):
+            return standby._handle(OP_SYNC, struct.pack(">I", gid) + serialized)
+
+        assert sync(1, first) == (STATUS_OK, b"")
+        assert sync(1, first) == (STATUS_OK, b"")  # a repeat changes nothing
+
+        def state():
+            return (
+                dict(standby._by_gid), dict(standby._by_key), standby._next_gid,
+                standby.stats.global_taints, store.read_log(),
+            )
+
+        before = state()
+        for gid, serialized in ((0, second), (1, second), (2, first)):
+            assert sync(gid, serialized) == (STATUS_BAD_REQUEST, b""), gid
+        assert state() == before
+
+        def register(serialized):
+            status, response = standby._handle(
+                OP_REGISTER_MANY, _pack_batch_register([serialized])
+            )
+            assert status == STATUS_OK
+            return struct.unpack(">I", response)[0]
+
+        assert register(first) == 1
+        assert register(second) == 2
+        assert standby._by_gid[1] == first
 
 
 class TestFailoverClient:

@@ -91,9 +91,9 @@ class TestConcurrentCalls:
             primary.address,
             standby.address,
             cache_enabled=False,
-            max_batch=4,
             request_deadline_s=DEADLINE_S,
         )
+        client.transport.max_batch = 4
         pool = [node.tree.taint_for_tag(f"pool-{i}") for i in range(24)]
         lock = threading.Lock()
         acked: dict = {}  # tag -> every GID a register call returned for it
@@ -172,8 +172,9 @@ class TestSmallPipes:
         server = TaintMapServer(kernel, TAINT_MAP_IP, TAINT_MAP_PORT).start()
         node = _node(kernel, fs)
         client = TaintMapClient(
-            node, server.address, cache_enabled=False, max_batch=50, request_deadline_s=DEADLINE_S
+            node, server.address, cache_enabled=False, request_deadline_s=DEADLINE_S
         )
+        client.transport.max_batch = 50
         pad = "x" * 170  # ~200-byte serialized taints: 50 of them are ~10 KiB
         known = [node.tree.taint_for_tag(f"{pad}-known-{i:03d}") for i in range(400)]
         fresh = [node.tree.taint_for_tag(f"{pad}-fresh-{i:03d}") for i in range(400)]

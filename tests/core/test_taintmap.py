@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 
 from repro.core.taintmap import (
     MUX_HEAD,
-    OP_MUX_HELLO,
-    OP_REGISTER,
     OP_REGISTER_MANY,
+    STATUS_BAD_REQUEST,
     STATUS_OK,
     TaintMapClient,
     TaintMapServer,
     _pack_batch_register,
-    _recv_exact,
     deserialize_tags,
+    mux_frame,
     serialize_tags,
     taint_key,
 )
@@ -291,6 +290,16 @@ class TestForeignTaintRegistration:
 
 
 
+def _recv_frame_bytes(endpoint, n):
+    """Exactly ``n`` raw bytes from ``endpoint``."""
+    out = bytearray()
+    while len(out) < n:
+        chunk = endpoint.recv(n - len(out))
+        assert chunk, "connection closed mid-frame"
+        out += chunk
+    return bytes(out)
+
+
 def _boot_golden(name="golden"):
     kernel = SimKernel(name)
     kernel.register_node(TAINT_MAP_IP)
@@ -302,17 +311,21 @@ def _boot_golden(name="golden"):
 
 
 class TestGoldenFrames:
-    """The server and client emit the seed protocol's frames byte for
-    byte: GIDs 1, 2, 3, … and unchanged payload encodings."""
+    """The server and client emit the seed protocol's payloads byte for
+    byte: GIDs 1, 2, 3, … and unchanged payload encodings, each behind
+    a correlation id."""
 
     def test_register_response_bytes(self):
         kernel, server, node = _boot_golden()
         taint = node.tree.taint_for_tag("golden")
-        payload = serialize_tags(taint.tags)
+        payload = _pack_batch_register([serialize_tags(taint.tags)])
         raw = kernel.connect(node.ip, server.address)
-        raw.send_all(bytes([OP_REGISTER]) + struct.pack(">I", len(payload)) + payload)
-        # PR-1 golden frame: STATUS_OK, 4-byte length, GID 1.
-        assert _recv_exact(raw, 9) == b"\x00" + struct.pack(">I", 4) + struct.pack(">I", 1)
+        raw.send_all(mux_frame(5, OP_REGISTER_MANY, payload))
+        # The seed protocol's golden reply payload, GID 1, behind corr 5,
+        # STATUS_OK and length 4.
+        assert _recv_frame_bytes(raw, 13) == (
+            struct.pack(">I", 5) + b"\x00" + struct.pack(">I", 4) + struct.pack(">I", 1)
+        )
         raw.close()
         server.stop()
 
@@ -323,17 +336,17 @@ class TestGoldenFrames:
         ]
         payload = _pack_batch_register(entries)
         raw = kernel.connect(node.ip, server.address)
-        raw.send_all(
-            bytes([OP_REGISTER_MANY]) + struct.pack(">I", len(payload)) + payload
+        raw.send_all(mux_frame(6, OP_REGISTER_MANY, payload))
+        expected = (
+            struct.pack(">I", 6) + b"\x00" + struct.pack(">I", 12) + struct.pack(">3I", 1, 2, 3)
         )
-        expected = b"\x00" + struct.pack(">I", 12) + struct.pack(">3I", 1, 2, 3)
-        assert _recv_exact(raw, len(expected)) == expected
+        assert _recv_frame_bytes(raw, len(expected)) == expected
         raw.close()
         server.stop()
 
     def test_client_register_frame_is_seed_identical(self):
-        """Inside its correlation-id envelope, the client's register is
-        the seed protocol's batch frame."""
+        """Behind its correlation id, the client's register is the seed
+        protocol's batch request: op, length, payload."""
         kernel = SimKernel("diff")
         kernel.register_node(TAINT_MAP_IP)
         fs = SimFileSystem()
@@ -345,17 +358,11 @@ class TestGoldenFrames:
 
         def fake_server():
             endpoint = listener.accept(timeout=10)
-            assert _recv_exact(endpoint, 5) == bytes([OP_MUX_HELLO]) + struct.pack(">I", 0)
-            endpoint.send_all(bytes([STATUS_OK]) + struct.pack(">I", 0))
-            corr = _recv_exact(endpoint, 4)
-            head = _recv_exact(endpoint, 1)
-            (length,) = struct.unpack(">I", _recv_exact(endpoint, 4))
-            payload = _recv_exact(endpoint, length) if length else b""
-            captured.append(head + struct.pack(">I", length) + payload)
+            head = _recv_frame_bytes(endpoint, MUX_HEAD.size)
+            corr, _, length = MUX_HEAD.unpack(head)
+            captured.append(head[4:] + _recv_frame_bytes(endpoint, length))
             # The seed server's golden reply: STATUS_OK, len 4, GID 1.
-            endpoint.send_all(
-                corr + b"\x00" + struct.pack(">I", 4) + struct.pack(">I", 1)
-            )
+            endpoint.send_all(mux_frame(corr, STATUS_OK, struct.pack(">I", 1)))
             endpoint.close()
             listener.close()
 
@@ -385,34 +392,44 @@ class TestGoldenFrames:
 
 
 class TestMuxServeLoop:
-    """The server's multiplexed loop reads whatever has arrived and
-    serves every complete frame in it, whatever the write boundaries."""
+    """The server's loop reads whatever has arrived and serves every
+    complete frame in it, whatever the write boundaries."""
 
     @staticmethod
-    def _upgraded(name):
+    def _connected(name):
         kernel, server, node = _boot_golden(name)
-        raw = kernel.connect(node.ip, server.address)
-        raw.send_all(bytes([OP_MUX_HELLO]) + struct.pack(">I", 0))
-        assert _recv_exact(raw, 5) == bytes([STATUS_OK]) + struct.pack(">I", 0)
-        return server, node, raw
+        return server, node, kernel.connect(node.ip, server.address)
 
     @staticmethod
     def _register_frame(corr, node, name):
-        payload = serialize_tags(node.tree.taint_for_tag(name).tags)
-        return MUX_HEAD.pack(corr, OP_REGISTER, len(payload)) + payload
+        payload = _pack_batch_register([serialize_tags(node.tree.taint_for_tag(name).tags)])
+        return mux_frame(corr, OP_REGISTER_MANY, payload)
 
     @staticmethod
     def _reply(raw):
-        corr, status, length = MUX_HEAD.unpack(_recv_exact(raw, MUX_HEAD.size))
-        return corr, status, _recv_exact(raw, length)
+        corr, status, length = MUX_HEAD.unpack(_recv_frame_bytes(raw, MUX_HEAD.size))
+        return corr, status, _recv_frame_bytes(raw, length)
 
     @staticmethod
     def _nothing_more(raw):
         with pytest.raises(SimTimeout):
             raw.recv(1, timeout=0.05)
 
+    @pytest.mark.parametrize("op", [1, 2, 6])
+    def test_retired_op_as_first_frame_is_refused(self, op):
+        """Ops 1, 2 and 6 are retired: as a connection's first frame each
+        is answered STATUS_BAD_REQUEST on its own correlation id, and
+        the next frame is still served."""
+        server, node, raw = self._connected(f"retired-{op}")
+        raw.send_all(mux_frame(11, op, struct.pack(">I", 1)))
+        assert self._reply(raw) == (11, STATUS_BAD_REQUEST, b"")
+        raw.send_all(self._register_frame(12, node, "after"))
+        assert self._reply(raw) == (12, STATUS_OK, struct.pack(">I", 1))
+        raw.close()
+        server.stop()
+
     def test_every_frame_answered_once_in_order(self):
-        server, node, raw = self._upgraded("mux-split")
+        server, node, raw = self._connected("mux-split")
         frames = [
             self._register_frame(corr, node, f"m{corr}")
             for corr in (7, 0xFFFFFFFF, 3, 40, 41)
@@ -436,7 +453,10 @@ class TestMuxServeLoop:
 
     def test_eof_inside_a_frame_ends_the_serve_thread(self):
         before = set(threading.enumerate())
-        server, node, raw = self._upgraded("mux-eof")
+        server, node, raw = self._connected("mux-eof")
+        # One answered frame: the connection's serve thread is running.
+        raw.send_all(self._register_frame(8, node, "whole"))
+        self._reply(raw)
         (serving,) = [
             t for t in threading.enumerate()
             if t not in before and t.name == "taintmap-conn"

@@ -6,6 +6,8 @@ in a single round-trip, so first send costs ≤ k+1 requests (here: 1) and
 a resend costs 0 (Fig. 9's cache, batched).
 """
 
+import struct
+
 import pytest
 
 from repro.core import wire
@@ -125,34 +127,37 @@ class TestMessageRoundTrips:
         _, n1, _, c1, _ = service
         data = self._message(n1.tree, k)
         before = c1.requests_sent
-        first = wire.encode_cells(data, c1.gid_for, c1.gids_for)
+        first = wire.encode_cells(data, c1)
         assert c1.requests_sent - before <= k + 1
         assert c1.requests_sent - before == 1
         # Resend: every run's taint is cached, zero round-trips.
-        again = wire.encode_cells(data, c1.gid_for, c1.gids_for)
+        again = wire.encode_cells(data, c1)
         assert again == first
         assert c1.requests_sent - before == 1
 
     def test_receive_is_one_round_trip(self, service):
         _, n1, _, c1, c2 = service
         data = self._message(n1.tree, 5)
-        cells = wire.encode_cells(data, c1.gid_for, c1.gids_for)
+        cells = wire.encode_cells(data, c1)
         decoder = wire.CellDecoder()
         before = c2.requests_sent
-        decoded = decoder.feed(cells, c2.taint_for, c2.taints_for)
+        decoded = decoder.feed(cells, c2)
         assert c2.requests_sent - before == 1
         assert decoded.data == data.data
         assert decoded.labels.run_count == 5
         # Re-receive: fully cached.
         decoder2 = wire.CellDecoder()
-        decoder2.feed(cells, c2.taint_for, c2.taints_for)
+        decoder2.feed(cells, c2)
         assert c2.requests_sent - before == 1
 
     def test_batched_equals_unbatched_wire_bytes(self, service):
         server, n1, _, c1, _ = service
         data = self._message(n1.tree, 4)
-        batched = wire.encode_cells(data, c1.gid_for, c1.gids_for)
+        batched = wire.encode_cells(data, c1)
         fresh = TaintMapClient(n1, server.address)
-        unbatched = wire.encode_cells(data, fresh.gid_for)
+        unbatched = b"".join(
+            bytes([byte]) + struct.pack(">I", fresh.gid_for(data.label_at(i)))
+            for i, byte in enumerate(data.data)
+        )
         assert batched == unbatched
         fresh.close()

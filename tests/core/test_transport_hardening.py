@@ -21,8 +21,9 @@ from repro.core.taintmap import (
     TaintMapServer,
     _pack_batch_lookup,
     _pack_batch_register,
-    _recv_exact,
+    mux_frame,
     serialize_tags,
+    take_frames,
 )
 from repro.errors import (
     TaintMapDeadlineError,
@@ -72,27 +73,14 @@ class TestProtocolBatchLimit:
         with pytest.raises(TaintMapError, match="65535"):
             _pack_batch_lookup(list(range(PROTOCOL_MAX_BATCH + 1)))
 
-    def test_async_max_batch_clamped_to_protocol_limit(self, single):
-        _, _, server, node = single
-        client = TaintMapClient(
-            node, server.address, max_batch=10 * PROTOCOL_MAX_BATCH
-        )
-        assert client.transport.max_batch == PROTOCOL_MAX_BATCH
-        client.close()
-
     def test_oversized_batch_round_trips(self, single):
-        """A single >65535-run message registers and resolves (multiple
-        byte-identical frames on the wire), even with ``max_batch``
-        above the wire limit: the window itself must chunk."""
+        """A single >65535-run message registers and resolves, as many
+        frames of at most ``max_batch`` entries on the wire: the window
+        itself must chunk."""
         _, _, server, node = single
         count = PROTOCOL_MAX_BATCH + 17
         taints = [node.tree.taint_for_tag(f"ovr{i}") for i in range(count)]
-        client = TaintMapClient(
-            node,
-            server.address,
-            cache_enabled=False,
-            max_batch=10 * PROTOCOL_MAX_BATCH,
-        )
+        client = TaintMapClient(node, server.address, cache_enabled=False)
         try:
             gids = client.gids_for(taints)
             assert len(gids) == count
@@ -148,29 +136,45 @@ class TestShutdownWithInflightFlush:
         server.stop()
 
 
+def _stalled_server(listener, answers):
+    """Accept one connection, answer its first ``answers`` frames with
+    GID 1, then swallow frames and never answer."""
+
+    def serve():
+        left = answers
+        try:
+            endpoint = listener.accept(timeout=10)
+            buffer = bytearray()
+            while True:
+                chunk = endpoint.recv(1024)
+                if not chunk:
+                    return
+                buffer += chunk
+                for corr, _op, _payload in take_frames(buffer):
+                    if left:
+                        left -= 1
+                        endpoint.send_all(mux_frame(corr, STATUS_OK, struct.pack(">I", 1)))
+        except Exception:
+            pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return thread
+
+
 class TestRequestDeadline:
     def test_deadline_expires_on_stalled_server(self, single):
-        """A server that accepts the upgrade but never answers fails the
-        request with a timeout error instead of wedging the caller."""
+        """A server that answers a first request and then never answers
+        fails the next request with a timeout error instead of wedging
+        the caller."""
         kernel, _, server, node = single
         server.stop()
         listener = kernel.listen(TAINT_MAP_IP, TAINT_MAP_PORT)
-
-        def stalled_server():
-            try:
-                endpoint = listener.accept(timeout=10)
-                _recv_exact(endpoint, 5)  # hello frame
-                endpoint.send_all(bytes([STATUS_OK]) + struct.pack(">I", 0))
-                while endpoint.recv(1024):  # swallow frames, never answer
-                    pass
-            except Exception:
-                pass
-
-        thread = threading.Thread(target=stalled_server, daemon=True)
-        thread.start()
+        _stalled_server(listener, answers=1)
         client = TaintMapClient(
             node, (TAINT_MAP_IP, TAINT_MAP_PORT), request_deadline_s=0.3
         )
+        assert client.gid_for(node.tree.taint_for_tag("answered")) == 1
         started = time.monotonic()
         with pytest.raises(TaintMapDeadlineError, match="deadline"):
             client.gid_for(node.tree.taint_for_tag("stalled"))
@@ -179,6 +183,24 @@ class TestRequestDeadline:
         # Deadline errors are timeouts, not transport errors: they must
         # not trigger replica failover.
         assert issubclass(TaintMapDeadlineError, TimeoutError)
+        client.close()
+        listener.close()
+
+    def test_first_request_obeys_its_deadline(self, single):
+        """A server that accepts and reads but never replies holds the
+        connection's first request only until its deadline: nothing on
+        the way to the first reply waits outside it."""
+        kernel, _, server, node = single
+        server.stop()
+        listener = kernel.listen(TAINT_MAP_IP, TAINT_MAP_PORT)
+        _stalled_server(listener, answers=0)
+        client = TaintMapClient(
+            node, (TAINT_MAP_IP, TAINT_MAP_PORT), request_deadline_s=0.3
+        )
+        started = time.monotonic()
+        with pytest.raises(TaintMapDeadlineError, match="deadline"):
+            client.gid_for(node.tree.taint_for_tag("first"))
+        assert 0.2 < time.monotonic() - started < 5.0
         client.close()
         listener.close()
 
@@ -279,8 +301,9 @@ class TestBackpressure:
     def test_block_policy_flushes_and_waits_for_drain(self, single):
         _, _, server, node = single
         server._service_time = 0.3
-        client = TaintMapClient(node, server.address, max_pending=2)
+        client = TaintMapClient(node, server.address)
         transport = client.transport
+        transport.max_pending = 2
         first = self._register_async(client, node, "blk0")
         assert _wait_until(lambda: transport._flying[0] is not None)
         second = self._register_async(client, node, "blk1")
@@ -299,7 +322,8 @@ class TestBackpressure:
         """One call larger than the mark: the caller must send the window
         it filled itself (no flush is in flight to drain it), then wait."""
         _, _, server, node = single
-        client = TaintMapClient(node, server.address, cache_enabled=False, max_pending=3)
+        client = TaintMapClient(node, server.address, cache_enabled=False)
+        client.transport.max_pending = 3
         taints = [node.tree.taint_for_tag(f"self{i}") for i in range(7)]
         gids = client.gids_for(taints)
         assert len(set(gids)) == 7

@@ -2,6 +2,7 @@
 
 import itertools
 import struct
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -19,54 +20,58 @@ def tree():
 
 
 def make_gid_table(tree, names):
-    """A deterministic taint↔gid mapping for codec tests (no Taint Map)."""
+    """A deterministic taint↔gid mapping for codec tests (no Taint Map):
+    the two batched resolvers the codecs call."""
     taints = {name: tree.taint_for_tag(name) for name in names}
     gid_of = {None: 0}
     taint_of = {0: None}
     for i, (name, taint) in enumerate(sorted(taints.items()), start=1):
         gid_of[taint] = i
         taint_of[i] = taint
-    return taints, (lambda t: gid_of[t]), (lambda g: taint_of[g])
+    return taints, SimpleNamespace(
+        gids_for=lambda labels: [gid_of[t] for t in labels],
+        taints_for=lambda gids: [taint_of[g] for g in gids],
+    )
 
 
 class TestCells:
     def test_wire_is_exactly_5x(self, tree):
-        _, gid_for, _ = make_gid_table(tree, ["a"])
-        cells = wire.encode_cells(TBytes(b"12345678"), gid_for)
+        _, table = make_gid_table(tree, ["a"])
+        cells = wire.encode_cells(TBytes(b"12345678"), table)
         assert len(cells) == 40
         assert wire.wire_length(8) == 40
         assert wire.max_data_for_wire(40) == 8
 
     def test_roundtrip_single_feed(self, tree):
-        taints, gid_for, taint_for = make_gid_table(tree, ["a", "b"])
+        taints, table = make_gid_table(tree, ["a", "b"])
         data = TBytes.tainted(b"aa", taints["a"]) + TBytes.tainted(b"b", taints["b"])
-        cells = wire.encode_cells(data, gid_for)
-        out = wire.CellDecoder().feed(cells, taint_for)
+        cells = wire.encode_cells(data, table)
+        out = wire.CellDecoder().feed(cells, table)
         assert out.data == b"aab"
         assert out.label_at(0) is taints["a"]
         assert out.label_at(2) is taints["b"]
 
     def test_untainted_bytes_use_gid_zero(self, tree):
-        _, gid_for, taint_for = make_gid_table(tree, [])
-        cells = wire.encode_cells(TBytes(b"xy"), gid_for)
+        _, table = make_gid_table(tree, [])
+        cells = wire.encode_cells(TBytes(b"xy"), table)
         assert cells[1:5] == b"\x00\x00\x00\x00"
-        out = wire.CellDecoder().feed(cells, taint_for)
+        out = wire.CellDecoder().feed(cells, table)
         assert out.overall_taint() is None
 
     def test_partial_cell_is_buffered(self, tree):
-        taints, gid_for, taint_for = make_gid_table(tree, ["a"])
-        cells = wire.encode_cells(TBytes.tainted(b"zz", taints["a"]), gid_for)
+        taints, table = make_gid_table(tree, ["a"])
+        cells = wire.encode_cells(TBytes.tainted(b"zz", taints["a"]), table)
         decoder = wire.CellDecoder()
-        assert decoder.feed(cells[:3], taint_for) == TBytes.empty()
+        assert decoder.feed(cells[:3], table) == TBytes.empty()
         assert decoder.residue_len == 3
-        out = decoder.feed(cells[3:], taint_for)
+        out = decoder.feed(cells[3:], table)
         assert out.data == b"zz"
         assert decoder.residue_len == 0
 
     def test_eof_mid_cell_raises(self, tree):
-        _, gid_for, taint_for = make_gid_table(tree, [])
+        _, table = make_gid_table(tree, [])
         decoder = wire.CellDecoder()
-        decoder.feed(b"\x01\x00", taint_for)
+        decoder.feed(b"\x01\x00", table)
         with pytest.raises(WireFormatError):
             decoder.check_clean_eof()
 
@@ -85,11 +90,11 @@ class TestCells:
     def test_roundtrip_arbitrary_split_points(self, parts, cut_sizes):
         """Decoding must be invariant to how the kernel chunks the stream."""
         tree = TaintTree(LocalId("10.0.0.9", 9))
-        taints, gid_for, taint_for = make_gid_table(tree, ["a", "b", "c"])
+        taints, table = make_gid_table(tree, ["a", "b", "c"])
         data = TBytes.empty()
         for raw, name in parts:
             data = data + TBytes.tainted(raw, taints[name])
-        cells = wire.encode_cells(data, gid_for)
+        cells = wire.encode_cells(data, table)
         decoder = wire.CellDecoder()
         out = TBytes.empty()
         position = 0
@@ -97,7 +102,7 @@ class TestCells:
         while position < len(cells):
             step = cut_sizes[cut_index % len(cut_sizes)]
             cut_index += 1
-            out = out + decoder.feed(cells[position : position + step], taint_for)
+            out = out + decoder.feed(cells[position : position + step], table)
             position += step
         assert out.data == data.data
         for i in range(len(data)):
@@ -107,12 +112,12 @@ class TestCells:
 
 class TestPacketEnvelope:
     def test_roundtrip(self, tree):
-        taints, gid_for, taint_for = make_gid_table(tree, ["u"])
+        taints, table = make_gid_table(tree, ["u"])
         payload = TBytes.tainted(b"datagram", taints["u"])
-        envelope = wire.encode_packet(payload, gid_for)
+        envelope = wire.encode_packet(payload, table)
         assert wire.is_enveloped(envelope)
         assert len(envelope) == wire.envelope_length(8)
-        out = wire.decode_packet(envelope, taint_for)
+        out = wire.decode_packet(envelope, table)
         assert out.data == b"datagram"
         assert out.overall_taint() is taints["u"]
 
@@ -120,17 +125,17 @@ class TestPacketEnvelope:
         assert not wire.is_enveloped(b"plain data")
 
     def test_truncated_envelope_raises(self, tree):
-        _, gid_for, taint_for = make_gid_table(tree, [])
-        envelope = wire.encode_packet(TBytes(b"abcdef"), gid_for)
+        _, table = make_gid_table(tree, [])
+        envelope = wire.encode_packet(TBytes(b"abcdef"), table)
         with pytest.raises(WireFormatError, match="truncated"):
-            wire.decode_packet(envelope[:-3], taint_for)
+            wire.decode_packet(envelope[:-3], table)
 
     def test_bad_version_raises(self, tree):
-        _, gid_for, taint_for = make_gid_table(tree, [])
-        envelope = bytearray(wire.encode_packet(TBytes(b"a"), gid_for))
+        _, table = make_gid_table(tree, [])
+        envelope = bytearray(wire.encode_packet(TBytes(b"a"), table))
         envelope[2] = 99
         with pytest.raises(WireFormatError, match="version"):
-            wire.decode_packet(bytes(envelope), taint_for)
+            wire.decode_packet(bytes(envelope), table)
 
     def test_truncated_header_raises_wire_format_error(self):
         """A payload that starts with the magic but stops inside the
@@ -138,20 +143,20 @@ class TestPacketEnvelope:
         header = wire.PACKET_MAGIC + bytes([wire.PACKET_VERSION]) + b"\x00" * 4
         for size in range(len(wire.PACKET_MAGIC), wire.PACKET_HEADER):
             with pytest.raises(WireFormatError, match="truncated"):
-                wire.decode_packet(header[:size], lambda gid: None)
+                wire.decode_packet(header[:size], None)
 
     def test_empty_payload(self, tree):
-        _, gid_for, taint_for = make_gid_table(tree, [])
-        envelope = wire.encode_packet(TBytes.empty(), gid_for)
-        assert wire.decode_packet(envelope, taint_for) == TBytes.empty()
+        _, table = make_gid_table(tree, [])
+        envelope = wire.encode_packet(TBytes.empty(), table)
+        assert wire.decode_packet(envelope, table) == TBytes.empty()
 
     @settings(max_examples=30, deadline=None)
     @given(st.binary(max_size=64), st.sampled_from(["a", "b"]))
     def test_envelope_roundtrip_property(self, raw, name):
         tree = TaintTree(LocalId("10.0.0.8", 8))
-        taints, gid_for, taint_for = make_gid_table(tree, ["a", "b"])
+        taints, table = make_gid_table(tree, ["a", "b"])
         payload = TBytes.tainted(raw, taints[name])
-        out = wire.decode_packet(wire.encode_packet(payload, gid_for), taint_for)
+        out = wire.decode_packet(wire.encode_packet(payload, table), table)
         assert out.data == raw
         if raw:
             assert out.overall_taint() is taints[name]
@@ -204,7 +209,10 @@ class TestPerByteReference:
         gid_of.update({id(labels[name]): gid for name, gid in zip("abc", gids)})
         taint_of = {gid: labels[name] for name, gid in zip("abc", gids)}
         gid_for = lambda label: gid_of[id(label)]  # noqa: E731
-        taint_for = lambda gid: taint_of[gid]  # noqa: E731
+        table = SimpleNamespace(
+            gids_for=lambda labels: [gid_for(label) for label in labels],
+            taints_for=lambda gids: [taint_of[gid] for gid in gids],
+        )
 
         runs, position = [], 0
         for raw, name in segments:
@@ -216,9 +224,9 @@ class TestPerByteReference:
             for label in (data.label_at(i) for i in range(len(data)))
         ]
 
-        cells = wire.encode_cells(data, gid_for)
+        cells = wire.encode_cells(data, table)
         assert cells == reference_cells(data, gid_for)
-        envelope = wire.encode_packet(data, gid_for)
+        envelope = wire.encode_packet(data, table)
         assert envelope == reference_packet(data, gid_for)
 
         decoder = wire.CellDecoder()
@@ -227,10 +235,10 @@ class TestPerByteReference:
         for step in itertools.cycle(cut_sizes):
             if position >= len(cells):
                 break
-            out = out + decoder.feed(cells[position : position + step], taint_for)
+            out = out + decoder.feed(cells[position : position + step], table)
             position += step
         decoder.check_clean_eof()
-        packet = wire.decode_packet(envelope, taint_for)
+        packet = wire.decode_packet(envelope, table)
         for decoded in (out, packet):
             assert decoded.data == data.data
             assert all(decoded.label_at(i) is label for i, label in enumerate(expected))

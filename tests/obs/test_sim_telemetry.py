@@ -8,8 +8,9 @@ from observing reads here as a failure, not as an overhead win:
 * at 0% tainted, every crossing takes the zero-taint fast path: no
   slow-path hit, no Taint Map RPC, no tainted crossing, no flow — while
   the 5× wire bytes are still paid;
-* at 100% tainted, the fast path swallows no real taint, and flows
-  reconstruct and complete without evictions;
+* at 100% tainted, the fast path swallows no real taint, flows
+  reconstruct and complete without evictions, and the Taint Map serves
+  only ``register_many`` and ``lookup_many``;
 * in between, the knob turns: tainted bytes sit strictly between the
   endpoints;
 * across the systems, lineage stitches multi-hop trees and the Chrome
@@ -80,6 +81,11 @@ def test_telemetry_tracks_the_tainted_fraction(sim_run, system):
         sim_run(system, 1.0).telemetry, "dista_taintmap_rpc_seconds", 0.95
     )
     assert p95 is not None and p95 > 0, f"{system}@100%: no RPC latency recorded"
+    # The Taint Map serves only the two batched ops: no single-entry op
+    # and no other framing reaches it.
+    handled = sim_run(system, 1.0).telemetry["dista_taintmap_server_handle_seconds"]
+    ops = {sample["labels"]["op"] for sample in handled["samples"] if sample["count"]}
+    assert ops == {"register_many", "lookup_many"}, f"{system}@100%: ops {ops}"
 
     for fraction in (0.25, 0.5, 0.75):
         tainted = counts[fraction]["tainted_bytes"]
