@@ -91,20 +91,12 @@ _WRAPPER_FACTORIES_BY_TYPE = {
     "disp_read0": (3, wrappers.make_disp_read0),
     "disp_write0": (3, wrappers.make_disp_write0),
     "dgram_disp_read0": (3, partial(
-        wrappers.make_dgram_receive, call="DatagramDispatcherImpl#read0",
-        method="dgram_dispatcher.read0", with_source=False,
+        wrappers.make_dgram_receive, method="dgram_dispatcher.read0", with_source=False,
     )),
-    "dgram_disp_write0": (3, partial(
-        wrappers.make_dgram_send, call="DatagramDispatcherImpl#write0",
-        method="dgram_dispatcher.write0",
-    )),
-    "dgram_channel_send0": (3, partial(
-        wrappers.make_dgram_send, call="DatagramChannelImpl#send0",
-        method="dgram_channel.send0",
-    )),
+    "dgram_disp_write0": (3, partial(wrappers.make_dgram_send, method="dgram_dispatcher.write0")),
+    "dgram_channel_send0": (3, partial(wrappers.make_dgram_send, method="dgram_channel.send0")),
     "dgram_channel_receive0": (3, partial(
-        wrappers.make_dgram_receive, call="DatagramChannelImpl#receive0",
-        method="dgram_channel.receive0", with_source=True,
+        wrappers.make_dgram_receive, method="dgram_channel.receive0", with_source=True,
     )),
     "direct_get": (3, wrappers.make_direct_get),
     "direct_put": (3, wrappers.make_direct_put),

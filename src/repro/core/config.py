@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Optional
 
-from repro.core.taintmap import DEFAULT_DEADLINE_S, TaintMapServer
+from repro.core.taintmap import DEFAULT_DEADLINE_S
 from repro.errors import ConfigError
 
 #: Accepted spellings for on/off launch extras.
@@ -115,10 +115,6 @@ class DisTAConfig:
     #: so a restarted server resumes its GID sequence instead of
     #: renumbering.
     taint_map_durable: bool = _row("taintMapDurable", parse_switch, False)
-    #: Allocations between the durable Taint Map's compacted snapshots.
-    taint_map_snapshot_every: int = _row(
-        "taintMapSnapshotEvery", int, TaintMapServer.DEFAULT_SNAPSHOT_EVERY
-    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "wrapper_types", frozenset(self.wrapper_types))
@@ -132,11 +128,6 @@ class DisTAConfig:
             (
                 not 0.0 <= self.source_fraction <= 1.0,
                 f"source_fraction {self.source_fraction} outside [0, 1]",
-            ),
-            (
-                self.taint_map_snapshot_every < 1,
-                f"taint_map_snapshot_every must be >= 1, "
-                f"got {self.taint_map_snapshot_every}",
             ),
         )
         for failed, message in checks:

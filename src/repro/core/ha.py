@@ -92,16 +92,8 @@ class ReplicatedTaintMapServer(TaintMapServer):
         standby: Address,
         service_time: float = 0.0,
         store=None,
-        snapshot_every: Optional[int] = None,
     ):
-        super().__init__(
-            kernel,
-            ip,
-            port,
-            service_time,
-            store=store,
-            snapshot_every=snapshot_every,
-        )
+        super().__init__(kernel, ip, port, service_time, store=store)
         self._standby_address = standby
         self._standby_lock = threading.Lock()
         self._standby_endpoint: Optional[TcpEndpoint] = None
@@ -149,8 +141,8 @@ class FailoverTaintMapClient(TaintMapClient):
     ``primary`` and ``standby`` are each one ``(ip, port)``; the replica
     list widens from ``[primary]`` to ``[primary, standby]`` and the
     transport rotates through it.  A broken multiplexed connection fails
-    every request in flight on it with a transport error, and the caller
-    that finds it dead re-sends each of them on the standby (registration
+    every request in flight on it with a transport error, and each
+    request's caller re-sends its own frame on the standby (registration
     and lookup are idempotent, so the retry is safe).  A connection found
     dead at send time is first redialed once on the same replica, so an
     idle drop is not mistaken for a dead primary.
@@ -159,8 +151,8 @@ class FailoverTaintMapClient(TaintMapClient):
     raised to the waiting caller, *outside* the per-replica retry: a
     request that times out is surfaced rather than replayed against the
     standby — by then the caller has already waited the full deadline.
-    The batch that carried it still settles for the other callers
-    waiting on it, whichever of them reads its reply or fails it over.
+    A reply that arrives later is read and dropped by whichever caller
+    holds the read turn, so the framing stays in step.
     """
 
     def __init__(

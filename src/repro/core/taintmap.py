@@ -358,11 +358,11 @@ class TaintMapServer:
 
     ``service_time`` sleeps that long inside the serial section of every
     request, modelling a server whose handling cost is not negligible.
-    It defaults to 0; tests set it to hold a flush in flight.
+    It defaults to 0; tests set it to hold a frame in flight.
     """
 
-    #: Default allocations between compacted snapshots (WAL truncates
-    #: after each), when a durability store is attached.
+    #: Allocations between compacted snapshots (WAL truncates after
+    #: each), when a durability store is attached.
     DEFAULT_SNAPSHOT_EVERY = 1024
 
     def __init__(
@@ -372,7 +372,6 @@ class TaintMapServer:
         port: int,
         service_time: float = 0.0,
         store=None,
-        snapshot_every: Optional[int] = None,
     ):
         self._kernel = kernel
         self.address: Address = (ip, port)
@@ -391,10 +390,7 @@ class TaintMapServer:
         #: listener exists, so no request can observe half-replayed
         #: state.
         self._store = store
-        self._snapshot_every = (
-            self.DEFAULT_SNAPSHOT_EVERY if snapshot_every is None
-            else max(1, int(snapshot_every))
-        )
+        self._snapshot_every = self.DEFAULT_SNAPSHOT_EVERY
         self._writes_since_snapshot = 0
         if store is not None:
             self._recover()
@@ -457,7 +453,7 @@ class TaintMapServer:
         read.  EOF (inside a frame or not) ends the loop, and so does a
         connection idle past the kernel's 30 s read timeout.  Handling
         stays serial (the single-point service model) but a batched
-        request pays ``service_time`` once for its whole window.
+        request pays ``service_time`` once for its whole frame.
         """
         buffer = bytearray()
         try:
@@ -730,11 +726,11 @@ class TaintMapClient:
     ``address`` is the server's ``(ip, port)``.  Requests travel over one
     :class:`~repro.core.transport.TaintMapTransport`: a multiplexed
     connection whose requests are sent and replies read on the calling
-    threads, with concurrent cache misses group-committed into one
-    batched round-trip.  ``request_deadline_s`` bounds each request
-    (``None`` or a non-positive value disables it).  The client owns no
-    thread, but its connection stays open until :meth:`close`, so every
-    client must be released with it.
+    threads, each call's cache misses as its own batched frame, in
+    flight alongside any other call's.  ``request_deadline_s`` bounds
+    each request (``None`` or a non-positive value disables it).  The
+    client owns no thread, but its connection stays open until
+    :meth:`close`, so every client must be released with it.
 
     ``cache_enabled=False`` exists only for the ablation benchmark — it
     re-registers every byte's taint, demonstrating why Fig. 9's step ②

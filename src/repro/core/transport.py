@@ -1,6 +1,5 @@
-"""The Taint Map client transport: a multiplexed connection, requests
-sent and replies read on the caller's thread, and group commit across
-messages.
+"""The Taint Map client transport: a multiplexed connection, and each
+call's frames sent and its replies read on the caller's thread.
 
 Every :class:`~repro.core.taintmap.TaintMapClient` owns one
 :class:`TaintMapTransport` and no thread:
@@ -10,40 +9,32 @@ Every :class:`~repro.core.taintmap.TaintMapClient` owns one
   a 4-byte **correlation id** lets many requests be in flight at once
   and replies complete out of order.
 
+* **One frame per call.**  Each ``submit`` sends its entries as its own
+  frame, whatever else is in flight, of either kind.  Concurrent calls
+  are never merged into one frame: when an earlier transport offered
+  that, no call on any benchmark workload found another of its kind
+  waiting to share one (DESIGN.md has the counts).
+
 * **The read turn.**  A caller sends its own frame and waits; one
   waiting caller at a time holds the read turn, reads the connection and
   settles every reply frame it finds, its own or another caller's.  A
   round-trip is two thread hand-offs (caller → server → caller).  Three
   rules keep replies draining: (1) nobody sends while holding the turn —
   the holder releases it and wakes the parked callers first, so full
-  request and reply pipes never wait on each other; (2) a window larger
+  request and reply pipes never wait on each other; (2) a call larger
   than ``max_batch`` goes out one frame at a time, the next when the
   previous one's reply lands; (3) a connection found dead at send time
   (an idle drop is found no earlier) is redialed once, on the same
-  replica, before a replica failure is counted.  Work a reply calls for
-  — the next frame, the window queued behind a finished flush, failover,
-  the rest of a batch after an unknown-GID reply — runs on the thread
-  that read it.  A partial reply frame stays buffered for the next
-  holder, so a caller leaving at ``request_deadline_s``
+  replica, before a replica failure is counted.  A re-send runs on the
+  caller that owns the frame.  A partial reply frame stays buffered for
+  the next holder, so a caller leaving at ``request_deadline_s``
   (:class:`~repro.errors.TaintMapDeadlineError`) never desynchronizes
-  the framing or strands the others in its batch.
-
-* **Group commit.**  One open window per kind (register, lookup);
-  identical entries share one wire entry and one result (registration
-  is idempotent, lookup read-only).  A caller that finds no flush of
-  that kind in flight **leads**: it sends the window at once, in frames
-  of at most ``max_batch`` entries.  Callers arriving while a flush is
-  in flight queue into the next window, sent when that flush completes,
-  so *k* concurrent misses share one round-trip.
-
-* **Backpressure.**  Pending entries (queued plus in flight) are bounded
-  by ``max_pending``; past it callers **block**, still reading replies
-  when the turn is free (``dista_coalesce_backpressure_total``).
+  the framing or strands the others waiting on the connection.
 
 * **Failover.**  A connection that dies fails every request in flight
-  on it, and each frame is re-sent on the next replica (idempotency
-  makes the retry safe).  ``STATUS_*`` errors and deadlines never fail
-  over.
+  on it, and each caller re-sends its own frame on the next replica
+  (idempotency makes the retry safe).  ``STATUS_*`` errors and
+  deadlines never fail over.
 """
 
 from __future__ import annotations
@@ -52,10 +43,9 @@ import itertools
 import struct
 import threading
 import time
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.taintmap import (
-    KIND_LOOKUP,
     KIND_REGISTER,
     MUX_READ_SIZE,
     OP_LOOKUP_MANY,
@@ -81,19 +71,9 @@ from repro.errors import (
 )
 from repro.runtime.kernel import TcpEndpoint
 
-#: Entries per frame: a larger window is sent as several frames.  Below
+#: Entries per frame: a larger call is sent as several frames.  Below
 #: the 16-bit :data:`~repro.core.taintmap.PROTOCOL_MAX_BATCH`.
 DEFAULT_MAX_BATCH = 512
-
-#: Pending-entry high-water mark (queued in windows plus carried by
-#: in-flight flushes) before backpressure engages.
-DEFAULT_MAX_PENDING = 8192
-
-#: Why a frame was flushed: ``idle`` — no flush of its kind was in
-#: flight, so the window went at once; ``drain`` — sent when the previous
-#: flush completed; ``size`` — a further frame of a window split at
-#: ``max_batch``.
-_FLUSH_REASONS = ("idle", "drain", "size")
 
 #: Mask keeping correlation ids within their 4-byte wire field; the
 #: counter itself is unbounded (``itertools.count``) and would
@@ -266,49 +246,39 @@ class _Channel:
             self._transport.client.stats.bump("close_errors")
 
 
-class _Batch:
-    """One window of one kind: open while callers join it, then — taken
-    by a leader, or when the previous flush of its kind completes — sent
-    one frame at a time until every key has a result."""
-
-    __slots__ = ("kind", "keys", "results", "unsent", "done")
-
-    def __init__(self, kind: int):
-        self.kind = kind
-        #: Entry key (serialized taint bytes, or int GID), in arrival order.
-        self.keys: dict = {}
-        #: Entry key → GID / serialized taint, or the exception it failed with.
-        self.results: dict = {}
-        #: Once taken, the keys no frame has carried yet.
-        self.unsent: list = []
-        self.done = False
-
-
 class _Flight:
-    """One frame of a batch."""
+    """One frame of one call, packed once, and what became of it."""
 
-    __slots__ = ("batch", "keys", "failures", "redialed", "observed_active", "started")
+    __slots__ = (
+        "op", "payload", "count", "outcome", "lost", "at_send", "observed_active", "started",
+    )
 
-    def __init__(self, batch: _Batch, keys: list):
-        self.batch = batch
-        self.keys = keys
-        #: Transport failures so far (one per replica tried).
-        self.failures = 0
-        #: Whether the frame was already re-sent on a redialed connection.
-        self.redialed = False
+    def __init__(self, kind: int, keys: Sequence):
+        pack = _pack_batch_register if kind == KIND_REGISTER else _pack_batch_lookup
+        self.op = _BATCH_OPS[kind]
+        self.payload = pack(keys)
+        self.count = len(keys)
+        #: The reply's values, or the exception the frame failed with.
+        self.outcome = None
+        #: The transport error that took the frame's connection, until
+        #: its owner re-sends it; ``at_send`` when the connection was
+        #: found dead at send time (rule 3).
+        self.lost: Optional[Exception] = None
+        self.at_send = False
         self.observed_active = 0
         self.started = 0.0
 
+    def landed(self) -> bool:
+        return self.outcome is not None or self.lost is not None
+
 
 class _Call:
-    """One ``submit``: its deadline and the batches it joined (in
-    order, without repeats)."""
+    """One ``submit``: its deadline."""
 
-    __slots__ = ("deadline", "batches")
+    __slots__ = ("deadline",)
 
     def __init__(self, deadline_s: Optional[float]):
         self.deadline = None if deadline_s is None else time.monotonic() + deadline_s
-        self.batches: list[_Batch] = []
 
     def remaining(self) -> Optional[float]:
         if self.deadline is None:
@@ -322,349 +292,195 @@ class TaintMapTransport:
     ``submit(kind, entries)`` returns one value per entry: serialized
     taints in and GIDs out for :data:`~repro.core.taintmap.KIND_REGISTER`,
     GIDs in and serialized taints out for
-    :data:`~repro.core.taintmap.KIND_LOOKUP`.  Entries are packed into
-    frames only once, when a frame is sent.  ``request_deadline_s``
-    bounds each ``submit``; ``None`` or a non-positive value disables it.
+    :data:`~repro.core.taintmap.KIND_LOOKUP`.  Each frame is packed once
+    and re-sent as packed.  ``request_deadline_s`` bounds each
+    ``submit``; ``None`` or a non-positive value disables it.
     """
 
     def __init__(self, client: TaintMapClient, request_deadline_s: Optional[float]):
         self.client = client
         self.max_batch = DEFAULT_MAX_BATCH
-        self.max_pending = DEFAULT_MAX_PENDING
         self.request_deadline_s = (
             None
             if request_deadline_s is None or request_deadline_s <= 0
             else float(request_deadline_s)
         )
-        # Group-commit telemetry on the owning node's registry (None for
-        # bare test nodes).  Label children are pre-declared so /metrics
-        # always exposes them.
-        self._flushes = None
-        self._window_entries = None
-        self._blocked_total = None
+        # In-flight depth on the owning node's registry (None for bare
+        # test nodes), declared now so /metrics always exposes it.
         self._inflight = None
         metrics = getattr(client, "_metrics", None)
         if metrics is not None:
-            flushes = metrics.counter(
-                "dista_coalesce_flush_total",
-                "Frames flushed from coalescing windows, by trigger (idle/drain/size).",
-                ("reason",),
-            )
-            self._flushes = {reason: flushes.labels(reason=reason) for reason in _FLUSH_REASONS}
-            self._window_entries = metrics.histogram(
-                "dista_coalesce_window_entries",
-                "Entries per flushed frame.",
-                (),
-                lowest=1.0,
-                buckets=16,
-            )
-            self._blocked_total = metrics.counter(
-                "dista_coalesce_backpressure_total",
-                "Entries gated at the pending-window high-water mark.",
-                ("action",),
-            ).labels(action="block")
             self._inflight = metrics.gauge(
                 "dista_taintmap_inflight_requests",
                 "Requests in flight on the multiplexed Taint Map connection.",
             ).labels()
         self._closed = False
-        #: Guards the group-commit state below and the connection's
-        #: request table and read turn.
+        #: Guards the connection's request table and read turn.
         self._lock = threading.Lock()
-        #: Parked callers sleep here; any change that may let one of
-        #: them go on (a batch done, the turn released, a frame sent
-        #: with the turn free, pending entries drained) wakes them all.
+        #: Parked callers sleep here; a reply settled, a connection lost
+        #: or the turn released wakes them all.
         self._changed = threading.Condition(self._lock)
         self._parked = 0
-        #: The open window of each kind, which arriving callers join.
-        self._windows = [_Batch(KIND_REGISTER), _Batch(KIND_LOOKUP)]
-        #: The batch of each kind in flight, or None.
-        self._flying: list[Optional[_Batch]] = [None, None]
-        #: Entries queued in windows plus carried by in-flight batches.
-        self._pending = 0
-        #: Callers parked at the high-water mark.
-        self._blocked = 0
         #: Dials lazily, on the first request.
         self._channel = _Channel(self)
 
     # -- lifecycle ---------------------------------------------------------- #
 
     def close(self) -> None:
-        """Fail every queued and in-flight entry (waking their callers),
-        then close the connection, which ends a caller's read."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            for kind in (KIND_REGISTER, KIND_LOOKUP):
-                for batch in (self._flying[kind], self._windows[kind]):
-                    if batch is not None:
-                        error = _closed_error()
-                        self._settle(batch, ((key, error) for key in batch.keys))
-            self._wake()
+        """Close the connection.  A call in flight on it finds it closed
+        and fails with the closed error instead of re-sending."""
+        self._closed = True
         self._channel.close()
 
     # -- sync entry point ---------------------------------------------------- #
 
     def submit(self, kind: int, entries: Sequence) -> list:
-        """Join ``entries`` to the open window of ``kind`` (leading it
-        when no flush of that kind is in flight), wait for them, and
-        return one value per entry."""
+        """Send ``entries`` as this call's own frames, at most
+        ``max_batch`` entries each and one at a time, and return one
+        value per entry."""
         call = _Call(self.request_deadline_s)
-        slots = self._join(call, kind, entries)
-        self._await(call, lambda: all(batch.done for batch in call.batches))
         values = []
-        for batch, key in slots:
-            value = batch.results[key]
-            if isinstance(value, BaseException):
-                raise value
-            values.append(value)
+        for start in range(0, len(entries), self.max_batch):
+            values += self._request(call, _Flight(kind, entries[start : start + self.max_batch]))
         return values
 
-    def _join(self, call: _Call, kind: int, keys: Sequence) -> list:
-        """Add ``keys`` to the open window of ``kind`` and lead it when
-        no flush of that kind is in flight; returns a ``(batch, key)``
-        slot per key."""
-        slots = []
-        index = 0
+    def _request(self, call: _Call, flight: _Flight) -> Sequence:
+        """Send one frame and wait for its reply.  After a transport
+        failure, send it again: on a redialed connection once when the
+        failure was found at send time (rule 3), else on the next
+        replica until every replica failed."""
+        redialed = False
+        failures = 0
         while True:
-            with self._lock:
-                if self._closed:
-                    raise _closed_error()
-                window = self._windows[kind]
-                start = index
-                while index < len(keys):
-                    key = keys[index]
-                    if key not in window.keys:
-                        if self._pending >= self.max_pending:
-                            break
-                        window.keys[key] = None
-                        self._pending += 1
-                    slots.append((window, key))
-                    index += 1
-                if index > start and window not in call.batches:
-                    call.batches.append(window)
-                if index == len(keys):
-                    leading = self._lead(kind)
-                    break
-                # At the high-water mark.  Send any window with no flush
-                # in flight first: nothing else would drain it.
-                taken = [self._lead(KIND_REGISTER), self._lead(KIND_LOOKUP)]
-                if self._blocked_total is not None:
-                    self._blocked_total.inc()
-                self._blocked += 1
-            try:
-                self._send(*taken)
-                self._await(call, lambda: self._closed or self._pending < self.max_pending)
-            finally:
-                with self._lock:
-                    self._blocked -= 1
-        self._send(leading)
-        return slots
+            connection = self._transmit(flight)
+            if connection is not None:
+                self._await(call, flight, connection)
+            exc, flight.lost = flight.lost, None
+            if exc is None:
+                break
+            if flight.at_send and not redialed:
+                redialed = True
+                continue
+            replicas = len(self.client._replicas)
+            self._channel.rotate(flight.observed_active)
+            failures += 1
+            if self._closed:
+                raise _closed_error()
+            if failures >= replicas:
+                if replicas == 1:
+                    raise exc  # single replica: surface the error itself
+                raise TaintMapError(f"all taint map replicas unreachable: {exc}")
+        if isinstance(flight.outcome, BaseException):
+            raise flight.outcome
+        return flight.outcome
 
-    def _await(self, call: _Call, ready: Callable[[], bool]) -> None:
-        """Return once ``ready()`` holds.  Meanwhile read replies while
-        the read turn is free and a reply is due, or else sleep until
-        woken or the call's deadline."""
+    def _await(self, call: _Call, flight: _Flight, connection: _MuxConnection) -> None:
+        """Return once ``flight`` has landed.  Meanwhile read
+        ``connection``, the one it was sent on, while its read turn is
+        free, or else sleep until woken or the call's deadline."""
         while True:
             with self._lock:
-                if ready():
+                if flight.landed():
                     return
-                connection = self._channel._connection
-                if connection is None or connection.reading or not connection._pending:
+                if connection.reading:
                     self._parked += 1
                     try:
                         woken = self._changed.wait(call.remaining())
                     finally:
                         self._parked -= 1
-                    if not woken and not ready():
+                    if not woken and not flight.landed():
                         raise self._deadline_error()
                     continue
                 connection.reading = True
-            self._send(*self._read_turn(connection, call, ready))
+            self._read_turn(connection, call, flight)
 
     def _deadline_error(self) -> TaintMapDeadlineError:
         return TaintMapDeadlineError(
             f"taint map request exceeded its {self.request_deadline_s}s deadline"
         )
 
-    # -- group commit (callers hold the lock) --------------------------------- #
+    # -- settling (callers hold the lock) -------------------------------------- #
 
     def _wake(self) -> None:
         if self._parked:
             self._changed.notify_all()
 
-    def _lead(self, kind: int, reason: str = "idle") -> Optional[_Flight]:
-        """Take a non-empty window of ``kind`` in flight if no flush of
-        its kind is, and return its first frame."""
-        window = self._windows[kind]
-        if self._flying[kind] is not None or not window.keys:
-            return None
-        self._flying[kind] = window
-        self._windows[kind] = _Batch(kind)
-        window.unsent = list(window.keys)
-        return self._frame(window, reason)
-
-    def _frame(self, batch: _Batch, reason: str) -> Optional[_Flight]:
-        """The batch's next frame, or None once every key went out."""
-        if batch.done or not batch.unsent:
-            return None
-        keys, batch.unsent = batch.unsent[: self.max_batch], batch.unsent[self.max_batch :]
-        if self._flushes is not None:
-            self._flushes[reason].inc()
-            self._window_entries.observe(len(keys))
-        return _Flight(batch, keys)
-
-    def _settle(self, batch: _Batch, results) -> Optional[_Flight]:
-        """Record ``(key, value or exception)`` results (the first one
-        for a key wins) and return the frame to send next: the batch's
-        next frame, or — when its last key settled — the first frame of
-        the window queued behind it."""
-        if batch.done:
-            return None
-        for key, value in results:
-            batch.results.setdefault(key, value)
-        if len(batch.results) < len(batch.keys):
-            return self._frame(batch, "size")
-        batch.done = True
-        self._pending -= len(batch.keys)
-        self._wake()
-        if self._flying[batch.kind] is batch:
-            self._flying[batch.kind] = None
-            if not self._closed:
-                return self._lead(batch.kind, "drain")
-        return None
-
-    def _landed(self, flight: _Flight, status: int, response: bytes) -> Optional[_Flight]:
-        """Settle what one reply answers; returns the frame it calls
-        for next, if any."""
-        batch = flight.batch
-        keys = flight.keys
+    def _landed(self, flight: _Flight, status: int, response: bytes) -> None:
+        """Settle the flight a reply answers."""
         client = self.client
         client.requests_sent += 1
-        client._observe_rpc(_BATCH_OPS[batch.kind], time.perf_counter() - flight.started)
+        client._observe_rpc(flight.op, time.perf_counter() - flight.started)
         try:
-            if status == STATUS_OK:
-                if batch.kind == KIND_REGISTER:
-                    values = struct.unpack(f">{len(keys)}I", response)
-                else:
-                    values = _split_batch_lookup_response(response, len(keys))
-                return self._settle(batch, zip(keys, values))
-            if (
-                status == STATUS_UNKNOWN_GID
-                and len(response) == 4
-                and struct.unpack(">I", response)[0] in keys
-            ):
-                # The server names the offending GID: fail that entry
-                # alone and re-send the rest (one extra round-trip)
-                # instead of failing the whole frame.
-                (bad,) = struct.unpack(">I", response)
-                flight.keys = [key for key in keys if key != bad]
-                error = TaintMapError("unknown Global ID")
-                if flight.keys and not batch.done:
-                    batch.results.setdefault(bad, error)
-                    return flight
-                return self._settle(batch, ((bad, error),))
-            error = _status_error(status)
+            if status != STATUS_OK:
+                flight.outcome = _status_error(status)
+            elif flight.op == OP_REGISTER_MANY:
+                flight.outcome = struct.unpack(f">{flight.count}I", response)
+            else:
+                flight.outcome = _split_batch_lookup_response(response, flight.count)
         except Exception as exc:  # a malformed reply
-            error = exc
-        return self._settle(batch, ((key, error) for key in keys))
+            flight.outcome = exc
+
+    def _lose(self, flights: list, exc: Exception, at_send: bool) -> None:
+        """A transport error took these frames' connection: hand each
+        back to its owner to re-send."""
+        for flight in flights:
+            flight.lost, flight.at_send = exc, at_send
+        self._wake()
 
     # -- sending (never while holding the read turn) --------------------------- #
 
-    def _send(self, *flights: Optional[_Flight]) -> None:
-        """Send frames on this thread until none is left: the given
-        ones, their re-sends, and the frames settling a failed one
-        calls for."""
-        queue = list(flights)
-        while queue:
-            flight = queue.pop()
-            if flight is not None:
-                try:
-                    queue.extend(self._transmit(flight))
-                except Exception as exc:  # never leave a batch half sent
-                    queue.append(self._fail(flight, exc))
-
-    def _transmit(self, flight: _Flight) -> list:
-        """Send one frame; returns what its failure calls for."""
-        kind = flight.batch.kind
-        pack = _pack_batch_register if kind == KIND_REGISTER else _pack_batch_lookup
-        payload = pack(flight.keys)
+    def _transmit(self, flight: _Flight) -> Optional[_MuxConnection]:
+        """Send one frame and return the connection its reply will come
+        on.  A transport failure on the way is recorded instead, on the
+        flights it took (``lost``), for their owners to act on."""
         flight.observed_active = self.client._active
         flight.started = time.perf_counter()
         try:
             connection = self._channel.connection()
         except TRANSPORT_ERRORS as exc:
-            return [self._retry(flight, exc)]
+            flight.lost, flight.at_send = exc, False
+            return None
         corr = None
         try:
             with self._lock:
                 corr = connection.enlist(flight)
-                if not connection.reading:
-                    self._wake()
-            connection.write(corr, _BATCH_OPS[kind], payload)
-            return []
+            connection.write(corr, flight.op, flight.payload)
+            return connection
         except TRANSPORT_ERRORS as exc:
             with self._lock:
                 if corr is not None and connection.take(corr) is None:
-                    return []  # a reader already failed it over
-                orphans = connection.fail(exc)
-            # Found dead at send time (rule 3): redial the same replica
-            # once before counting a replica failure.
+                    return None  # a reader already failed it over
+                self._lose([flight, *connection.fail(exc)], exc, at_send=True)
             self._channel.discard(connection)
-            return [self._retry(each, exc, redial=True) for each in (flight, *orphans)]
-
-    def _retry(self, flight: _Flight, exc: Exception, redial: bool = False) -> Optional[_Flight]:
-        """A transport error took ``flight``'s frame.  Returns the frame
-        to send again — on a redialed connection once when ``redial``,
-        else on the next replica — or whatever failing it calls for."""
-        if redial and not flight.redialed:
-            flight.redialed = True
-            return flight
-        replicas = len(self.client._replicas)
-        self._channel.rotate(flight.observed_active)
-        flight.failures += 1
-        if self._closed:
-            return self._fail(flight, _closed_error())
-        if flight.failures < replicas:
-            return flight
-        if replicas == 1:
-            return self._fail(flight, exc)  # single replica: surface the error itself
-        return self._fail(flight, TaintMapError(f"all taint map replicas unreachable: {exc}"))
-
-    def _fail(self, flight: _Flight, error: Exception) -> Optional[_Flight]:
-        with self._lock:
-            return self._settle(flight.batch, ((key, error) for key in flight.keys))
+            return None
 
     # -- replies (the read turn) ---------------------------------------------- #
 
-    def _read_turn(self, connection: _MuxConnection, call: _Call, ready) -> list:
+    def _read_turn(self, connection: _MuxConnection, call: _Call, mine: _Flight) -> None:
         """Read as the turn holder, settling every reply frame found,
-        until ``ready()`` holds, a reply calls for a send, or nothing is
-        left in flight.  Releases the turn and returns the frames to
-        send."""
+        until ``mine`` has landed; then release the turn."""
         try:
             while True:
                 frames = connection.receive(call.remaining())
                 with self._lock:
-                    sends = []
                     for corr, status, response in frames:
                         flight = connection.take(corr)
                         if flight is not None:
-                            sends.append(self._landed(flight, status, response))
-                    if any(sends) or ready() or not connection._pending:
+                            self._landed(flight, status, response)
+                    if mine.landed():
                         self._release(connection)
-                        return sends
+                        return
+                    if frames:
+                        self._wake()  # a parked caller's reply may be in
         except SimTimeout:
             with self._lock:
                 self._release(connection)
             raise self._deadline_error() from None
         except TRANSPORT_ERRORS as exc:
             with self._lock:
-                orphans = connection.fail(exc)
+                self._lose(connection.fail(exc), exc, at_send=False)
                 self._release(connection)
             self._channel.discard(connection)
-            return [self._retry(flight, exc) for flight in orphans]
         except BaseException:
             with self._lock:
                 self._release(connection)

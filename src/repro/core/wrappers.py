@@ -429,7 +429,6 @@ def make_direct_get(runtime: DisTARuntime):
 def make_disp_write0(runtime: DisTARuntime):
     def wrapper(original):
         def disp_write0(fd, mem, position, count, blocking=True, timeout=None) -> int:
-            runtime.node.jni.calls.hit("FileDispatcherImpl#write0")
             data = runtime.outgoing(runtime.native_read(mem, position, count))
             runtime.record_io(
                 "send", "dispatcher.write0", data, channel=fd.send_channel
@@ -448,7 +447,6 @@ def make_disp_write0(runtime: DisTARuntime):
 def make_disp_read0(runtime: DisTARuntime):
     def wrapper(original):
         def disp_read0(fd, mem, position, count, blocking=True, timeout=None) -> int:
-            runtime.node.jni.calls.hit("FileDispatcherImpl#read0")
             decoder = runtime.decoder_for(fd)
             budget = wire.wire_length(count)
             while True:
@@ -485,15 +483,13 @@ def make_disp_read0(runtime: DisTARuntime):
     return wrapper
 
 
-def make_dgram_send(runtime: DisTARuntime, call: str, method: str):
+def make_dgram_send(runtime: DisTARuntime, method: str):
     """Type-3 datagram sender for ``original(fd, mem, position, count,
     destination) -> count``: native memory and its shadow → one envelope
-    → ``sendto``.  ``call`` names the JNI method and ``method`` labels
-    its telemetry."""
+    → ``sendto``.  ``method`` labels its telemetry."""
 
     def wrapper(original):
         def dgram_send(fd, mem, position, count, destination) -> int:
-            runtime.node.jni.calls.hit(call)
             data = runtime.outgoing(runtime.native_read(mem, position, count))
             runtime.record_io("send", method, data, channel=("udp", tuple(destination)))
             _check_envelope_fits(count)
@@ -505,17 +501,15 @@ def make_dgram_send(runtime: DisTARuntime, call: str, method: str):
     return wrapper
 
 
-def make_dgram_receive(runtime: DisTARuntime, call: str, method: str, with_source: bool):
+def make_dgram_receive(runtime: DisTARuntime, method: str, with_source: bool):
     """Type-3 datagram receiver for ``original(fd, mem, position, count,
     blocking, timeout)``: one envelope off the socket → data into native
     memory, taints into its shadow.  Returns the byte count (or
     ``UNAVAILABLE``), paired with the sender's address when
-    ``with_source``.  ``call`` names the JNI method and ``method`` labels
-    its telemetry."""
+    ``with_source``.  ``method`` labels its telemetry."""
 
     def wrapper(original):
         def dgram_receive(fd, mem, position, count, blocking=True, timeout=None):
-            runtime.node.jni.calls.hit(call)
             try:
                 raw, source = fd.recvfrom(
                     (timeout if timeout is not None else 30.0) if blocking else 0.001

@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, Optional
 from repro.errors import InstrumentationError, SimTimeout
 from repro.runtime.kernel import TcpEndpoint, UdpEndpoint
 from repro.runtime.pipes import DEFAULT_TIMEOUT
-from repro.taint.instrument import CallCounter
 from repro.taint.values import LabelRuns, TByteArray, TBytes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -69,7 +68,6 @@ class JniTable:
 
     def __init__(self, node) -> None:
         self.node = node
-        self.calls = CallCounter()
         #: Shadow labels for native memory blocks, keyed by address; each
         #: value is a :class:`~repro.taint.values.LabelRuns` sized to the
         #: block.  Only DisTA wrappers populate this (uninstrumented JVMs
@@ -123,7 +121,6 @@ class JniTable:
         Shadow labels on ``data`` are dropped here — the kernel carries
         plain bytes (Fig. 1, dashed arrow).
         """
-        self.calls.hit("SocketOutputStream#socketWrite0")
         fd.send_all(data.data)
 
     def socket_read0(
@@ -140,7 +137,6 @@ class JniTable:
         Received bytes carry empty labels: the true taint stayed on the
         sending node.
         """
-        self.calls.hit("SocketInputStream#socketRead0")
         length = min(length, len(buf) - offset)
         if length <= 0:
             return 0
@@ -152,7 +148,6 @@ class JniTable:
 
     def socket_available(self, fd: TcpEndpoint) -> int:
         """``SocketInputStream.socketAvailable``."""
-        self.calls.hit("SocketInputStream#available")
         return fd._rx.available()
 
     # ------------------------------------------------------------------ #
@@ -161,7 +156,6 @@ class JniTable:
 
     def datagram_send(self, fd: UdpEndpoint, packet: "DatagramPacket") -> None:
         """``PlainDatagramSocketImpl.send``."""
-        self.calls.hit("PlainDatagramSocketImpl#send")
         fd.sendto(packet.payload().data, packet.socket_address())
 
     def datagram_receive0(
@@ -170,7 +164,6 @@ class JniTable:
         """``PlainDatagramSocketImpl.receive0``: fills ``packet`` in place,
         truncating to the packet's buffer size (standard UDP semantics —
         the root of the paper's mismatched-length problem, §III-D)."""
-        self.calls.hit("PlainDatagramSocketImpl#receive0")
         data, source = fd.recvfrom(timeout)
         packet.fill_from_wire(TBytes.raw(data), source)
 
@@ -179,7 +172,6 @@ class JniTable:
     ) -> int:
         """``PlainDatagramSocketImpl.peekData``: like receive0 but keeps
         the datagram queued.  Returns the sender port."""
-        self.calls.hit("PlainDatagramSocketImpl#peekData")
         data, source = fd.box.peek(timeout)
         packet.fill_from_wire(TBytes.raw(data), source)
         return source[1]
@@ -198,7 +190,6 @@ class JniTable:
         timeout: float = DEFAULT_TIMEOUT,
     ) -> int:
         """``FileDispatcherImpl.read0`` (via SocketDispatcher on Linux)."""
-        self.calls.hit("FileDispatcherImpl#read0")
         if blocking:
             chunk = fd.recv(count, timeout)
             if not chunk:
@@ -222,7 +213,6 @@ class JniTable:
         timeout: float = DEFAULT_TIMEOUT,
     ) -> int:
         """``FileDispatcherImpl.write0``: partial write from native memory."""
-        self.calls.hit("FileDispatcherImpl#write0")
         data = mem.read(position, count)
         if blocking:
             return fd.send(data, timeout)
@@ -236,7 +226,6 @@ class JniTable:
         timeout: float = DEFAULT_TIMEOUT,
     ) -> int:
         """``FileDispatcherImpl.readv0``: scatter read into (mem, pos, count)."""
-        self.calls.hit("FileDispatcherImpl#readv0")
         total = 0
         for index, (mem, position, count) in enumerate(regions):
             result = self.disp_read0(
@@ -259,7 +248,6 @@ class JniTable:
         timeout: float = DEFAULT_TIMEOUT,
     ) -> int:
         """``FileDispatcherImpl.writev0``: gather write."""
-        self.calls.hit("FileDispatcherImpl#writev0")
         total = 0
         for mem, position, count in regions:
             written = self.disp_write0(fd, mem, position, count, blocking, timeout)
@@ -278,7 +266,6 @@ class JniTable:
         timeout: float = DEFAULT_TIMEOUT,
     ) -> int:
         """``DatagramDispatcherImpl.read0`` (connected DatagramChannel)."""
-        self.calls.hit("DatagramDispatcherImpl#read0")
         try:
             data, _ = fd.recvfrom(timeout if blocking else 0.001)
         except SimTimeout:
@@ -298,7 +285,6 @@ class JniTable:
         destination: tuple,
     ) -> int:
         """``DatagramDispatcherImpl.write0`` (connected DatagramChannel)."""
-        self.calls.hit("DatagramDispatcherImpl#write0")
         return fd.sendto(mem.read(position, count), destination)
 
     def dgram_channel_send0(
@@ -310,7 +296,6 @@ class JniTable:
         destination: tuple,
     ) -> int:
         """``DatagramChannelImpl.send0`` (unconnected send)."""
-        self.calls.hit("DatagramChannelImpl#send0")
         return fd.sendto(mem.read(position, count), destination)
 
     def dgram_channel_receive0(
@@ -323,7 +308,6 @@ class JniTable:
         timeout: float = DEFAULT_TIMEOUT,
     ) -> tuple[int, Optional[tuple]]:
         """``DatagramChannelImpl.receive0``: returns (count, source)."""
-        self.calls.hit("DatagramChannelImpl#receive0")
         try:
             data, source = fd.recvfrom(timeout if blocking else 0.001)
         except SimTimeout:
@@ -350,7 +334,6 @@ class JniTable:
 
         Uninstrumented: the bytes arrive with empty labels (native memory
         has no shadow in a stock JRE)."""
-        self.calls.hit("DirectByteBuffer#get")
         dst.write(dst_offset, TBytes(mem.read(position, length)))
 
     def direct_put(
@@ -362,5 +345,4 @@ class JniTable:
         """``DirectByteBuffer.put(byte[])``: heap array → native memory.
 
         Uninstrumented: shadow labels on ``src`` are dropped."""
-        self.calls.hit("DirectByteBuffer#put")
         mem.write(position, src.data)

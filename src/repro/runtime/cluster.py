@@ -135,11 +135,7 @@ class Cluster:
 
             store = FileTaintMapStore(self.fs, "/var/dista/taintmap")
         self.taint_map_server = TaintMapServer(
-            self.kernel,
-            TAINT_MAP_IP,
-            TAINT_MAP_PORT,
-            store=store,
-            snapshot_every=self.config.taint_map_snapshot_every,
+            self.kernel, TAINT_MAP_IP, TAINT_MAP_PORT, store=store
         ).start()
 
     def _attach_agent(self, node: SimNode) -> None:

@@ -5,7 +5,7 @@ singleton taint tree, shadow-carrying value types with per-byte labels,
 propagation-by-union, and source/sink points.
 """
 
-from repro.taint.instrument import CallCounter, phosphor_summary
+from repro.taint.instrument import phosphor_summary
 from repro.taint.policy import POLICY, TaintPolicy, shadows_enabled
 from repro.taint.sources import SinkObservation, SourceEvent, SourceSinkRegistry
 from repro.taint.tags import LocalId, TaintTag
@@ -30,7 +30,6 @@ from repro.taint.values import (
 )
 
 __all__ = [
-    "CallCounter",
     "LabelRuns",
     "LocalId",
     "POLICY",

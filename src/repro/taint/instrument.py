@@ -8,16 +8,14 @@ network receive methods — the received data's true taint lives on the
 sending node and the parameter-derived summary loses it.  DisTA's whole
 point is replacing that naive wrapper on the 23 network JNI methods.
 
-This module provides the summary wrapper (used both as a convenience for
+This module provides the summary wrapper, used both as a convenience for
 simulated "uninstrumented library" calls and as the PHOSPHOR-mode JNI
-baseline) plus a tiny call-counting decorator the agent uses to report
-which instrumented methods actually fired.
+baseline.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
 from typing import Callable
 
 from repro.taint.values import taint_of, union_labels, with_taint
@@ -46,22 +44,3 @@ def phosphor_summary(fn: Callable) -> Callable:
     wrapper.__phosphor_summary__ = True  # type: ignore[attr-defined]
     return wrapper
 
-
-class CallCounter:
-    """Thread-safe per-method invocation counter for instrumented methods."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts: dict[str, int] = {}
-
-    def hit(self, descriptor: str) -> None:
-        with self._lock:
-            self._counts[descriptor] = self._counts.get(descriptor, 0) + 1
-
-    def count(self, descriptor: str) -> int:
-        with self._lock:
-            return self._counts.get(descriptor, 0)
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._counts)

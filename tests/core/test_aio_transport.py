@@ -1,7 +1,7 @@
 """Tests for the multiplexed Taint Map transport: correlation-id
-framing, group commit across messages (idle, drain and size flushes),
-out-of-order response delivery, mid-frame connection kill, failover
-with in-flight requests, and the client defaults a cluster builds."""
+framing, one frame per call (split at ``max_batch``), out-of-order
+response delivery, mid-frame connection kill, failover with in-flight
+requests, and the client defaults a cluster builds."""
 
 import struct
 import threading
@@ -28,7 +28,6 @@ from repro.core.taintmap import (
     take_frames,
 )
 from repro.errors import PipeClosed, TaintMapError
-from repro.obs.registry import snapshot_total
 from repro.runtime.cluster import TAINT_MAP_IP, TAINT_MAP_PORT, Cluster
 from repro.runtime.fs import SimFileSystem
 from repro.runtime.kernel import SimKernel
@@ -40,10 +39,10 @@ def _node(kernel, fs, name="n", ip="10.0.0.1", pid=1):
     return SimNode(name, kernel.register_node(ip), pid, kernel, fs, Mode.DISTA)
 
 
-def _flushes(node, reason):
-    return snapshot_total(
-        node.metrics.snapshot(), "dista_coalesce_flush_total", {"reason": reason}
-    )
+def _in_flight(client):
+    """Frames sent on the client's connection whose replies are due."""
+    connection = client.transport._channel._connection
+    return 0 if connection is None else len(connection._pending)
 
 
 def _read_frames(endpoint, count):
@@ -135,8 +134,8 @@ class TestMuxFraming:
 
         registering = threading.Thread(target=register, daemon=True)
         registering.start()
-        # The register frame is in flight before the lookup joins it.
-        assert _wait_until(lambda: client.transport._flying[0] is not None)
+        # The register frame is in flight before the lookup is sent.
+        assert _wait_until(lambda: _in_flight(client) == 1)
         results["taint"] = client.taint_for(77)
         registering.join(10)
         thread.join(10)
@@ -144,11 +143,55 @@ class TestMuxFraming:
         assert {t.tag for t in results["taint"].tags} == {"b"}
         client.close()
 
+    def test_same_kind_calls_are_in_flight_together(self, single):
+        """Two register calls each send their own frame at once: a server
+        that reads both frames before answering either, then answers
+        them in reverse order, gives each caller its own GID."""
+        kernel, _, server, node = single
+        server.stop()
+        listener = kernel.listen(TAINT_MAP_IP, TAINT_MAP_PORT)
+
+        def reordering_server():
+            endpoint = listener.accept(timeout=10)
+            frames = _read_frames(endpoint, 2)
+            assert [op for _, op, _ in frames] == [OP_REGISTER_MANY] * 2
+            # Each reply names its frame's correlation id (the first call
+            # enlists corr 1, the second corr 2); the last frame read is
+            # answered first.
+            for corr, _, _ in reversed(frames):
+                endpoint.send_all(mux_frame(corr, STATUS_OK, struct.pack(">I", 1000 * corr)))
+            # Hold the connection open until the client closes it.
+            endpoint.recv(MUX_READ_SIZE)
+            endpoint.close()
+            listener.close()
+
+        thread = threading.Thread(target=reordering_server, daemon=True)
+        thread.start()
+        client = TaintMapClient(
+            node, (TAINT_MAP_IP, TAINT_MAP_PORT), cache_enabled=False, request_deadline_s=2
+        )
+        gids = {}
+
+        def register(tag):
+            gids[tag] = client.gid_for(node.tree.taint_for_tag(tag))
+
+        first = threading.Thread(target=register, args=("first",), daemon=True)
+        first.start()
+        assert _wait_until(lambda: _in_flight(client) == 1)
+        register("second")
+        first.join(10)
+        assert not first.is_alive()
+        assert gids == {"first": 1000, "second": 2000}
+        assert client.requests_sent == 2
+        client.close()
+        thread.join(10)
+        assert not thread.is_alive()
+
 
 class TestAsyncClientApi:
     def test_unknown_gid_raises_and_other_lookups_survive(self, single):
-        """A group-committed lookup window containing one unknown GID
-        fails only that entry; co-batched lookups still resolve."""
+        """An unknown GID fails only the call that carries it: lookups
+        in flight beside it, in frames of their own, still resolve."""
         kernel, _, server, node = single
         client = TaintMapClient(node, server.address)
         holder = client.gid_for(node.tree.taint_for_tag("holder"))
@@ -163,22 +206,22 @@ class TestAsyncClientApi:
             except TaintMapError as exc:
                 results[name] = exc
 
-        # A slow lookup in flight makes the next two queue into one window.
+        # A slow lookup in flight keeps the next two in flight beside it.
         server._service_time = 0.2
         holding = threading.Thread(target=fetch, args=("holder", holder), daemon=True)
         holding.start()
-        assert _wait_until(lambda: client.transport._flying[1] is not None)
+        assert _wait_until(lambda: _in_flight(client) == 1)
         threads = [
             threading.Thread(target=fetch, args=("known", known), daemon=True),
             threading.Thread(target=fetch, args=("bogus", 0x0ABCDEF), daemon=True),
         ]
         for t in threads:
             t.start()
-        assert _wait_until(lambda: len(client.transport._windows[1].keys) == 2)
+        assert _wait_until(lambda: _in_flight(client) == 3)
         server._service_time = 0.0
         for t in [holding, *threads]:
             t.join(10)
-        assert server.stats.lookup_requests == 3  # holder, the pair, the re-sent rest
+        assert server.stats.lookup_requests == 3  # one frame per call
         assert isinstance(results["bogus"], TaintMapError)
         assert "unknown Global ID" in str(results["bogus"])
         assert {t.tag for t in results["known"].tags} == {"known"}
@@ -194,58 +237,9 @@ class TestAsyncClientApi:
 
 
 class TestCoalescing:
-    def test_concurrent_registrations_coalesce_to_one_roundtrip(self, single):
-        """k concurrent single-taint messages cost one round-trip per
-        flush in flight, not k: arrivals queue into the next window."""
-        kernel, _, server, node = single
-        server._service_time = 0.01  # keep a flush in flight
-        client = TaintMapClient(node, server.address, cache_enabled=False)
-        workers = 12
-        taints = [node.tree.taint_for_tag(f"co-{i}") for i in range(workers)]
-        barrier = threading.Barrier(workers)
-        gids = [None] * workers
-
-        def run(i):
-            barrier.wait()
-            gids[i] = client.gid_for(taints[i])
-
-        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(10)
-        assert len(set(gids)) == workers
-        assert client.requests_sent < workers
-        assert server.stats.register_entries == workers
-        assert server.stats.register_requests < workers
-        client.close()
-
-    def test_duplicate_keys_share_one_wire_entry(self, single):
-        """The same taint submitted by two in-flight messages dedups to
-        one entry (registration is idempotent)."""
-        kernel, _, server, node = single
-        server._service_time = 0.05
-        client = TaintMapClient(node, server.address, cache_enabled=False)
-        taint = node.tree.taint_for_tag("dup")
-        barrier = threading.Barrier(8)
-        gids = [None] * 8
-
-        def run(i):
-            barrier.wait()
-            gids[i] = client.gid_for(taint)
-
-        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(10)
-        assert set(gids) == {gids[0]}
-        assert server.stats.register_entries <= 2  # at most two windows
-        client.close()
-
     def test_flush_on_max_batch_size_beats_timer(self, single):
-        """A window larger than max_batch goes out at once as several
-        frames: the first an ``idle`` flush, the rest ``size`` flushes."""
+        """A call larger than max_batch goes out as several frames, one
+        at a time."""
         _, _, server, node = single
         client = TaintMapClient(node, server.address, cache_enabled=False)
         client.transport.max_batch = 8
@@ -253,23 +247,12 @@ class TestCoalescing:
         gids = client.gids_for(taints)
         assert len(set(gids)) == 20
         assert server.stats.register_requests == 3  # 8 + 8 + 4
-        assert (_flushes(node, "idle"), _flushes(node, "size")) == (1, 2)
-        client.close()
-
-    def test_flush_on_timer_when_under_batch_size(self, single):
-        """Under max_batch there is no timer to wait out: a lone request
-        with no flush in flight is sent at once, as an ``idle`` flush."""
-        _, _, server, node = single
-        client = TaintMapClient(node, server.address, cache_enabled=False)
-        gid = client.gid_for(node.tree.taint_for_tag("timer"))
-        assert gid == 1
-        assert _flushes(node, "idle") == 1
-        assert _flushes(node, "drain") == _flushes(node, "size") == 0
+        assert client.requests_sent == 3
         client.close()
 
     def test_zero_window_still_batches_one_call(self, single):
-        """A single gids_for call is one round-trip: all its entries
-        join the window before its caller sends it."""
+        """A single gids_for call is one round-trip: all its entries go
+        in one frame."""
         _, _, server, node = single
         client = TaintMapClient(node, server.address, cache_enabled=False)
         taints = [node.tree.taint_for_tag(f"z-{i}") for i in range(16)]

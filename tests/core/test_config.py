@@ -33,7 +33,6 @@ SAMPLES = {
     "source_fraction": ("0.25", 0.25),
     "lineage": ("on", True),
     "taint_map_durable": ("on", True),
-    "taint_map_snapshot_every": ("64", 64),
 }
 
 #: The defaults the docs/API.md table documents (clean environment).
@@ -46,7 +45,6 @@ DOCUMENTED_DEFAULTS = {
     "source_fraction": 1.0,
     "lineage": False,
     "taint_map_durable": False,
-    "taint_map_snapshot_every": 1024,
 }
 
 #: field → launch-extra text that must be refused.
@@ -59,7 +57,6 @@ BAD_TEXT = {
     "source_fraction": "1.5",
     "lineage": "maybe",
     "taint_map_durable": "maybe",
-    "taint_map_snapshot_every": "0",
 }
 
 #: field → keyword value that must be refused (rows with a range).
@@ -67,7 +64,6 @@ BAD_KEYWORD = {
     "wrapper_types": frozenset({4}),
     "sample_every": 0,
     "source_fraction": -0.1,
-    "taint_map_snapshot_every": 0,
 }
 
 
@@ -143,6 +139,7 @@ class TestConfigTable:
         "taintMapShards",
         "taintMapMinShards",
         "taintMapMaxShards",
+        "taintMapSnapshotEvery",
     ],
 )
 def test_unknown_launch_extra_is_refused(key):

@@ -39,17 +39,21 @@ from repro.runtime.modes import Mode
 from repro.runtime.node import SimNode
 
 
+def _start(kernel, address, store, snapshot_every=None):
+    """A server on ``address`` that recovers from ``store``;
+    ``snapshot_every`` lowers the allocations between its compacted
+    snapshots."""
+    server = TaintMapServer(kernel, *address, store=store)
+    if snapshot_every is not None:
+        server._snapshot_every = snapshot_every
+    return server.start()
+
+
 def _boot(name="durability", store=None, snapshot_every=None):
     kernel = SimKernel(name)
     kernel.register_node(TAINT_MAP_IP)
     fs = SimFileSystem()
-    server = TaintMapServer(
-        kernel,
-        TAINT_MAP_IP,
-        TAINT_MAP_PORT,
-        store=store,
-        snapshot_every=snapshot_every,
-    ).start()
+    server = _start(kernel, (TAINT_MAP_IP, TAINT_MAP_PORT), store, snapshot_every)
     node = SimNode("n1", kernel.register_node("10.0.0.1"), 1, kernel, fs, Mode.DISTA)
     return kernel, server, node
 
@@ -58,9 +62,7 @@ def _restart(kernel, server, store, snapshot_every=None):
     """Crash-restart: stop ``server`` and boot a replacement on the same
     address that recovers from the same store."""
     server.stop()
-    return TaintMapServer(
-        kernel, *server.address, store=store, snapshot_every=snapshot_every
-    ).start()
+    return _start(kernel, server.address, store, snapshot_every)
 
 
 class TestWalCodec:
@@ -303,10 +305,9 @@ class DurableTaintMapMachine(RuleBasedStateMachine):
         self.kernel.register_node(TAINT_MAP_IP)
         self.fs = SimFileSystem()
         self.store = self.make_store(self.fs)
-        self.server = TaintMapServer(
-            self.kernel, TAINT_MAP_IP, TAINT_MAP_PORT, store=self.store,
-            snapshot_every=self.SNAPSHOT_EVERY,
-        ).start()
+        self.server = _start(
+            self.kernel, (TAINT_MAP_IP, TAINT_MAP_PORT), self.store, self.SNAPSHOT_EVERY
+        )
         self.node = SimNode(
             "n1", self.kernel.register_node("10.0.0.1"), 1, self.kernel, self.fs,
             Mode.DISTA,

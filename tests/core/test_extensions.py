@@ -23,11 +23,9 @@ def _register_custom_transport(node) -> None:
     """A vendor 'RDMA-ish' transport: stream semantics over a raw fd."""
 
     def rdma_send0(fd, data: TBytes) -> None:
-        node.jni.calls.hit("vendor.Rdma#send0")
         fd.send_all(data.data)
 
     def rdma_recv0(fd, buf: TByteArray, offset: int, length: int) -> int:
-        node.jni.calls.hit("vendor.Rdma#recv0")
         chunk = fd.recv(min(length, len(buf) - offset))
         if not chunk:
             return EOF

@@ -1,10 +1,9 @@
-"""Group commit and the transport's thread model.
+"""One frame per call, and the transport's thread model.
 
-Two load shapes: concurrent callers share round-trips (entries queue
-into the next window while a flush is in flight), and an idle caller
-pays exactly one round-trip per miss, with nothing to wait for.  The
-thread model: requests go out and replies are read on the callers'
-threads, so the client owns no thread.
+Two load shapes: loaded callers each send their own frame, however many
+of their kind are in flight, and an idle caller pays exactly one
+round-trip per miss.  The thread model: requests go out and replies are
+read on the callers' threads, so the client owns no thread.
 """
 
 import sys
@@ -13,7 +12,6 @@ import threading
 import pytest
 
 from repro.core.taintmap import TaintMapClient, TaintMapServer
-from repro.obs.registry import snapshot_total
 from repro.runtime.cluster import TAINT_MAP_IP, TAINT_MAP_PORT
 from repro.runtime.fs import SimFileSystem
 from repro.runtime.kernel import SimKernel
@@ -25,15 +23,9 @@ def _node(kernel, fs, name="n", ip="10.0.0.1", pid=1):
     return SimNode(name, kernel.register_node(ip), pid, kernel, fs, Mode.DISTA)
 
 
-def _flushes(node, reason):
-    return snapshot_total(
-        node.metrics.snapshot(), "dista_coalesce_flush_total", {"reason": reason}
-    )
-
-
 @pytest.fixture()
 def slow_shard():
-    kernel = SimKernel("group-commit")
+    kernel = SimKernel("frame-per-call")
     kernel.register_node(TAINT_MAP_IP)
     fs = SimFileSystem()
     server = TaintMapServer(kernel, TAINT_MAP_IP, TAINT_MAP_PORT, service_time=0.002)
@@ -42,12 +34,12 @@ def slow_shard():
     server.stop()
 
 
-class TestGroupCommitShapes:
-    def test_loaded_callers_share_round_trips(self, slow_shard):
-        """16 threads registering fresh taints: fewer round-trips than
-        registrations, and every GID distinct and resolving to its own
+class TestFramePerCall:
+    def test_loaded_callers_each_send_their_own_frame(self, slow_shard):
+        """16 threads registering fresh taints: one round-trip per
+        registration, and every GID distinct and resolving to its own
         taint.  A short switch interval interleaves the callers densely,
-        so a lost update to the shared window state would show."""
+        so a lost update to the shared request table would show."""
         kernel, fs, server = slow_shard
         node = _node(kernel, fs)
         client = TaintMapClient(node, server.address, cache_enabled=False)
@@ -75,14 +67,13 @@ class TestGroupCommitShapes:
         finally:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
-        assert client.transport._pending == 0
+        assert client.transport._channel._connection._pending == {}
         registrations = threads * per_thread
         flat = [gid for row in gids for gid in row]
         assert None not in flat
         assert len(set(flat)) == registrations
         assert server.stats.register_entries == registrations
-        assert client.requests_sent < registrations
-        assert _flushes(node, "drain") > 0
+        assert client.requests_sent == registrations
         # Correct, not just distinct: a fresh node resolves each GID to
         # the tags it was registered for.
         reader = TaintMapClient(_node(kernel, fs, "r", "10.0.0.2", 2), server.address)
@@ -100,8 +91,6 @@ class TestGroupCommitShapes:
             before = client.requests_sent
             assert client.gid_for(node.tree.taint_for_tag(f"idle-{i}")) > 0
             assert client.requests_sent - before == 1
-        assert _flushes(node, "idle") == 10
-        assert _flushes(node, "drain") == _flushes(node, "size") == 0
         client.close()
 
 

@@ -2,9 +2,10 @@
 
 No thread drains replies on its own, so these check the rules that
 keep them draining: mixed concurrent calls across a primary kill settle
-and leave the transport idle, multi-frame windows in both directions
-complete through pipes smaller than one frame, and a connection the
-server dropped while idle is redialed on the same replica.
+and leave the transport idle, multi-frame calls of both kinds, two of
+each at once, complete through pipes smaller than one frame, and a
+connection the server dropped while idle is redialed on the same
+replica.
 """
 
 import random
@@ -21,7 +22,6 @@ from repro.core.ha import (
 )
 from repro.core.taintmap import TaintMapClient, TaintMapServer
 from repro.errors import TaintMapError
-from repro.obs.registry import snapshot_total
 from repro.runtime.cluster import TAINT_MAP_IP, TAINT_MAP_PORT
 from repro.runtime.fs import SimFileSystem
 from repro.runtime.kernel import SimKernel
@@ -51,10 +51,8 @@ def _wait_until(predicate, timeout=10.0):
 
 
 def _assert_idle(transport):
-    """Nothing queued, in flight, parked or holding the read turn."""
-    assert transport._pending == 0
-    assert transport._flying == [None, None]
-    assert transport._parked == 0 and transport._blocked == 0
+    """Nothing in flight, parked or holding the read turn."""
+    assert transport._parked == 0
     connection = transport._channel._connection
     if connection is not None:
         assert connection._pending == {}
@@ -163,9 +161,9 @@ class TestConcurrentCalls:
 
 class TestSmallPipes:
     def test_multi_frame_windows_in_both_directions(self):
-        """A register window whose frames and a lookup window whose
-        replies are each larger than the pipe fly at once from two
-        threads, as several frames each, and both complete."""
+        """Register calls whose frames and lookup calls whose replies are
+        each larger than the pipe fly at once from four threads, two of
+        each kind, as several frames each, and all complete."""
         kernel = SimKernel("small-pipes", pipe_capacity=4096)
         kernel.register_node(TAINT_MAP_IP)
         fs = SimFileSystem()
@@ -178,19 +176,26 @@ class TestSmallPipes:
         pad = "x" * 170  # ~200-byte serialized taints: 50 of them are ~10 KiB
         known = [node.tree.taint_for_tag(f"{pad}-known-{i:03d}") for i in range(400)]
         fresh = [node.tree.taint_for_tag(f"{pad}-fresh-{i:03d}") for i in range(400)]
+        more = [node.tree.taint_for_tag(f"{pad}-more-{i:03d}") for i in range(400)]
         known_gids = client.gids_for(known)
         results = {}
-        start = threading.Barrier(2)
+        start = threading.Barrier(4)
 
-        def register():
+        def register(key, taints):
             start.wait()
-            results["gids"] = client.gids_for(fresh)
+            results[key] = client.gids_for(taints)
 
-        def lookup():
+        def lookup(key):
             start.wait()
-            results["taints"] = client.taints_for(known_gids)
+            results[key] = client.taints_for(known_gids)
 
-        threads = [threading.Thread(target=fn, daemon=True) for fn in (register, lookup)]
+        calls = [
+            (register, ("gids", fresh)),
+            (lookup, ("taints",)),
+            (register, ("more_gids", more)),
+            (lookup, ("more_taints",)),
+        ]
+        threads = [threading.Thread(target=fn, args=args, daemon=True) for fn, args in calls]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -199,9 +204,11 @@ class TestSmallPipes:
         assert len(set(results["gids"])) == 400
         assert not set(results["gids"]) & set(known_gids)
         assert [_tags(taint) for taint in results["taints"]] == [_tags(t) for t in known]
-        # Three windows of 400 entries: each went out as 8 frames.
-        flushes = node.metrics.snapshot()
-        assert snapshot_total(flushes, "dista_coalesce_flush_total", {"reason": "size"}) == 21
+        assert len(set(results["gids"] + results["more_gids"])) == 800
+        assert not set(results["more_gids"]) & set(known_gids)
+        assert [_tags(taint) for taint in results["more_taints"]] == [_tags(t) for t in known]
+        # Five calls of 400 entries: each went out as 8 frames of its own.
+        assert client.requests_sent == 40
         _assert_idle(client.transport)
         client.close()
         server.stop()

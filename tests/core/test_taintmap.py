@@ -249,9 +249,8 @@ class TestTaintMapService:
         assert len(set(gids)) == total
         assert server.global_taint_count() == total
         # Counters are race-free: the server counts exactly the client's
-        # sends (coalescing may merge concurrent misses into one
-        # request, never drop one), one entry per taint.
-        assert 0 < c1.requests_sent <= total
+        # sends, one frame per call and one entry per taint.
+        assert c1.requests_sent == total
         snapshot = server.stats.snapshot()
         assert snapshot["register_requests"] == c1.requests_sent
         assert snapshot["register_entries"] == total

@@ -1,20 +1,17 @@
 """Regression tests for the Taint Map transport's hardening: 16-bit
-batch-count overflow (protocol chunking at the window split), shutdown
-with an in-flight flush, per-request deadlines on a stalled server,
-fresh broken-connection errors, correlation-id wrap, and blocking
-backpressure.
+batch-count overflow (protocol chunking at the call split), shutdown
+with a frame in flight, per-request deadlines on a stalled server,
+fresh broken-connection errors, and correlation-id wrap.
 """
 
 import itertools
 import struct
 import threading
 import time
-from concurrent.futures import Future
 
 import pytest
 
 from repro.core.taintmap import (
-    KIND_REGISTER,
     PROTOCOL_MAX_BATCH,
     STATUS_OK,
     TaintMapClient,
@@ -22,7 +19,6 @@ from repro.core.taintmap import (
     _pack_batch_lookup,
     _pack_batch_register,
     mux_frame,
-    serialize_tags,
     take_frames,
 )
 from repro.errors import (
@@ -75,7 +71,7 @@ class TestProtocolBatchLimit:
 
     def test_oversized_batch_round_trips(self, single):
         """A single >65535-run message registers and resolves, as many
-        frames of at most ``max_batch`` entries on the wire: the window
+        frames of at most ``max_batch`` entries on the wire: the call
         itself must chunk."""
         _, _, server, node = single
         count = PROTOCOL_MAX_BATCH + 17
@@ -99,9 +95,8 @@ class TestProtocolBatchLimit:
 
 class TestShutdownWithInflightFlush:
     def test_close_fails_inflight_flush_instead_of_hanging(self):
-        """``close()`` must fail entries already in flight, not only
-        those still queued in windows; otherwise the caller waiting on
-        an in-flight batch would block forever."""
+        """``close()`` must fail a frame already in flight; otherwise
+        the caller waiting on its reply would block forever."""
         kernel = SimKernel("close-test")
         kernel.register_node(TAINT_MAP_IP)
         fs = SimFileSystem()
@@ -123,15 +118,20 @@ class TestShutdownWithInflightFlush:
         thread = threading.Thread(target=register, daemon=True)
         thread.start()
         transport = client.transport
-        assert _wait_until(lambda: transport._flying[0] is not None)
+        assert _wait_until(
+            lambda: transport._channel._connection is not None
+            and transport._channel._connection._pending
+        )
+        connection = transport._channel._connection
         started = time.monotonic()
         client.close()
         assert time.monotonic() - started < 8.0
         thread.join(timeout=8)
         assert not thread.is_alive(), "submitter still blocked after close()"
         assert errors and isinstance(errors[0], TaintMapError)
-        # The failed batch released its budget and its lane.
-        assert transport._pending == 0 and transport._flying == [None, None]
+        # The failed frame left the request table and the read turn.
+        assert connection._pending == {} and not connection.reading
+        assert transport._parked == 0
         client.close()  # idempotent
         server.stop()
 
@@ -278,57 +278,6 @@ class TestCorrelationIdWrap:
         connection._corr = itertools.count(2**32 + 1)
         assert client.gid_for(node.tree.taint_for_tag("collide1")) > 0
         assert connection._pending.get(1) is planted, "pending request was overwritten"
-        client.close()
-
-
-class TestBackpressure:
-    """A slow server keeps one flush in flight, so later registrations
-    queue in the next window and count against ``max_pending``."""
-
-    def _register_async(self, client, node, tag):
-        payload = serialize_tags(node.tree.taint_for_tag(tag).tags)
-        future = Future()
-
-        def run():
-            try:
-                future.set_result(client.transport.submit(KIND_REGISTER, [payload])[0])
-            except Exception as exc:  # noqa: BLE001 - checked by the test
-                future.set_exception(exc)
-
-        threading.Thread(target=run, daemon=True).start()
-        return future
-
-    def test_block_policy_flushes_and_waits_for_drain(self, single):
-        _, _, server, node = single
-        server._service_time = 0.3
-        client = TaintMapClient(node, server.address)
-        transport = client.transport
-        transport.max_pending = 2
-        first = self._register_async(client, node, "blk0")
-        assert _wait_until(lambda: transport._flying[0] is not None)
-        second = self._register_async(client, node, "blk1")
-        assert _wait_until(lambda: transport._pending == 2)
-        # The third parks at the mark until the in-flight flush lands.
-        third = self._register_async(client, node, "blk2")
-        assert _wait_until(lambda: transport._blocked)
-        assert not third.done()
-        assert first.result(timeout=5) > 0
-        assert second.result(timeout=5) > 0
-        assert third.result(timeout=5) > 0
-        assert _wait_until(lambda: transport._pending == 0)
-        client.close()
-
-    def test_block_policy_sends_a_window_its_own_caller_filled(self, single):
-        """One call larger than the mark: the caller must send the window
-        it filled itself (no flush is in flight to drain it), then wait."""
-        _, _, server, node = single
-        client = TaintMapClient(node, server.address, cache_enabled=False)
-        client.transport.max_pending = 3
-        taints = [node.tree.taint_for_tag(f"self{i}") for i in range(7)]
-        gids = client.gids_for(taints)
-        assert len(set(gids)) == 7
-        assert server.stats.register_requests == 3  # 3 + 3 + 1
-        assert client.transport._pending == 0
         client.close()
 
 

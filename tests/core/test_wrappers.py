@@ -124,13 +124,18 @@ class TestType1StreamWrappers:
             assert ins.read_fully(2) == b"xy"
 
     def test_write_counts_both_jni_hits(self, dista_pair):
-        """The wrapper calls the *original* method (Fig. 6), so the
-        unpatched counter still increments."""
+        """The wrapper calls the *original* method (Fig. 6): one wrapped
+        call, and the original puts the 1-byte write's cell on the wire
+        (the data byte plus its 4-byte GID)."""
         cluster, n1, n2 = dista_pair
         conn, client, _ = _connect(n1, n2, 9504)
-        before = n1.jni.calls.count("SocketOutputStream#socketWrite0")
+        labels = {"method": "socketWrite0", "direction": "send"}
+        server = (n2.ip, 9504)
+        calls = snapshot_total(n1.metrics.snapshot(), "dista_jni_calls_total", labels)
+        sent = cluster.kernel.stats.tcp_bytes.get(server, 0)
         client.get_output_stream().write(TBytes(b"x"))
-        assert n1.jni.calls.count("SocketOutputStream#socketWrite0") == before + 1
+        assert snapshot_total(n1.metrics.snapshot(), "dista_jni_calls_total", labels) == calls + 1
+        assert cluster.kernel.stats.tcp_bytes[server] == sent + 5
 
 
 class TestWireCopies:

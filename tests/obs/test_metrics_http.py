@@ -13,8 +13,6 @@ from repro.taint.values import TBytes
 #: Families the acceptance criteria require on /metrics.
 REQUIRED_FAMILIES = (
     "dista_taintmap_rpc_seconds",
-    "dista_coalesce_flush_total",
-    "dista_coalesce_backpressure_total",
     "dista_jni_tainted_bytes_total",
     "dista_cache_events_total",
 )
@@ -22,12 +20,7 @@ REQUIRED_FAMILIES = (
 
 #: The Taint Map client's transport families: the client declares them
 #: when the agent attaches, so they are present before any traffic.
-TRANSPORT_FAMILIES = (
-    "dista_coalesce_flush_total",
-    "dista_coalesce_window_entries",
-    "dista_coalesce_backpressure_total",
-    "dista_taintmap_inflight_requests",
-)
+TRANSPORT_FAMILIES = ("dista_taintmap_inflight_requests",)
 
 
 @pytest.fixture()

@@ -10,7 +10,6 @@ from repro.taint import (
     TaintTree,
     phosphor_summary,
 )
-from repro.taint.instrument import CallCounter
 
 
 @pytest.fixture()
@@ -112,17 +111,6 @@ class TestPhosphorSummary:
 
         # Returns the raw object rather than failing.
         assert make(TInt(1, t)) is not None
-
-
-class TestCallCounter:
-    def test_counts(self):
-        c = CallCounter()
-        c.hit("socketRead0")
-        c.hit("socketRead0")
-        c.hit("socketWrite0")
-        assert c.count("socketRead0") == 2
-        assert c.snapshot() == {"socketRead0": 2, "socketWrite0": 1}
-        assert c.count("unknown") == 0
 
 
 class TestSourceFraction:
