@@ -720,6 +720,15 @@ class TaintMapServer:
         }
 
 
+def _stamp_global_ids(taints: Sequence[Taint], gids: Sequence[int]) -> None:
+    """Paper §III-D.1: a tag's GlobalID is set when it first crosses the
+    network, on the sender and the receiver alike, from the GID of its
+    singleton taint."""
+    for taint, gid in zip(taints, gids):
+        if taint.parent is taint.tree.root and taint.tag.global_id == 0:
+            taint.tag.global_id = gid
+
+
 class TaintMapClient:
     """Per-node connection to the Taint Map, with both-direction caches.
 
@@ -763,14 +772,10 @@ class TaintMapClient:
         #: costs another Taint Map request (Fig. 9's "does not need to
         #: request a Global ID again").
         self._cache_lock = threading.Lock()
-        #: taint node identity → (Global ID, taint handle).  Keyed by
-        #: ``id(node)`` (not the per-tree rank, which collides between
-        #: different trees when a foreign taint handle is registered).
-        #: The entry holds a strong reference to the taint so its node
-        #: can never be garbage-collected while cached — otherwise a
-        #: reused ``id()`` could alias a dead node's Global ID.
-        self._gid_cache: dict[int, tuple[int, Taint]] = {}
-        #: Global ID → local Taint handle.
+        #: Taint → Global ID.  A taint is its tree node, hashed by
+        #: identity, and the key keeps it alive while cached.
+        self._gid_cache: dict[Taint, int] = {}
+        #: Global ID → local taint.
         self._taint_cache: dict[int, Taint] = {}
         self.requests_sent = 0
         #: Node telemetry (None for bare test nodes without a registry).
@@ -837,12 +842,12 @@ class TaintMapClient:
         if self._batch_entries is not None:
             self._op_child(self._batch_entries, op).observe(entries)
 
-    def _cached(self, cache: dict, keys: Sequence) -> tuple[list, dict]:
+    def _cached(self, cache: dict, keys: Sequence, empty) -> tuple[list, dict]:
         """Read ``cache`` for every key that is not ``None`` under one lock
         hold, and count the call's hits and misses in one update.  Returns
-        the cached values by position, and each missed key with the
-        positions it fills."""
-        values = [None] * len(keys)
+        the cached values by position (``empty`` where the key is
+        ``None``), and each missed key with the positions it fills."""
+        values = [empty] * len(keys)
         misses: dict = {}
         looked = 0
         with self._cache_lock:
@@ -872,9 +877,8 @@ class TaintMapClient:
         most one request on first send, and zero on resend (Fig. 9's
         "does not need to request a Global ID again", batched).
         """
-        keys = [None if t is None or t.is_empty else id(t.node) for t in taints]
-        cached, misses = self._cached(self._gid_cache, keys)
-        gids = [0 if entry is None else entry[0] for entry in cached]
+        keys = [None if t is None or t.tag is None else t for t in taints]
+        gids, misses = self._cached(self._gid_cache, keys, 0)
         if misses:
             fresh = [taints[positions[0]] for positions in misses.values()]
             self._observe_batch(OP_REGISTER_MANY, len(fresh))
@@ -891,16 +895,9 @@ class TaintMapClient:
         if self._cache_enabled:
             with self._cache_lock:
                 for taint, gid in zip(taints, gids):
-                    self._gid_cache[id(taint.node)] = (gid, taint)
+                    self._gid_cache[taint] = gid
                     self._taint_cache.setdefault(gid, taint)
-        # Paper §III-D.1: a tag's GlobalID field is set when it first
-        # crosses the network (meaningful for singleton taints).
-        for taint, gid in zip(taints, gids):
-            tags = taint.tags
-            if len(tags) == 1:
-                (tag,) = tags
-                if tag.global_id == 0:
-                    tag.global_id = gid
+        _stamp_global_ids(taints, gids)
 
     # -- receiver side (Fig. 9 steps 4-5) ---------------------------------- #
 
@@ -911,7 +908,7 @@ class TaintMapClient:
     def taints_for(self, gids: Sequence[int]) -> list[Optional[Taint]]:
         """Local taints for a batch of Global IDs, resolving all cache
         misses in one ``OP_LOOKUP_MANY`` round-trip."""
-        taints, misses = self._cached(self._taint_cache, [gid or None for gid in gids])
+        taints, misses = self._cached(self._taint_cache, [gid or None for gid in gids], None)
         if misses:
             pending = list(misses)
             self._observe_batch(OP_LOOKUP_MANY, len(pending))
@@ -929,7 +926,8 @@ class TaintMapClient:
             with self._cache_lock:
                 for gid, taint in zip(gids, taints):
                     self._taint_cache[gid] = taint
-                    self._gid_cache.setdefault(id(taint.node), (gid, taint))
+                    self._gid_cache.setdefault(taint, gid)
+        _stamp_global_ids(taints, gids)
         return taints
 
     def close(self) -> None:

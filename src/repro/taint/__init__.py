@@ -9,7 +9,7 @@ from repro.taint.instrument import phosphor_summary
 from repro.taint.policy import POLICY, TaintPolicy, shadows_enabled
 from repro.taint.sources import SinkObservation, SourceEvent, SourceSinkRegistry
 from repro.taint.tags import LocalId, TaintTag
-from repro.taint.tree import Taint, TaintTree, TreeNode
+from repro.taint.tree import Taint, TaintTree
 from repro.taint.values import (
     LabelRuns,
     TBool,
@@ -48,7 +48,6 @@ __all__ = [
     "TaintPolicy",
     "TaintTag",
     "TaintTree",
-    "TreeNode",
     "as_tbytes",
     "as_tstr",
     "phosphor_summary",

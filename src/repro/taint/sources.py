@@ -41,7 +41,7 @@ class SinkObservation:
         return bool(self.tags)
 
 
-@dataclass
+@dataclass(slots=True)
 class SourceEvent:
     """One source-point firing: the tag it generated."""
 
@@ -156,7 +156,7 @@ class SourceSinkRegistry:
         if tag_value is None:
             tag_value = f"{descriptor}#{counter}"
         taint = self.tree.taint_for_tag(tag_value)
-        tag = next(iter(taint.tags))
+        tag = taint.tag
         with self._lock:
             self.source_events.append(SourceEvent(descriptor, self.node_name, tag, detail))
         if self.lineage is not None:

@@ -38,7 +38,11 @@ class TaintTag:
     the tree rank ``ID`` differs between nodes (each JVM has its own tree)
     and ``GlobalID`` is assigned lazily, so neither can participate in
     identity without breaking cross-node tag comparison.  Both identity
-    fields are fixed at construction, so the hash is computed once.
+    fields are fixed at construction, so the hash is computed once; the
+    one change allowed is the tree's, which before ranking a tag may swap
+    its ``local_id`` for an equal ``LocalId`` object it already holds for
+    that origin, so all of an origin's tags share one.  An equal value
+    keeps the hash valid.
     """
 
     __slots__ = ("tag", "local_id", "tree_id", "global_id", "_hash")

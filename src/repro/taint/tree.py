@@ -7,10 +7,11 @@ the path from the root to that node.  Combining two taints (e.g. for
 carries the union of both tag sets.  Referring taints to shared nodes
 means equal tag sets are stored once.
 
-This module implements the tree plus the :class:`Taint` handle type.
-``Taint`` instances are interned per tree node, so two values tainted with
-the same tag set hold the *same* ``Taint`` object and identity comparison
-is enough for the hot paths (per-byte label arrays).
+Here the node *is* the taint: a :class:`Taint` is one tree node holding
+its tag, parent, tree and children, and nothing else.  The tree keeps
+one node per tag set, so two values tainted with the same tag set hold
+the *same* ``Taint`` object and identity comparison is enough for the
+hot paths (per-byte label arrays).
 """
 
 from __future__ import annotations
@@ -25,64 +26,44 @@ from repro.taint.tags import LocalId, TaintTag
 _RANK = attrgetter("tree_id")
 
 
-class TreeNode:
-    """One node of the taint tree: the tuple ``<ID, Tag>`` of Fig. 3.
+class Taint:
+    """A taint: one node of the taint tree, the ``<ID, Tag>`` of Fig. 3.
 
-    The root carries no tag (``tag is None``) and denotes the empty taint.
+    The root carries no tag (``tag is None``) and is the empty taint.
+    A node's tag set is the tags on its path from the root, which
+    ascends by rank, and the tree holds one node per tag set, so ``is``
+    comparison is valid whenever both taints come from the same tree.
     """
 
-    __slots__ = ("node_id", "tag", "parent", "children", "tag_set", "taint")
+    __slots__ = ("tag", "parent", "tree", "children")
 
-    def __init__(self, node_id: int, tag: Optional[TaintTag], parent: Optional["TreeNode"]):
-        self.node_id = node_id
+    def __init__(self, tag: Optional[TaintTag], parent: Optional["Taint"], tree: "TaintTree"):
         self.tag = tag
         self.parent = parent
-        #: Child lookup by the appended tag.
-        self.children: dict[TaintTag, TreeNode] = {}
-        parent_tags = parent.tag_set if parent is not None else frozenset()
-        #: All tags on the path root → this node (cached; paths are short).
-        self.tag_set: frozenset[TaintTag] = (
-            parent_tags | {tag} if tag is not None else parent_tags
-        )
-        #: Interned taint handle referring to this node (set by the tree).
-        self.taint: "Taint" = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"TreeNode(id={self.node_id}, tags={sorted(str(t.tag) for t in self.tag_set)})"
-
-
-class Taint:
-    """A taint: an immutable handle to one taint-tree node.
-
-    The empty taint refers to the tree root.  Handles are interned per
-    node, so ``is`` comparison is valid whenever both handles come from
-    the same tree.
-    """
-
-    __slots__ = ("node", "tree")
-
-    def __init__(self, node: TreeNode, tree: "TaintTree"):
-        self.node = node
         self.tree = tree
+        #: Child by appended tag; created with the first child.
+        self.children: Optional[dict[TaintTag, Taint]] = None
 
     @property
     def tags(self) -> frozenset[TaintTag]:
-        """All tags carried by this taint (path from root to node)."""
-        return self.node.tag_set
+        """All tags carried by this taint, collected by walking up to
+        the root: O(depth)."""
+        return frozenset(_path(self))
 
     @property
     def is_empty(self) -> bool:
-        return not self.node.tag_set
+        return self.tag is None
 
     def union(self, other: "Taint") -> "Taint":
         """Combine two taints (paper: taint propagation is tag-set union).
 
-        When ``other`` adds only tags ranked above this taint's, the
-        cost is one new node per added tag (:meth:`TaintTree.combine`).
+        When every tag of ``other`` ranks above this taint's, the cost
+        is one ``children`` lookup or new node per tag of ``other``
+        (:meth:`TaintTree.combine`).
         """
-        if other is self or other.is_empty:
+        if other is self or other.tag is None:
             return self
-        if self.is_empty:
+        if self.tag is None:
             return other
         if other.tree is not self.tree:
             raise ValueError(
@@ -100,13 +81,24 @@ class Taint:
         return f"Taint({sorted(str(t.tag) for t in self.tags)})"
 
 
+def _path(node: Taint) -> list[TaintTag]:
+    """The tags on ``node``'s path, from ``node`` up to the root (so in
+    descending rank)."""
+    tags = []
+    while node.tag is not None:
+        tags.append(node.tag)
+        node = node.parent
+    return tags
+
+
 class TaintTree:
     """Per-JVM taint storage: the singleton tree of Fig. 3.
 
-    Three rules keep the tree canonical: every root-to-node path ascends
-    by tag rank; ``_set_index`` alone decides which node (and so which
-    handle) a tag set has; and :meth:`combine` appends to a path only
-    above its last rank.
+    Every root-to-node path ascends by tag rank and children are keyed
+    by their tags, so a tag set has exactly one path: its one node is
+    found by walking ``children`` from the root in rank order.
+    :meth:`combine` appends to a path only above its last rank, which
+    keeps paths ascending.
 
     Thread safe: real distributed-system nodes run many worker threads
     (e.g. ZooKeeper's SendWorker/RecvWorker) that all propagate taints.
@@ -114,31 +106,22 @@ class TaintTree:
 
     def __init__(self, local_id: LocalId):
         self.local_id = local_id
-        self._lock = threading.RLock()
-        self._next_id = 0
-        self.root = self._new_node(None, None)
-        #: Canonical node per tag set, so equal sets share storage.
-        self._set_index: dict[frozenset[TaintTag], TreeNode] = {frozenset(): self.root}
+        self._lock = threading.Lock()
+        #: The empty taint.
+        self.root = Taint(None, None, self)
+        self._nodes = 1
         #: Registered tags in insertion order (rank == paper's ``ID``).
         self._tags: dict[TaintTag, TaintTag] = {}
-
-    # ------------------------------------------------------------------ #
-    # Construction helpers
-    # ------------------------------------------------------------------ #
-
-    def _new_node(self, tag: Optional[TaintTag], parent: Optional[TreeNode]) -> TreeNode:
-        node = TreeNode(self._next_id, tag, parent)
-        self._next_id += 1
-        node.taint = Taint(node, self)
-        return node
+        #: One ``LocalId`` per origin, shared by all its interned tags.
+        self._origins: dict[LocalId, LocalId] = {local_id: local_id}
 
     @property
     def empty(self) -> Taint:
         """The empty taint (root node)."""
-        return self.root.taint
+        return self.root
 
     def node_count(self) -> int:
-        return self._next_id
+        return self._nodes
 
     def tag_count(self) -> int:
         return len(self._tags)
@@ -157,14 +140,23 @@ class TaintTree:
         cannot reorder that tree's paths.
         """
         with self._lock:
-            existing = self._tags.get(tag)
-            if existing is not None:
-                return existing
-            if tag.tree_id:
-                tag = TaintTag(tag.tag, tag.local_id, global_id=tag.global_id)
-            tag.tree_id = len(self._tags) + 1
-            self._tags[tag] = tag
-            return tag
+            return self._intern(tag)
+
+    def _intern(self, tag: TaintTag) -> TaintTag:
+        """:meth:`register_tag`; caller holds the lock.  An unranked
+        tag is ranked in place, its ``local_id`` swapped for the equal
+        one this tree holds for its origin."""
+        existing = self._tags.get(tag)
+        if existing is not None:
+            return existing
+        origin = self._origins.setdefault(tag.local_id, tag.local_id)
+        if tag.tree_id:
+            tag = TaintTag(tag.tag, origin, global_id=tag.global_id)
+        else:
+            tag.local_id = origin
+        tag.tree_id = len(self._tags) + 1
+        self._tags[tag] = tag
+        return tag
 
     def new_tag(self, tag_value: Hashable, local_id: Optional[LocalId] = None) -> TaintTag:
         """Create (or reuse) a tag generated on this JVM."""
@@ -172,9 +164,9 @@ class TaintTree:
 
     def taint_for_tag(self, tag_value: Hashable, local_id: Optional[LocalId] = None) -> Taint:
         """The taint ``{tag}`` for a source point: a child of the root."""
-        tag = self.new_tag(tag_value, local_id)
+        tag = TaintTag(tag_value, local_id or self.local_id)
         with self._lock:
-            return self._append(self.root, (tag,)).taint
+            return self._walk(self.root, (self._intern(tag),))
 
     # ------------------------------------------------------------------ #
     # Canonical tag-set lookup and combination
@@ -183,48 +175,50 @@ class TaintTree:
     def taint_for_tags(self, tags: Iterable[TaintTag]) -> Taint:
         """Canonical taint for an arbitrary tag set.
 
-        A set already in the tree is found without interning anything.
-        Otherwise its tags are interned and appended from the root in
-        rank order, so equal tag sets always resolve to the same node
-        regardless of the order combinations happened in.
+        Its tags are interned and walked from the root in rank order,
+        appending whatever is missing, so equal tag sets always resolve
+        to the same node regardless of the order combinations happened
+        in.
         """
-        key = frozenset(tags)
         with self._lock:
-            node = self._set_index.get(key)
-            if node is None:
-                interned = [self.register_tag(t) for t in key]
-                node = self._append(self.root, sorted(interned, key=_RANK))
-            return node.taint
+            ranked = sorted({self._intern(t) for t in tags}, key=_RANK)
+            return self._walk(self.root, ranked)
 
     def combine(self, a: Taint, b: Taint) -> Taint:
-        """Union of two taints of this tree.
+        """Union of two non-empty taints of this tree.
 
-        Fig. 3's union appends child nodes: when every tag ``b`` adds
-        outranks the last tag on ``a``'s path, the result extends that
-        path by one node per added tag.  Any other new set is appended
-        from the root in rank order.
+        Fig. 3's union appends child nodes: when every tag on ``b``'s
+        path outranks the last tag on ``a``'s (a fresh tag, say), the
+        union is walked down from ``a``, one ``children`` lookup or new
+        node per tag of ``b``.  Otherwise the union of the two paths,
+        sorted by rank, is walked from the root.  Either way, a union
+        adds at most one node per tag it adds.
         """
-        base = a.node
-        tags = base.tag_set | b.node.tag_set
+        rank = a.tag.tree_id
+        added = []
+        node = b
+        while node.tag is not None and node.tag.tree_id > rank:
+            added.append(node.tag)
+            node = node.parent
+        if node is a:
+            return b
         with self._lock:
-            node = self._set_index.get(tags)
-            if node is None:
-                added = sorted(tags - base.tag_set, key=_RANK)
-                if base.tag is None or added[0].tree_id > base.tag.tree_id:
-                    node = self._append(base, added)
-                else:
-                    node = self._append(self.root, sorted(tags, key=_RANK))
-            return node.taint
+            if node.tag is None:
+                added.reverse()
+                return self._walk(a, added)
+            return self._walk(self.root, sorted({*_path(a), *_path(b)}, key=_RANK))
 
-    def _append(self, node: TreeNode, ranked: Iterable[TaintTag]) -> TreeNode:
+    def _walk(self, node: Taint, ranked: Iterable[TaintTag]) -> Taint:
         """Walk down from ``node`` along ``ranked`` (interned tags, each
-        outranking the last), adding and indexing the missing nodes.
-        Caller holds the lock."""
+        outranking the last), adding the missing nodes.  Caller holds
+        the lock."""
         for tag in ranked:
-            child = node.children.get(tag)
+            children = node.children
+            if children is None:
+                children = node.children = {}
+            child = children.get(tag)
             if child is None:
-                child = self._new_node(tag, node)
-                node.children[tag] = child
-                self._set_index.setdefault(child.tag_set, child)
+                child = children[tag] = Taint(tag, node, self)
+                self._nodes += 1
             node = child
         return node

@@ -80,7 +80,7 @@ class LabelRuns:
     Complexity: point lookup is O(log runs); slice, concat, union and
     splice are O(runs); conversion to/from per-byte lists is lossless
     (:meth:`from_list` / :meth:`to_list`).  Labels within a run compare
-    by identity, matching the tree's interned :class:`Taint` handles.
+    by identity, matching the tree's one :class:`Taint` per tag set.
 
     The type is list-compatible where the codebase historically indexed
     per-byte label lists: ``len``, ``bool``, iteration (per byte),

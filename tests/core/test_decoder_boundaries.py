@@ -21,16 +21,16 @@ def tree():
 
 
 def _resolvers(tree):
-    by_taint: dict[int, int] = {}
+    by_taint: dict[object, int] = {}
     by_gid: dict[int, object] = {}
 
     def gid_for(taint):
         if taint is None or taint.is_empty:
             return 0
-        gid = by_taint.get(id(taint.node))
+        gid = by_taint.get(taint)
         if gid is None:
             gid = len(by_taint) + 1
-            by_taint[id(taint.node)] = gid
+            by_taint[taint] = gid
             by_gid[gid] = taint
         return gid
 

@@ -168,13 +168,16 @@ class TestTaintMapService:
         assert server.stats.snapshot()["lookup_requests"] == 1
 
     def test_tag_global_id_assigned_on_first_transfer(self, service):
-        """§III-D.1: GlobalID is 0 at generation, set when transferred."""
-        _, n1, _, c1, _ = service
+        """§III-D.1: GlobalID is 0 at generation, set when transferred,
+        on the sender's tag and on the receiver's copy of it."""
+        _, n1, _, c1, c2 = service
         taint = n1.tree.taint_for_tag("fresh")
         tag = next(iter(taint.tags))
         assert tag.global_id == 0
         gid = c1.gid_for(taint)
         assert tag.global_id == gid
+        (received,) = c2.taint_for(gid).tags
+        assert received.global_id == gid
 
     def test_multi_tag_taint_roundtrip(self, service):
         server, n1, n2, c1, c2 = service

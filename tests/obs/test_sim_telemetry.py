@@ -27,7 +27,7 @@ from repro.runtime.modes import Mode
 from repro.systems import ALL_SYSTEMS
 from repro.systems.common import SIM
 
-SYSTEMS = ("ZooKeeper", "MapReduce/Yarn", "ActiveMQ")
+SYSTEMS = tuple(ALL_SYSTEMS)
 FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 

@@ -84,10 +84,12 @@ def test_unions_keep_the_tree_canonical(specs, rnd):
     assert result.tags == expected
     assert result is tree.taint_for_tags(expected)
     pending = [tree.root]
+    denoted = set()
     while pending:
         node = pending.pop()
-        assert tree._set_index[node.tag_set] is node
-        for child in node.children.values():
+        assert node.tags not in denoted  # no two nodes denote the same set
+        denoted.add(node.tags)
+        for child in (node.children or {}).values():
             assert node.tag is None or child.tag.tree_id > node.tag.tree_id
             pending.append(child)
     max_len = max(len(s) for s in materialized)

@@ -1,7 +1,9 @@
 """Unit tests for the per-JVM taint tree (paper §II-B, Fig. 3)."""
 
+import gc
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -47,7 +49,7 @@ class TestTagRegistration:
 
     def test_taint_for_tag_is_child_of_root(self, tree):
         t = tree.taint_for_tag("a_tag")
-        assert t.node.parent is tree.root
+        assert t.parent is tree.root
         assert tags(t) == {"a_tag"}
 
 
@@ -74,7 +76,6 @@ class TestCombination:
         ab = a.union(b)
         ba = b.union(a)
         assert ab is ba
-        assert ab.node is ba.node
 
     def test_union_of_three_is_associative(self, tree):
         a = tree.taint_for_tag("a")
@@ -101,6 +102,14 @@ class TestCombination:
         assert tags(t) == {"x_tag"}
         assert tree.tag_count() == 1
 
+    def test_foreign_tags_share_one_local_id_per_origin(self, tree):
+        """Tags deserialized from one origin share its ``LocalId``."""
+        first = TaintTag("x_tag", LocalId("10.0.0.9", 7))
+        second = TaintTag("y_tag", LocalId("10.0.0.9", 7))
+        (x,) = tree.taint_for_tags([first]).tags
+        (y,) = tree.taint_for_tags([second]).tags
+        assert x.local_id is y.local_id
+
     def test_node_count_bounded_by_distinct_sets(self, tree):
         taints = [tree.taint_for_tag(f"t{i}") for i in range(4)]
         before = tree.node_count()
@@ -121,15 +130,13 @@ class TestCombination:
             six = six.union(tree.taint_for_tag(f"t{i}"))
         seventh = tree.taint_for_tag("t6")
         interned = []
-        register = tree.register_tag
-        monkeypatch.setattr(
-            tree, "register_tag", lambda tag: interned.append(tag) or register(tag)
-        )
+        intern = tree._intern
+        monkeypatch.setattr(tree, "_intern", lambda tag: interned.append(tag) or intern(tag))
         before = tree.node_count()
         seven = six.union(seventh)
         assert interned == []
         assert tree.node_count() == before + 1
-        assert seven.node.parent is six.node
+        assert seven.parent is six
         assert tags(seven) == {f"t{i}" for i in range(7)}
 
     def test_tag_ranked_by_another_tree_is_interned_as_a_copy(self, tree):
@@ -200,3 +207,40 @@ class TestConcurrency:
         assert all(len(ids) == 1 for ids in handles.values())
         for tag_set, (handle_id,) in handles.items():
             assert id(tree.taint_for_tags(tag_set)) == handle_id
+
+
+class TestMemoryShape:
+    """Fig. 3's node is the taint: one object per tag set, whose size
+    does not depend on how many tags its path carries."""
+
+    def test_a_fresh_tag_keeps_at_most_four_tracked_objects(self, tree):
+        """Per fresh tag chained by union: the tag, its singleton, the
+        chain's new node and the children dict it hangs from.  That is
+        exactly 4, so the bound leaves half an object per tag for what
+        the rest of the process allocates meanwhile."""
+        gc.collect()
+        before = len(gc.get_objects())
+        chain = tree.empty
+        for i in range(2000):
+            chain = chain.union(tree.taint_for_tag(f"t{i}"))
+        gc.collect()
+        assert (len(gc.get_objects()) - before) / 2000 < 4.5
+
+    def test_a_deep_node_costs_what_a_shallow_one_does(self):
+        def bytes_per_node(depth):
+            tree = TaintTree(LocalId("10.0.0.1", 4242))
+            started = not tracemalloc.is_tracing()
+            if started:
+                tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                chain = tree.empty
+                for i in range(depth):
+                    chain = chain.union(tree.taint_for_tag(f"t{i}"))
+                after, _ = tracemalloc.get_traced_memory()
+            finally:
+                if started:
+                    tracemalloc.stop()
+            return (after - before) / depth
+
+        assert bytes_per_node(1000) <= 2 * bytes_per_node(10)
