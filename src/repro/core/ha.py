@@ -26,6 +26,7 @@ from repro.core.taintmap import (
     TaintMapServer,
     round_trip,
 )
+from repro.errors import TaintMapError
 from repro.runtime.kernel import Address, SimKernel, TcpEndpoint
 
 #: Replication opcode: payload = 4-byte GID + serialized tag set.
@@ -50,10 +51,8 @@ class StandbyTaintMapServer(TaintMapServer):
             (gid,) = struct.unpack(">I", payload[:4])
             serialized = payload[4:]
             try:
-                key = taintmap.taint_key(
-                    frozenset(taintmap.deserialize_tags(serialized))
-                )
-            except Exception:
+                key = taintmap.serialized_key(serialized)
+            except TaintMapError:
                 return STATUS_BAD_REQUEST, b""
             with self._lock:
                 bound = self._by_key.get(key)

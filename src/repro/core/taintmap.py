@@ -133,62 +133,100 @@ def _decode_tag_value(kind: int, payload: bytes):
     raise TaintMapError(f"unknown tag value kind {kind}")
 
 
+#: A serialized taint's record count, and one record's fields after its
+#: ``>B`` IP length and IP: pid, GlobalID, value kind, value length.
+_COUNT = struct.Struct(">H")
+_RECORD = struct.Struct(">IIBH")
+#: A key record's fields after the IP: pid, value kind, value length.
+_KEY_RECORD = struct.Struct(">IBI")
+#: Malformed bytes surface from the parsers as one of these, re-raised
+#: as :class:`~repro.errors.TaintMapError`.
+_PARSE_ERRORS = (struct.error, IndexError, UnicodeDecodeError)
+
+
+def _tag_record(tag: TaintTag) -> bytes:
+    kind, payload = _encode_tag_value(tag.tag)
+    ip = tag.local_id.ip.encode("ascii")
+    return (
+        bytes((len(ip),))
+        + ip
+        + _RECORD.pack(tag.local_id.pid, tag.global_id, kind, len(payload))
+        + payload
+    )
+
+
 def serialize_tags(tags: frozenset[TaintTag]) -> bytes:
     """Canonical serialization of a tag set (a *global taint*)."""
+    records = sorted(map(_tag_record, tags))
+    return _COUNT.pack(len(records)) + b"".join(records)
+
+
+def serialize_taint(taint: Taint) -> bytes:
+    """``serialize_tags(taint.tags)``, walking ``taint``'s path once.
+
+    A tree path holds each tag once, so its records need no dedup, and
+    a one-tag taint (every fresh tag) needs no sort either."""
     records = []
-    for tag in tags:
-        kind, payload = _encode_tag_value(tag.tag)
-        ip = tag.local_id.ip.encode("ascii")
-        records.append(
-            struct.pack(">B", len(ip))
-            + ip
-            + struct.pack(">IIB H", tag.local_id.pid, tag.global_id, kind, len(payload))
-            + payload
-        )
-    records.sort()
-    return struct.pack(">H", len(records)) + b"".join(records)
+    node = taint
+    while node.tag is not None:
+        records.append(_tag_record(node.tag))
+        node = node.parent
+    if len(records) > 1:
+        records.sort()
+    return _COUNT.pack(len(records)) + b"".join(records)
 
 
-def taint_key(tags: frozenset[TaintTag]) -> bytes:
-    """Canonical identity of a taint, ignoring per-node GlobalID fields.
+def _records(raw: bytes) -> list[tuple]:
+    """Parse and check a serialized taint's records, as
+    ``(head, ip, pid, global_id, kind, payload, value)`` each: ``head``
+    is the record's ``>B`` IP length and IP bytes, ``ip`` the decoded IP
+    and ``value`` the decoded tag value.  Raises
+    :class:`~repro.errors.TaintMapError` on malformed input."""
+    records = []
+    try:
+        (count,) = _COUNT.unpack_from(raw)
+        pos = _COUNT.size
+        for _ in range(count):
+            ip_end = pos + 1 + raw[pos]
+            head = raw[pos:ip_end]
+            pid, global_id, kind, size = _RECORD.unpack_from(raw, ip_end)
+            pos = ip_end + _RECORD.size + size
+            payload = raw[pos - size : pos]
+            ip, value = head[1:].decode("ascii"), _decode_tag_value(kind, payload)
+            records.append((head, ip, pid, global_id, kind, payload, value))
+    except _PARSE_ERRORS as exc:
+        raise TaintMapError(f"malformed serialized taint: {exc}") from exc
+    if pos != len(raw):
+        raise TaintMapError(f"trailing bytes in serialized taint ({len(raw) - pos})")
+    return records
 
-    Length-prefixed structural encoding — two distinct tag sets can never
-    collide, and the key does not depend on ``repr`` formatting of the
-    tag values (bytes vs str vs int all encode through their wire kinds).
+
+def serialized_key(raw: bytes) -> bytes:
+    """Canonical identity of a serialized taint, ignoring its per-tag
+    GlobalID fields: the server's key for the taint.
+
+    Length-prefixed structural encoding, so two distinct tag sets never
+    collide, and a value's kind is part of it (bytes, str and int never
+    match).  Repeated records count once and the records are sorted, so
+    every serialization of one tag set gives one key.  Built from the
+    bytes without making a tag; rejects exactly what
+    :func:`deserialize_tags` rejects, with
+    :class:`~repro.errors.TaintMapError`.
     """
-    records = []
-    for tag in tags:
-        kind, payload = _encode_tag_value(tag.tag)
-        ip = tag.local_id.ip.encode("ascii")
-        records.append(
-            struct.pack(">B", len(ip))
-            + ip
-            + struct.pack(">IBI", tag.local_id.pid, kind, len(payload))
-            + payload
-        )
-    records.sort()
-    return struct.pack(">H", len(records)) + b"".join(records)
+    keys = {
+        head + _KEY_RECORD.pack(pid, kind, len(payload)) + payload
+        for head, _ip, pid, _global_id, kind, payload, _value in _records(raw)
+    }
+    return _COUNT.pack(len(keys)) + b"".join(sorted(keys))
 
 
 def deserialize_tags(raw: bytes) -> list[TaintTag]:
-    (count,) = struct.unpack(">H", raw[:2])
-    pos = 2
-    tags = []
-    for _ in range(count):
-        ip_len = raw[pos]
-        pos += 1
-        ip = raw[pos : pos + ip_len].decode("ascii")
-        pos += ip_len
-        pid, global_id, kind, payload_len = struct.unpack(">IIB H", raw[pos : pos + 11])
-        pos += 11
-        payload = raw[pos : pos + payload_len]
-        pos += payload_len
-        tags.append(
-            TaintTag(_decode_tag_value(kind, payload), LocalId(ip, pid), global_id=global_id)
-        )
-    if pos != len(raw):
-        raise TaintMapError(f"trailing bytes in serialized taint ({len(raw) - pos})")
-    return tags
+    """The tags of a serialized taint.  Raises
+    :class:`~repro.errors.TaintMapError` on malformed input."""
+    return [
+        TaintTag(value, LocalId(ip, pid), global_id=global_id)
+        for _head, ip, pid, global_id, _kind, _payload, value in _records(raw)
+    ]
 
 
 # --------------------------------------------------------------------- #
@@ -247,6 +285,10 @@ def round_trip(endpoint: TcpEndpoint, op: int, payload: bytes) -> tuple[int, byt
             return status, response
 
 
+#: An entry's length prefix in the batch payloads.
+_LENGTH = struct.Struct(">I")
+
+
 def _pack_batch_register(entries: Sequence[bytes]) -> bytes:
     """``OP_REGISTER_MANY`` payload: count, then length-prefixed taints."""
     if len(entries) > PROTOCOL_MAX_BATCH:
@@ -271,32 +313,34 @@ def _pack_batch_lookup(gids: Sequence[int]) -> bytes:
     return struct.pack(f">H{len(gids)}I", len(gids), *gids)
 
 
-def _split_batch_register(payload: bytes) -> list[bytes]:
-    (count,) = struct.unpack(">H", payload[:2])
-    pos = 2
+def _split_entries(raw: bytes, pos: int, count: int, what: str) -> list[bytes]:
+    """``count`` length-prefixed entries from ``raw[pos:]``, which they
+    must fill exactly; :class:`~repro.errors.TaintMapError` otherwise."""
     entries = []
-    for _ in range(count):
-        (length,) = struct.unpack(">I", payload[pos : pos + 4])
-        pos += 4
-        entries.append(payload[pos : pos + length])
-        pos += length
-    if pos != len(payload):
-        raise TaintMapError(f"trailing bytes in batch register ({len(payload) - pos})")
+    try:
+        for _ in range(count):
+            (length,) = _LENGTH.unpack_from(raw, pos)
+            pos += _LENGTH.size + length
+            entries.append(raw[pos - length : pos])
+    except struct.error as exc:
+        raise TaintMapError(f"truncated entry in {what}: {exc}") from exc
+    if pos != len(raw):
+        raise TaintMapError(f"trailing bytes in {what} ({len(raw) - pos})")
     return entries
+
+
+def _split_batch_register(payload: bytes) -> list[bytes]:
+    """``OP_REGISTER_MANY`` payload: count, then length-prefixed taints."""
+    try:
+        (count,) = _COUNT.unpack_from(payload)
+    except struct.error as exc:
+        raise TaintMapError(f"truncated batch register: {exc}") from exc
+    return _split_entries(payload, _COUNT.size, count, "batch register")
 
 
 def _split_batch_lookup_response(raw: bytes, count: int) -> list[bytes]:
     """``OP_LOOKUP_MANY`` response: one length-prefixed taint per GID."""
-    pos = 0
-    out = []
-    for _ in range(count):
-        (length,) = struct.unpack(">I", raw[pos : pos + 4])
-        pos += 4
-        out.append(raw[pos : pos + length])
-        pos += length
-    if pos != len(raw):
-        raise TaintMapError(f"trailing bytes in batch lookup ({len(raw) - pos})")
-    return out
+    return _split_entries(raw, 0, count, "batch lookup")
 
 
 
@@ -493,18 +537,15 @@ class TaintMapServer:
                 self.stats.register_requests += 1
             try:
                 entries = _split_batch_register(payload)
-                taint_sets = [frozenset(deserialize_tags(entry)) for entry in entries]
-            except Exception:
+                keys = [serialized_key(entry) for entry in entries]
+            except TaintMapError:
                 return STATUS_BAD_REQUEST, b""
             with self.stats._lock:
                 self.stats.register_entries += len(entries)
             # One _register per entry so subclass hooks (HA replication)
             # see every registration individually.
             try:
-                gids = [
-                    self._register(tags, entry)
-                    for tags, entry in zip(taint_sets, entries)
-                ]
+                gids = [self._register(key, entry) for key, entry in zip(keys, entries)]
             except TaintMapExhaustedError:
                 return STATUS_GID_EXHAUSTED, b""
             return STATUS_OK, struct.pack(f">{len(gids)}I", *gids)
@@ -565,8 +606,8 @@ class TaintMapServer:
                 self._by_gid[gid] = serialized
                 replayed += 1
             try:
-                key = taint_key(frozenset(deserialize_tags(serialized)))
-            except Exception:
+                key = serialized_key(serialized)
+            except TaintMapError:
                 continue
             # Log order *is* arrival order, so setdefault rebuilds
             # exactly the dedup decisions the live server made.
@@ -626,8 +667,9 @@ class TaintMapServer:
         self._writes_since_snapshot = 0
         self.stats.bump("wal_snapshots")
 
-    def _register(self, tags: frozenset[TaintTag], serialized: bytes) -> int:
-        key = taint_key(tags)
+    def _register(self, key: bytes, serialized: bytes) -> int:
+        """The GID of the taint ``serialized``, whose
+        :func:`serialized_key` is ``key``; allocated on first sight."""
         with self._lock:
             gid = self._by_key.get(key)
             if gid is not None:
@@ -883,7 +925,7 @@ class TaintMapClient:
             fresh = [taints[positions[0]] for positions in misses.values()]
             self._observe_batch(OP_REGISTER_MANY, len(fresh))
             new_gids = self.transport.submit(
-                KIND_REGISTER, [serialize_tags(taint.tags) for taint in fresh]
+                KIND_REGISTER, [serialize_taint(taint) for taint in fresh]
             )
             self._record_registered(fresh, new_gids)
             for positions, gid in zip(misses.values(), new_gids):

@@ -27,6 +27,15 @@ from repro.taint.tree import Taint, TaintTree
 from repro.taint.values import Label, taint_of, with_taint
 
 
+def _matches(cache: dict, descriptor: str, patterns: list) -> bool:
+    """Whether ``descriptor`` matches ``patterns``, remembered in
+    ``cache``."""
+    hit = cache.get(descriptor)
+    if hit is None:
+        hit = cache[descriptor] = any(fnmatchcase(descriptor, p) for p in patterns)
+    return hit
+
+
 @dataclass(frozen=True)
 class SinkObservation:
     """One sink-point check: which tags were seen on which node."""
@@ -57,6 +66,8 @@ class SourceSinkRegistry:
 
     tree: TaintTree
     node_name: str
+    #: Descriptor globs (``fnmatch``).  Add to them with ``add_source``
+    #: and ``add_sink``, which forget the matches the hooks remember.
     source_patterns: list = field(default_factory=list)
     sink_patterns: list = field(default_factory=list)
     #: Fraction of matching source firings that actually taint their
@@ -82,6 +93,12 @@ class SourceSinkRegistry:
         self.lineage = None
         self.source_events: list[SourceEvent] = []
         self.observations: list[SinkObservation] = []
+        #: Descriptor -> whether it matches the source (sink) patterns.
+        #: A hook tests a descriptor once; ``add_source`` (``add_sink``)
+        #: swaps in an empty dict, so an answer computed against the old
+        #: patterns lands in a dict nobody reads any more.
+        self._source_matches: dict[str, bool] = {}
+        self._sink_matches: dict[str, bool] = {}
         self._auto_counter = 0
         self._sample_counter = 0
         self._flow_counter = 0
@@ -96,15 +113,17 @@ class SourceSinkRegistry:
 
     def add_source(self, pattern: str) -> None:
         self.source_patterns.append(pattern)
+        self._source_matches = {}
 
     def add_sink(self, pattern: str) -> None:
         self.sink_patterns.append(pattern)
+        self._sink_matches = {}
 
     def is_source(self, descriptor: str) -> bool:
-        return any(fnmatchcase(descriptor, p) for p in self.source_patterns)
+        return _matches(self._source_matches, descriptor, self.source_patterns)
 
     def is_sink(self, descriptor: str) -> bool:
-        return any(fnmatchcase(descriptor, p) for p in self.sink_patterns)
+        return _matches(self._sink_matches, descriptor, self.sink_patterns)
 
     # -- runtime hooks --------------------------------------------------- #
 

@@ -28,7 +28,7 @@ paper inherits Phosphor's explicit-flow-only semantics (§VI).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.taint.policy import shadows_enabled
@@ -86,11 +86,22 @@ class LabelRuns:
     per-byte label lists: ``len``, ``bool``, iteration (per byte),
     integer and unit-step slice ``[]``, slice assignment (splice), and
     ``==`` against per-byte lists.
+
+    The runs are always *canonical*: sorted, non-empty, inside
+    ``[0, length)``, no ``None`` label, and no two abutting runs with
+    the same label.  The public constructor normalises any input to
+    that form; :meth:`filled`, :meth:`slice`, :meth:`concat`,
+    :meth:`copy` and :meth:`TBytes.concat` start from canonical runs
+    and keep them canonical, so they build through :meth:`_canonical`
+    without a second pass.
     """
 
     __slots__ = ("length", "_starts", "_ends", "_labels")
 
     def __init__(self, length: int, runs: Iterable[Run] = ()):
+        """Normalise ``runs``: clip them to ``[0, length)``, drop empty
+        and ``None``-labelled ones, and merge abutting runs that share a
+        label.  Overlapping or unsorted runs raise ``ValueError``."""
         if length < 0:
             raise ValueError(f"negative shadow length {length}")
         self.length = length
@@ -119,9 +130,24 @@ class LabelRuns:
     # -- constructors -------------------------------------------------- #
 
     @classmethod
+    def _canonical(cls, length: int, starts: list, ends: list, labels: list) -> "LabelRuns":
+        """Adopt run lists that are already canonical (see the class
+        docstring), without checking or copying them."""
+        out = cls.__new__(cls)
+        out.length = length
+        out._starts = starts
+        out._ends = ends
+        out._labels = labels
+        return out
+
+    @classmethod
     def filled(cls, length: int, label: Label) -> "LabelRuns":
         """Every byte carries ``label`` (the common source-point case)."""
-        return cls(length, ((0, length, label),) if label is not None else ())
+        if length < 0:
+            raise ValueError(f"negative shadow length {length}")
+        if label is None or not length:
+            return cls._canonical(length, [], [], [])
+        return cls._canonical(length, [0], [length], [label])
 
     @classmethod
     def from_list(cls, labels: Sequence[Label]) -> "LabelRuns":
@@ -140,12 +166,9 @@ class LabelRuns:
         return cls(n, runs)
 
     def copy(self) -> "LabelRuns":
-        out = LabelRuns.__new__(LabelRuns)
-        out.length = self.length
-        out._starts = list(self._starts)
-        out._ends = list(self._ends)
-        out._labels = list(self._labels)
-        return out
+        return LabelRuns._canonical(
+            self.length, self._starts[:], self._ends[:], self._labels[:]
+        )
 
     # -- run access ----------------------------------------------------- #
 
@@ -219,25 +242,29 @@ class LabelRuns:
     def slice(self, start: int, stop: int) -> "LabelRuns":
         start = max(0, min(start, self.length))
         stop = max(start, min(stop, self.length))
-        out_runs: list = []
-        idx = max(bisect_right(self._starts, start) - 1, 0)
-        for k in range(idx, len(self._starts)):
-            s, e, label = self._starts[k], self._ends[k], self._labels[k]
-            if s >= stop:
-                break
-            lo, hi = max(s, start), min(e, stop)
-            if lo < hi:
-                out_runs.append((lo - start, hi - start, label))
-        return LabelRuns(stop - start, out_runs)
+        # The runs overlapping [start, stop) are the ones ending after
+        # ``start`` and starting before ``stop``: one contiguous block.
+        first = bisect_right(self._ends, start)
+        last = bisect_left(self._starts, stop)
+        if start == stop or first >= last:
+            return LabelRuns._canonical(stop - start, [], [], [])
+        starts = self._starts[first:last]
+        ends = self._ends[first:last]
+        if start:
+            starts = [s - start for s in starts]
+            ends = [e - start for e in ends]
+        # Only the outer two runs can stick out of the range.
+        if starts[0] < 0:
+            starts[0] = 0
+        if ends[-1] > stop - start:
+            ends[-1] = stop - start
+        return LabelRuns._canonical(stop - start, starts, ends, self._labels[first:last])
 
     def concat(self, other: "LabelRuns") -> "LabelRuns":
-        shift = self.length
-        runs = list(zip(self._starts, self._ends, self._labels))
-        runs.extend(
-            (s + shift, e + shift, label)
-            for s, e, label in zip(other._starts, other._ends, other._labels)
-        )
-        return LabelRuns(shift + other.length, runs)
+        """``self`` then ``other``; runs merge only at the seam."""
+        starts, ends, labels = self._starts[:], self._ends[:], self._labels[:]
+        _append_runs(starts, ends, labels, other, self.length)
+        return LabelRuns._canonical(self.length + other.length, starts, ends, labels)
 
     def union_taint(self, taint: Label) -> "LabelRuns":
         """Every byte's label unioned with ``taint`` (gaps become it)."""
@@ -321,6 +348,27 @@ class LabelRuns:
 
     def __repr__(self) -> str:
         return f"LabelRuns(len={self.length}, runs={self.run_count})"
+
+
+def _append_runs(starts: list, ends: list, labels: list, runs: LabelRuns, shift: int) -> None:
+    """Append ``runs`` moved right by ``shift`` to the canonical run
+    lists of a shadow ``shift`` bytes long.  The lists stay canonical:
+    the one run that can abut the last one with the same label (at the
+    seam) extends it instead."""
+    add_starts, add_ends, add_labels = runs._starts, runs._ends, runs._labels
+    if not add_starts:
+        return
+    seam = ends and ends[-1] == shift and add_starts[0] == 0
+    if seam and labels[-1] is add_labels[0]:
+        ends[-1] = add_ends[0] + shift
+        add_starts, add_ends, add_labels = add_starts[1:], add_ends[1:], add_labels[1:]
+    if shift:
+        starts += [s + shift for s in add_starts]
+        ends += [e + shift for e in add_ends]
+    else:
+        starts += add_starts
+        ends += add_ends
+    labels += add_labels
 
 
 def _as_runs(labels: LabelArray, length: int) -> Optional[LabelRuns]:
@@ -474,15 +522,15 @@ class TBytes:
         data = b"".join(p.data for p in parts)
         if all(p.labels is None for p in parts):
             return cls(data)
-        runs: list = []
+        starts: list = []
+        ends: list = []
+        labels: list = []
         offset = 0
         for p in parts:
             if p.labels is not None:
-                runs.extend(
-                    (s + offset, e + offset, label) for s, e, label in p.labels.runs
-                )
+                _append_runs(starts, ends, labels, p.labels, offset)
             offset += len(p.data)
-        return cls(data, LabelRuns(len(data), runs))
+        return cls(data, LabelRuns._canonical(len(data), starts, ends, labels))
 
     def __iter__(self):
         for i in range(len(self.data)):
@@ -495,6 +543,9 @@ class TBytes:
         """A copy whose every byte additionally carries ``taint``."""
         if taint is None or not shadows_enabled():
             return self
+        if self.labels is None and not taint.is_empty:
+            # Untainted bytes: the union is one run of ``taint``.
+            return TBytes(self.data, LabelRuns.filled(len(self.data), taint))
         return TBytes(self.data, self.label_runs().union_taint(taint))
 
     def decode(self, encoding: str = "utf-8") -> "TStr":

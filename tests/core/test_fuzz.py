@@ -9,15 +9,128 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import wire
-from repro.core.taintmap import deserialize_tags, serialize_tags
-from repro.errors import ReproError, TaintMapError, WireFormatError
+from repro.core.taintmap import (
+    _decode_tag_value,
+    _encode_tag_value,
+    _split_batch_lookup_response,
+    _split_batch_register,
+    deserialize_tags,
+    serialize_tags,
+    serialized_key,
+)
+from repro.errors import TaintMapError, WireFormatError
 from repro.taint import LocalId, TaintTag
-
-ACCEPTABLE = (TaintMapError, WireFormatError, ReproError, struct.error, IndexError,
-              UnicodeDecodeError, ValueError)
 
 #: Resolves every Global ID to no taint.
 NO_TAINTS = SimpleNamespace(taints_for=lambda gids: [None] * len(gids))
+
+
+# --------------------------------------------------------------------- #
+# The server's key and parser as they were before the key was built from
+# bytes: the references serialized_key and deserialize_tags must match.
+# --------------------------------------------------------------------- #
+
+
+def taint_key(tags: frozenset) -> bytes:
+    """Canonical identity of a tag set, ignoring GlobalID fields."""
+    records = []
+    for tag in tags:
+        kind, payload = _encode_tag_value(tag.tag)
+        ip = tag.local_id.ip.encode("ascii")
+        records.append(
+            struct.pack(">B", len(ip))
+            + ip
+            + struct.pack(">IBI", tag.local_id.pid, kind, len(payload))
+            + payload
+        )
+    records.sort()
+    return struct.pack(">H", len(records)) + b"".join(records)
+
+
+def reference_tags(raw: bytes) -> list:
+    """Field-by-field parse of a serialized taint; any exception means
+    the input is malformed."""
+    (count,) = struct.unpack(">H", raw[:2])
+    pos = 2
+    tags = []
+    for _ in range(count):
+        ip_len = raw[pos]
+        pos += 1
+        ip = raw[pos : pos + ip_len].decode("ascii")
+        pos += ip_len
+        pid, global_id, kind, payload_len = struct.unpack(">IIB H", raw[pos : pos + 11])
+        pos += 11
+        payload = raw[pos : pos + payload_len]
+        pos += payload_len
+        tags.append(
+            TaintTag(_decode_tag_value(kind, payload), LocalId(ip, pid), global_id=global_id)
+        )
+    if pos != len(raw):
+        raise TaintMapError(f"trailing bytes in serialized taint ({len(raw) - pos})")
+    return tags
+
+
+tag_values = st.one_of(
+    st.text(max_size=10),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.binary(max_size=8),
+)
+global_ids = st.integers(min_value=0, max_value=2**32 - 1)
+tags = st.builds(
+    TaintTag,
+    tag_values,
+    st.builds(
+        LocalId,
+        st.sampled_from(["10.0.0.1", "10.0.0.2", "10.0.12.34"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    ),
+    global_id=global_ids,
+)
+
+
+def _record(tag: TaintTag) -> bytes:
+    return serialize_tags(frozenset([tag]))[2:]
+
+
+@st.composite
+def serializations(draw) -> bytes:
+    """A valid serialization whose records are shuffled, some repeated
+    (re-stamped with another GlobalID or not), then maybe one byte
+    mutated."""
+    drawn = draw(st.lists(tags, max_size=5))
+    records = [_record(tag) for tag in drawn]
+    if drawn:
+        for tag in draw(st.lists(st.sampled_from(drawn), max_size=3)):
+            records.append(_record(TaintTag(tag.tag, tag.local_id, global_id=draw(global_ids))))
+    records = draw(st.permutations(records))
+    raw = struct.pack(">H", len(records)) + b"".join(records)
+    if draw(st.booleans()):
+        at = draw(st.integers(min_value=0, max_value=len(raw) - 1))
+        raw = raw[:at] + bytes([draw(st.integers(0, 255))]) + raw[at + 1 :]
+    return raw
+
+
+parser_inputs = st.one_of(st.binary(max_size=64), serializations())
+
+
+@settings(max_examples=300)
+@given(parser_inputs)
+def test_parsers_reject_exactly_what_the_reference_rejects(raw):
+    """deserialize_tags and serialized_key raise TaintMapError exactly
+    where the reference parser raises anything; elsewhere they return
+    its tags and ``taint_key`` of them."""
+    try:
+        expected = reference_tags(raw)
+    except Exception:
+        for parse in (deserialize_tags, serialized_key):
+            with pytest.raises(TaintMapError):
+                parse(raw)
+        return
+    got = deserialize_tags(raw)
+    assert [(t.tag, t.local_id, t.global_id) for t in got] == [
+        (t.tag, t.local_id, t.global_id) for t in expected
+    ]
+    assert serialized_key(raw) == taint_key(frozenset(expected))
 
 
 @settings(max_examples=100)
@@ -25,10 +138,21 @@ NO_TAINTS = SimpleNamespace(taints_for=lambda gids: [None] * len(gids))
 def test_deserialize_tags_never_crashes_unexpectedly(raw):
     try:
         tags = deserialize_tags(raw)
-    except ACCEPTABLE:
+    except TaintMapError:
         return
     # Anything that parses must re-serialize canonically.
     assert serialize_tags(frozenset(tags)) is not None
+
+
+@settings(max_examples=100)
+@given(st.binary(max_size=48), st.integers(min_value=0, max_value=4))
+def test_batch_splitters_raise_only_typed_errors(raw, count):
+    for split in (_split_batch_register, lambda b: _split_batch_lookup_response(b, count)):
+        try:
+            entries = split(raw)
+        except TaintMapError:
+            continue
+        assert sum(4 + len(entry) for entry in entries) <= len(raw)
 
 
 @settings(max_examples=100)
@@ -95,8 +219,39 @@ class TestProtocolEdges:
             deserialize_tags(raw + b"\x00garbage")
 
     def test_huge_claimed_count_rejected(self):
-        with pytest.raises(ACCEPTABLE):
+        with pytest.raises(TaintMapError):
             deserialize_tags(struct.pack(">H", 60000) + b"\x01")
+
+    @pytest.mark.parametrize(
+        "raw, cause",
+        [
+            (b"", struct.error),
+            (b"\x00\x01", IndexError),
+            (b"\x00\x01\x01\xff" + bytes(11), UnicodeDecodeError),
+        ],
+    )
+    def test_malformed_taint_raises_typed_error(self, raw, cause):
+        for parse in (deserialize_tags, serialized_key):
+            with pytest.raises(TaintMapError) as raised:
+                parse(raw)
+            assert isinstance(raised.value.__cause__, cause)
+
+    def test_duplicate_records_count_once_in_the_key(self):
+        tag = TaintTag("t", LocalId("10.0.0.1", 1))
+        raw = struct.pack(">H", 2) + _record(tag) * 2
+        assert serialized_key(raw) == taint_key(frozenset([tag]))
+
+    def test_truncated_batch_entry_raises_typed_error(self):
+        entry = serialize_tags(frozenset([TaintTag("t", LocalId("10.0.0.1", 1))]))
+        batch = struct.pack(">HI", 1, len(entry)) + entry
+        with pytest.raises(TaintMapError) as raised:
+            _split_batch_register(batch[:4])
+        assert isinstance(raised.value.__cause__, struct.error)
+        with pytest.raises(TaintMapError) as raised:
+            _split_batch_lookup_response(batch[2:4], 1)
+        assert isinstance(raised.value.__cause__, struct.error)
+        with pytest.raises(TaintMapError):
+            _split_batch_register(b"\x00")
 
     def test_overwide_int_tag_rejected_with_typed_error(self):
         from repro.taint import LocalId, TaintTag

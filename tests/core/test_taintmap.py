@@ -19,7 +19,7 @@ from repro.core.taintmap import (
     deserialize_tags,
     mux_frame,
     serialize_tags,
-    taint_key,
+    serialized_key,
 )
 from repro.errors import SimTimeout, TaintMapError
 from repro.runtime.cluster import TAINT_MAP_IP, TAINT_MAP_PORT
@@ -56,7 +56,9 @@ class TestTagSerialization:
     def test_taint_key_ignores_global_id(self):
         a1 = TaintTag("a", LocalId("10.0.0.1", 1), global_id=0)
         a2 = TaintTag("a", LocalId("10.0.0.1", 1), global_id=9)
-        assert taint_key(frozenset([a1])) == taint_key(frozenset([a2]))
+        raw1, raw2 = serialize_tags(frozenset([a1])), serialize_tags(frozenset([a2]))
+        assert raw1 != raw2
+        assert serialized_key(raw1) == serialized_key(raw2)
 
     def test_unserializable_tag_rejected(self):
         tag = TaintTag(object(), LocalId("10.0.0.1", 1))
@@ -112,6 +114,16 @@ class TestTaintMapService:
         while server._connections and time.monotonic() < deadline:
             time.sleep(0.01)
         assert len(server._connections) == 0
+
+    def test_malformed_lookup_reply_raises_a_typed_error(self, service, monkeypatch):
+        """A lookup reply whose entry is cut short reaches the caller of
+        ``taints_for`` as a TaintMapError chained to the parse error."""
+        server, n1, _, c1, c2 = service
+        gid = c1.gid_for(n1.tree.taint_for_tag("cut"))
+        monkeypatch.setattr(server, "_handle", lambda op, payload: (STATUS_OK, b"\x00\x00"))
+        with pytest.raises(TaintMapError) as raised:
+            c2.taints_for([gid])
+        assert isinstance(raised.value.__cause__, struct.error)
 
     def test_empty_taint_never_contacts_the_map(self, service):
         server, n1, _, c1, _ = service

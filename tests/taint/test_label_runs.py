@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.taint.tags import LocalId
 from repro.taint.tree import TaintTree
-from repro.taint.values import LabelRuns, union_labels
+from repro.taint.values import LabelRuns, TBytes, union_labels
 
 _TREE = TaintTree(LocalId("10.0.0.9", 9))
 _POOL = [None] + [_TREE.taint_for_tag(f"p{i}") for i in range(3)]
@@ -118,3 +118,87 @@ def test_single_run_is_constant_space():
     assert runs.label_at(0) is t
     assert runs.label_at((1 << 20) - 1) is t
     assert runs.slice(12345, 99999).run_count == 1
+
+
+# --------------------------------------------------------------------- #
+# Operations that build their result as canonical runs directly must
+# give exactly what the normalising constructor makes of the same runs.
+# --------------------------------------------------------------------- #
+
+
+def assert_canonical(result, length, runs):
+    """``result`` has the starts, ends and label identities of
+    ``LabelRuns(length, runs)``, and normalising it changes nothing."""
+    assert result == LabelRuns(length, runs)
+    assert result == LabelRuns(result.length, result.runs)
+
+
+def _shifted(runs, shift):
+    return [(s + shift, e + shift, label) for s, e, label in runs.runs]
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 24), st.sampled_from(_POOL + [_TREE.root]))
+def test_filled_is_canonical(length, label):
+    assert_canonical(LabelRuns.filled(length, label), length, [(0, length, label)])
+
+
+def test_filled_rejects_a_negative_length():
+    with pytest.raises(ValueError):
+        LabelRuns.filled(-1, _POOL[1])
+    with pytest.raises(ValueError):
+        LabelRuns.filled(-1, None)
+
+
+@settings(max_examples=200)
+@given(labels_lists, st.integers(-2, 26), st.integers(-2, 26))
+def test_slice_is_canonical(labels, a, b):
+    runs = LabelRuns.from_list(labels)
+    start = max(0, min(a, len(labels)))
+    stop = max(start, min(b, len(labels)))
+    assert_canonical(runs.slice(a, b), stop - start, _shifted(runs, -start))
+
+
+@settings(max_examples=200)
+@given(labels_lists, labels_lists)
+def test_concat_is_canonical(left, right):
+    a, b = LabelRuns.from_list(left), LabelRuns.from_list(right)
+    assert_canonical(a.concat(b), len(left) + len(right), a.runs + _shifted(b, len(left)))
+
+
+@settings(max_examples=100)
+@given(labels_lists)
+def test_copy_is_canonical_and_independent(labels):
+    runs = LabelRuns.from_list(labels)
+    copied = runs.copy()
+    assert_canonical(copied, len(labels), runs.runs)
+    if labels:
+        copied[0:1] = [_POOL[1]]
+        assert runs.to_list() == labels
+
+
+@settings(max_examples=200)
+@given(st.lists(labels_lists, max_size=5))
+def test_tbytes_concat_is_canonical(parts):
+    pieces = [TBytes(bytes(len(labels)), labels) for labels in parts]
+    result = TBytes.concat(pieces)
+    runs, offset = [], 0
+    for piece in pieces:
+        runs += _shifted(piece.label_runs(), offset)
+        offset += len(piece)
+    assert result.data == bytes(offset)
+    assert_canonical(result.label_runs(), offset, runs)
+    assert (result.labels is None) == (not runs)
+
+
+@settings(max_examples=200)
+@given(labels_lists, st.sampled_from(_POOL + [_TREE.root]))
+def test_tbytes_with_taint_matches_a_union_pass(labels, taint):
+    value = TBytes(bytes(len(labels)), labels)
+    result = value.with_taint(taint)
+    if taint is None:
+        assert result is value
+        return
+    expected = value.label_runs().union_taint(taint)
+    assert_canonical(result.label_runs(), len(labels), expected.runs)
+    assert (result.labels is None) == (not expected.has_labels())

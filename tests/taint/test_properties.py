@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.taintmap import deserialize_tags, serialize_tags
+from repro.core.taintmap import deserialize_tags, serialize_tags, serialize_taint
 from repro.taint import LocalId, TBytes, TStr, TaintTree
 
 LOCAL = LocalId("10.0.0.1", 1)
@@ -94,6 +94,28 @@ def test_unions_keep_the_tree_canonical(specs, rnd):
             pending.append(child)
     max_len = max(len(s) for s in materialized)
     assert tree.node_count() <= 1 + len(materialized) * max_len
+
+
+@given(taint_specs, st.randoms(use_true_random=False), st.integers(0, 2**32 - 1))
+def test_one_pass_serialization_matches_the_tag_set(specs, rnd, gid):
+    """``serialize_taint`` walks a taint's path once, yet gives the
+    bytes ``serialize_tags`` gives for its tag set, for unions of local
+    tags and tags from another tree, stamped with GlobalIDs or not."""
+    tree = fresh_tree()
+    remote = TaintTree(REMOTE)
+    result = tree.empty
+    for names, foreign in specs:
+        if foreign:
+            raw = serialize_tags(frozenset(remote.new_tag(n) for n in names))
+            taint = tree.taint_for_tags(deserialize_tags(raw))
+        else:
+            taint = tree.taint_for_tags([tree.new_tag(n) for n in names])
+        if rnd.random() < 0.3:
+            taint.tag.global_id = gid
+        result = result.union(taint) if rnd.random() < 0.5 else taint.union(result)
+        assert serialize_taint(taint) == serialize_tags(taint.tags)
+        assert serialize_taint(result) == serialize_tags(result.tags)
+    assert serialize_taint(tree.empty) == serialize_tags(frozenset())
 
 
 @given(st.binary(max_size=64), st.binary(max_size=64), tag_names, tag_names)

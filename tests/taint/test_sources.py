@@ -54,6 +54,33 @@ class TestSources:
         assert reg.source_events[0].detail == "file=/logs/txn.1"
 
 
+class TestPatternMatches:
+    def test_each_descriptor_is_matched_once(self, reg, monkeypatch):
+        from repro.taint import sources
+
+        reg.add_source("Vote#*")
+        reg.add_sink("Log#*")
+        matched = []
+        real = sources.fnmatchcase
+        monkeypatch.setattr(
+            sources, "fnmatchcase", lambda name, pat: matched.append(name) or real(name, pat)
+        )
+        for _ in range(3):
+            reg.source("Vote#<init>", 1)
+            reg.source("Other#read", 1)
+            reg.sink("Log#info", 1)
+            reg.sink("Other#write", 1)
+        assert sorted(matched) == ["Log#info", "Other#read", "Other#write", "Vote#<init>"]
+        assert len(reg.source_events) == 3 and len(reg.observations) == 3
+
+    def test_adding_a_pattern_changes_the_remembered_answer(self, reg):
+        assert not reg.is_source("Vote#<init>") and not reg.is_sink("Log#info")
+        reg.add_source("Vote#*")
+        reg.add_sink("Log#*")
+        assert reg.is_source("Vote#<init>") and reg.is_sink("Log#info")
+        assert not reg.is_source("Log#info") and not reg.is_sink("Vote#<init>")
+
+
 class TestSinks:
     def test_unconfigured_sink_returns_none(self, reg):
         assert reg.sink("Logger#info", TInt(1)) is None
