@@ -10,6 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.jre import ServerSocket, Socket
+from repro.obs.registry import snapshot_total
 from repro.runtime.cluster import Cluster
 from repro.runtime.modes import Mode
 from repro.taint.values import TBytes
@@ -43,7 +44,16 @@ def demo(mode: Mode) -> None:
             print(f"  prefix tainted? {received[:16].overall_taint() is not None}")
             print(f"  secret tainted? {received[16:].overall_taint() is not None}")
         if cluster.taint_map_server is not None:
-            print(f"taint map stats: {cluster.taint_map_server.stats.snapshot()}")
+            # The Taint Map's request counts, from the cluster's telemetry.
+            snapshot = cluster.telemetry_snapshot()
+            requests = {
+                kind: int(snapshot_total(
+                    snapshot, "dista_taintmap_server_requests_total", {"kind": kind}
+                ))
+                for kind in ("register", "lookup")
+            }
+            taints = int(snapshot_total(snapshot, "dista_taintmap_global_taints"))
+            print(f"taint map requests: {requests}, global taints: {taints}")
         print(f"wire bytes (5x under DisTA): {cluster.wire_bytes()}")
 
 

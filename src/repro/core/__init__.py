@@ -23,7 +23,6 @@ from repro.core.launch import LaunchScript, all_launch_scripts, average_changed_
 from repro.core.taintmap import (
     TaintMapClient,
     TaintMapServer,
-    TaintMapStats,
     deserialize_tags,
     serialize_tags,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "LaunchScript",
     "TaintMapClient",
     "TaintMapServer",
-    "TaintMapStats",
     "TaintSpec",
     "all_launch_scripts",
     "average_changed_loc",

@@ -148,9 +148,6 @@ class DisTAAgent:
             if extension.name in node.jni._extensions:
                 node.jni.patch(extension.name, extension.build(runtime))
         node.taintmap = client
-        # dista_sampled_out_total reads the registry's own tally at
-        # scrape time, so the source hook stays unchanged.
-        node.metrics.register_collector(node.registry.telemetry_samples)
         return runtime
 
     def detach(self, node) -> None:

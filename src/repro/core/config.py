@@ -102,9 +102,6 @@ class DisTAConfig:
     request_deadline_s: Optional[float] = _row(
         "taintMapDeadlineS", float, DEFAULT_DEADLINE_S, env="DISTA_TAINTMAP_DEADLINE_S"
     )
-    #: Flow sampling: track every k-th flow admitted at source
-    #: registration; the rest reach sinks untainted.
-    sample_every: int = _row("taintSampleEvery", int, 1)
     #: Fraction of source firings that taint, gated deterministically
     #: (the tainted-fraction telemetry tests drive it from 0 to 1).
     source_fraction: float = _row("taintSourceFraction", float, 1.0)
@@ -124,7 +121,6 @@ class DisTAConfig:
                 f"wrapper_types must be a non-empty subset of {{1, 2, 3}}, "
                 f"got {sorted(self.wrapper_types)}",
             ),
-            (self.sample_every < 1, f"sample_every must be >= 1, got {self.sample_every}"),
             (
                 not 0.0 <= self.source_fraction <= 1.0,
                 f"source_fraction {self.source_fraction} outside [0, 1]",

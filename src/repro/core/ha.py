@@ -66,11 +66,6 @@ class StandbyTaintMapServer(TaintMapServer):
                     self._next_gid = max(self._next_gid, gid + 1)
                     self._persist_entry_locked(gid, serialized)
             if new_gid:
-                # Keep the population counter in sync with the state the
-                # sync stream installs: a promoted standby must report
-                # the same global_taints the primary did, not 0.
-                with self.stats._lock:
-                    self.stats.global_taints += 1
                 self._maybe_snapshot()
             return STATUS_OK, b""
         return super()._handle(op, payload)

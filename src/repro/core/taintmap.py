@@ -343,55 +343,14 @@ def _split_batch_lookup_response(raw: bytes, count: int) -> list[bytes]:
     return _split_entries(raw, 0, count, "batch lookup")
 
 
-
-class TaintMapStats:
-    """Taint Map counters (feed the §V-F scalability analysis).
-
-    Servers fill the request/population counters; clients fill the
-    cache counters (hits/misses of ``_gid_cache`` / ``_taint_cache``).
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.register_requests = 0
-        self.lookup_requests = 0
-        self.register_entries = 0
-        self.lookup_entries = 0
-        self.global_taints = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.close_errors = 0
-        self.wal_appends = 0
-        self.wal_replayed = 0
-        self.wal_snapshots = 0
-        self.wal_torn_records = 0
-
-    def bump(self, counter: str, amount: int = 1) -> None:
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + amount)
-
-    def count_cache(self, hits: int, misses: int) -> None:
-        """One client call's cache hits and misses, in one update."""
-        with self._lock:
-            self.cache_hits += hits
-            self.cache_misses += misses
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "register_requests": self.register_requests,
-                "lookup_requests": self.lookup_requests,
-                "register_entries": self.register_entries,
-                "lookup_entries": self.lookup_entries,
-                "global_taints": self.global_taints,
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "close_errors": self.close_errors,
-                "wal_appends": self.wal_appends,
-                "wal_replayed": self.wal_replayed,
-                "wal_snapshots": self.wal_snapshots,
-                "wal_torn_records": self.wal_torn_records,
-            }
+def _split_batch_register_response(raw: bytes, count: int) -> tuple[int, ...]:
+    """``OP_REGISTER_MANY`` response: one 4-byte GID per entry, which
+    must fill it exactly; :class:`~repro.errors.TaintMapError`
+    otherwise."""
+    try:
+        return struct.unpack(f">{count}I", raw)
+    except struct.error as exc:
+        raise TaintMapError(f"malformed batch register reply: {exc}") from exc
 
 
 class TaintMapServer:
@@ -428,7 +387,49 @@ class TaintMapServer:
         self._next_gid = 1
         self._running = False
         self._connections: list[TcpEndpoint] = []
-        self.stats = TaintMapStats()
+        #: Server telemetry, declared before recovery counts into it.
+        #: Every counter child is bound once, here, so a scrape shows
+        #: each one from the start, reading 0 before its first event.
+        self.metrics = MetricsRegistry({"node": "taintmap"})
+        requests = self.metrics.counter(
+            "dista_taintmap_server_requests_total",
+            "Requests handled by this Taint Map server.",
+            ("kind",),
+        )
+        entries = self.metrics.counter(
+            "dista_taintmap_server_entries_total",
+            "Batch entries processed by this Taint Map server.",
+            ("kind",),
+        )
+        self._register_requests = requests.labels(kind="register")
+        self._lookup_requests = requests.labels(kind="lookup")
+        self._register_entries = entries.labels(kind="register")
+        self._lookup_entries = entries.labels(kind="lookup")
+        self._wal_appends = self.metrics.counter(
+            "dista_wal_appends_total",
+            "Records appended to this server's write-ahead log.",
+        ).labels()
+        self._wal_replayed = self.metrics.counter(
+            "dista_wal_replayed_total",
+            "WAL entries replayed during the last recovery.",
+        ).labels()
+        self._wal_snapshots = self.metrics.counter(
+            "dista_wal_snapshots_total",
+            "Compacted snapshots written by this server.",
+        ).labels()
+        self._wal_torn_records = self.metrics.counter(
+            "dista_wal_torn_records_total",
+            "Torn WAL tail records dropped during recovery.",
+        ).labels()
+        self._handle_seconds = self.metrics.histogram(
+            "dista_taintmap_server_handle_seconds",
+            "Per-request Taint Map handling time (server side) in seconds.",
+            ("op",),
+        )
+        #: op -> bound ``_handle_seconds`` child: every request observes
+        #: it, so the labels() lookup is done once per op.
+        self._handle_children: dict = {}
+        self.metrics.register_collector(self._population_samples)
         #: Durability: WAL + snapshot store (None = in-memory only, the
         #: historical behaviour).  Recovery runs *now*, before the
         #: listener exists, so no request can observe half-replayed
@@ -438,18 +439,6 @@ class TaintMapServer:
         self._writes_since_snapshot = 0
         if store is not None:
             self._recover()
-        #: Server telemetry: request-handling latency plus the
-        #: TaintMapStats counters folded in at scrape time.
-        self.metrics = MetricsRegistry({"node": "taintmap"})
-        self._handle_seconds = self.metrics.histogram(
-            "dista_taintmap_server_handle_seconds",
-            "Per-request Taint Map handling time (server side) in seconds.",
-            ("op",),
-        )
-        #: op -> bound ``_handle_seconds`` child: every request observes
-        #: it, so the labels() lookup is done once per op.
-        self._handle_children: dict = {}
-        self.metrics.register_collector(self._stats_samples)
 
     # -- lifecycle ------------------------------------------------------- #
 
@@ -533,15 +522,13 @@ class TaintMapServer:
 
     def _handle(self, op: int, payload: bytes) -> tuple[int, bytes]:
         if op == OP_REGISTER_MANY:
-            with self.stats._lock:
-                self.stats.register_requests += 1
+            self._register_requests.inc()
             try:
                 entries = _split_batch_register(payload)
                 keys = [serialized_key(entry) for entry in entries]
             except TaintMapError:
                 return STATUS_BAD_REQUEST, b""
-            with self.stats._lock:
-                self.stats.register_entries += len(entries)
+            self._register_entries.inc(len(entries))
             # One _register per entry so subclass hooks (HA replication)
             # see every registration individually.
             try:
@@ -550,15 +537,13 @@ class TaintMapServer:
                 return STATUS_GID_EXHAUSTED, b""
             return STATUS_OK, struct.pack(f">{len(gids)}I", *gids)
         if op == OP_LOOKUP_MANY:
-            with self.stats._lock:
-                self.stats.lookup_requests += 1
+            self._lookup_requests.inc()
             try:
                 (count,) = struct.unpack(">H", payload[:2])
                 gids = struct.unpack(f">{count}I", payload[2:])
             except Exception:
                 return STATUS_BAD_REQUEST, b""
-            with self.stats._lock:
-                self.stats.lookup_entries += count
+            self._lookup_entries.inc(count)
             out = []
             with self._lock:
                 for gid in gids:
@@ -614,9 +599,8 @@ class TaintMapServer:
             self._by_key.setdefault(key, gid)
         if self._by_gid:
             self._next_gid = max(self._next_gid, max(self._by_gid) + 1)
-        self.stats.global_taints = len(self._by_gid)
-        self.stats.wal_replayed = replayed
-        self.stats.wal_torn_records = torn
+        self._wal_replayed.inc(replayed)
+        self._wal_torn_records.inc(torn)
         if torn:
             # New records must not land behind the torn bytes: replay
             # stops at the tear, so they would be lost on the next
@@ -636,7 +620,7 @@ class TaintMapServer:
             )
         )
         self._writes_since_snapshot += 1
-        self.stats.bump("wal_appends")
+        self._wal_appends.inc()
 
     def _maybe_snapshot(self) -> None:
         if self._store is None:
@@ -665,7 +649,7 @@ class TaintMapServer:
         self._store.write_snapshot(data)
         self._store.truncate_log()
         self._writes_since_snapshot = 0
-        self.stats.bump("wal_snapshots")
+        self._wal_snapshots.inc()
 
     def _register(self, key: bytes, serialized: bytes) -> int:
         """The GID of the taint ``serialized``, whose
@@ -683,8 +667,6 @@ class TaintMapServer:
             self._by_key[key] = gid
             self._by_gid[gid] = serialized
             self._persist_entry_locked(gid, serialized)
-        with self.stats._lock:
-            self.stats.global_taints += 1
         self._maybe_snapshot()
         self._allocated(gid, serialized)
         return gid
@@ -706,30 +688,16 @@ class TaintMapServer:
         with self._lock:
             return len(self._by_key)
 
-    def _stats_samples(self) -> dict:
-        """Scrape-time fold of :class:`TaintMapStats` into the registry."""
-        snap = self.stats.snapshot()
+    def _population_samples(self) -> dict:
+        """The population and headroom gauges, read from the maps at
+        scrape time, so no allocation path keeps a count."""
+        with self._lock:
+            population = len(self._by_gid)
         return {
-            "dista_taintmap_server_requests_total": {
-                "type": "counter",
-                "help": "Requests handled by this Taint Map server.",
-                "samples": [
-                    {"labels": {"kind": "register"}, "value": snap["register_requests"]},
-                    {"labels": {"kind": "lookup"}, "value": snap["lookup_requests"]},
-                ],
-            },
-            "dista_taintmap_server_entries_total": {
-                "type": "counter",
-                "help": "Batch entries processed by this Taint Map server.",
-                "samples": [
-                    {"labels": {"kind": "register"}, "value": snap["register_entries"]},
-                    {"labels": {"kind": "lookup"}, "value": snap["lookup_entries"]},
-                ],
-            },
             "dista_taintmap_global_taints": {
                 "type": "gauge",
                 "help": "Distinct global taints registered on this server.",
-                "samples": [{"labels": {}, "value": snap["global_taints"]}],
+                "samples": [{"labels": {}, "value": population}],
             },
             "dista_gid_headroom": {
                 "type": "gauge",
@@ -738,26 +706,6 @@ class TaintMapServer:
                     "allocation space."
                 ),
                 "samples": [{"labels": {}, "value": self.gid_headroom}],
-            },
-            "dista_wal_appends_total": {
-                "type": "counter",
-                "help": "Records appended to this server's write-ahead log.",
-                "samples": [{"labels": {}, "value": snap["wal_appends"]}],
-            },
-            "dista_wal_replayed_total": {
-                "type": "counter",
-                "help": "WAL entries replayed during the last recovery.",
-                "samples": [{"labels": {}, "value": snap["wal_replayed"]}],
-            },
-            "dista_wal_snapshots_total": {
-                "type": "counter",
-                "help": "Compacted snapshots written by this server.",
-                "samples": [{"labels": {}, "value": snap["wal_snapshots"]}],
-            },
-            "dista_wal_torn_records_total": {
-                "type": "counter",
-                "help": "Torn WAL tail records dropped during recovery.",
-                "samples": [{"labels": {}, "value": snap["wal_torn_records"]}],
             },
         }
 
@@ -806,8 +754,6 @@ class TaintMapClient:
         self._replicas: list[Address] = [address]
         self._active = 0
         self._cache_enabled = cache_enabled
-        #: Client-side counters: cache hits/misses.
-        self.stats = TaintMapStats()
         #: Guards both caches.  A call reads them under one hold and
         #: records what it resolved under one more.  Nothing is ever
         #: evicted: a taint that has crossed the network once never
@@ -819,74 +765,66 @@ class TaintMapClient:
         self._gid_cache: dict[Taint, int] = {}
         #: Global ID → local taint.
         self._taint_cache: dict[int, Taint] = {}
-        self.requests_sent = 0
-        #: Node telemetry (None for bare test nodes without a registry).
-        self._metrics = getattr(node, "metrics", None)
-        self._rpc_seconds = None
-        self._requests_total = None
-        self._batch_entries = None
-        if self._metrics is not None:
-            self._rpc_seconds = self._metrics.histogram(
-                "dista_taintmap_rpc_seconds",
-                "Client-observed Taint Map RPC latency in seconds.",
-                ("op",),
-            )
-            self._requests_total = self._metrics.counter(
-                "dista_taintmap_requests_total",
-                "Taint Map requests issued by this node.",
-                ("op",),
-            )
-            self._batch_entries = self._metrics.histogram(
-                "dista_taintmap_batch_entries",
-                "Entries per batched Taint Map request.",
-                ("op",),
-                lowest=1.0,
-                buckets=16,
-            )
-        #: (family, op) -> bound metric child: every RPC observes these,
-        #: so the labels() lookups are done once per op.
+        #: Node telemetry.  The node's registry owns these counters, so
+        #: they outlive the client, and every client of one node adds
+        #: into the same children.
+        metrics = node.metrics
+        self._rpc_seconds = metrics.histogram(
+            "dista_taintmap_rpc_seconds",
+            "Client-observed Taint Map RPC latency in seconds.",
+            ("op",),
+        )
+        self._requests_total = metrics.counter(
+            "dista_taintmap_requests_total",
+            "Taint Map requests issued by this node.",
+            ("op",),
+        )
+        self._batch_entries = metrics.histogram(
+            "dista_taintmap_batch_entries",
+            "Entries per batched Taint Map request.",
+            ("op",),
+            lowest=1.0,
+            buckets=16,
+        )
+        cache_events = metrics.counter(
+            "dista_cache_events_total",
+            "GID/taint cache events on this node's Taint Map client.",
+            ("event",),
+        )
+        self._cache_hits = cache_events.labels(event="hit")
+        self._cache_misses = cache_events.labels(event="miss")
+        self._close_errors = metrics.counter(
+            "dista_taintmap_close_errors_total",
+            "Socket errors suppressed while closing Taint Map connections.",
+        ).labels()
+        #: op -> its bound (RPC seconds, requests, batch entries)
+        #: children: every RPC observes them, so the labels() lookups
+        #: are done once per op.
         self._op_children: dict = {}
         self.transport = TaintMapTransport(self, request_deadline_s)
-        if self._metrics is not None:
-            self._metrics.register_collector(self._cache_samples)
 
-    def _cache_samples(self) -> dict:
-        """Scrape-time fold of the client-side cache counters."""
-        snap = self.stats.snapshot()
-        return {
-            "dista_cache_events_total": {
-                "type": "counter",
-                "help": "GID/taint cache events on this node's Taint Map client.",
-                "samples": [
-                    {"labels": {"event": "hit"}, "value": snap["cache_hits"]},
-                    {"labels": {"event": "miss"}, "value": snap["cache_misses"]},
-                ],
-            },
-            "dista_taintmap_close_errors_total": {
-                "type": "counter",
-                "help": "Socket errors suppressed while closing Taint Map connections.",
-                "samples": [{"labels": {}, "value": snap["close_errors"]}],
-            },
-        }
-
-    def _op_child(self, family, op: int):
-        child = self._op_children.get((family, op))
-        if child is None:
-            child = self._op_children[(family, op)] = family.labels(op=op_name(op))
-        return child
+    def _bind_op(self, op: int) -> tuple:
+        name = op_name(op)
+        children = self._op_children[op] = (
+            self._rpc_seconds.labels(op=name),
+            self._requests_total.labels(op=name),
+            self._batch_entries.labels(op=name),
+        )
+        return children
 
     def _observe_rpc(self, op: int, elapsed: float) -> None:
-        if self._rpc_seconds is not None:
-            self._op_child(self._rpc_seconds, op).observe(elapsed)
-            self._op_child(self._requests_total, op).inc()
+        seconds, requests, _ = self._op_children.get(op) or self._bind_op(op)
+        seconds.observe(elapsed)
+        requests.inc()
 
     def _observe_batch(self, op: int, entries: int) -> None:
-        if self._batch_entries is not None:
-            self._op_child(self._batch_entries, op).observe(entries)
+        _, _, batch = self._op_children.get(op) or self._bind_op(op)
+        batch.observe(entries)
 
     def _cached(self, cache: dict, keys: Sequence, empty) -> tuple[list, dict]:
         """Read ``cache`` for every key that is not ``None`` under one lock
-        hold, and count the call's hits and misses in one update.  Returns
+        hold, and count the call's hits and misses, each only when there
+        is one.  Returns
         the cached values by position (``empty`` where the key is
         ``None``), and each missed key with the positions it fills."""
         values = [empty] * len(keys)
@@ -902,7 +840,10 @@ class TaintMapClient:
                     misses.setdefault(key, []).append(i)
         if self._cache_enabled:
             missed = sum(map(len, misses.values()))
-            self.stats.count_cache(looked - missed, missed)
+            if looked > missed:
+                self._cache_hits.inc(looked - missed)
+            if missed:
+                self._cache_misses.inc(missed)
         return values, misses
 
     # -- sender side (Fig. 9 steps 1-2) ---------------------------------- #
@@ -974,7 +915,3 @@ class TaintMapClient:
 
     def close(self) -> None:
         self.transport.close()
-        # Detach the cache collector: a detached client must not keep
-        # reporting (or keep itself alive) through the node's registry.
-        if self._metrics is not None:
-            self._metrics.unregister_collector(self._cache_samples)

@@ -40,7 +40,6 @@ Every :class:`~repro.core.taintmap.TaintMapClient` owns one
 from __future__ import annotations
 
 import itertools
-import struct
 import threading
 import time
 from typing import Optional, Sequence
@@ -58,6 +57,7 @@ from repro.core.taintmap import (
     _pack_batch_lookup,
     _pack_batch_register,
     _split_batch_lookup_response,
+    _split_batch_register_response,
     mux_frame,
     take_frames,
 )
@@ -109,14 +109,14 @@ class _MuxConnection:
     holder reads, keeping a partial reply frame in ``_buffer``.
     """
 
-    def __init__(self, endpoint: TcpEndpoint, inflight=None):
+    def __init__(self, endpoint: TcpEndpoint, inflight):
         self._endpoint = endpoint
         #: Correlation id → the flight waiting for that reply.
         self._pending: dict[int, _Flight] = {}
         self._corr = itertools.count(1)
         self._send_lock = threading.Lock()
         self._broken: Optional[Exception] = None
-        #: Optional gauge child tracking in-flight request depth.
+        #: The gauge child tracking in-flight request depth.
         self._inflight = inflight
         #: True while a caller holds the read turn.
         self.reading = False
@@ -143,14 +143,13 @@ class _MuxConnection:
         while corr in self._pending:
             corr = next(self._corr) & _CORR_MASK
         self._pending[corr] = flight
-        if self._inflight is not None:
-            self._inflight.inc()
+        self._inflight.inc()
         return corr
 
     def take(self, corr: int) -> Optional["_Flight"]:
         """The flight a reply answers, or None if it is no longer here."""
         flight = self._pending.pop(corr, None)
-        if flight is not None and self._inflight is not None:
+        if flight is not None:
             self._inflight.dec()
         return flight
 
@@ -161,7 +160,7 @@ class _MuxConnection:
             self._broken = exc
         flights = list(self._pending.values())
         self._pending.clear()
-        if flights and self._inflight is not None:
+        if flights:
             self._inflight.dec(len(flights))
         return flights
 
@@ -243,7 +242,7 @@ class _Channel:
         try:
             connection.close()
         except Exception:
-            self._transport.client.stats.bump("close_errors")
+            self._transport.client._close_errors.inc()
 
 
 class _Flight:
@@ -305,15 +304,12 @@ class TaintMapTransport:
             if request_deadline_s is None or request_deadline_s <= 0
             else float(request_deadline_s)
         )
-        # In-flight depth on the owning node's registry (None for bare
-        # test nodes), declared now so /metrics always exposes it.
-        self._inflight = None
-        metrics = getattr(client, "_metrics", None)
-        if metrics is not None:
-            self._inflight = metrics.gauge(
-                "dista_taintmap_inflight_requests",
-                "Requests in flight on the multiplexed Taint Map connection.",
-            ).labels()
+        # In-flight depth on the owning node's registry, declared now so
+        # /metrics always exposes it.
+        self._inflight = client._node.metrics.gauge(
+            "dista_taintmap_inflight_requests",
+            "Requests in flight on the multiplexed Taint Map connection.",
+        ).labels()
         self._closed = False
         #: Guards the connection's request table and read turn.
         self._lock = threading.Lock()
@@ -407,14 +403,12 @@ class TaintMapTransport:
 
     def _landed(self, flight: _Flight, status: int, response: bytes) -> None:
         """Settle the flight a reply answers."""
-        client = self.client
-        client.requests_sent += 1
-        client._observe_rpc(flight.op, time.perf_counter() - flight.started)
+        self.client._observe_rpc(flight.op, time.perf_counter() - flight.started)
         try:
             if status != STATUS_OK:
                 flight.outcome = _status_error(status)
             elif flight.op == OP_REGISTER_MANY:
-                flight.outcome = struct.unpack(f">{flight.count}I", response)
+                flight.outcome = _split_batch_register_response(response, flight.count)
             else:
                 flight.outcome = _split_batch_lookup_response(response, flight.count)
         except Exception as exc:  # a malformed reply

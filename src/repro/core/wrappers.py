@@ -57,43 +57,37 @@ class DisTARuntime:
         #: (method, direction) -> bound metric children; record_io runs
         #: on every crossing, so the labels() lookups are done once.
         self._io_children: dict = {}
-        #: Wrapper-boundary telemetry (None for bare test nodes).
-        self.metrics = getattr(node, "metrics", None)
-        self._io_calls = None
-        self._io_bytes = None
-        self._io_tainted = None
-        self._crossings = None
-        self._fastpath = None
-        if self.metrics is not None:
-            self._io_calls = self.metrics.counter(
-                "dista_jni_calls_total",
-                "Wrapped JNI method invocations.",
-                ("method", "direction"),
-            )
-            self._io_bytes = self.metrics.counter(
-                "dista_jni_bytes_total",
-                "Payload bytes through wrapped JNI methods.",
-                ("method", "direction"),
-            )
-            self._io_tainted = self.metrics.counter(
-                "dista_jni_tainted_bytes_total",
-                "Tainted payload bytes through wrapped JNI methods "
-                "(divide by dista_jni_bytes_total for the per-method ratio).",
-                ("method", "direction"),
-            )
-            self._crossings = self.metrics.counter(
-                "dista_crossings_total",
-                "Tainted boundary crossings observed at the wrappers.",
-                ("direction",),
-            )
-            self._fastpath = self.metrics.counter(
-                "dista_fastpath_total",
-                "Crossings by taint-state-specialized codec path: fast = "
-                "zero-taint short circuit (no GID array, no resolver "
-                "call, no Taint Map round-trip), slow = shadow codec "
-                "engaged.",
-                ("site", "path"),
-            )
+        #: Wrapper-boundary telemetry, on the node's registry.
+        self.metrics = metrics = node.metrics
+        self._io_calls = metrics.counter(
+            "dista_jni_calls_total",
+            "Wrapped JNI method invocations.",
+            ("method", "direction"),
+        )
+        self._io_bytes = metrics.counter(
+            "dista_jni_bytes_total",
+            "Payload bytes through wrapped JNI methods.",
+            ("method", "direction"),
+        )
+        self._io_tainted = metrics.counter(
+            "dista_jni_tainted_bytes_total",
+            "Tainted payload bytes through wrapped JNI methods "
+            "(divide by dista_jni_bytes_total for the per-method ratio).",
+            ("method", "direction"),
+        )
+        self._crossings = metrics.counter(
+            "dista_crossings_total",
+            "Tainted boundary crossings observed at the wrappers.",
+            ("direction",),
+        )
+        self._fastpath = metrics.counter(
+            "dista_fastpath_total",
+            "Crossings by taint-state-specialized codec path: fast = "
+            "zero-taint short circuit (no GID array, no resolver "
+            "call, no Taint Map round-trip), slow = shadow codec "
+            "engaged.",
+            ("site", "path"),
+        )
 
     def record_io(self, direction: str, method: str, data, channel=None) -> None:
         """One wrapper-boundary event: telemetry, plus a hop edge in the
@@ -105,31 +99,30 @@ class DisTARuntime:
         with its receive into a span.
         """
         tainted = data.tainted_byte_count()
-        if self._io_calls is not None:
-            children = self._io_children.get((method, direction))
-            if children is None:
-                children = (
-                    self._io_calls.labels(method=method, direction=direction),
-                    self._io_bytes.labels(method=method, direction=direction),
-                    self._io_tainted.labels(method=method, direction=direction),
-                    self._crossings.labels(direction=direction),
-                    self._fastpath.labels(site=method, path="fast"),
-                    self._fastpath.labels(site=method, path="slow"),
-                )
-                self._io_children[(method, direction)] = children
-            calls, io_bytes, io_tainted, crossings, fast, slow = children
-            calls.inc()
-            io_bytes.inc(len(data))
-            io_tainted.inc(tainted)
-            if tainted:
-                crossings.inc()
-            # Which codec path this crossing's payload dispatches to:
-            # the predicate mirrors the one in the wire codecs.
-            labels = getattr(data, "labels", None)
-            if labels is None or not labels.has_labels():
-                fast.inc()
-            else:
-                slow.inc()
+        children = self._io_children.get((method, direction))
+        if children is None:
+            children = (
+                self._io_calls.labels(method=method, direction=direction),
+                self._io_bytes.labels(method=method, direction=direction),
+                self._io_tainted.labels(method=method, direction=direction),
+                self._crossings.labels(direction=direction),
+                self._fastpath.labels(site=method, path="fast"),
+                self._fastpath.labels(site=method, path="slow"),
+            )
+            self._io_children[(method, direction)] = children
+        calls, io_bytes, io_tainted, crossings, fast, slow = children
+        calls.inc()
+        io_bytes.inc(len(data))
+        io_tainted.inc(tainted)
+        if tainted:
+            crossings.inc()
+        # Which codec path this crossing's payload dispatches to: the
+        # predicate mirrors the one in the wire codecs.
+        labels = getattr(data, "labels", None)
+        if labels is None or not labels.has_labels():
+            fast.inc()
+        else:
+            slow.inc()
         if tainted and self.lineage is not None:
             self.lineage.record_crossing(
                 self.node.name, direction, method, data, tainted, channel

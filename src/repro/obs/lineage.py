@@ -27,9 +27,8 @@ bytes each read drains from it.  A receive whose flow drained no send
 gets a fresh span and an explicit ``uncorrelated`` hop rather than a
 guess.
 
-Sampling is explicit, never silent: a flow sampled out by
-``sample_every`` appears as a *stub* tree whose root disposition is
-``sampled_out``; partial trees are marked partial, not missing.
+A tree with an uncorrelated or in-flight hop is marked partial, not
+passed off as complete.
 
 The store is bounded (``max_flows``) and a store that forgot flows says
 so (:attr:`LineageStore.evicted`, ``dista_lineage_flows_evicted_total``).
@@ -54,9 +53,8 @@ from typing import Optional
 from repro.obs.registry import FragmentHistogram
 
 #: Root dispositions.
-TRACKED = "tracked"  # rooted by an admitted source registration
+TRACKED = "tracked"  # rooted by a source registration
 IMPLICIT = "implicit"  # first seen mid-flight (no registry source event)
-SAMPLED_OUT = "sampled_out"  # flow-sampling rejected it (stub tree)
 
 #: Hop dispositions.
 TRACED = "traced"  # send and receive correlated by span
@@ -312,10 +310,8 @@ class FlowTree:
 
     @property
     def partial(self) -> bool:
-        """True when this tree is explicitly incomplete: sampled out, or
-        carrying uncorrelated/in-flight hops."""
-        if self.root.disposition == SAMPLED_OUT:
-            return True
+        """True when this tree is explicitly incomplete: it carries
+        uncorrelated or in-flight hops."""
         return any(
             h.disposition == UNCORRELATED or not h.complete for h in self.hops
         )
@@ -406,7 +402,6 @@ class LineageStore:
         self.max_flows = max_flows
         self._lock = threading.Lock()
         self._flows: "OrderedDict" = OrderedDict()
-        self._stub_counter = 0
         self.evicted = 0
         self.completed_total = 0
         self._depth_hist = FragmentHistogram(lowest=1.0, buckets=DEPTH_BUCKETS)
@@ -442,7 +437,7 @@ class LineageStore:
     def record_source(
         self, node: str, descriptor: str, tag, detail: str = "", timestamp=None
     ) -> None:
-        """An admitted source registration: the root of a tracked flow."""
+        """A source registration: the root of a tracked flow."""
         timestamp = time.monotonic() if timestamp is None else timestamp
         with self._lock:
             key = tag.key()
@@ -464,18 +459,6 @@ class LineageStore:
                 flow.root_node.node = node
                 flow._frontier.setdefault(node, flow.root_node)
             flow.note_tag(tag)
-
-    def record_sampled_out(self, node: str, descriptor: str, timestamp=None) -> None:
-        """A source firing rejected by flow sampling: a stub tree whose
-        root says so — sampled-out flows are marked, never missing."""
-        timestamp = time.monotonic() if timestamp is None else timestamp
-        with self._lock:
-            self._stub_counter += 1
-            key = (SAMPLED_OUT, node, descriptor, self._stub_counter)
-            self._flows[key] = FlowTree(
-                key, SourceRoot(node, descriptor, "", timestamp, SAMPLED_OUT)
-            )
-            self._enforce_bound()
 
     def record_crossing(
         self, node: str, direction: str, method: str, data, tainted: int, channel=None

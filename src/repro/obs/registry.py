@@ -22,9 +22,9 @@ Three metric kinds, mirroring the Prometheus data model:
 The interchange format is the **snapshot**: a plain dict keyed by metric
 name, JSON-serializable, mergeable across registries (same-name series sum), and
 renderable as Prometheus exposition text (:func:`render_exposition`).
-Scrape-time **collectors** fold pre-existing counter objects (e.g.
-:class:`~repro.core.taintmap.TaintMapStats`) into the same snapshot
-without double-accounting: they are read fresh on every scrape.
+Every count lives in a family child.  Scrape-time **collectors** only
+read derived state into the same snapshot, fresh on every scrape: the
+Taint Map server's population and GID headroom, and the lineage store.
 """
 
 from __future__ import annotations
@@ -159,11 +159,11 @@ class _HistogramChild:
 class FragmentHistogram:
     """A standalone histogram series for scrape-time collector fragments.
 
-    Components that join a registry via :meth:`MetricsRegistry.register_collector`
-    (TaintMapStats, the lineage store) own their counters
-    directly rather than through a :class:`MetricFamily`.  This gives
-    them the same power-of-two-bucket histogram the registry uses —
-    O(1) ``frexp`` recording under a private lock — plus a
+    A component that joins a registry via
+    :meth:`MetricsRegistry.register_collector` (the lineage store) owns
+    its counters directly rather than through a :class:`MetricFamily`.
+    This gives it the same power-of-two-bucket histogram the registry
+    uses — O(1) ``frexp`` recording under a private lock — plus a
     :meth:`sample` method emitting the exact snapshot-sample shape
     (``labels``/``le``/``buckets``/``sum``/``count``) the snapshot
     algebra (merge, diff, quantile, exposition) consumes.
@@ -368,16 +368,11 @@ class MetricsRegistry:
 
     def register_collector(self, fn: Callable[[], dict]) -> None:
         """``fn()`` returns a snapshot fragment read fresh per scrape —
-        how pre-existing counters (TaintMapStats, the lineage store) join
-        the registry without double-accounting."""
+        how derived state (a server's taint population, the lineage
+        store) joins the registry without a second count."""
         with self._lock:
             if fn not in self._collectors:
                 self._collectors.append(fn)
-
-    def unregister_collector(self, fn: Callable[[], dict]) -> None:
-        with self._lock:
-            if fn in self._collectors:
-                self._collectors.remove(fn)
 
     # -- snapshot / exposition --------------------------------------------- #
 

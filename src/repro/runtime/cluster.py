@@ -79,7 +79,6 @@ class Cluster:
         for pattern in self._default_sinks:
             node.registry.add_sink(pattern)
         node.registry.source_fraction = self.config.source_fraction
-        node.registry.sample_every = self.config.sample_every
         self.nodes[name] = node
         if self._started:
             self._attach_agent(node)

@@ -74,16 +74,6 @@ class SourceSinkRegistry:
     #: value (the tainted-fraction telemetry tests drive it from 0 to
     #: 1).  1.0 is the paper's behaviour: every firing taints.
     source_fraction: float = 1.0
-    #: Flow-sampling period: admit (taint) every ``k``-th matching
-    #: source firing, counted deterministically per registry.  1 admits
-    #: every flow (the paper's behaviour).  The cluster sets it once from
-    #: ``DisTAConfig.sample_every``.  A sampled-out flow's value is
-    #: returned untainted, so it dispatches through the zero-taint fast
-    #: path everywhere downstream — never touching the resolver or the
-    #: Taint Map — and its wire frames are byte-identical to untainted
-    #: traffic.  It reaches its sinks untainted and is counted in
-    #: :attr:`sampled_out` (``dista_sampled_out_total``).
-    sample_every: int = 1
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -101,13 +91,6 @@ class SourceSinkRegistry:
         self._sink_matches: dict[str, bool] = {}
         self._auto_counter = 0
         self._sample_counter = 0
-        self._flow_counter = 0
-        #: Matching source firings left untracked by flow sampling.
-        self.sampled_out = 0
-        #: Matching source firings admitted by flow sampling (only
-        #: counted while ``sample_every`` > 1; with sampling off the
-        #: admission check is skipped entirely).
-        self.admitted = 0
 
     # -- configuration -------------------------------------------------- #
 
@@ -138,30 +121,9 @@ class SourceSinkRegistry:
         (Bresenham-style): of the first ``n`` matching calls, exactly
         ``floor(n * fraction)`` taint their value — 0.0 never fires,
         1.0 always does, and reruns are reproducible.
-
-        ``sample_every`` = k > 1 additionally admits only every k-th
-        matching firing (flow sampling).  Admission
-        is a plain per-registry counter — independent of timing, Taint
-        Map transport and thread scheduling — so the same workload
-        admits the identical flow set on every run.
         """
         if not self.is_source(descriptor):
             return value
-        every = self.sample_every
-        if every > 1:
-            with self._lock:
-                self._flow_counter += 1
-                admitted = (self._flow_counter - 1) % every == 0
-                if admitted:
-                    self.admitted += 1
-                else:
-                    self.sampled_out += 1
-            if not admitted:
-                # Sampled-out flows are visible in lineage as explicit
-                # stub trees — marked, never silently missing.
-                if self.lineage is not None:
-                    self.lineage.record_sampled_out(self.node_name, descriptor)
-                return value
         fraction = self.source_fraction
         if fraction < 1.0:
             with self._lock:
@@ -203,17 +165,6 @@ class SourceSinkRegistry:
         return observation
 
     # -- reporting -------------------------------------------------------- #
-
-    def telemetry_samples(self) -> dict:
-        """Snapshot fragment for the node's metrics registry (registered
-        by the agent on attach)."""
-        return {
-            "dista_sampled_out_total": {
-                "type": "counter",
-                "help": "Source firings flow sampling left untracked.",
-                "samples": [{"labels": {}, "value": self.sampled_out}],
-            }
-        }
 
     def tainted_observations(self) -> list[SinkObservation]:
         with self._lock:

@@ -27,6 +27,7 @@ from repro.core.taintmap import serialize_tags
 from repro.jre import ServerSocket, Socket
 from repro.microbench import workload
 from repro.microbench.cases import CASES, CASES_BY_NAME
+from repro.obs.registry import snapshot_total
 from repro.runtime.cluster import Cluster
 from repro.runtime.modes import Mode
 from repro.taint import LocalId, TaintTree
@@ -64,7 +65,11 @@ class TestGidCacheAblation:
             for _ in range(self.WRITES):
                 client.get_output_stream().write(TBytes.tainted(b"x" * chunk, taint))
             conn.get_input_stream().read_fully(chunk * self.WRITES)
-            return cluster.taint_map_server.stats.snapshot()["register_requests"]
+            return snapshot_total(
+                cluster.taint_map_server.metrics.snapshot(),
+                "dista_taintmap_server_requests_total",
+                {"kind": "register"},
+            )
 
     def test_cache_prevents_repeated_registration(self):
         # Fig. 9 step ②: the cached client registers the taint once, no

@@ -28,6 +28,7 @@ from repro.core.taintmap import (
     take_frames,
 )
 from repro.errors import PipeClosed, TaintMapError
+from repro.obs.registry import snapshot_total
 from repro.runtime.cluster import TAINT_MAP_IP, TAINT_MAP_PORT, Cluster
 from repro.runtime.fs import SimFileSystem
 from repro.runtime.kernel import SimKernel
@@ -56,6 +57,11 @@ def _read_frames(endpoint, count):
         buffer += chunk
         frames += take_frames(buffer)
     return frames
+
+
+def _count(owner, family, **labels):
+    """``family``'s total on a node's or a server's registry."""
+    return snapshot_total(owner.metrics.snapshot(), family, labels)
 
 
 def _wait_until(predicate, timeout=5.0):
@@ -182,7 +188,7 @@ class TestMuxFraming:
         first.join(10)
         assert not first.is_alive()
         assert gids == {"first": 1000, "second": 2000}
-        assert client.requests_sent == 2
+        assert _count(node, "dista_taintmap_requests_total") == 2
         client.close()
         thread.join(10)
         assert not thread.is_alive()
@@ -221,7 +227,8 @@ class TestAsyncClientApi:
         server._service_time = 0.0
         for t in [holding, *threads]:
             t.join(10)
-        assert server.stats.lookup_requests == 3  # one frame per call
+        # One frame per call.
+        assert _count(server, "dista_taintmap_server_requests_total", kind="lookup") == 3
         assert isinstance(results["bogus"], TaintMapError)
         assert "unknown Global ID" in str(results["bogus"])
         assert {t.tag for t in results["known"].tags} == {"known"}
@@ -246,8 +253,9 @@ class TestCoalescing:
         taints = [node.tree.taint_for_tag(f"mb-{i}") for i in range(20)]
         gids = client.gids_for(taints)
         assert len(set(gids)) == 20
-        assert server.stats.register_requests == 3  # 8 + 8 + 4
-        assert client.requests_sent == 3
+        # 8 + 8 + 4
+        assert _count(server, "dista_taintmap_server_requests_total", kind="register") == 3
+        assert _count(node, "dista_taintmap_requests_total") == 3
         client.close()
 
     def test_zero_window_still_batches_one_call(self, single):
@@ -256,10 +264,10 @@ class TestCoalescing:
         _, _, server, node = single
         client = TaintMapClient(node, server.address, cache_enabled=False)
         taints = [node.tree.taint_for_tag(f"z-{i}") for i in range(16)]
-        before = client.requests_sent
+        before = _count(node, "dista_taintmap_requests_total")
         gids = client.gids_for(taints)
         assert len(set(gids)) == 16
-        assert client.requests_sent - before == 1
+        assert _count(node, "dista_taintmap_requests_total") - before == 1
         client.close()
 
 
@@ -380,28 +388,45 @@ class TestFaultInjection:
         standby.stop()
 
 
+class ExplodingConnection:
+    def close(self):
+        raise OSError("close failed")
+
+
 class TestCloseErrorSuppression:
     def test_channel_close_survives_close_errors(self, single):
         """A connection whose close() raises must not abort the channel
-        teardown; the error is counted in TaintMapStats."""
+        teardown; the error is counted on the node's registry."""
         _, _, server, node = single
         client = TaintMapClient(node, server.address)
         client.gid_for(node.tree.taint_for_tag("warm"))  # dials the server
         channel = client.transport._channel
         healthy = channel._connection
-
-        class ExplodingConnection:
-            def close(self):
-                raise OSError("close failed")
-
         channel._connection = ExplodingConnection()
         channel.close()
-        assert client.stats.snapshot()["close_errors"] == 1
+        assert _count(node, "dista_taintmap_close_errors_total") == 1
         assert channel._connection is None
         healthy.close()
         # The client redials and keeps working after the teardown.
         assert client.gid_for(node.tree.taint_for_tag("after")) == 2
         client.close()
+
+    def test_counters_outlive_close(self, single):
+        """The client's cache hits and misses, and an error raised while
+        close() tears its connection down, stay on the node's registry
+        after close()."""
+        _, _, server, node = single
+        client = TaintMapClient(node, server.address)
+        taint = node.tree.taint_for_tag("kept")
+        client.gid_for(taint)  # a miss
+        client.gid_for(taint)  # a hit
+        channel = client.transport._channel
+        healthy, channel._connection = channel._connection, ExplodingConnection()
+        client.close()
+        healthy.close()
+        assert _count(node, "dista_cache_events_total", event="hit") == 1
+        assert _count(node, "dista_cache_events_total", event="miss") == 1
+        assert _count(node, "dista_taintmap_close_errors_total") == 1
 
 
 class TestTransportSelection:

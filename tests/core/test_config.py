@@ -29,7 +29,6 @@ SAMPLES = {
     "byte_granularity": ("message", False),
     "wrapper_types": ("1+3", frozenset({1, 3})),
     "request_deadline_s": ("2.5", 2.5),
-    "sample_every": ("4", 4),
     "source_fraction": ("0.25", 0.25),
     "lineage": ("on", True),
     "taint_map_durable": ("on", True),
@@ -41,7 +40,6 @@ DOCUMENTED_DEFAULTS = {
     "byte_granularity": True,
     "wrapper_types": frozenset({1, 2, 3}),
     "request_deadline_s": 30.0,
-    "sample_every": 1,
     "source_fraction": 1.0,
     "lineage": False,
     "taint_map_durable": False,
@@ -53,7 +51,6 @@ BAD_TEXT = {
     "byte_granularity": "word",
     "wrapper_types": "1+4",
     "request_deadline_s": "soon",
-    "sample_every": "0",
     "source_fraction": "1.5",
     "lineage": "maybe",
     "taint_map_durable": "maybe",
@@ -62,7 +59,6 @@ BAD_TEXT = {
 #: field → keyword value that must be refused (rows with a range).
 BAD_KEYWORD = {
     "wrapper_types": frozenset({4}),
-    "sample_every": 0,
     "source_fraction": -0.1,
 }
 
@@ -146,7 +142,7 @@ def test_unknown_launch_extra_is_refused(key):
     with pytest.raises(ConfigError, match=re.escape(key)) as caught:
         launch_cluster(Mode.DISTA, f"{key}=1")
     # The error lists the valid keys, so the typo is easy to fix.
-    assert "taintSampleEvery" in str(caught.value)
+    assert "taintSourceFraction" in str(caught.value)
 
 
 def test_agent_options_keep_arbitrary_pairs():
@@ -159,7 +155,7 @@ def test_agent_options_keep_arbitrary_pairs():
 
 
 def test_cluster_applies_registry_rows_to_every_node():
-    config = DisTAConfig(sample_every=3, source_fraction=0.5)
+    config = DisTAConfig(source_fraction=0.5)
     cluster = Cluster(Mode.DISTA, config=config)
     node = cluster.add_node("n1")
-    assert (node.registry.sample_every, node.registry.source_fraction) == (3, 0.5)
+    assert node.registry.source_fraction == 0.5

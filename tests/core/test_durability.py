@@ -32,11 +32,17 @@ from repro.core.taintmap import (
     serialize_tags,
 )
 from repro.errors import TaintMapExhaustedError
+from repro.obs.registry import snapshot_total
 from repro.runtime.cluster import TAINT_MAP_IP, TAINT_MAP_PORT
 from repro.runtime.fs import SimFileSystem
 from repro.runtime.kernel import SimKernel
 from repro.runtime.modes import Mode
 from repro.runtime.node import SimNode
+
+
+def _count(server, family):
+    """``family``'s total on a server's registry."""
+    return snapshot_total(server.metrics.snapshot(), family)
 
 
 def _start(kernel, address, store, snapshot_every=None):
@@ -121,8 +127,8 @@ class TestRestartRecovery:
 
         server = _restart(kernel, server, store)
         assert server.gid_headroom == headroom  # sequence resumed, not reset
-        assert server.stats.snapshot()["global_taints"] == 40
-        assert server.stats.snapshot()["wal_replayed"] == 40
+        assert _count(server, "dista_taintmap_global_taints") == 40
+        assert _count(server, "dista_wal_replayed_total") == 40
 
         fresh = TaintMapClient(node, server.address, cache_enabled=False)
         # Zero renumbered GIDs: re-registering returns the original IDs.
@@ -144,14 +150,14 @@ class TestRestartRecovery:
         client = TaintMapClient(node, server.address, cache_enabled=False)
         for i in range(25):
             client.gid_for(node.tree.taint_for_tag(f"snap-{i}"))
-        assert server.stats.snapshot()["wal_snapshots"] >= 2
+        assert _count(server, "dista_wal_snapshots_total") >= 2
         assert store.snapshot is not None
         # The log only holds the tail since the last compaction.
         records, torn = iter_records(store.read_log())
         assert torn == 0
         assert len(records) < 25
         restarted = _restart(kernel, server, store, snapshot_every=10)
-        assert restarted.stats.snapshot()["global_taints"] == 25
+        assert _count(restarted, "dista_taintmap_global_taints") == 25
         client.close()
         restarted.stop()
 
@@ -165,9 +171,9 @@ class TestRestartRecovery:
         # Crash mid-append: the last record loses its checksum tail.
         store.log = store.log[:-3]
         server = _restart(kernel, server, store)
-        snap = server.stats.snapshot()
-        assert snap["wal_torn_records"] == 1
-        assert snap["global_taints"] == 4  # the torn entry was never acked
+        assert _count(server, "dista_wal_torn_records_total") == 1
+        # The torn entry was never acked.
+        assert _count(server, "dista_taintmap_global_taints") == 4
         fresh = TaintMapClient(node, server.address, cache_enabled=False)
         for gid in gids[:-1]:
             assert fresh.taint_for(gid) is not None
@@ -190,7 +196,7 @@ class TestRestartRecovery:
         gid = client.gid_for(node.tree.taint_for_tag("after"))
         client.close()
         server = _restart(kernel, server, store)
-        assert server.stats.snapshot()["wal_torn_records"] == 0
+        assert _count(server, "dista_wal_torn_records_total") == 0
         client = TaintMapClient(node, server.address, cache_enabled=False)
         assert {t.tag for t in client.taint_for(gid).tags} == {"after"}
         client.close()
@@ -208,7 +214,7 @@ class TestRestartRecovery:
         # pre-snapshot WAL is still on disk next to the snapshot.
         store.log = pre_snapshot_log
         server = _restart(kernel, server, store)
-        assert server.stats.snapshot()["global_taints"] == 8  # not 16
+        assert _count(server, "dista_taintmap_global_taints") == 8  # not 16
         assert server.gid_headroom == MAX_GID - max(gids)
         fresh = TaintMapClient(node, server.address, cache_enabled=False)
         assert [fresh.gid_for(t) for t in taints] == gids
@@ -398,7 +404,7 @@ class DurableTaintMapMachine(RuleBasedStateMachine):
 
     @invariant()
     def population_matches_model(self):
-        assert self.server.stats.snapshot()["global_taints"] == len(self.acked)
+        assert _count(self.server, "dista_taintmap_global_taints") == len(self.acked)
         assert self.server.global_taint_count() == len(self.acked)
 
     @invariant()

@@ -12,6 +12,7 @@ import threading
 import pytest
 
 from repro.core.taintmap import TaintMapClient, TaintMapServer
+from repro.obs.registry import snapshot_total
 from repro.runtime.cluster import TAINT_MAP_IP, TAINT_MAP_PORT
 from repro.runtime.fs import SimFileSystem
 from repro.runtime.kernel import SimKernel
@@ -21,6 +22,11 @@ from repro.runtime.node import SimNode
 
 def _node(kernel, fs, name="n", ip="10.0.0.1", pid=1):
     return SimNode(name, kernel.register_node(ip), pid, kernel, fs, Mode.DISTA)
+
+
+def _count(owner, family, **labels):
+    """``family``'s total on a node's or a server's registry."""
+    return snapshot_total(owner.metrics.snapshot(), family, labels)
 
 
 @pytest.fixture()
@@ -72,8 +78,9 @@ class TestFramePerCall:
         flat = [gid for row in gids for gid in row]
         assert None not in flat
         assert len(set(flat)) == registrations
-        assert server.stats.register_entries == registrations
-        assert client.requests_sent == registrations
+        entries = _count(server, "dista_taintmap_server_entries_total", kind="register")
+        assert entries == registrations
+        assert _count(node, "dista_taintmap_requests_total") == registrations
         # Correct, not just distinct: a fresh node resolves each GID to
         # the tags it was registered for.
         reader = TaintMapClient(_node(kernel, fs, "r", "10.0.0.2", 2), server.address)
@@ -88,9 +95,9 @@ class TestFramePerCall:
         node = _node(kernel, fs)
         client = TaintMapClient(node, server.address)
         for i in range(10):
-            before = client.requests_sent
+            before = _count(node, "dista_taintmap_requests_total")
             assert client.gid_for(node.tree.taint_for_tag(f"idle-{i}")) > 0
-            assert client.requests_sent - before == 1
+            assert _count(node, "dista_taintmap_requests_total") - before == 1
         client.close()
 
 

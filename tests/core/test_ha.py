@@ -26,6 +26,7 @@ from repro.core.taintmap import (
     serialize_tags,
 )
 from repro.errors import TaintMapError
+from repro.obs.registry import snapshot_total
 from repro.runtime.fs import SimFileSystem
 from repro.runtime.kernel import SimKernel
 from repro.runtime.modes import Mode
@@ -34,6 +35,11 @@ from repro.taint import LocalId, TaintTree
 
 PRIMARY = ("10.0.255.1", 7170)
 STANDBY = ("10.0.255.2", 7170)
+
+
+def _population(server):
+    """The server's ``dista_taintmap_global_taints`` gauge."""
+    return snapshot_total(server.metrics.snapshot(), "dista_taintmap_global_taints")
 
 
 @pytest.fixture()
@@ -65,20 +71,20 @@ class TestReplication:
         standby_client.close()
 
     def test_promoted_standby_reports_stats_parity(self, ha_setup):
-        """Regression: OP_SYNC used to install entries without bumping
-        ``TaintMapStats.global_taints``, so a promoted standby reported
+        """Regression: OP_SYNC used to install entries without counting
+        them in the population, so a promoted standby reported
         population 0 and poisoned every telemetry/autoscaling consumer."""
         kernel, node, primary, standby = ha_setup
         client = TaintMapClient(node, PRIMARY)
         taints = [node.tree.taint_for_tag(f"parity{i}") for i in range(5)]
         client.gids_for(taints)
-        assert primary.stats.snapshot()["global_taints"] == 5
-        assert standby.stats.snapshot()["global_taints"] == 5
+        assert _population(primary) == 5
+        assert _population(standby) == 5
         # A replayed OP_SYNC (same GID again) must not double-count.
         gid = client.gid_for(taints[0])
         payload = struct.pack(">I", gid) + serialize_tags(taints[0].tags)
         standby._handle(OP_SYNC, payload)
-        assert standby.stats.snapshot()["global_taints"] == 5
+        assert _population(standby) == 5
         client.close()
 
     def test_batched_register_replicates_every_entry(self, ha_setup):
@@ -107,7 +113,9 @@ class TestReplication:
         uncached = TaintMapClient(node, PRIMARY, cache_enabled=False)
         assert uncached.gid_for(taint) == gid
         assert uncached.gids_for([taint, taint]) == [gid, gid]
-        assert primary.stats.snapshot()["register_requests"] == 3
+        assert snapshot_total(
+            primary.metrics.snapshot(), "dista_taintmap_server_requests_total", {"kind": "register"}
+        ) == 3
         assert primary.replicated == 1
         assert primary.replication_failures == 0
         client.close()
@@ -213,7 +221,7 @@ class TestMalformedSync:
         def state():
             return (
                 dict(standby._by_gid), dict(standby._by_key), standby._next_gid,
-                standby.stats.global_taints, store.read_log(),
+                _population(standby), store.read_log(),
             )
 
         before = state()

@@ -22,6 +22,7 @@ from repro.core.ha import (
 )
 from repro.core.taintmap import TaintMapClient, TaintMapServer
 from repro.errors import TaintMapError
+from repro.obs.registry import snapshot_total
 from repro.runtime.cluster import TAINT_MAP_IP, TAINT_MAP_PORT
 from repro.runtime.fs import SimFileSystem
 from repro.runtime.kernel import SimKernel
@@ -208,7 +209,7 @@ class TestSmallPipes:
         assert not set(results["more_gids"]) & set(known_gids)
         assert [_tags(taint) for taint in results["more_taints"]] == [_tags(t) for t in known]
         # Five calls of 400 entries: each went out as 8 frames of its own.
-        assert client.requests_sent == 40
+        assert snapshot_total(node.metrics.snapshot(), "dista_taintmap_requests_total") == 40
         _assert_idle(client.transport)
         client.close()
         server.stop()
@@ -230,6 +231,8 @@ class TestIdleDrop:
         assert second == first + 1
         assert client.active_address == primary.address
         assert client.transport._channel._connection is not dropped
-        assert primary.stats.register_requests == 2
+        assert snapshot_total(
+            primary.metrics.snapshot(), "dista_taintmap_server_requests_total", {"kind": "register"}
+        ) == 2
         _assert_idle(client.transport)
         client.close()

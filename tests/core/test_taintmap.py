@@ -22,6 +22,7 @@ from repro.core.taintmap import (
     serialized_key,
 )
 from repro.errors import SimTimeout, TaintMapError
+from repro.obs.registry import snapshot_total
 from repro.runtime.cluster import TAINT_MAP_IP, TAINT_MAP_PORT
 from repro.runtime.fs import SimFileSystem
 from repro.runtime.kernel import SimKernel
@@ -82,6 +83,11 @@ class TestTagSerialization:
         assert frozenset(deserialize_tags(serialize_tags(tags))) == tags
 
 
+def _count(owner, family, **labels):
+    """``family``'s total on a node's or a server's registry."""
+    return snapshot_total(owner.metrics.snapshot(), family, labels)
+
+
 @pytest.fixture()
 def service():
     kernel = SimKernel("tm-test")
@@ -125,12 +131,21 @@ class TestTaintMapService:
             c2.taints_for([gid])
         assert isinstance(raised.value.__cause__, struct.error)
 
+    def test_malformed_register_reply_raises_a_typed_error(self, service, monkeypatch):
+        """A register reply of the wrong length reaches the caller of
+        ``gids_for`` as a TaintMapError chained to the parse error."""
+        server, n1, _, c1, _ = service
+        monkeypatch.setattr(server, "_handle", lambda op, payload: (STATUS_OK, b"\x00\x00"))
+        with pytest.raises(TaintMapError) as raised:
+            c1.gids_for([n1.tree.taint_for_tag("short")])
+        assert isinstance(raised.value.__cause__, struct.error)
+
     def test_empty_taint_never_contacts_the_map(self, service):
         server, n1, _, c1, _ = service
         assert c1.gid_for(None) == 0
         assert c1.gid_for(n1.tree.empty) == 0
         assert c1.taint_for(0) is None
-        assert server.stats.snapshot()["register_requests"] == 0
+        assert _count(server, "dista_taintmap_server_requests_total", kind="register") == 0
 
     def test_register_allocates_positive_unique_gids(self, service):
         server, n1, _, c1, _ = service
@@ -171,13 +186,13 @@ class TestTaintMapService:
         gid_b1 = c1.gid_for(t1)
         gid_b2 = c1.gid_for(t1)  # b2 has the same taint: no new request
         assert gid_b1 == gid_b2 == 1
-        assert server.stats.snapshot()["register_requests"] == 1
+        assert _count(server, "dista_taintmap_server_requests_total", kind="register") == 1
         # Step 3 is the wire transfer (tested in the wrapper suite).
         # Steps 4-5: node2 resolves the Global ID once, then caches.
         r1 = c2.taint_for(gid_b1)
         r2 = c2.taint_for(gid_b1)
         assert r1 is r2
-        assert server.stats.snapshot()["lookup_requests"] == 1
+        assert _count(server, "dista_taintmap_server_requests_total", kind="lookup") == 1
 
     def test_tag_global_id_assigned_on_first_transfer(self, service):
         """§III-D.1: GlobalID is 0 at generation, set when transferred,
@@ -205,7 +220,7 @@ class TestTaintMapService:
         g1 = client.gid_for(taint)
         g2 = client.gid_for(taint)
         assert g1 == g2  # server-side idempotence still holds
-        assert server.stats.snapshot()["register_requests"] == 2
+        assert _count(server, "dista_taintmap_server_requests_total", kind="register") == 2
         client.close()
 
     def test_concurrent_registration(self, service):
@@ -265,13 +280,12 @@ class TestTaintMapService:
         assert server.global_taint_count() == total
         # Counters are race-free: the server counts exactly the client's
         # sends, one frame per call and one entry per taint.
-        assert c1.requests_sent == total
-        snapshot = server.stats.snapshot()
-        assert snapshot["register_requests"] == c1.requests_sent
-        assert snapshot["register_entries"] == total
-        assert snapshot["global_taints"] == total
-        client_stats = c1.stats.snapshot()
-        assert client_stats["cache_misses"] == total
+        sent = _count(n1, "dista_taintmap_requests_total")
+        assert sent == total
+        assert _count(server, "dista_taintmap_server_requests_total", kind="register") == sent
+        assert _count(server, "dista_taintmap_server_entries_total", kind="register") == total
+        assert _count(server, "dista_taintmap_global_taints") == total
+        assert _count(n1, "dista_cache_events_total", event="miss") == total
         # Full round-trip: every taint resolves from another node.
         for gid, taint in flat:
             resolved = c2.taint_for(gid)
@@ -281,9 +295,9 @@ class TestTaintMapService:
         server, n1, _, c1, _ = service
         taints = [n1.tree.taint_for_tag(f"u{i}") for i in range(64)]
         gids = [c1.gid_for(t) for t in taints]
-        assert c1.requests_sent == 64
+        assert _count(n1, "dista_taintmap_requests_total") == 64
         assert [c1.gid_for(t) for t in taints] == gids
-        assert c1.requests_sent == 64  # Fig. 9 semantics preserved
+        assert _count(n1, "dista_taintmap_requests_total") == 64  # Fig. 9 semantics preserved
 
 
 class TestForeignTaintRegistration:

@@ -13,12 +13,18 @@ import pytest
 from repro.core import wire
 from repro.core.taintmap import TaintMapClient, TaintMapServer
 from repro.errors import TaintMapError
+from repro.obs.registry import snapshot_total
 from repro.runtime.cluster import TAINT_MAP_IP, TAINT_MAP_PORT
 from repro.runtime.fs import SimFileSystem
 from repro.runtime.kernel import SimKernel
 from repro.runtime.modes import Mode
 from repro.runtime.node import SimNode
 from repro.taint.values import LabelRuns, TBytes
+
+
+def _sent(node):
+    """Taint Map requests answered to the node's clients."""
+    return snapshot_total(node.metrics.snapshot(), "dista_taintmap_requests_total")
 
 
 @pytest.fixture()
@@ -52,21 +58,21 @@ class TestBatchedRegister:
     def test_one_round_trip_for_many_misses(self, service):
         server, n1, _, c1, _ = service
         taints = [n1.tree.taint_for_tag(f"t{i}") for i in range(8)]
-        before = c1.requests_sent
+        before = _sent(n1)
         gids = c1.gids_for(taints)
-        assert c1.requests_sent == before + 1
+        assert _sent(n1) == before + 1
         assert len(set(gids)) == 8
         # All cached: a resend is free.
         c1.gids_for(taints)
-        assert c1.requests_sent == before + 1
+        assert _sent(n1) == before + 1
 
     def test_all_cached_batch_sends_nothing(self, service):
         _, n1, _, c1, _ = service
         ta = n1.tree.taint_for_tag("warm")
         c1.gid_for(ta)
-        before = c1.requests_sent
+        before = _sent(n1)
         assert c1.gids_for([ta, ta, None]) == [c1.gid_for(ta)] * 2 + [0]
-        assert c1.requests_sent == before
+        assert _sent(n1) == before
 
     def test_batch_assigns_singleton_tag_global_id(self, service):
         _, n1, _, c1, _ = service
@@ -80,11 +86,11 @@ class TestBatchedRegister:
         server, n1, _, _, _ = service
         client = TaintMapClient(n1, server.address, cache_enabled=False)
         taints = [n1.tree.taint_for_tag(f"nc{i}") for i in range(4)]
-        before = client.requests_sent
+        before = _sent(n1)
         g1 = client.gids_for(taints)
         g2 = client.gids_for(taints)
         assert g1 == g2  # server-side idempotence
-        assert client.requests_sent == before + 2  # re-sent, but one frame each
+        assert _sent(n1) == before + 2  # re-sent, but one frame each
         client.close()
 
 
@@ -92,9 +98,9 @@ class TestBatchedLookup:
     def test_taints_for_matches_taint_for(self, service):
         _, n1, n2, c1, c2 = service
         gids = c1.gids_for([n1.tree.taint_for_tag(t) for t in ("x", "y")])
-        before = c2.requests_sent
+        before = _sent(n2)
         rx, none, ry, rx2 = c2.taints_for([gids[0], 0, gids[1], gids[0]])
-        assert c2.requests_sent == before + 1
+        assert _sent(n2) == before + 1
         assert none is None
         assert rx is rx2
         assert {t.tag for t in rx.tags} == {"x"}
@@ -102,7 +108,7 @@ class TestBatchedLookup:
         assert rx.tree is n2.tree
         # Cached now: singles are free.
         assert c2.taint_for(gids[0]) is rx
-        assert c2.requests_sent == before + 1
+        assert _sent(n2) == before + 1
 
     def test_unknown_gid_in_batch_raises(self, service):
         _, n1, _, c1, c2 = service
@@ -126,29 +132,29 @@ class TestMessageRoundTrips:
     def test_first_send_is_one_round_trip(self, service, k):
         _, n1, _, c1, _ = service
         data = self._message(n1.tree, k)
-        before = c1.requests_sent
+        before = _sent(n1)
         first = wire.encode_cells(data, c1)
-        assert c1.requests_sent - before <= k + 1
-        assert c1.requests_sent - before == 1
+        assert _sent(n1) - before <= k + 1
+        assert _sent(n1) - before == 1
         # Resend: every run's taint is cached, zero round-trips.
         again = wire.encode_cells(data, c1)
         assert again == first
-        assert c1.requests_sent - before == 1
+        assert _sent(n1) - before == 1
 
     def test_receive_is_one_round_trip(self, service):
-        _, n1, _, c1, c2 = service
+        _, n1, n2, c1, c2 = service
         data = self._message(n1.tree, 5)
         cells = wire.encode_cells(data, c1)
         decoder = wire.CellDecoder()
-        before = c2.requests_sent
+        before = _sent(n2)
         decoded = decoder.feed(cells, c2)
-        assert c2.requests_sent - before == 1
+        assert _sent(n2) - before == 1
         assert decoded.data == data.data
         assert decoded.labels.run_count == 5
         # Re-receive: fully cached.
         decoder2 = wire.CellDecoder()
         decoder2.feed(cells, c2)
-        assert c2.requests_sent - before == 1
+        assert _sent(n2) - before == 1
 
     def test_batched_equals_unbatched_wire_bytes(self, service):
         server, n1, _, c1, _ = service

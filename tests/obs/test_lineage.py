@@ -15,7 +15,6 @@ from repro.jre import ServerSocket, Socket
 from repro.jre.http import http_get
 from repro.obs.lineage import (
     IMPLICIT,
-    SAMPLED_OUT,
     TRACED,
     TRACKED,
     UNCORRELATED,
@@ -200,25 +199,6 @@ class TestStoreBound:
 
 
 class TestExplicitPartialTrees:
-    def test_sampled_out_flow_is_a_marked_stub(self):
-        cluster = Cluster(Mode.DISTA, config=DisTAConfig(lineage=True, sample_every=2))
-        node = cluster.add_node("n1")
-        node.registry.add_source(SOURCE_DESCRIPTOR)
-        with cluster:
-            node.registry.source(SOURCE_DESCRIPTOR, TBytes.raw(b"one"))
-            node.registry.source(SOURCE_DESCRIPTOR, TBytes.raw(b"two"))
-        store = cluster.lineage_store
-        dispositions = sorted(f.root.disposition for f in store.flows())
-        assert dispositions == [SAMPLED_OUT, TRACKED]
-        stub = next(
-            f for f in store.flows() if f.root.disposition == SAMPLED_OUT
-        )
-        assert stub.partial
-        assert not stub.completed
-        assert stub.root.node == "n1"
-        assert stub.root.descriptor == SOURCE_DESCRIPTOR
-        assert f"[{SAMPLED_OUT}]" in stub.render()
-
     def test_uncorrelated_receive_attaches_under_root(self):
         store = LineageStore()
         tree = TaintTree(LocalId("10.0.0.1", 1))

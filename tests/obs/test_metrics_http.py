@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.config import DisTAConfig
 from repro.jre import ServerSocket, Socket
 from repro.jre.http import http_get
 from repro.runtime.cluster import Cluster
@@ -21,6 +22,36 @@ REQUIRED_FAMILIES = (
 #: The Taint Map client's transport families: the client declares them
 #: when the agent attaches, so they are present before any traffic.
 TRANSPORT_FAMILIES = ("dista_taintmap_inflight_requests",)
+
+#: The whole scrape surface of a durable two-node cluster after one
+#: tainted exchange: each family's name, type, label names other than
+#: ``node`` and sample count.  Counters a component declares show a
+#: sample per node or server from the start, whether or not their event
+#: happened.
+SURFACE = (
+    ("dista_cache_events_total", "counter", ("event",), 4),
+    ("dista_crossings_total", "counter", ("direction",), 2),
+    ("dista_fastpath_total", "counter", ("path", "site"), 4),
+    ("dista_gid_headroom", "gauge", (), 1),
+    ("dista_jni_bytes_total", "counter", ("direction", "method"), 2),
+    ("dista_jni_calls_total", "counter", ("direction", "method"), 2),
+    ("dista_jni_tainted_bytes_total", "counter", ("direction", "method"), 2),
+    ("dista_taintmap_batch_entries", "histogram", ("op",), 2),
+    ("dista_taintmap_close_errors_total", "counter", (), 2),
+    ("dista_taintmap_global_taints", "gauge", (), 1),
+    ("dista_taintmap_inflight_requests", "gauge", (), 2),
+    ("dista_taintmap_requests_total", "counter", ("op",), 2),
+    ("dista_taintmap_rpc_seconds", "histogram", ("op",), 2),
+    ("dista_taintmap_server_entries_total", "counter", ("kind",), 2),
+    ("dista_taintmap_server_handle_seconds", "histogram", ("op",), 2),
+    ("dista_taintmap_server_requests_total", "counter", ("kind",), 2),
+    ("dista_wal_appends_total", "counter", (), 1),
+    ("dista_wal_replayed_total", "counter", (), 1),
+    ("dista_wal_snapshots_total", "counter", (), 1),
+    ("dista_wal_torn_records_total", "counter", (), 1),
+    ("sim_kernel_bytes_total", "counter", ("proto",), 2),
+    ("sim_kernel_reads_total", "counter", ("kind",), 3),
+)
 
 
 @pytest.fixture()
@@ -91,6 +122,34 @@ class TestMetricsEndpoint:
         entry = snap["dista_taintmap_requests_total"]
         assert entry["samples"]
         assert all(set(s["labels"]) == {"node", "op"} for s in entry["samples"])
+
+
+class TestScrapeSurface:
+    def test_every_family_keeps_its_name_type_labels_and_samples(self):
+        cluster = Cluster(Mode.DISTA, config=DisTAConfig(taint_map_durable=True))
+        n1 = cluster.add_node("n1")
+        n2 = cluster.add_node("n2")
+        with cluster:
+            server = ServerSocket(n2, 9400)
+            client = Socket.connect(n1, (n2.ip, 9400))
+            conn = server.accept()
+            taint = n1.tree.taint_for_tag("surface")
+            client.get_output_stream().write(TBytes.tainted(b"surface", taint))
+            conn.get_input_stream().read_fully(7)
+            snapshot = cluster.telemetry_snapshot()
+            client.close()
+            conn.close()
+            server.close()
+        surface = tuple(
+            (
+                name,
+                entry["type"],
+                tuple(sorted({k for s in entry["samples"] for k in s["labels"]} - {"node"})),
+                len(entry["samples"]),
+            )
+            for name, entry in sorted(snapshot.items())
+        )
+        assert surface == SURFACE
 
 
 class TestNodeScopedServer:
