@@ -10,9 +10,11 @@ allocation.  This module supplies the persistence the invariant needs:
 * an **append-only write-ahead log** of ``(gid, serialized_tags)``
   allocations, appended *before* a registration's response can leave
   the server, so a crash never acknowledges a GID it cannot replay;
-* **periodic compacted snapshots** of the full map, after which the log
+* **periodic compacted snapshots** of the GID map, after which the log
   truncates — recovery cost stays proportional to the write rate since
-  the last snapshot, not to the server's lifetime.
+  the last snapshot, not to the server's lifetime.  A snapshot holds the
+  log's ``(gid, serialized_tags)`` entries and nothing derived from
+  them: recovery rebuilds the key index and the next GID.
 
 Both live behind a tiny pluggable store interface.  The default store
 writes through the in-sim filesystem (:class:`FileTaintMapStore`) —
@@ -47,7 +49,7 @@ from typing import Optional
 WAL_ENTRY = 1
 
 #: Snapshot format version (first byte of every snapshot).
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 _RECORD_HEAD = struct.Struct(">BI")
 _CRC = struct.Struct(">I")
@@ -92,57 +94,42 @@ def iter_records(raw: bytes) -> tuple[list[tuple[int, bytes]], int]:
 # --------------------------------------------------------------------- #
 # Snapshot codec
 # --------------------------------------------------------------------- #
-#
-# A snapshot must capture *both* maps explicitly.  ``_by_gid`` alone
-# cannot reconstruct ``_by_key``: a standby that allocated during a
-# failover race can resolve two GIDs whose serializations share one
-# structural taint key, and which GID the key dedups to was decided by
-# arrival order — information the gid map does not carry.
+
+#: A snapshot's head (version, entry count) and one entry's head (GID,
+#: taint length).
+_SNAPSHOT_HEAD = struct.Struct(">BI")
+_ENTRY_HEAD = struct.Struct(">II")
 
 
-def encode_snapshot(next_gid: int, gid_entries, key_entries) -> bytes:
-    """``version:1 | next_gid:4 | gid section | key section``."""
-    out = [struct.pack(">BI", SNAPSHOT_VERSION, next_gid)]
-    gid_entries = list(gid_entries)
-    out.append(struct.pack(">I", len(gid_entries)))
-    for gid, serialized in gid_entries:
-        out.append(struct.pack(">II", gid, len(serialized)) + serialized)
-    key_entries = list(key_entries)
-    out.append(struct.pack(">I", len(key_entries)))
-    for key, gid in key_entries:
-        out.append(struct.pack(">I", len(key)) + key + struct.pack(">I", gid))
+def encode_snapshot(entries) -> bytes:
+    """``version:1 | count:4 | (gid:4 | length:4 | taint)*`` for the
+    sized iterable ``entries`` of ``(gid, serialized taint)``."""
+    out = [_SNAPSHOT_HEAD.pack(SNAPSHOT_VERSION, len(entries))]
+    pack = _ENTRY_HEAD.pack
+    for gid, serialized in entries:
+        out.append(pack(gid, len(serialized)))
+        out.append(serialized)
     return b"".join(out)
 
 
-def decode_snapshot(raw: bytes):
-    """Inverse of :func:`encode_snapshot`:
-    ``(next_gid, gid_entries, key_entries)``."""
-    version, next_gid = struct.unpack(">BI", raw[:5])
+def decode_snapshot(raw: bytes) -> list[tuple[int, bytes]]:
+    """Inverse of :func:`encode_snapshot`: the ``(gid, serialized
+    taint)`` entries.  Raises ``ValueError`` or ``struct.error`` on
+    anything else, an unknown version included."""
+    version, count = _SNAPSHOT_HEAD.unpack_from(raw)
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"unknown taint map snapshot version {version}")
-    pos = 5
-    (gid_count,) = struct.unpack(">I", raw[pos : pos + 4])
-    pos += 4
-    gid_entries = []
-    for _ in range(gid_count):
-        gid, length = struct.unpack(">II", raw[pos : pos + 8])
-        pos += 8
-        gid_entries.append((gid, raw[pos : pos + length]))
-        pos += length
-    (key_count,) = struct.unpack(">I", raw[pos : pos + 4])
-    pos += 4
-    key_entries = []
-    for _ in range(key_count):
-        (length,) = struct.unpack(">I", raw[pos : pos + 4])
-        pos += 4
-        key = raw[pos : pos + length]
-        pos += length
-        (gid,) = struct.unpack(">I", raw[pos : pos + 4])
-        pos += 4
-        key_entries.append((key, gid))
+    pos = _SNAPSHOT_HEAD.size
+    entries = []
+    for _ in range(count):
+        gid, length = _ENTRY_HEAD.unpack_from(raw, pos)
+        pos += _ENTRY_HEAD.size + length
+        entries.append((gid, raw[pos - length : pos]))
     if pos != len(raw):
-        raise ValueError(f"trailing bytes in taint map snapshot ({len(raw) - pos})")
-    return next_gid, gid_entries, key_entries
+        raise ValueError(
+            f"taint map snapshot of {len(raw)} bytes holds entries to byte {pos}"
+        )
+    return entries
 
 
 # --------------------------------------------------------------------- #

@@ -60,13 +60,11 @@ class StandbyTaintMapServer(TaintMapServer):
                 if gid == 0 or bound != (None if new_gid else gid):
                     return STATUS_BAD_REQUEST, b""
                 if new_gid:
-                    self._by_key[key] = gid
-                    self._by_gid[gid] = serialized
-                    # Continue the sequence after promotion.
-                    self._next_gid = max(self._next_gid, gid + 1)
-                    self._persist_entry_locked(gid, serialized)
-            if new_gid:
-                self._maybe_snapshot()
+                    # Binding moves the allocator past the GID, so a
+                    # promoted standby continues the sequence.
+                    self._bind(gid, key, serialized)
+                    if self._store is not None:
+                        self._persist_locked(gid, serialized)
             return STATUS_OK, b""
         return super()._handle(op, payload)
 
@@ -132,14 +130,15 @@ class ReplicatedTaintMapServer(TaintMapServer):
 class FailoverTaintMapClient(TaintMapClient):
     """A client that falls back to the standby when the primary dies.
 
-    ``primary`` and ``standby`` are each one ``(ip, port)``; the replica
-    list widens from ``[primary]`` to ``[primary, standby]`` and the
-    transport rotates through it.  A broken multiplexed connection fails
-    every request in flight on it with a transport error, and each
-    request's caller re-sends its own frame on the standby (registration
-    and lookup are idempotent, so the retry is safe).  A connection found
-    dead at send time is first redialed once on the same replica, so an
-    idle drop is not mistaken for a dead primary.
+    ``primary`` and ``standby`` are each one ``(ip, port)``; the
+    transport's replica list widens from ``[primary]`` to ``[primary,
+    standby]`` and the transport rotates through it.  A broken
+    multiplexed connection fails every request in flight on it with a
+    transport error, and each request's caller re-sends its own frame on
+    the standby (registration and lookup are idempotent, so the retry is
+    safe).  A connection found dead at send time is first redialed once
+    on the same replica, so an idle drop is not mistaken for a dead
+    primary.
 
     Deadline errors (:class:`~repro.errors.TaintMapDeadlineError`) are
     raised to the waiting caller, *outside* the per-replica retry: a
@@ -158,9 +157,9 @@ class FailoverTaintMapClient(TaintMapClient):
         request_deadline_s: Optional[float] = DEFAULT_DEADLINE_S,
     ):
         super().__init__(node, primary, cache_enabled, request_deadline_s)
-        self._replicas.append(standby)
+        self.transport.replicas.append(standby)
 
     @property
     def active_address(self) -> Address:
-        """The replica requests currently go to."""
-        return self._replicas[self._active]
+        """The replica requests currently go to: the transport's choice."""
+        return self.transport.replicas[self.transport.active]

@@ -382,6 +382,8 @@ class TaintMapServer:
         self._service_lock = threading.Lock()
         self._listener = None
         self._lock = threading.Lock()
+        #: The state: GID → serialized taint, with the key index and the
+        #: next GID derived from it.  Only :meth:`_bind` writes them.
         self._by_key: dict[bytes, int] = {}
         self._by_gid: dict[int, bytes] = {}
         self._next_gid = 1
@@ -559,46 +561,33 @@ class TaintMapServer:
     def _recover(self) -> None:
         """Rebuild state from snapshot + WAL replay (ctor-time, pre-listen).
 
-        The allocator resumes past the high-water mark of every GID ever
-        made durable — **no GID is ever renumbered**.  Replay is
-        setdefault-idempotent, so a WAL retained past its snapshot (a
-        crash between snapshot write and log truncate) replays as a
-        no-op; a torn tail record (a crash mid-append) is counted and
-        dropped — its allocation was never acknowledged durably, so
-        dropping it is the correct recovery.
+        The snapshot's entries, then the WAL's, each take one step
+        (:meth:`_recover_entry`): a GID already bound is skipped, so a
+        WAL retained past its snapshot (a crash between snapshot write
+        and log truncate) replays as a no-op; any other is re-keyed and
+        bound, so the allocator resumes past the highest GID ever made
+        durable — **no GID is ever renumbered**.  A torn tail record (a
+        crash mid-append) is counted and dropped — its allocation was
+        never acknowledged durably, so dropping it is the correct
+        recovery.
         """
         raw_snapshot = self._store.read_snapshot()
+        snapshot_entries = []
         if raw_snapshot:
             try:
-                next_gid, gid_entries, key_entries = durability.decode_snapshot(
-                    raw_snapshot
-                )
+                snapshot_entries = durability.decode_snapshot(raw_snapshot)
             except (ValueError, struct.error) as exc:
                 raise TaintMapError(
                     f"corrupt taint map snapshot: {exc!r}"
                 ) from exc
-            self._next_gid = max(self._next_gid, next_gid)
-            self._by_gid.update(gid_entries)
-            self._by_key.update(key_entries)
+        for gid, serialized in snapshot_entries:
+            self._recover_entry(gid, serialized)
         records, torn = durability.iter_records(self._store.read_log())
         replayed = 0
         for kind, payload in records:
-            if kind != durability.WAL_ENTRY or len(payload) < 4:
-                continue
-            (gid,) = struct.unpack(">I", payload[:4])
-            serialized = payload[4:]
-            if gid not in self._by_gid:
-                self._by_gid[gid] = serialized
-                replayed += 1
-            try:
-                key = serialized_key(serialized)
-            except TaintMapError:
-                continue
-            # Log order *is* arrival order, so setdefault rebuilds
-            # exactly the dedup decisions the live server made.
-            self._by_key.setdefault(key, gid)
-        if self._by_gid:
-            self._next_gid = max(self._next_gid, max(self._by_gid) + 1)
+            if kind == durability.WAL_ENTRY and len(payload) >= 4:
+                (gid,) = struct.unpack_from(">I", payload)
+                replayed += self._recover_entry(gid, payload[4:])
         self._wal_replayed.inc(replayed)
         self._wal_torn_records.inc(torn)
         if torn:
@@ -608,26 +597,34 @@ class TaintMapServer:
             # truncate recovers the same state again.
             self._snapshot_locked()
 
-    def _persist_entry_locked(self, gid: int, serialized: bytes) -> None:
-        """Append one allocation to the WAL.  Caller holds ``_lock``, so
-        the append lands before the response that acknowledges the GID
-        can leave the server."""
-        if self._store is None:
-            return
+    def _recover_entry(self, gid: int, serialized: bytes) -> bool:
+        """Bind one recovered entry unless its GID is bound already;
+        True if it was bound.  The taint is keyed with the function the
+        live server keys with, and a key already bound keeps its GID,
+        as the live server's dedup decided in log order."""
+        if gid in self._by_gid:
+            return False
+        try:
+            key = serialized_key(serialized)
+        except TaintMapError:
+            key = None
+        self._bind(gid, None if key in self._by_key else key, serialized)
+        return True
+
+    def _persist_locked(self, gid: int, serialized: bytes) -> None:
+        """Make the live binding of ``gid`` durable: append it to the
+        WAL, then compact once ``_snapshot_every`` appends have piled
+        up.  Caller holds ``_lock``, so the append lands before the
+        response that acknowledges the GID can leave the server."""
         self._store.append_log(
             durability.pack_record(
                 durability.WAL_ENTRY, struct.pack(">I", gid) + serialized
             )
         )
-        self._writes_since_snapshot += 1
         self._wal_appends.inc()
-
-    def _maybe_snapshot(self) -> None:
-        if self._store is None:
-            return
-        with self._lock:
-            if self._writes_since_snapshot >= self._snapshot_every:
-                self._snapshot_locked()
+        self._writes_since_snapshot += 1
+        if self._writes_since_snapshot >= self._snapshot_every:
+            self._snapshot_locked()
 
     def snapshot_now(self) -> None:
         """Force a compacted snapshot + WAL truncate (tests, shutdown)."""
@@ -637,19 +634,30 @@ class TaintMapServer:
             self._snapshot_locked()
 
     def _snapshot_locked(self) -> None:
-        data = durability.encode_snapshot(
-            self._next_gid,
-            list(self._by_gid.items()),
-            list(self._by_key.items()),
-        )
+        data = durability.encode_snapshot(self._by_gid.items())
         # Write-then-truncate under the allocation lock: no append can
         # race between the state capture and the truncate, so the worst
-        # crash outcome is a fresh snapshot plus a stale WAL — whose
-        # replay is setdefault-idempotent.
+        # crash outcome is a fresh snapshot plus a stale WAL, whose
+        # replay skips every GID the snapshot bound.
         self._store.write_snapshot(data)
         self._store.truncate_log()
         self._writes_since_snapshot = 0
         self._wal_snapshots.inc()
+
+    # -- the one binding path ------------------------------------------------- #
+
+    def _bind(self, gid: int, key: Optional[bytes], serialized: bytes) -> None:
+        """Bind ``gid`` to the taint ``serialized``, whose
+        :func:`serialized_key` is ``key``, and move the allocator past it.
+        ``key`` is None for a recovered taint that fails to key: its GID
+        stays bound and resolvable, with no key.  The only writer of
+        ``_by_key``, ``_by_gid`` and ``_next_gid`` after ``__init__``;
+        the caller holds ``_lock`` or runs before the listener exists."""
+        if key is not None:
+            self._by_key[key] = gid
+        self._by_gid[gid] = serialized
+        if gid >= self._next_gid:
+            self._next_gid = gid + 1
 
     def _register(self, key: bytes, serialized: bytes) -> int:
         """The GID of the taint ``serialized``, whose
@@ -663,11 +671,9 @@ class TaintMapServer:
                 raise TaintMapExhaustedError(
                     "the taint map exhausted its 32-bit Global-ID space"
                 )
-            self._next_gid += 1
-            self._by_key[key] = gid
-            self._by_gid[gid] = serialized
-            self._persist_entry_locked(gid, serialized)
-        self._maybe_snapshot()
+            self._bind(gid, key, serialized)
+            if self._store is not None:
+                self._persist_locked(gid, serialized)
         self._allocated(gid, serialized)
         return gid
 
@@ -685,14 +691,16 @@ class TaintMapServer:
     # -- introspection -------------------------------------------------------- #
 
     def global_taint_count(self) -> int:
+        """Distinct global taints bound on this server: its one
+        population number, which ``dista_taintmap_global_taints``
+        reports too."""
         with self._lock:
-            return len(self._by_key)
+            return len(self._by_gid)
 
     def _population_samples(self) -> dict:
         """The population and headroom gauges, read from the maps at
         scrape time, so no allocation path keeps a count."""
-        with self._lock:
-            population = len(self._by_gid)
+        population = self.global_taint_count()
         return {
             "dista_taintmap_global_taints": {
                 "type": "gauge",
@@ -747,12 +755,6 @@ class TaintMapClient:
         from repro.core.transport import TaintMapTransport
 
         self._node = node
-        #: Replica candidates and the index of the one in use; the base
-        #: client has exactly one,
-        #: :class:`~repro.core.ha.FailoverTaintMapClient` appends a
-        #: standby.
-        self._replicas: list[Address] = [address]
-        self._active = 0
         self._cache_enabled = cache_enabled
         #: Guards both caches.  A call reads them under one hold and
         #: records what it resolved under one more.  Nothing is ever
@@ -769,16 +771,6 @@ class TaintMapClient:
         #: they outlive the client, and every client of one node adds
         #: into the same children.
         metrics = node.metrics
-        self._rpc_seconds = metrics.histogram(
-            "dista_taintmap_rpc_seconds",
-            "Client-observed Taint Map RPC latency in seconds.",
-            ("op",),
-        )
-        self._requests_total = metrics.counter(
-            "dista_taintmap_requests_total",
-            "Taint Map requests issued by this node.",
-            ("op",),
-        )
         self._batch_entries = metrics.histogram(
             "dista_taintmap_batch_entries",
             "Entries per batched Taint Map request.",
@@ -793,33 +785,15 @@ class TaintMapClient:
         )
         self._cache_hits = cache_events.labels(event="hit")
         self._cache_misses = cache_events.labels(event="miss")
-        self._close_errors = metrics.counter(
-            "dista_taintmap_close_errors_total",
-            "Socket errors suppressed while closing Taint Map connections.",
-        ).labels()
-        #: op -> its bound (RPC seconds, requests, batch entries)
-        #: children: every RPC observes them, so the labels() lookups
-        #: are done once per op.
-        self._op_children: dict = {}
-        self.transport = TaintMapTransport(self, request_deadline_s)
-
-    def _bind_op(self, op: int) -> tuple:
-        name = op_name(op)
-        children = self._op_children[op] = (
-            self._rpc_seconds.labels(op=name),
-            self._requests_total.labels(op=name),
-            self._batch_entries.labels(op=name),
-        )
-        return children
-
-    def _observe_rpc(self, op: int, elapsed: float) -> None:
-        seconds, requests, _ = self._op_children.get(op) or self._bind_op(op)
-        seconds.observe(elapsed)
-        requests.inc()
+        #: op -> its bound batch-entries child, bound on first use.
+        self._batch_children: dict = {}
+        self.transport = TaintMapTransport(node, [address], request_deadline_s)
 
     def _observe_batch(self, op: int, entries: int) -> None:
-        _, _, batch = self._op_children.get(op) or self._bind_op(op)
-        batch.observe(entries)
+        child = self._batch_children.get(op)
+        if child is None:
+            child = self._batch_children[op] = self._batch_entries.labels(op=op_name(op))
+        child.observe(entries)
 
     def _cached(self, cache: dict, keys: Sequence, empty) -> tuple[list, dict]:
         """Read ``cache`` for every key that is not ``None`` under one lock

@@ -2,12 +2,17 @@
 call's frames sent and its replies read on the caller's thread.
 
 Every :class:`~repro.core.taintmap.TaintMapClient` owns one
-:class:`TaintMapTransport` and no thread:
+:class:`TaintMapTransport` and no thread.  The client keeps its caches;
+the transport keeps everything about the connection — the replica list,
+the index of the replica in use, the connection itself — and counts its
+own RPCs, in-flight depth and close errors:
 
 * **One long-lived connection.**  From its first byte every frame is
   ``corr | op | len | payload`` (:data:`~repro.core.taintmap.MUX_HEAD`):
   a 4-byte **correlation id** lets many requests be in flight at once
-  and replies complete out of order.
+  and replies complete out of order.  It is dialled to the active
+  replica on the first request, and again after a dead one is
+  discarded.
 
 * **One frame per call.**  Each ``submit`` sends its entries as its own
   frame, whatever else is in flight, of either kind.  Concurrent calls
@@ -53,12 +58,12 @@ from repro.core.taintmap import (
     STATUS_OK,
     STATUS_UNKNOWN_GID,
     TRANSPORT_ERRORS,
-    TaintMapClient,
     _pack_batch_lookup,
     _pack_batch_register,
     _split_batch_lookup_response,
     _split_batch_register_response,
     mux_frame,
+    op_name,
     take_frames,
 )
 from repro.errors import (
@@ -69,7 +74,7 @@ from repro.errors import (
     TaintMapExhaustedError,
     TaintMapTransportError,
 )
-from repro.runtime.kernel import TcpEndpoint
+from repro.runtime.kernel import Address, TcpEndpoint
 
 #: Entries per frame: a larger call is sent as several frames.  Below
 #: the 16-bit :data:`~repro.core.taintmap.PROTOCOL_MAX_BATCH`.
@@ -186,65 +191,6 @@ class _MuxConnection:
         self._endpoint.close()
 
 
-class _Channel:
-    """The mux connection plus replica failover.
-
-    The replica list and active index live on the owning client, so HA
-    widening (:class:`~repro.core.ha.FailoverTaintMapClient`) and its
-    ``active_address`` introspection see the live choice.
-    """
-
-    def __init__(self, transport: "TaintMapTransport"):
-        self._transport = transport
-        self._connection: Optional[_MuxConnection] = None
-        self._lock = threading.Lock()
-
-    def connection(self) -> _MuxConnection:
-        connection = self._connection
-        if connection is not None and not connection.broken:
-            return connection
-        with self._lock:
-            transport = self._transport
-            # A send racing close() must not re-dial the endpoint the
-            # shutdown just tore down (TaintMapError: no replica rotation).
-            if transport._closed:
-                raise _closed_error()
-            connection = self._connection
-            if connection is None or connection.broken:
-                client = transport.client
-                node = client._node
-                endpoint = node.kernel.connect(node.ip, client._replicas[client._active])
-                connection = self._connection = _MuxConnection(endpoint, transport._inflight)
-            return connection
-
-    def discard(self, connection: _MuxConnection) -> None:
-        """Drop and close a dead connection; the next send redials."""
-        with self._lock:
-            if self._connection is connection:
-                self._connection = None
-        self._close_quietly(connection)
-
-    def rotate(self, observed_active: int) -> None:
-        """Fail over to the next replica (no-op if a concurrent request
-        already rotated past ``observed_active``)."""
-        client = self._transport.client
-        with self._lock:
-            if client._active == observed_active:
-                client._active = (observed_active + 1) % len(client._replicas)
-
-    def close(self) -> None:
-        with self._lock:
-            connection, self._connection = self._connection, None
-        if connection is not None:
-            self._close_quietly(connection)
-
-    def _close_quietly(self, connection: _MuxConnection) -> None:
-        try:
-            connection.close()
-        except Exception:
-            self._transport.client._close_errors.inc()
-
-
 class _Flight:
     """One frame of one call, packed once, and what became of it."""
 
@@ -271,45 +217,68 @@ class _Flight:
         return self.outcome is not None or self.lost is not None
 
 
-class _Call:
-    """One ``submit``: its deadline."""
-
-    __slots__ = ("deadline",)
-
-    def __init__(self, deadline_s: Optional[float]):
-        self.deadline = None if deadline_s is None else time.monotonic() + deadline_s
-
-    def remaining(self) -> Optional[float]:
-        if self.deadline is None:
-            return None
-        return max(self.deadline - time.monotonic(), 0.0)
+def _remaining(deadline: Optional[float]) -> Optional[float]:
+    """Seconds left before the ``time.monotonic()`` value ``deadline``;
+    None for a call with no deadline."""
+    if deadline is None:
+        return None
+    return max(deadline - time.monotonic(), 0.0)
 
 
 class TaintMapTransport:
-    """The request half of :class:`~repro.core.taintmap.TaintMapClient`.
+    """The request half of :class:`~repro.core.taintmap.TaintMapClient`,
+    and its connection state.
 
     ``submit(kind, entries)`` returns one value per entry: serialized
     taints in and GIDs out for :data:`~repro.core.taintmap.KIND_REGISTER`,
     GIDs in and serialized taints out for
     :data:`~repro.core.taintmap.KIND_LOOKUP`.  Each frame is packed once
-    and re-sent as packed.  ``request_deadline_s`` bounds each
+    and re-sent as packed.  ``replicas`` are the ``(ip, port)`` candidates,
+    dialled from ``node``; requests go to ``replicas[active]`` and rotate
+    to the next on a replica failure.  ``request_deadline_s`` bounds each
     ``submit``; ``None`` or a non-positive value disables it.
     """
 
-    def __init__(self, client: TaintMapClient, request_deadline_s: Optional[float]):
-        self.client = client
+    def __init__(
+        self, node, replicas: Sequence[Address], request_deadline_s: Optional[float]
+    ):
+        self._node = node
+        #: Replica candidates and the index of the one in use: one for a
+        #: plain client, and :class:`~repro.core.ha.FailoverTaintMapClient`
+        #: appends its standby.
+        self.replicas: list[Address] = list(replicas)
+        self.active = 0
         self.max_batch = DEFAULT_MAX_BATCH
         self.request_deadline_s = (
             None
             if request_deadline_s is None or request_deadline_s <= 0
             else float(request_deadline_s)
         )
-        # In-flight depth on the owning node's registry, declared now so
-        # /metrics always exposes it.
-        self._inflight = client._node.metrics.gauge(
+        # The families this code counts, on the node's registry, so they
+        # outlive the transport; /metrics shows the unlabelled two from
+        # the start.
+        metrics = node.metrics
+        self._inflight = metrics.gauge(
             "dista_taintmap_inflight_requests",
             "Requests in flight on the multiplexed Taint Map connection.",
         ).labels()
+        self._close_errors = metrics.counter(
+            "dista_taintmap_close_errors_total",
+            "Socket errors suppressed while closing Taint Map connections.",
+        ).labels()
+        self._rpc_seconds = metrics.histogram(
+            "dista_taintmap_rpc_seconds",
+            "Client-observed Taint Map RPC latency in seconds.",
+            ("op",),
+        )
+        self._requests_total = metrics.counter(
+            "dista_taintmap_requests_total",
+            "Taint Map requests issued by this node.",
+            ("op",),
+        )
+        #: op -> its bound (RPC seconds, requests) children: every reply
+        #: observes them, so the labels() lookups are done once per op.
+        self._op_children: dict = {}
         self._closed = False
         #: Guards the connection's request table and read turn.
         self._lock = threading.Lock()
@@ -317,8 +286,11 @@ class TaintMapTransport:
         #: or the turn released wakes them all.
         self._changed = threading.Condition(self._lock)
         self._parked = 0
-        #: Dials lazily, on the first request.
-        self._channel = _Channel(self)
+        #: The connection to ``replicas[active]``, dialled on the first
+        #: request and again after a discard.  ``_dial_lock`` guards it
+        #: and ``active``.
+        self._connection: Optional[_MuxConnection] = None
+        self._dial_lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------- #
 
@@ -326,7 +298,50 @@ class TaintMapTransport:
         """Close the connection.  A call in flight on it finds it closed
         and fails with the closed error instead of re-sending."""
         self._closed = True
-        self._channel.close()
+        with self._dial_lock:
+            connection, self._connection = self._connection, None
+        if connection is not None:
+            self._close_quietly(connection)
+
+    # -- the connection and the replica in use -------------------------------- #
+
+    def _connect(self) -> _MuxConnection:
+        """The live connection, dialled to the active replica if there
+        is none."""
+        connection = self._connection
+        if connection is not None and not connection.broken:
+            return connection
+        with self._dial_lock:
+            # A send racing close() must not re-dial the endpoint the
+            # shutdown just tore down (TaintMapError: no replica rotation).
+            if self._closed:
+                raise _closed_error()
+            connection = self._connection
+            if connection is None or connection.broken:
+                node = self._node
+                endpoint = node.kernel.connect(node.ip, self.replicas[self.active])
+                connection = self._connection = _MuxConnection(endpoint, self._inflight)
+            return connection
+
+    def _discard(self, connection: _MuxConnection) -> None:
+        """Drop and close a dead connection; the next send redials."""
+        with self._dial_lock:
+            if self._connection is connection:
+                self._connection = None
+        self._close_quietly(connection)
+
+    def _rotate(self, observed_active: int) -> None:
+        """Fail over to the next replica (no-op if a concurrent request
+        already rotated past ``observed_active``)."""
+        with self._dial_lock:
+            if self.active == observed_active:
+                self.active = (observed_active + 1) % len(self.replicas)
+
+    def _close_quietly(self, connection: _MuxConnection) -> None:
+        try:
+            connection.close()
+        except Exception:
+            self._close_errors.inc()
 
     # -- sync entry point ---------------------------------------------------- #
 
@@ -334,13 +349,14 @@ class TaintMapTransport:
         """Send ``entries`` as this call's own frames, at most
         ``max_batch`` entries each and one at a time, and return one
         value per entry."""
-        call = _Call(self.request_deadline_s)
+        deadline_s = self.request_deadline_s
+        deadline = None if deadline_s is None else time.monotonic() + deadline_s
         values = []
         for start in range(0, len(entries), self.max_batch):
-            values += self._request(call, _Flight(kind, entries[start : start + self.max_batch]))
+            values += self._request(deadline, _Flight(kind, entries[start : start + self.max_batch]))
         return values
 
-    def _request(self, call: _Call, flight: _Flight) -> Sequence:
+    def _request(self, deadline: Optional[float], flight: _Flight) -> Sequence:
         """Send one frame and wait for its reply.  After a transport
         failure, send it again: on a redialed connection once when the
         failure was found at send time (rule 3), else on the next
@@ -350,15 +366,15 @@ class TaintMapTransport:
         while True:
             connection = self._transmit(flight)
             if connection is not None:
-                self._await(call, flight, connection)
+                self._await(deadline, flight, connection)
             exc, flight.lost = flight.lost, None
             if exc is None:
                 break
             if flight.at_send and not redialed:
                 redialed = True
                 continue
-            replicas = len(self.client._replicas)
-            self._channel.rotate(flight.observed_active)
+            replicas = len(self.replicas)
+            self._rotate(flight.observed_active)
             failures += 1
             if self._closed:
                 raise _closed_error()
@@ -370,7 +386,9 @@ class TaintMapTransport:
             raise flight.outcome
         return flight.outcome
 
-    def _await(self, call: _Call, flight: _Flight, connection: _MuxConnection) -> None:
+    def _await(
+        self, deadline: Optional[float], flight: _Flight, connection: _MuxConnection
+    ) -> None:
         """Return once ``flight`` has landed.  Meanwhile read
         ``connection``, the one it was sent on, while its read turn is
         free, or else sleep until woken or the call's deadline."""
@@ -381,14 +399,14 @@ class TaintMapTransport:
                 if connection.reading:
                     self._parked += 1
                     try:
-                        woken = self._changed.wait(call.remaining())
+                        woken = self._changed.wait(_remaining(deadline))
                     finally:
                         self._parked -= 1
                     if not woken and not flight.landed():
                         raise self._deadline_error()
                     continue
                 connection.reading = True
-            self._read_turn(connection, call, flight)
+            self._read_turn(connection, deadline, flight)
 
     def _deadline_error(self) -> TaintMapDeadlineError:
         return TaintMapDeadlineError(
@@ -403,7 +421,10 @@ class TaintMapTransport:
 
     def _landed(self, flight: _Flight, status: int, response: bytes) -> None:
         """Settle the flight a reply answers."""
-        self.client._observe_rpc(flight.op, time.perf_counter() - flight.started)
+        elapsed = time.perf_counter() - flight.started
+        seconds, requests = self._op_children.get(flight.op) or self._bind_op(flight.op)
+        seconds.observe(elapsed)
+        requests.inc()
         try:
             if status != STATUS_OK:
                 flight.outcome = _status_error(status)
@@ -413,6 +434,14 @@ class TaintMapTransport:
                 flight.outcome = _split_batch_lookup_response(response, flight.count)
         except Exception as exc:  # a malformed reply
             flight.outcome = exc
+
+    def _bind_op(self, op: int) -> tuple:
+        name = op_name(op)
+        children = self._op_children[op] = (
+            self._rpc_seconds.labels(op=name),
+            self._requests_total.labels(op=name),
+        )
+        return children
 
     def _lose(self, flights: list, exc: Exception, at_send: bool) -> None:
         """A transport error took these frames' connection: hand each
@@ -427,10 +456,10 @@ class TaintMapTransport:
         """Send one frame and return the connection its reply will come
         on.  A transport failure on the way is recorded instead, on the
         flights it took (``lost``), for their owners to act on."""
-        flight.observed_active = self.client._active
+        flight.observed_active = self.active
         flight.started = time.perf_counter()
         try:
-            connection = self._channel.connection()
+            connection = self._connect()
         except TRANSPORT_ERRORS as exc:
             flight.lost, flight.at_send = exc, False
             return None
@@ -445,17 +474,19 @@ class TaintMapTransport:
                 if corr is not None and connection.take(corr) is None:
                     return None  # a reader already failed it over
                 self._lose([flight, *connection.fail(exc)], exc, at_send=True)
-            self._channel.discard(connection)
+            self._discard(connection)
             return None
 
     # -- replies (the read turn) ---------------------------------------------- #
 
-    def _read_turn(self, connection: _MuxConnection, call: _Call, mine: _Flight) -> None:
+    def _read_turn(
+        self, connection: _MuxConnection, deadline: Optional[float], mine: _Flight
+    ) -> None:
         """Read as the turn holder, settling every reply frame found,
         until ``mine`` has landed; then release the turn."""
         try:
             while True:
-                frames = connection.receive(call.remaining())
+                frames = connection.receive(_remaining(deadline))
                 with self._lock:
                     for corr, status, response in frames:
                         flight = connection.take(corr)
@@ -474,7 +505,7 @@ class TaintMapTransport:
             with self._lock:
                 self._lose(connection.fail(exc), exc, at_send=False)
                 self._release(connection)
-            self._channel.discard(connection)
+            self._discard(connection)
         except BaseException:
             with self._lock:
                 self._release(connection)

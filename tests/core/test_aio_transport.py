@@ -42,7 +42,7 @@ def _node(kernel, fs, name="n", ip="10.0.0.1", pid=1):
 
 def _in_flight(client):
     """Frames sent on the client's connection whose replies are due."""
-    connection = client.transport._channel._connection
+    connection = client.transport._connection
     return 0 if connection is None else len(connection._pending)
 
 
@@ -298,7 +298,7 @@ class TestFaultInjection:
             client.gid_for(node.tree.taint_for_tag("victim"))
         evil_thread.join(10)  # the address must be free before rebinding
         # The poisoned connection was closed and discarded, not kept.
-        assert client.transport._channel._connection is None
+        assert client.transport._connection is None
 
         # A real server takes over the address; the client recovers with
         # no framing desync from the half-read response.
@@ -400,10 +400,10 @@ class TestCloseErrorSuppression:
         _, _, server, node = single
         client = TaintMapClient(node, server.address)
         client.gid_for(node.tree.taint_for_tag("warm"))  # dials the server
-        channel = client.transport._channel
+        channel = client.transport
         healthy = channel._connection
         channel._connection = ExplodingConnection()
-        channel.close()
+        channel._discard(channel._connection)
         assert _count(node, "dista_taintmap_close_errors_total") == 1
         assert channel._connection is None
         healthy.close()
@@ -420,7 +420,7 @@ class TestCloseErrorSuppression:
         taint = node.tree.taint_for_tag("kept")
         client.gid_for(taint)  # a miss
         client.gid_for(taint)  # a hit
-        channel = client.transport._channel
+        channel = client.transport
         healthy, channel._connection = channel._connection, ExplodingConnection()
         client.close()
         healthy.close()

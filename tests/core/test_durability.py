@@ -30,14 +30,16 @@ from repro.core.taintmap import (
     TaintMapServer,
     _pack_batch_register,
     serialize_tags,
+    serialized_key,
 )
-from repro.errors import TaintMapExhaustedError
+from repro.errors import TaintMapError, TaintMapExhaustedError
 from repro.obs.registry import snapshot_total
 from repro.runtime.cluster import TAINT_MAP_IP, TAINT_MAP_PORT
 from repro.runtime.fs import SimFileSystem
 from repro.runtime.kernel import SimKernel
 from repro.runtime.modes import Mode
 from repro.runtime.node import SimNode
+from repro.taint import LocalId, TaintTree
 
 
 def _count(server, family):
@@ -104,13 +106,9 @@ class TestWalCodec:
     def test_snapshot_roundtrip(self):
         # 0x10000009 needs the full 4-byte sequence (it is above 2**28).
         gid_entries = [(1, b"a"), (0x10000009, b"bb")]
-        key_entries = [(b"key-a", 1), (b"key-b", 0x10000009)]
-        raw = durability.encode_snapshot(42, gid_entries, key_entries)
-        assert raw[0] == durability.SNAPSHOT_VERSION == 2
-        next_gid, gids, keys = durability.decode_snapshot(raw)
-        assert next_gid == 42
-        assert gids == gid_entries
-        assert keys == key_entries
+        raw = durability.encode_snapshot(gid_entries)
+        assert raw[0] == durability.SNAPSHOT_VERSION == 3
+        assert durability.decode_snapshot(raw) == gid_entries
 
 
 class TestRestartRecovery:
@@ -222,6 +220,41 @@ class TestRestartRecovery:
         fresh.close()
         server.stop()
 
+    def test_an_unkeyable_entry_counts_once_in_the_population(self):
+        """A recovered taint that fails to key stays bound by its GID, so
+        the server's one population number counts it, on both readings,
+        and the allocator moves past it."""
+        store = MemoryTaintMapStore()
+        store.append_log(pack_record(WAL_ENTRY, struct.pack(">I", 1) + b"\x00\x01"))
+        kernel, server, node = _boot(name="unkeyable", store=store)
+        assert server.global_taint_count() == 1
+        assert _count(server, "dista_taintmap_global_taints") == 1
+        assert server.gid_headroom == MAX_GID - 1
+        client = TaintMapClient(node, server.address, cache_enabled=False)
+        assert client.gid_for(node.tree.taint_for_tag("next")) == 2
+        client.close()
+        server.stop()
+
+    def test_a_version_2_snapshot_is_refused(self):
+        """A snapshot in the version-2 layout (``next_gid``, the GID map,
+        then a key index) fails the server's construction instead of
+        having its ``next_gid`` read as an entry count."""
+        serialized = serialize_tags(
+            TaintTree(LocalId("10.0.0.1", 1)).taint_for_tag("v2").tags
+        )
+        key = serialized_key(serialized)
+        store = MemoryTaintMapStore()
+        store.write_snapshot(
+            struct.pack(">BI", 2, 2)
+            + struct.pack(">III", 1, 1, len(serialized)) + serialized
+            + struct.pack(">II", 1, len(key)) + key + struct.pack(">I", 1)
+        )
+        kernel = SimKernel("snapshot-v2")
+        with pytest.raises(TaintMapError, match="version 2"):
+            TaintMapServer(
+                kernel, kernel.register_node(TAINT_MAP_IP), TAINT_MAP_PORT, store=store
+            )
+
     def test_file_store_persists_through_sim_fs(self):
         fs = SimFileSystem()
         store = FileTaintMapStore(fs, "/var/dista/taintmap")
@@ -268,7 +301,7 @@ class TestGidExhaustion:
         assert not issubclass(TaintMapExhaustedError, ConnectionError)
         # The replica was never rotated: the server is healthy, it just
         # has nothing to allocate (pre-fix this burned a failover).
-        assert client._active == 0
+        assert client.transport.active == 0
         # The connection survives: lookups on the same channel still work.
         gid = 1
         with server._lock:
@@ -277,6 +310,24 @@ class TestGidExhaustion:
             )
         assert client.taint_for(gid) is not None
         client.close()
+        server.stop()
+
+    def test_an_exhausted_durable_server_snapshots(self):
+        """The last GID is acked, compacted and recovered: a snapshot
+        holds no next-GID field that the exhausted allocator overflows."""
+        store = MemoryTaintMapStore()
+        kernel, server, node = _boot(name="exhaust-durable", store=store, snapshot_every=1)
+        with server._lock:
+            server._next_gid = MAX_GID  # one GID left
+        client = TaintMapClient(node, server.address, cache_enabled=False)
+        assert client.gid_for(node.tree.taint_for_tag("last")) == MAX_GID
+        server.snapshot_now()
+        client.close()
+        server = _restart(kernel, server, store)
+        assert server.gid_headroom == 0
+        fresh = TaintMapClient(node, server.address, cache_enabled=False)
+        assert {t.tag for t in fresh.taint_for(MAX_GID).tags} == {"last"}
+        fresh.close()
         server.stop()
 
     def test_exhausted_status_on_the_wire(self):
@@ -301,7 +352,8 @@ class DurableTaintMapMachine(RuleBasedStateMachine):
     The model is the acked set: tag name → the GID the server answered.
     Every acked GID must resolve to its tag, re-registering an acked
     taint must return its GID, ``global_taints`` must equal the acked
-    population, and ``gid_headroom`` never rises — except across a torn
+    population, the key index and next GID must be what the GID map
+    derives, and ``gid_headroom`` never rises — except across a torn
     restart, by exactly the one allocation the tear dropped.
     """
 
@@ -406,6 +458,21 @@ class DurableTaintMapMachine(RuleBasedStateMachine):
     def population_matches_model(self):
         assert _count(self.server, "dista_taintmap_global_taints") == len(self.acked)
         assert self.server.global_taint_count() == len(self.acked)
+
+    @invariant()
+    def derived_state_matches_the_gid_map(self):
+        """The key index is what ``serialized_key`` derives from the GID
+        map, and the next GID is the highest bound GID + 1, whether the
+        server built them live or recovery rebuilt them."""
+        with self.server._lock:
+            by_gid = dict(self.server._by_gid)
+            by_key = dict(self.server._by_key)
+            next_gid = self.server._next_gid
+        derived = {}
+        for gid, serialized in by_gid.items():
+            derived.setdefault(serialized_key(serialized), gid)
+        assert by_key == derived
+        assert next_gid == max(by_gid, default=0) + 1
 
     @invariant()
     def headroom_never_rises(self):

@@ -36,7 +36,7 @@ class TestTaintMapFailures:
         client = TaintMapClient(node, server.address)
         g1 = client.gid_for(node.tree.taint_for_tag("a"))
         # Kill the transport out from under the client.
-        client.transport._channel._connection._endpoint.close()
+        client.transport._connection._endpoint.close()
         g2 = client.gid_for(node.tree.taint_for_tag("b"))
         assert g1 != g2
         client.close()

@@ -73,7 +73,7 @@ class TestFramePerCall:
         finally:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
-        assert client.transport._channel._connection._pending == {}
+        assert client.transport._connection._pending == {}
         registrations = threads * per_thread
         flat = [gid for row in gids for gid in row]
         assert None not in flat
@@ -124,14 +124,14 @@ class TestThreadModel:
         assert client_threads() == []
 
         assert client.gid_for(node.tree.taint_for_tag("tm-0")) == 1
-        connection = client.transport._channel._connection
+        connection = client.transport._connection
         assert connection is not None and client_threads() == []
         # More requests reuse the connection and still start no thread.
         assert client.gids_for(
             [node.tree.taint_for_tag(f"tm-{i}") for i in range(1, 4)]
         ) == [2, 3, 4]
         assert client.taint_for(1) is not None
-        assert client.transport._channel._connection is connection
+        assert client.transport._connection is connection
         assert client_threads() == []
 
         client.close()

@@ -199,9 +199,10 @@ class TestMalformedSync:
 
     def test_syncs_that_break_the_bijection_are_refused(self):
         """GID 0, a known GID for another taint, and a taint already
-        bound to another GID are each refused, leaving the state and
-        the WAL as they were; once promoted, the standby still answers
-        every taint with its own GID."""
+        bound to another GID are each refused by a standby restarted
+        from its store, leaving the state and the WAL as they were;
+        once promoted, the standby still answers every taint with its
+        own GID."""
         kernel = SimKernel("ha-bijection")
         store = MemoryTaintMapStore()
         standby = StandbyTaintMapServer(
@@ -217,6 +218,8 @@ class TestMalformedSync:
 
         assert sync(1, first) == (STATUS_OK, b"")
         assert sync(1, first) == (STATUS_OK, b"")  # a repeat changes nothing
+        # The refusals then check a key index that recovery rebuilt.
+        standby = StandbyTaintMapServer(kernel, *STANDBY, store=store)
 
         def state():
             return (

@@ -54,7 +54,7 @@ def _wait_until(predicate, timeout=10.0):
 def _assert_idle(transport):
     """Nothing in flight, parked or holding the read turn."""
     assert transport._parked == 0
-    connection = transport._channel._connection
+    connection = transport._connection
     if connection is not None:
         assert connection._pending == {}
         assert not connection.reading
@@ -224,13 +224,13 @@ class TestIdleDrop:
         node = _node(kernel, fs)
         client = FailoverTaintMapClient(node, primary.address, standby.address)
         first = client.gid_for(node.tree.taint_for_tag("before-drop"))
-        dropped = client.transport._channel._connection
+        dropped = client.transport._connection
         for endpoint in list(primary._connections):
             endpoint.close()
         second = client.gid_for(node.tree.taint_for_tag("after-drop"))
         assert second == first + 1
         assert client.active_address == primary.address
-        assert client.transport._channel._connection is not dropped
+        assert client.transport._connection is not dropped
         assert snapshot_total(
             primary.metrics.snapshot(), "dista_taintmap_server_requests_total", {"kind": "register"}
         ) == 2

@@ -119,10 +119,10 @@ class TestShutdownWithInflightFlush:
         thread.start()
         transport = client.transport
         assert _wait_until(
-            lambda: transport._channel._connection is not None
-            and transport._channel._connection._pending
+            lambda: transport._connection is not None
+            and transport._connection._pending
         )
-        connection = transport._channel._connection
+        connection = transport._connection
         started = time.monotonic()
         client.close()
         assert time.monotonic() - started < 8.0
@@ -219,13 +219,13 @@ class TestBrokenConnectionErrors:
         _, _, server, node = single
         client = TaintMapClient(node, server.address)
         assert client.gid_for(node.tree.taint_for_tag("pre")) > 0
-        connection = client.transport._channel._connection
+        connection = client.transport._connection
         connection._endpoint.close()
         # The next request finds the connection dead, marks it broken
         # and redials.
         assert client.gid_for(node.tree.taint_for_tag("post")) > 0
         assert connection.broken
-        assert client.transport._channel._connection is not connection
+        assert client.transport._connection is not connection
 
         raised = []
         for _ in range(2):
@@ -251,7 +251,7 @@ class TestCorrelationIdWrap:
         _, _, server, node = single
         client = TaintMapClient(node, server.address)
         gids = [client.gid_for(node.tree.taint_for_tag("wrap0"))]
-        connection = client.transport._channel._connection
+        connection = client.transport._connection
         # Jump the counter to the edge of the 4-byte field; the next
         # requests use corr ids 2**32-2, 2**32-1, 0, 1 on the wire.
         connection._corr = itertools.count(2**32 - 2)
@@ -269,7 +269,7 @@ class TestCorrelationIdWrap:
         _, _, server, node = single
         client = TaintMapClient(node, server.address)
         assert client.gid_for(node.tree.taint_for_tag("collide0")) > 0
-        connection = client.transport._channel._connection
+        connection = client.transport._connection
         planted = object()
         with client.transport._lock:
             connection._pending[1] = planted
