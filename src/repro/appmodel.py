@@ -43,9 +43,9 @@ def app_process(value) -> object:
         labels = value.labels
     elif isinstance(value, TStr):
         labels = value.labels
-    if labels is None or not labels.has_labels():
+    if labels is None:
         # Taint-state specialization (cf. The Taint Rabbit): when the
-        # shadow is all-empty the "rewritten" loop dispatches to the
+        # value is untainted the "rewritten" loop dispatches to the
         # same plain-value loop the uninstrumented build runs, so the
         # per-byte label merge only costs where labels actually exist.
         acc = 0
@@ -57,8 +57,7 @@ def app_process(value) -> object:
     last = None
     # zip pads with None past the labels' end (raw can be longer for
     # multi-byte TStr encodings) so every data byte still checksums.
-    padded = chain(labels, repeat(None)) if labels is not None else repeat(None)
-    for b, label in zip(raw, padded):
+    for b, label in zip(raw, chain(labels, repeat(None))):
         acc = (acc + b) & 0xFFFFF
         if label is not None and label is not last:
             last = label

@@ -109,7 +109,7 @@ def encode_cells(data: TBytes, resolver) -> bytes:
     if length == 0:
         return b""
     labels = data.labels
-    if labels is None or not labels.has_labels():
+    if labels is None:
         # Zero-taint fast path: every GID is 0, so the frame is just the
         # data column scattered into a zeroed cell grid — no resolver
         # call, no Taint Map round-trip.  The result is byte-identical
@@ -215,7 +215,7 @@ def encode_packet(data: TBytes, resolver) -> bytes:
     length = len(data)
     header = PACKET_MAGIC + bytes([PACKET_VERSION]) + struct.pack(">I", length)
     labels = data.labels
-    if labels is None or not labels.has_labels():
+    if labels is None:
         # Zero-taint fast path: the GID trailer is all zeroes — emit it
         # directly, byte-identical to the general path below.
         return header + data.data + bytes(length * GID_WIDTH)

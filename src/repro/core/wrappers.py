@@ -117,9 +117,8 @@ class DisTARuntime:
         if tainted:
             crossings.inc()
         # Which codec path this crossing's payload dispatches to: the
-        # predicate mirrors the one in the wire codecs.
-        labels = getattr(data, "labels", None)
-        if labels is None or not labels.has_labels():
+        # wire codecs test the same summary.
+        if data.labels is None:
             fast.inc()
         else:
             slow.inc()
@@ -202,17 +201,21 @@ class DisTARuntime:
     def native_write(self, mem: NativeMemory, position: int, data: TBytes) -> None:
         """Bytes into native memory, labels into its shadow."""
         mem.write(position, data.data)
-        labels = data.labels
-        if labels is None or not labels.has_labels():
-            # Zero-taint fast path: an untainted write into never-tainted
-            # memory must not materialize a shadow via shadow_for; only
-            # scrub the range when labelled bytes already live there.
+        self.write_shadow(mem, position, data)
+
+    def write_shadow(self, mem: NativeMemory, position: int, data: TBytes) -> None:
+        """``data``'s labels into ``mem``'s shadow at ``position``.
+
+        Zero-taint fast path: an untainted write into never-tainted
+        memory must not materialize a shadow via shadow_for; it only
+        scrubs the range when labelled bytes already live there.
+        """
+        if data.labels is None:
             shadow = self.node.jni.native_shadow.get(mem.address)
             if shadow is not None and shadow.has_labels():
                 shadow[position : position + len(data)] = LabelRuns(len(data))
             return
-        shadow = self.shadow_for(mem)
-        shadow[position : position + len(data)] = labels
+        self.shadow_for(mem)[position : position + len(data)] = data.labels
 
 
 # --------------------------------------------------------------------- #
@@ -380,18 +383,7 @@ def make_direct_put(runtime: DisTARuntime):
     def wrapper(original):
         def direct_put(mem: NativeMemory, position: int, src: TBytes) -> None:
             original(mem, position, src)
-            labels = src.labels
-            if labels is None or not labels.has_labels():
-                # Zero-taint fast path: don't materialize a shadow for a
-                # clean put; scrub only if labelled bytes already exist.
-                shadow = runtime.node.jni.native_shadow.get(mem.address)
-                if shadow is not None and shadow.has_labels():
-                    shadow[position : position + len(src)] = LabelRuns(len(src))
-                return
-            # Splice the run representation directly — O(runs), not the
-            # O(bytes) per-byte list effective_labels() would build.
-            shadow = runtime.shadow_for(mem)
-            shadow[position : position + len(src)] = labels
+            runtime.write_shadow(mem, position, src)
 
         return direct_put
 
@@ -408,11 +400,11 @@ def make_direct_get(runtime: DisTARuntime):
             if shadow is None:
                 return
             piece = shadow[position : position + length]
-            if not piece.has_labels() and dst.labels is None:
-                # Zero-taint fast path: nothing to transfer, nothing to
-                # scrub — keep the destination's shadow unmaterialized.
-                return
-            dst._ensure_labels()[dst_offset : dst_offset + length] = piece
+            # A clean piece clears the range only where the array holds
+            # labels; a clean array's shadow stays unmaterialized.
+            dst.splice_labels(
+                dst_offset, dst_offset + length, piece if piece.has_labels() else None
+            )
 
         return direct_get
 
@@ -483,10 +475,8 @@ def make_dgram_send(runtime: DisTARuntime, method: str):
 
     def wrapper(original):
         def dgram_send(fd, mem, position, count, destination) -> int:
-            data = runtime.outgoing(runtime.native_read(mem, position, count))
-            runtime.record_io("send", method, data, channel=("udp", tuple(destination)))
-            _check_envelope_fits(count)
-            fd.sendto(wire.encode_packet(data, runtime.client), destination)
+            data = runtime.native_read(mem, position, count)
+            fd.sendto(wrap_datagram(runtime, method, data, destination).data, destination)
             return count
 
         return dgram_send

@@ -5,7 +5,6 @@ singleton taint tree, shadow-carrying value types with per-byte labels,
 propagation-by-union, and source/sink points.
 """
 
-from repro.taint.instrument import phosphor_summary
 from repro.taint.policy import POLICY, TaintPolicy, shadows_enabled
 from repro.taint.sources import SinkObservation, SourceEvent, SourceSinkRegistry
 from repro.taint.tags import LocalId, TaintTag
@@ -50,7 +49,6 @@ __all__ = [
     "TaintTree",
     "as_tbytes",
     "as_tstr",
-    "phosphor_summary",
     "plain",
     "shadows_enabled",
     "taint_of",

@@ -13,14 +13,15 @@ program is code operating on the types in this module:
   shadow-carrying values.
 
 Labels are ``Taint | None`` where ``None`` denotes the empty taint; this
-lets untainted values exist without a taint tree in scope.  Shadows are
-stored run-length encoded (:class:`LabelRuns`): real messages taint long
-byte runs with a single taint, so slice/concat/union on the hot
-send/receive paths cost O(runs) rather than O(bytes).  An all-empty
-shadow is never materialized: untainted values keep ``labels is None``
-through slice/concat/splice (the zero-taint invariant), which is both
-the *Original*-baseline representation and the O(1) "any taint?"
-summary every crossing's fast path dispatches on.
+lets untainted values exist without a taint tree in scope.  A shadow is
+one form only, run-length encoded (:class:`LabelRuns`): real messages
+taint long byte runs with a single taint, so slice/concat/union on the
+hot send/receive paths cost O(runs) rather than O(bytes).  A value's
+``labels`` is ``None`` or a :class:`LabelRuns` with at least one run:
+an all-empty shadow is never kept, so untainted values keep ``labels is
+None`` through slice/concat/splice (the zero-taint invariant).  That
+one attribute is both the *Original*-baseline representation and the
+O(1) "any taint?" summary every crossing's fast path dispatches on.
 
 Implicit (control-flow) taint propagation is deliberately absent: the
 paper inherits Phosphor's explicit-flow-only semantics (§VI).
@@ -35,9 +36,6 @@ from repro.taint.policy import shadows_enabled
 from repro.taint.tree import Taint
 
 Label = Optional[Taint]
-#: Accepted shadow inputs: a per-byte list (legacy), a :class:`LabelRuns`,
-#: or ``None`` (no shadow materialized).
-LabelArray = Optional[object]
 
 #: One maximal run of identically-labelled bytes: ``(start, end, label)``.
 Run = Tuple[int, int, Taint]
@@ -79,13 +77,13 @@ class LabelRuns:
 
     Complexity: point lookup is O(log runs); slice, concat, union and
     splice are O(runs); conversion to/from per-byte lists is lossless
-    (:meth:`from_list` / :meth:`to_list`).  Labels within a run compare
-    by identity, matching the tree's one :class:`Taint` per tag set.
+    (:meth:`from_list` / :meth:`to_list`, the per-byte reference the
+    property tests check against).  Labels within a run compare by
+    identity, matching the tree's one :class:`Taint` per tag set.
 
-    The type is list-compatible where the codebase historically indexed
-    per-byte label lists: ``len``, ``bool``, iteration (per byte),
-    integer and unit-step slice ``[]``, slice assignment (splice), and
-    ``==`` against per-byte lists.
+    The type reads like a per-byte label list: ``len``, ``bool``,
+    iteration (per byte), integer and unit-step slice ``[]``, and slice
+    assignment of another :class:`LabelRuns` (splice).
 
     The runs are always *canonical*: sorted, non-empty, inside
     ``[0, length)``, no ``None`` label, and no two abutting runs with
@@ -234,6 +232,10 @@ class LabelRuns:
     # -- point / range operations ---------------------------------------- #
 
     def label_at(self, index: int) -> Label:
+        """Byte ``index``'s label; a negative ``index`` counts from the
+        end, and an index past either end reads ``None``."""
+        if index < 0:
+            index += self.length
         idx = bisect_right(self._starts, index) - 1
         if idx >= 0 and index < self._ends[idx]:
             return self._labels[idx]
@@ -296,19 +298,18 @@ class LabelRuns:
             raise IndexError(f"label index {item} out of range [0, {self.length})")
         return self.label_at(index)
 
-    def __setitem__(self, item: slice, value) -> None:
+    def __setitem__(self, item: slice, value: "LabelRuns") -> None:
         """Splice ``value`` over a range (the TByteArray/shadow write path)."""
         if not isinstance(item, slice):
             raise TypeError("label runs support slice assignment only")
         start, stop, step = item.indices(self.length)
         if step != 1:
             raise ValueError("label runs support unit-step slices only")
-        runs = value if isinstance(value, LabelRuns) else LabelRuns.from_list(value)
-        if runs.length != stop - start:
+        if value.length != stop - start:
             raise ValueError(
-                f"splice of {runs.length} labels into a {stop - start}-byte range"
+                f"splice of {value.length} labels into a {stop - start}-byte range"
             )
-        spliced = self.slice(0, start).concat(runs).concat(self.slice(stop, self.length))
+        spliced = self.slice(0, start).concat(value).concat(self.slice(stop, self.length))
         self._starts = spliced._starts
         self._ends = spliced._ends
         self._labels = spliced._labels
@@ -318,18 +319,7 @@ class LabelRuns:
             for _ in range(start, end):
                 yield label
 
-    def __add__(self, other) -> "LabelRuns":
-        if isinstance(other, LabelRuns):
-            return self.concat(other)
-        if isinstance(other, list):
-            return self.concat(LabelRuns.from_list(other))
-        return NotImplemented
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, list):
-            if len(other) != self.length:
-                return False
-            other = LabelRuns.from_list(other)
         if not isinstance(other, LabelRuns):
             return NotImplemented
         return (
@@ -371,19 +361,20 @@ def _append_runs(starts: list, ends: list, labels: list, runs: LabelRuns, shift:
     labels += add_labels
 
 
-def _as_runs(labels: LabelArray, length: int) -> Optional[LabelRuns]:
-    """Normalize constructor input to the canonical run representation."""
+def _as_runs(labels: Optional[LabelRuns], length: int) -> Optional[LabelRuns]:
+    """The shadow a value keeps: ``labels``, checked against the value's
+    length, or ``None`` when it has no run.
+
+    The zero-taint invariant: an all-empty shadow is never kept, so
+    every downstream crossing can dispatch its fast path on ``labels is
+    None`` alone."""
     if labels is None:
         return None
-    if isinstance(labels, LabelRuns):
-        if labels.length != length:
-            raise ValueError(
-                f"label array length {labels.length} != data length {length}"
-            )
-        return labels
-    if len(labels) != length:
-        raise ValueError(f"label array length {len(labels)} != data length {length}")
-    return LabelRuns.from_list(labels)
+    if not isinstance(labels, LabelRuns):
+        raise TypeError(f"labels must be LabelRuns or None, not {type(labels).__name__}")
+    if labels.length != length:
+        raise ValueError(f"label runs length {labels.length} != data length {length}")
+    return labels if labels.has_labels() else None
 
 
 def _materialize(length: int, label: Label) -> Optional[LabelRuns]:
@@ -397,29 +388,18 @@ class TBytes:
 
     This is the type every network message ultimately becomes; DisTA's
     wire format serializes exactly this (one Global ID per byte).  The
-    shadow is held as :class:`LabelRuns`, so slice/concat/union cost
-    O(runs) rather than O(bytes); per-byte lists are accepted on input
-    and converted losslessly.
+    shadow is ``None`` or a :class:`LabelRuns` of the data's length with
+    at least one run, so slice/concat/union cost O(runs) rather than
+    O(bytes).
     """
 
     __slots__ = ("data", "labels")
 
-    def __init__(self, data: bytes, labels: LabelArray = None):
+    def __init__(self, data: bytes, labels: Optional[LabelRuns] = None):
         self.data = bytes(data)
-        runs = _as_runs(labels, len(self.data))
-        if runs is not None and not runs.has_labels():
-            # Zero-taint invariant: an all-empty shadow is never
-            # materialized.  Untainted values keep ``labels is None``
-            # through slice/concat/splice so every downstream crossing
-            # can dispatch its fast path on one attribute check.
-            runs = None
-        self.labels = runs
+        self.labels = _as_runs(labels, len(self.data))
 
     # -- constructors -------------------------------------------------- #
-
-    @classmethod
-    def untainted(cls, data: bytes) -> "TBytes":
-        return cls(data)
 
     @classmethod
     def raw(cls, data: bytes) -> "TBytes":
@@ -466,12 +446,6 @@ class TBytes:
     def any_tainted(self) -> bool:
         """O(1) taint summary: ``labels is None`` means untainted."""
         return self.labels is not None and self.labels.any_tainted()
-
-    def effective_labels(self) -> list:
-        """Labels as a concrete per-byte list (compatibility accessor)."""
-        if self.labels is not None:
-            return self.labels.to_list()
-        return [None] * len(self.data)
 
     def overall_taint(self) -> Label:
         """Union of every byte's label (used at sink points) — O(runs)."""
@@ -536,9 +510,6 @@ class TBytes:
         for i in range(len(self.data)):
             yield self[i]
 
-    def slice(self, start: int, length: int) -> "TBytes":
-        return self[start : start + length]
-
     def with_taint(self, taint: Label) -> "TBytes":
         """A copy whose every byte additionally carries ``taint``."""
         if taint is None or not shadows_enabled():
@@ -556,13 +527,14 @@ class TBytes:
         if len(text) == len(self.data):
             # Single-byte encoding (the common case): labels map 1:1.
             return TStr(text, self.labels)
-        labels = []
+        # Char widths vary: each char takes the union of its bytes.
+        runs: list = []
         pos = 0
-        for ch in text:
+        for index, ch in enumerate(text):
             width = len(ch.encode(encoding))
-            labels.append(self.labels.slice(pos, pos + width).overall())
+            runs.append((index, index + 1, self.labels.slice(pos, pos + width).overall()))
             pos += width
-        return TStr(text, labels)
+        return TStr(text, LabelRuns(len(text), runs))
 
     def __repr__(self) -> str:
         preview = self.data[:16]
@@ -574,7 +546,8 @@ class TByteArray:
     """Mutable byte buffer with per-byte labels.
 
     Models the ``byte[]`` buffers JRE stream methods read into (e.g. the
-    ``data`` parameter of ``socketRead0``).
+    ``data`` parameter of ``socketRead0``).  Its ``labels`` keep the
+    values' rule: ``None`` or a :class:`LabelRuns` with at least one run.
     """
 
     __slots__ = ("data", "labels")
@@ -589,8 +562,8 @@ class TByteArray:
 
     def __init__(self, size_or_data: Union[int, bytes, TBytes] = 0):
         # Zero-taint invariant (see TBytes): a fresh or untainted buffer
-        # keeps ``labels is None``; the shadow is materialized lazily by
-        # ``_ensure_labels`` the first time labelled data lands in it.
+        # keeps ``labels is None``; the shadow is materialized by
+        # ``splice_labels`` the first time labelled data lands in it.
         if isinstance(size_or_data, int):
             self.data = bytearray(size_or_data)
             self.labels: Optional[LabelRuns] = None
@@ -606,11 +579,6 @@ class TByteArray:
     def __len__(self) -> int:
         return len(self.data)
 
-    def _ensure_labels(self) -> LabelRuns:
-        if self.labels is None:
-            self.labels = LabelRuns(len(self.data))
-        return self.labels
-
     def write(self, offset: int, source: TBytes) -> None:
         """Copy ``source`` (data and label runs) into this buffer."""
         end = offset + len(source)
@@ -620,10 +588,23 @@ class TByteArray:
         # ``bytearray`` slice first copies them into a temporary
         # ``bytearray`` (CPython 3.11).
         memoryview(self.data)[offset:end] = source.data
-        if source.labels is not None:
-            self._ensure_labels()[offset:end] = source.labels
+        # Clean data into a clean buffer (every untainted receive) makes
+        # no further call.
+        if source.labels is not None or self.labels is not None:
+            self.splice_labels(offset, end, source.labels)
+
+    def splice_labels(self, start: int, stop: int, labels: Optional[LabelRuns]) -> None:
+        """Put ``labels`` (a value's shadow: ``None`` or runs) over
+        ``[start, stop)``; ``None`` clears the range.  A shadow left
+        with no run becomes ``None``."""
+        if labels is not None:
+            if self.labels is None:
+                self.labels = LabelRuns(len(self.data))
+            self.labels[start:stop] = labels
         elif self.labels is not None:
-            self.labels[offset:end] = LabelRuns(len(source))
+            self.labels[start:stop] = LabelRuns(stop - start)
+            if not self.labels.has_labels():
+                self.labels = None
 
     def read(self, offset: int, length: int) -> TBytes:
         end = offset + length
@@ -775,14 +756,9 @@ class TStr:
 
     __slots__ = ("value", "labels")
 
-    def __init__(self, value: str, labels: LabelArray = None):
+    def __init__(self, value: str, labels: Optional[LabelRuns] = None):
         self.value = value
-        runs = _as_runs(labels, len(value))
-        if runs is not None and not runs.has_labels():
-            # Zero-taint invariant (see TBytes): no empty-shadow
-            # materialization; untainted strings keep ``labels is None``.
-            runs = None
-        self.labels = runs
+        self.labels = _as_runs(labels, len(value))
 
     @classmethod
     def tainted(cls, value: str, taint: Label) -> "TStr":
@@ -793,11 +769,6 @@ class TStr:
         if self.labels is not None:
             return self.labels
         return LabelRuns(len(self.value))
-
-    def effective_labels(self) -> list:
-        if self.labels is not None:
-            return self.labels.to_list()
-        return [None] * len(self.value)
 
     def overall_taint(self) -> Label:
         if self.labels is None:
@@ -838,7 +809,10 @@ class TStr:
 
     def __getitem__(self, item: Union[int, slice]) -> "TStr":
         if isinstance(item, int):
-            item = slice(item, item + 1 if item != -1 else None)
+            index = item + len(self.value) if item < 0 else item
+            if not 0 <= index < len(self.value):
+                raise IndexError("string index out of range")
+            item = slice(index, index + 1)
         labels = self.labels[item] if self.labels is not None else None
         return TStr(self.value[item], labels)
 
@@ -866,6 +840,8 @@ class TStr:
         return TStr(self.value, self.label_runs().union_taint(taint))
 
     def split(self, sep: str) -> list:
+        if not sep:
+            raise ValueError("empty separator")
         parts = []
         start = 0
         while True:

@@ -86,12 +86,12 @@ def _patterns(tree):
     tb = tree.taint_for_tag("b")
     payload = b"fastpath"
     untainted = TBytes(payload)
-    single = TBytes(payload[:1], [ta]) + TBytes(payload[1:])
+    single = TBytes(payload[:1], LabelRuns.from_list([ta])) + TBytes(payload[1:])
     sparse = (
         TBytes(payload[:2])
-        + TBytes(payload[2:3], [ta])
+        + TBytes(payload[2:3], LabelRuns.from_list([ta]))
         + TBytes(payload[3:6])
-        + TBytes(payload[6:7], [tb])
+        + TBytes(payload[6:7], LabelRuns.from_list([tb]))
         + TBytes(payload[7:])
     )
     full = TBytes.tainted(payload, ta)

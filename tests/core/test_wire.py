@@ -229,16 +229,22 @@ class TestPerByteReference:
         envelope = wire.encode_packet(data, table)
         assert envelope == reference_packet(data, gid_for)
 
+        # A decoded value's ``labels is None`` exactly when no byte of it
+        # has a label: the one summary every crossing's fast path reads.
+        untainted = lambda labels: all(label is None for label in labels)  # noqa: E731
         decoder = wire.CellDecoder()
         out = TBytes.empty()
         position = 0
         for step in itertools.cycle(cut_sizes):
             if position >= len(cells):
                 break
-            out = out + decoder.feed(cells[position : position + step], table)
+            piece = decoder.feed(cells[position : position + step], table)
+            assert (piece.labels is None) == untainted(expected[len(out) : len(out) + len(piece)])
+            out = out + piece
             position += step
         decoder.check_clean_eof()
         packet = wire.decode_packet(envelope, table)
         for decoded in (out, packet):
             assert decoded.data == data.data
             assert all(decoded.label_at(i) is label for i, label in enumerate(expected))
+            assert (decoded.labels is None) == untainted(expected)

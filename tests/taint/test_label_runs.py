@@ -25,7 +25,6 @@ def test_roundtrip_from_list_to_list(labels):
     runs = LabelRuns.from_list(labels)
     assert runs.to_list() == labels
     assert len(runs) == len(labels)
-    assert runs == labels
     assert list(runs) == labels
 
 
@@ -44,6 +43,7 @@ def test_point_lookup_matches_list_index(labels):
     for i, expected in enumerate(labels):
         assert runs.label_at(i) is expected
         assert runs[i] is expected
+        assert runs.label_at(i - len(labels)) is expected
 
 
 @settings(max_examples=200)
@@ -173,14 +173,14 @@ def test_copy_is_canonical_and_independent(labels):
     copied = runs.copy()
     assert_canonical(copied, len(labels), runs.runs)
     if labels:
-        copied[0:1] = [_POOL[1]]
+        copied[0:1] = LabelRuns.from_list([_POOL[1]])
         assert runs.to_list() == labels
 
 
 @settings(max_examples=200)
 @given(st.lists(labels_lists, max_size=5))
 def test_tbytes_concat_is_canonical(parts):
-    pieces = [TBytes(bytes(len(labels)), labels) for labels in parts]
+    pieces = [TBytes(bytes(len(labels)), LabelRuns.from_list(labels)) for labels in parts]
     result = TBytes.concat(pieces)
     runs, offset = [], 0
     for piece in pieces:
@@ -194,7 +194,7 @@ def test_tbytes_concat_is_canonical(parts):
 @settings(max_examples=200)
 @given(labels_lists, st.sampled_from(_POOL + [_TREE.root]))
 def test_tbytes_with_taint_matches_a_union_pass(labels, taint):
-    value = TBytes(bytes(len(labels)), labels)
+    value = TBytes(bytes(len(labels)), LabelRuns.from_list(labels))
     result = value.with_taint(taint)
     if taint is None:
         assert result is value

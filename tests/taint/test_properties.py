@@ -132,6 +132,10 @@ def test_tbytes_concat_slice_roundtrip(da, db, na, nb):
         assert front.overall_taint() is ta
     if db:
         assert back.overall_taint() is tb
+    # Every byte of each part carries its taint, so a slice's shadow is
+    # ``None`` exactly when the slice is empty.
+    assert (front.labels is None) == (not da)
+    assert (back.labels is None) == (not db)
 
 
 @given(st.binary(max_size=128), st.integers(min_value=0, max_value=128), st.integers(min_value=0, max_value=128))

@@ -1,4 +1,4 @@
-"""Unit tests for source/sink registry and instrumentation helpers."""
+"""Unit tests for the source/sink registry."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.taint import (
     TBytes,
     TInt,
     TaintTree,
-    phosphor_summary,
 )
 
 
@@ -110,39 +109,10 @@ class TestSinks:
         assert len(reg.observed_tags()) == 1
 
 
-class TestPhosphorSummary:
-    def test_summary_unions_argument_taints(self, tree):
-        t = tree.taint_for_tag("a")
-
-        @phosphor_summary
-        def parse(data, radix):
-            return int(data.value)
-
-        result = parse(__import__("repro.taint", fromlist=["TStr"]).TStr.tainted("42", t), 10)
-        assert result.value == 42
-        assert result.taint is t
-
-    def test_summary_passthrough_for_untainted(self):
-        @phosphor_summary
-        def add(a, b):
-            return a + b
-
-        assert add(1, 2) == 3
-
-    def test_summary_tolerates_unwrappable_result(self, tree):
-        t = tree.taint_for_tag("a")
-
-        @phosphor_summary
-        def make(obj):
-            return object()
-
-        # Returns the raw object rather than failing.
-        assert make(TInt(1, t)) is not None
-
-
 class TestSourceFraction:
-    """The tainted-traffic knob of the overhead sweep: deterministic
-    Bresenham gating of source firings."""
+    """``source_fraction``, the share of source firings that taint:
+    deterministic Bresenham gating, the knob the SIM telemetry canary
+    sweeps from 0% to 100%."""
 
     def _fired(self, tree, fraction, n=20):
         reg = SourceSinkRegistry(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.taint import (
     POLICY,
+    LabelRuns,
     LocalId,
     TBool,
     TByteArray,
@@ -48,7 +49,14 @@ class TestTBytes:
 
     def test_label_length_mismatch_rejected(self, ta):
         with pytest.raises(ValueError):
-            TBytes(b"ab", [ta])
+            TBytes(b"ab", LabelRuns.from_list([ta]))
+
+    def test_per_byte_label_list_rejected(self, ta):
+        """A shadow has one form: ``None`` or ``LabelRuns``."""
+        with pytest.raises(TypeError):
+            TBytes(b"ab", [ta, ta])
+        with pytest.raises(TypeError):
+            TStr("ab", [ta, ta])
 
     def test_concat_preserves_per_byte_labels(self, ta, tb):
         b = TBytes.tainted(b"aa", ta) + TBytes.tainted(b"bb", tb)
@@ -70,6 +78,17 @@ class TestTBytes:
         assert v.value == 7
         assert v.taint is ta
 
+    def test_negative_index_keeps_the_byte_taint(self, ta, tb):
+        b = TBytes(b"x") + TBytes.tainted(b"yz", ta) + TBytes.tainted(b"w", tb)
+        assert b[-1].value == ord("w") and b[-1].taint is tb
+        assert b[-2].taint is ta
+        assert b[-4].taint is None
+        assert b.label_at(-1) is tb
+        assert b.label_at(-3) is ta
+        for index in (4, -5):
+            with pytest.raises(IndexError):
+                b[index]
+
     def test_with_taint_unions(self, ta, tb):
         b = TBytes.tainted(b"x", ta).with_taint(tb)
         assert {t.tag for t in b.overall_taint().tags} == {"a_tag", "b_tag"}
@@ -78,13 +97,21 @@ class TestTBytes:
         assert TBytes(b"xy") == b"xy"
         assert TBytes(b"xy") != b"yz"
 
-    def test_decode_multibyte_utf8(self, ta):
+    def test_decode_multibyte_utf8(self, ta, tb):
         raw = "héllo".encode("utf-8")
         b = TBytes.tainted(raw, ta)
         s = b.decode()
         assert s.value == "héllo"
         assert len(s) == 5
         assert s.overall_taint() is ta
+        # Each char takes the union of its bytes' labels: "é" is two
+        # bytes, here labelled ``ta`` and ``tb``.
+        mixed = TBytes(raw[:1]) + TBytes.tainted(raw[1:2], ta) + TBytes.tainted(raw[2:], tb)
+        s = mixed.decode()
+        assert s.labels[0] is None
+        assert {t.tag for t in s.labels[1].tags} == {"a_tag", "b_tag"}
+        assert all(s.labels[i] is tb for i in range(2, 5))
+        assert s.labels.run_count == 2
 
     def test_decode_encode_roundtrip_labels(self, ta, tb):
         s = TStr.tainted("ab", ta) + TStr.tainted("cd", tb)
@@ -176,6 +203,22 @@ class TestTStr:
         assert left.value == "aa" and left.overall_taint() is ta
         assert right.value == "bb" and right.overall_taint() is tb
 
+    def test_split_on_empty_separator_raises_like_str(self, ta):
+        with pytest.raises(ValueError, match="empty separator"):
+            TStr.tainted("abc", ta).split("")
+
+    def test_index_follows_str_indexing(self, ta, tb):
+        s = TStr("a") + TStr.tainted("b", ta) + TStr.tainted("c", tb)
+        assert s[-1].value == "c" and s[-1].overall_taint() is tb
+        assert s[-2].value == "b" and s[-2].overall_taint() is ta
+        assert s[0].value == "a" and s[0].labels is None
+        for index in (3, 5, -4):
+            with pytest.raises(IndexError):
+                s[index]
+        with pytest.raises(IndexError):
+            TStr("abc")[5]
+
+
 
 class TestTObjAndHelpers:
     def test_tobj_overall_taint(self, ta):
@@ -235,7 +278,7 @@ class TestPolicyFastPath:
             # empty-shadow construction.
             assert (b + b).labels is None
             assert b[1:3].labels is None
-            assert TBytes(b"abcd", [None, None, None, None]).labels is None
+            assert TBytes(b"abcd", LabelRuns(4)).labels is None
             assert TStr("hi").labels is None
             assert TByteArray(4).labels is None
 
@@ -248,6 +291,7 @@ class TestPolicyFastPath:
             # shadow, and reads of it normalize to None.
             buf.write(0, TBytes.tainted(b"xxxxxxxx", ta))
             buf.write(0, TBytes(b"--------"))
+            assert buf.labels is None
             assert buf.read(0, 8).labels is None
 
     def test_any_tainted_summary(self, ta):
