@@ -37,9 +37,10 @@ class StandbyTaintMapServer(TaintMapServer):
     """A replica that accepts verbatim GID allocations from the primary.
 
     An ``OP_SYNC`` that would break the GID ⇄ taint bijection is
-    answered ``STATUS_BAD_REQUEST`` and changes nothing: GID 0 (the
-    empty taint), a known GID for another taint, or a taint already
-    bound to another GID.  A repeat of a known allocation is a no-op.
+    answered ``STATUS_BAD_REQUEST`` and changes nothing: GID 0 or the
+    empty tag set (GID 0 is the empty taint), a known GID for another
+    taint, or a taint already bound to another GID.  A repeat of a known
+    allocation is a no-op.
     """
 
     def _handle(self, op: int, payload: bytes) -> tuple[int, bytes]:
@@ -54,10 +55,12 @@ class StandbyTaintMapServer(TaintMapServer):
                 key = taintmap.serialized_key(serialized)
             except TaintMapError:
                 return STATUS_BAD_REQUEST, b""
+            if gid == 0 or key == taintmap._EMPTY_TAINT:
+                return STATUS_BAD_REQUEST, b""
             with self._lock:
                 bound = self._by_key.get(key)
                 new_gid = gid not in self._by_gid
-                if gid == 0 or bound != (None if new_gid else gid):
+                if bound != (None if new_gid else gid):
                     return STATUS_BAD_REQUEST, b""
                 if new_gid:
                     # Binding moves the allocator past the GID, so a

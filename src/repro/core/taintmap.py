@@ -27,14 +27,14 @@ from __future__ import annotations
 import struct
 import threading
 import time
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.core import durability
-from repro.errors import PipeClosed, TaintMapError, TaintMapExhaustedError
+from repro.errors import PipeClosed, TaintMapError
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.kernel import Address, SimKernel, TcpEndpoint
 from repro.taint.tags import LocalId, TaintTag
-from repro.taint.tree import Taint
+from repro.taint.tree import _RANK, Taint, TaintTree
 
 # Ops 1 and 2 (single register and lookup) and 6 (the old framing
 # upgrade) are retired and never reused: the fallthrough answers them
@@ -137,9 +137,13 @@ def _decode_tag_value(kind: int, payload: bytes):
 #: ``>B`` IP length and IP: pid, GlobalID, value kind, value length.
 _COUNT = struct.Struct(">H")
 _RECORD = struct.Struct(">IIBH")
-#: A key record's fields after the IP: pid, value kind, value length.
-_KEY_RECORD = struct.Struct(">IBI")
-#: Malformed bytes surface from the parsers as one of these, re-raised
+#: A key record's fields after its origin (IP length, IP, pid): value
+#: kind, value length.
+_KEY_TAIL = struct.Struct(">BI")
+#: The empty tag set, serialized.  GID 0 is the empty taint, so no live
+#: binding may name it.
+_EMPTY_TAINT = _COUNT.pack(0)
+#: Malformed bytes surface from the parser as one of these, re-raised
 #: as :class:`~repro.errors.TaintMapError`.
 _PARSE_ERRORS = (struct.error, IndexError, UnicodeDecodeError)
 
@@ -176,29 +180,29 @@ def serialize_taint(taint: Taint) -> bytes:
     return _COUNT.pack(len(records)) + b"".join(records)
 
 
-def _records(raw: bytes) -> list[tuple]:
-    """Parse and check a serialized taint's records, as
-    ``(head, ip, pid, global_id, kind, payload, value)`` each: ``head``
-    is the record's ``>B`` IP length and IP bytes, ``ip`` the decoded IP
-    and ``value`` the decoded tag value.  Raises
-    :class:`~repro.errors.TaintMapError` on malformed input."""
-    records = []
+def _records(raw: bytes) -> Iterator[tuple]:
+    """The one record parser: check a serialized taint and yield each
+    record, whole, as ``(origin, ip, pid, global_id, kind, payload,
+    value)``: ``origin`` is its ``>B`` IP length, IP and pid bytes, and
+    ``ip`` and ``value`` are decoded.  Raises
+    :class:`~repro.errors.TaintMapError` on malformed input (on bytes
+    past the last record, after yielding it)."""
     try:
         (count,) = _COUNT.unpack_from(raw)
-        pos = _COUNT.size
+        pos, end = _COUNT.size, len(raw)
         for _ in range(count):
             ip_end = pos + 1 + raw[pos]
-            head = raw[pos:ip_end]
             pid, global_id, kind, size = _RECORD.unpack_from(raw, ip_end)
+            origin, ip = raw[pos : ip_end + 4], raw[pos + 1 : ip_end].decode("ascii")
             pos = ip_end + _RECORD.size + size
+            if pos > end:
+                raise TaintMapError(f"truncated serialized taint ({pos - end} bytes short)")
             payload = raw[pos - size : pos]
-            ip, value = head[1:].decode("ascii"), _decode_tag_value(kind, payload)
-            records.append((head, ip, pid, global_id, kind, payload, value))
+            yield origin, ip, pid, global_id, kind, payload, _decode_tag_value(kind, payload)
     except _PARSE_ERRORS as exc:
         raise TaintMapError(f"malformed serialized taint: {exc}") from exc
-    if pos != len(raw):
-        raise TaintMapError(f"trailing bytes in serialized taint ({len(raw) - pos})")
-    return records
+    if pos != end:
+        raise TaintMapError(f"trailing bytes in serialized taint ({end - pos})")
 
 
 def serialized_key(raw: bytes) -> bytes:
@@ -213,11 +217,14 @@ def serialized_key(raw: bytes) -> bytes:
     :func:`deserialize_tags` rejects, with
     :class:`~repro.errors.TaintMapError`.
     """
-    keys = {
-        head + _KEY_RECORD.pack(pid, kind, len(payload)) + payload
-        for head, _ip, pid, _global_id, kind, payload, _value in _records(raw)
-    }
-    return _COUNT.pack(len(keys)) + b"".join(sorted(keys))
+    keys = [
+        origin + _KEY_TAIL.pack(kind, len(payload)) + payload
+        for origin, _ip, _pid, _global_id, kind, payload, _value in _records(raw)
+    ]
+    if len(keys) == 1:
+        return raw[: _COUNT.size] + keys[0]  # a count of 1, as parsed
+    keys = sorted(set(keys))
+    return _COUNT.pack(len(keys)) + b"".join(keys)
 
 
 def deserialize_tags(raw: bytes) -> list[TaintTag]:
@@ -225,8 +232,44 @@ def deserialize_tags(raw: bytes) -> list[TaintTag]:
     :class:`~repro.errors.TaintMapError` on malformed input."""
     return [
         TaintTag(value, LocalId(ip, pid), global_id=global_id)
-        for _head, ip, pid, global_id, _kind, _payload, value in _records(raw)
+        for _origin, ip, pid, global_id, _kind, _payload, value in _records(raw)
     ]
+
+
+def _taints_from_records(
+    tree: TaintTree, origins: dict, gids: Sequence[int], serialized: Sequence[bytes]
+) -> list[Taint]:
+    """The receiver's path from a lookup reply to its taints, under one
+    tree-lock hold: each record is interned straight into ``tree``, its
+    ``LocalId`` read from ``origins`` by its origin bytes, and a
+    one-record taint is walked from the root without a list, set or
+    sort.  Paper §III-D.1: a singleton's tag takes the GID it crossed
+    under as its GlobalID, if it had none, in the same pass.  Rejects
+    exactly what :func:`deserialize_tags` rejects."""
+    taints = []
+    with tree._lock:
+        root = tree.root
+        for gid, raw in zip(gids, serialized):
+            first = ranked = None
+            for origin, ip, pid, global_id, _kind, _payload, value in _records(raw):
+                local_id = origins.get(origin)
+                if local_id is None:
+                    local_id = origins[origin] = LocalId(ip, pid)
+                tag = tree._intern(TaintTag(value, local_id, global_id=global_id))
+                if first is None:
+                    first = tag
+                elif ranked is None:
+                    ranked = {first, tag}
+                else:
+                    ranked.add(tag)
+            if ranked is not None:
+                node = tree._walk(root, sorted(ranked, key=_RANK))
+            else:
+                node = root if first is None else tree._walk(root, (first,))
+            if node.parent is root and node.tag.global_id == 0:
+                node.tag.global_id = gid
+            taints.append(node)
+    return taints
 
 
 # --------------------------------------------------------------------- #
@@ -530,12 +573,27 @@ class TaintMapServer:
                 keys = [serialized_key(entry) for entry in entries]
             except TaintMapError:
                 return STATUS_BAD_REQUEST, b""
+            if _EMPTY_TAINT in keys:
+                return STATUS_BAD_REQUEST, b""  # GID 0 is the empty taint
             self._register_entries.inc(len(entries))
-            # One _register per entry so subclass hooks (HA replication)
-            # see every registration individually.
-            try:
-                gids = [self._register(key, entry) for key, entry in zip(keys, entries)]
-            except TaintMapExhaustedError:
+            # One hold; the GIDs stop short at an exhausted GID space.
+            gids, fresh = [], []
+            with self._lock:
+                for key, entry in zip(keys, entries):
+                    gid = self._by_key.get(key)
+                    if gid is None:
+                        gid = self._next_gid
+                        if gid > MAX_GID:
+                            break
+                        self._bind(gid, key, entry)
+                        if self._store is not None:
+                            self._persist_locked(gid, entry)
+                        fresh.append((gid, entry))
+                    gids.append(gid)
+            # Outside the lock, before the reply (the HA primary replicates).
+            for gid, entry in fresh:
+                self._allocated(gid, entry)
+            if len(gids) < len(entries):
                 return STATUS_GID_EXHAUSTED, b""
             return STATUS_OK, struct.pack(f">{len(gids)}I", *gids)
         if op == OP_LOOKUP_MANY:
@@ -659,24 +717,6 @@ class TaintMapServer:
         if gid >= self._next_gid:
             self._next_gid = gid + 1
 
-    def _register(self, key: bytes, serialized: bytes) -> int:
-        """The GID of the taint ``serialized``, whose
-        :func:`serialized_key` is ``key``; allocated on first sight."""
-        with self._lock:
-            gid = self._by_key.get(key)
-            if gid is not None:
-                return gid
-            gid = self._next_gid
-            if gid > MAX_GID:
-                raise TaintMapExhaustedError(
-                    "the taint map exhausted its 32-bit Global-ID space"
-                )
-            self._bind(gid, key, serialized)
-            if self._store is not None:
-                self._persist_locked(gid, serialized)
-        self._allocated(gid, serialized)
-        return gid
-
     def _allocated(self, gid: int, serialized: bytes) -> None:
         """Hook: ``gid`` was just allocated to ``serialized``.  Runs
         outside ``_lock``, once per allocation, before the reply that
@@ -720,8 +760,8 @@ class TaintMapServer:
 
 def _stamp_global_ids(taints: Sequence[Taint], gids: Sequence[int]) -> None:
     """Paper §III-D.1: a tag's GlobalID is set when it first crosses the
-    network, on the sender and the receiver alike, from the GID of its
-    singleton taint."""
+    network, from the GID of its singleton taint.  The sender's side;
+    the receiver stamps in :func:`_taints_from_records`' pass."""
     for taint, gid in zip(taints, gids):
         if taint.parent is taint.tree.root and taint.tag.global_id == 0:
             taint.tag.global_id = gid
@@ -767,6 +807,9 @@ class TaintMapClient:
         self._gid_cache: dict[Taint, int] = {}
         #: Global ID → local taint.
         self._taint_cache: dict[int, Taint] = {}
+        #: A record's origin bytes (IP length, IP, pid) → its ``LocalId``;
+        #: the receiver reads it under the tree's lock.
+        self._origins: dict[bytes, LocalId] = {}
         #: Node telemetry.  The node's registry owns these counters, so
         #: they outlive the client, and every client of one node adds
         #: into the same children.
@@ -796,17 +839,18 @@ class TaintMapClient:
         child.observe(entries)
 
     def _cached(self, cache: dict, keys: Sequence, empty) -> tuple[list, dict]:
-        """Read ``cache`` for every key that is not ``None`` under one lock
-        hold, and count the call's hits and misses, each only when there
-        is one.  Returns
-        the cached values by position (``empty`` where the key is
-        ``None``), and each missed key with the positions it fills."""
+        """Read ``cache`` under one lock hold, in one pass, for every key
+        that does not name the empty taint (``None``, GID 0 or an empty
+        :class:`Taint`), and count the call's hits and misses, each only
+        when there is one.  Returns the cached values by position
+        (``empty`` where the key names the empty taint), and each missed
+        key with the positions it fills."""
         values = [empty] * len(keys)
         misses: dict = {}
         looked = 0
         with self._cache_lock:
             for i, key in enumerate(keys):
-                if key is None:
+                if not key or type(key) is Taint and key.tag is None:
                     continue
                 looked += 1
                 value = values[i] = cache.get(key)
@@ -834,8 +878,7 @@ class TaintMapClient:
         most one request on first send, and zero on resend (Fig. 9's
         "does not need to request a Global ID again", batched).
         """
-        keys = [None if t is None or t.tag is None else t for t in taints]
-        gids, misses = self._cached(self._gid_cache, keys, 0)
+        gids, misses = self._cached(self._gid_cache, taints, 0)
         if misses:
             fresh = [taints[positions[0]] for positions in misses.values()]
             self._observe_batch(OP_REGISTER_MANY, len(fresh))
@@ -865,7 +908,7 @@ class TaintMapClient:
     def taints_for(self, gids: Sequence[int]) -> list[Optional[Taint]]:
         """Local taints for a batch of Global IDs, resolving all cache
         misses in one ``OP_LOOKUP_MANY`` round-trip."""
-        taints, misses = self._cached(self._taint_cache, [gid or None for gid in gids], None)
+        taints, misses = self._cached(self._taint_cache, gids, None)
         if misses:
             pending = list(misses)
             self._observe_batch(OP_LOOKUP_MANY, len(pending))
@@ -877,14 +920,12 @@ class TaintMapClient:
         return taints
 
     def _record_resolved(self, gids: Sequence[int], serialized: Sequence[bytes]) -> list[Taint]:
-        tree = self._node.tree
-        taints = [tree.taint_for_tags(deserialize_tags(raw)) for raw in serialized]
+        taints = _taints_from_records(self._node.tree, self._origins, gids, serialized)
         if self._cache_enabled:
             with self._cache_lock:
                 for gid, taint in zip(gids, taints):
                     self._taint_cache[gid] = taint
                     self._gid_cache.setdefault(taint, gid)
-        _stamp_global_ids(taints, gids)
         return taints
 
     def close(self) -> None:

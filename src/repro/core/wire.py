@@ -37,6 +37,8 @@ distinct labels resolve in a single Taint Map round-trip.
 from __future__ import annotations
 
 import struct
+from itertools import compress
+from operator import attrgetter
 from typing import Optional, Union
 
 import numpy as np
@@ -63,14 +65,25 @@ _GID_BE = np.dtype(">u4")
 _CELL_DTYPE = np.dtype([("data", np.uint8), ("gid", np.uint32)])
 assert _CELL_DTYPE.itemsize == CELL_WIDTH
 
+#: A taint's tag, ``None`` only for the empty taint.
+_TAG = attrgetter("tag")
+
 
 def _gid_runs(labels: LabelRuns, resolver) -> list:
     """``(Global ID, byte count)`` per run, in order, gaps as GID 0.
     Each distinct run label resolves once, in one batch."""
     unique = labels.unique_labels()
-    mapping = {id(label): gid for label, gid in zip(unique, resolver.gids_for(unique))}
-    mapping[id(None)] = 0
-    return [(mapping[id(label)], end - start) for start, end, label in labels.iter_runs()]
+    gid_of = dict(zip(unique, resolver.gids_for(unique)))
+    out = []
+    pos = 0
+    for start, end, label in zip(labels._starts, labels._ends, labels._labels):
+        if pos < start:
+            out.append((0, start - pos))
+        out.append((gid_of[label], end - start))
+        pos = end
+    if pos < labels.length:
+        out.append((0, labels.length - pos))
+    return out
 
 
 def _label_runs(gids: np.ndarray, resolver) -> Optional[LabelRuns]:
@@ -80,6 +93,12 @@ def _label_runs(gids: np.ndarray, resolver) -> Optional[LabelRuns]:
     depend on byte order, so only one GID per run is converted back to
     its big-endian value.  Each distinct GID resolves once, in one
     batch.  Returns ``None`` when every GID is 0 (untainted payload).
+
+    The runs are adopted as canonical: non-zero GID runs are sorted and
+    never abut one of the same GID, and the Taint Map binds distinct
+    GIDs to distinct non-empty taints.  Only a log written before it
+    refused the empty tag set can bind a GID to the empty taint: those
+    runs are gaps, which the normalising constructor drops.
     """
     n = int(gids.shape[0])
     if n == 0:
@@ -96,11 +115,17 @@ def _label_runs(gids: np.ndarray, resolver) -> Optional[LabelRuns]:
         starts = [0] + (np.flatnonzero(gids[1:] != gids[:-1]) + 1).tolist()
     run_gids = gids[starts].view(_GID_BE).tolist()
     ends = starts[1:] + [n]
-    unique = sorted({g for g in run_gids if g})
-    mapping = dict(zip(unique, resolver.taints_for(unique)))
-    return LabelRuns(
-        n, ((s, e, mapping[g]) for s, e, g in zip(starts, ends, run_gids) if g)
-    )
+    if 0 in run_gids:
+        # Gaps: keep the non-zero runs only.
+        starts, ends = list(compress(starts, run_gids)), list(compress(ends, run_gids))
+        run_gids = list(compress(run_gids, run_gids))
+    unique = sorted(set(run_gids))
+    taints = resolver.taints_for(unique)
+    labels = list(map(dict(zip(unique, taints)).__getitem__, run_gids))
+    if None in taints or not all(map(_TAG, taints)):
+        runs = LabelRuns(n, zip(starts, ends, labels))
+        return runs if runs.has_labels() else None
+    return LabelRuns._canonical(n, starts, ends, labels)
 
 
 def encode_cells(data: TBytes, resolver) -> bytes:
@@ -184,9 +209,7 @@ class CellDecoder:
             del self._buffer[:consumed]
         elif consumed < len(wire):
             self._buffer += wire[consumed:]
-        if labels is None:
-            return TBytes.raw(data)
-        return TBytes(data, labels)
+        return TBytes._of(data, labels)
 
     @property
     def residue_len(self) -> int:

@@ -11,14 +11,15 @@ Here the node *is* the taint: a :class:`Taint` is one tree node holding
 its tag, parent, tree and children, and nothing else.  The tree keeps
 one node per tag set, so two values tainted with the same tag set hold
 the *same* ``Taint`` object and identity comparison is enough for the
-hot paths (per-byte label arrays).
+hot paths (per-byte label arrays).  A node holds a lone child directly,
+so a chain node (most nodes have one child) costs one object.
 """
 
 from __future__ import annotations
 
 import threading
 from operator import attrgetter
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable, Iterator, Optional, Union
 
 from repro.taint.tags import LocalId, TaintTag
 
@@ -41,8 +42,9 @@ class Taint:
         self.tag = tag
         self.parent = parent
         self.tree = tree
-        #: Child by appended tag; created with the first child.
-        self.children: Optional[dict[TaintTag, Taint]] = None
+        #: None, the lone child, or from a second child on a dict of child
+        #: by rank; only :meth:`TaintTree._walk` writes it.
+        self.children: Union[None, Taint, dict[int, Taint]] = None
 
     @property
     def tags(self) -> frozenset[TaintTag]:
@@ -81,6 +83,15 @@ class Taint:
         return f"Taint({sorted(str(t.tag) for t in self.tags)})"
 
 
+def _child_nodes(node: Taint) -> Iterator[Taint]:
+    """``node``'s children, whichever form ``children`` holds them in."""
+    children = node.children
+    if type(children) is dict:
+        yield from children.values()
+    elif children is not None:
+        yield children
+
+
 def _path(node: Taint) -> list[TaintTag]:
     """The tags on ``node``'s path, from ``node`` up to the root (so in
     descending rank)."""
@@ -94,14 +105,16 @@ def _path(node: Taint) -> list[TaintTag]:
 class TaintTree:
     """Per-JVM taint storage: the singleton tree of Fig. 3.
 
-    Every root-to-node path ascends by tag rank and children are keyed
-    by their tags, so a tag set has exactly one path: its one node is
-    found by walking ``children`` from the root in rank order.
+    Every root-to-node path ascends by tag rank and a node's children
+    have distinct ranks, so a tag set has exactly one path: its one node
+    is found by walking ``children`` from the root in rank order.
     :meth:`combine` appends to a path only above its last rank, which
     keeps paths ascending.
 
     Thread safe: real distributed-system nodes run many worker threads
     (e.g. ZooKeeper's SendWorker/RecvWorker) that all propagate taints.
+    The Taint Map client's receiver (``taintmap._taints_from_records``)
+    interns a lookup reply through :meth:`_intern` and :meth:`_walk`.
     """
 
     def __init__(self, local_id: LocalId):
@@ -211,14 +224,20 @@ class TaintTree:
     def _walk(self, node: Taint, ranked: Iterable[TaintTag]) -> Taint:
         """Walk down from ``node`` along ``ranked`` (interned tags, each
         outranking the last), adding the missing nodes.  Caller holds
-        the lock."""
+        the lock.  The only writer of ``children``: a first child is
+        held directly, and a second turns the slot into a dict by rank,
+        whose int keys hash in C."""
         for tag in ranked:
             children = node.children
-            if children is None:
-                children = node.children = {}
-            child = children.get(tag)
-            if child is None:
-                child = children[tag] = Taint(tag, node, self)
+            child = children.get(tag.tree_id) if type(children) is dict else children
+            if child is None or child.tag is not tag:
+                child = Taint(tag, node, self)
                 self._nodes += 1
+                if children is None:
+                    node.children = child
+                elif type(children) is dict:
+                    children[tag.tree_id] = child
+                else:
+                    node.children = {children.tag.tree_id: children, tag.tree_id: child}
             node = child
         return node

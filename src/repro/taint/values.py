@@ -16,7 +16,8 @@ Labels are ``Taint | None`` where ``None`` denotes the empty taint; this
 lets untainted values exist without a taint tree in scope.  A shadow is
 one form only, run-length encoded (:class:`LabelRuns`): real messages
 taint long byte runs with a single taint, so slice/concat/union on the
-hot send/receive paths cost O(runs) rather than O(bytes).  A value's
+hot send/receive paths cost O(runs) rather than O(bytes).  A shadow's
+runs never hold the empty taint, only ``None``'s gaps, and a value's
 ``labels`` is ``None`` or a :class:`LabelRuns` with at least one run:
 an all-empty shadow is never kept, so untainted values keep ``labels is
 None`` through slice/concat/splice (the zero-taint invariant).  That
@@ -43,9 +44,9 @@ Run = Tuple[int, int, Taint]
 
 def union_labels(a: Label, b: Label) -> Label:
     """Union of two labels, treating ``None`` as the empty taint."""
-    if a is None or a.is_empty:
-        return None if b is None or b.is_empty else b
-    if b is None or b.is_empty:
+    if a is None or a.tag is None:
+        return None if b is None or b.tag is None else b
+    if b is None or b.tag is None:
         return a
     return a.union(b)
 
@@ -86,20 +87,21 @@ class LabelRuns:
     assignment of another :class:`LabelRuns` (splice).
 
     The runs are always *canonical*: sorted, non-empty, inside
-    ``[0, length)``, no ``None`` label, and no two abutting runs with
-    the same label.  The public constructor normalises any input to
-    that form; :meth:`filled`, :meth:`slice`, :meth:`concat`,
-    :meth:`copy` and :meth:`TBytes.concat` start from canonical runs
-    and keep them canonical, so they build through :meth:`_canonical`
-    without a second pass.
+    ``[0, length)``, no ``None`` or empty-taint label, and no two
+    abutting runs with the same label.  The public constructor
+    normalises any input to that form; :meth:`filled`, :meth:`slice`,
+    :meth:`concat`, :meth:`copy` and :meth:`TBytes.concat` start from
+    canonical runs and keep them canonical, so they build through
+    :meth:`_canonical` without a second pass.
     """
 
     __slots__ = ("length", "_starts", "_ends", "_labels")
 
     def __init__(self, length: int, runs: Iterable[Run] = ()):
         """Normalise ``runs``: clip them to ``[0, length)``, drop empty
-        and ``None``-labelled ones, and merge abutting runs that share a
-        label.  Overlapping or unsorted runs raise ``ValueError``."""
+        ones and those labelled ``None`` or the empty taint, and merge
+        abutting runs that share a label.  Overlapping or unsorted runs
+        raise ``ValueError``."""
         if length < 0:
             raise ValueError(f"negative shadow length {length}")
         self.length = length
@@ -107,7 +109,7 @@ class LabelRuns:
         ends: list = []
         labels: list = []
         for start, end, label in runs:
-            if label is None:
+            if label is None or label.tag is None:
                 continue
             start = max(start, 0)
             end = min(end, length)
@@ -143,7 +145,7 @@ class LabelRuns:
         """Every byte carries ``label`` (the common source-point case)."""
         if length < 0:
             raise ValueError(f"negative shadow length {length}")
-        if label is None or not length:
+        if label is None or label.tag is None or not length:
             return cls._canonical(length, [], [], [])
         return cls._canonical(length, [0], [length], [label])
 
@@ -191,39 +193,18 @@ class LabelRuns:
             yield pos, self.length, None
 
     def has_labels(self) -> bool:
-        """Whether any byte carries a (possibly empty) taint handle."""
+        """Whether any byte is tainted: runs hold only non-empty taints,
+        so this is the shadow's one "any taint?" summary."""
         return bool(self._starts)
 
-    def any_tainted(self) -> bool:
-        """O(1) "any taint?" summary in the common case.
-
-        Runs never store ``None`` labels, so a shadow with no runs is
-        untainted without scanning; the loop only exists for the rare
-        empty-:class:`Taint` handle and terminates on the first real
-        label.
-        """
-        return any(
-            label is not None and not getattr(label, "is_empty", False)
-            for label in self._labels
-        )
-
     def tainted_byte_count(self) -> int:
-        """Bytes carrying a non-empty taint — O(runs), not O(bytes)."""
-        return sum(
-            end - start
-            for start, end, label in zip(self._starts, self._ends, self._labels)
-            if label is not None and not getattr(label, "is_empty", False)
-        )
+        """Bytes carrying a taint: every run's — O(runs), not O(bytes)."""
+        return sum(self._ends) - sum(self._starts)
 
     def unique_labels(self) -> list:
-        """Distinct run labels in first-appearance order (identity dedup)."""
-        seen: set = set()
-        out: list = []
-        for label in self._labels:
-            if id(label) not in seen:
-                seen.add(id(label))
-                out.append(label)
-        return out
+        """Distinct run labels in first-appearance order (identity dedup:
+        a taint hashes by identity)."""
+        return list(dict.fromkeys(self._labels))
 
     def overall(self) -> Label:
         """Union of every byte's label — O(runs), not O(bytes)."""
@@ -402,6 +383,16 @@ class TBytes:
     # -- constructors -------------------------------------------------- #
 
     @classmethod
+    def _of(cls, data: bytes, labels: Optional[LabelRuns]) -> "TBytes":
+        """Adopt ``data`` (a ``bytes``) and a shadow already in the form
+        a value keeps (``None``, or canonical runs of ``data``'s length
+        with at least one run), without checking or copying either."""
+        out = cls.__new__(cls)
+        out.data = data
+        out.labels = labels
+        return out
+
+    @classmethod
     def raw(cls, data: bytes) -> "TBytes":
         """Untainted bytes *without* shadow materialization.
 
@@ -445,7 +436,7 @@ class TBytes:
 
     def any_tainted(self) -> bool:
         """O(1) taint summary: ``labels is None`` means untainted."""
-        return self.labels is not None and self.labels.any_tainted()
+        return self.labels is not None
 
     def overall_taint(self) -> Label:
         """Union of every byte's label (used at sink points) — O(runs)."""
@@ -484,7 +475,7 @@ class TBytes:
         other = as_tbytes(other)
         if self.labels is None and other.labels is None:
             return TBytes(self.data + other.data)
-        return TBytes(
+        return TBytes._of(
             self.data + other.data,
             self.label_runs().concat(other.label_runs()),
         )
@@ -504,7 +495,7 @@ class TBytes:
             if p.labels is not None:
                 _append_runs(starts, ends, labels, p.labels, offset)
             offset += len(p.data)
-        return cls(data, LabelRuns._canonical(len(data), starts, ends, labels))
+        return cls._of(data, LabelRuns._canonical(len(data), starts, ends, labels))
 
     def __iter__(self):
         for i in range(len(self.data)):
@@ -514,10 +505,13 @@ class TBytes:
         """A copy whose every byte additionally carries ``taint``."""
         if taint is None or not shadows_enabled():
             return self
-        if self.labels is None and not taint.is_empty:
-            # Untainted bytes: the union is one run of ``taint``.
-            return TBytes(self.data, LabelRuns.filled(len(self.data), taint))
-        return TBytes(self.data, self.label_runs().union_taint(taint))
+        if self.labels is None:
+            # Untainted bytes: the union is one run of ``taint``, or none.
+            length = len(self.data)
+            if taint.tag is None or not length:
+                return self
+            return TBytes._of(self.data, LabelRuns._canonical(length, [0], [length], [taint]))
+        return TBytes(self.data, self.labels.union_taint(taint))
 
     def decode(self, encoding: str = "utf-8") -> "TStr":
         """Byte→char label transfer; multi-byte chars union their bytes."""
@@ -622,7 +616,7 @@ class TByteArray:
 
     def any_tainted(self) -> bool:
         """O(1) taint summary: ``labels is None`` means untainted."""
-        return self.labels is not None and self.labels.any_tainted()
+        return self.labels is not None
 
 
 class _TScalar:
@@ -777,7 +771,7 @@ class TStr:
 
     def any_tainted(self) -> bool:
         """O(1) taint summary: ``labels is None`` means untainted."""
-        return self.labels is not None and self.labels.any_tainted()
+        return self.labels is not None
 
     def is_tainted(self) -> bool:
         return self.overall_taint() is not None

@@ -14,7 +14,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core import durability
+from repro.core import durability, wire
 from repro.core.durability import (
     WAL_ENTRY,
     FileTaintMapStore,
@@ -232,6 +232,23 @@ class TestRestartRecovery:
         assert server.gid_headroom == MAX_GID - 1
         client = TaintMapClient(node, server.address, cache_enabled=False)
         assert client.gid_for(node.tree.taint_for_tag("next")) == 2
+        client.close()
+        server.stop()
+
+    def test_a_logged_empty_tag_set_stays_bound_and_decodes_untainted(self):
+        """A log written before the server refused the empty tag set may
+        bind a GID to it.  Recovery still binds it, and cells carrying
+        that GID decode as untainted bytes, as GID 0 does."""
+        store = MemoryTaintMapStore()
+        store.append_log(pack_record(WAL_ENTRY, struct.pack(">I", 5) + serialize_tags(frozenset())))
+        kernel, server, node = _boot(name="logged-empty-set", store=store)
+        assert server.global_taint_count() == 1
+        assert server.gid_headroom == MAX_GID - 5
+        client = TaintMapClient(node, server.address)
+        cells = b"".join(bytes([byte]) + struct.pack(">I", 5) for byte in b"abc")
+        decoded = wire.CellDecoder().feed(cells, client)
+        assert decoded.data == b"abc"
+        assert decoded.labels is None
         client.close()
         server.stop()
 

@@ -5,7 +5,7 @@ import struct
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import wire
@@ -14,12 +14,13 @@ from repro.core.taintmap import (
     _encode_tag_value,
     _split_batch_lookup_response,
     _split_batch_register,
+    _taints_from_records,
     deserialize_tags,
     serialize_tags,
     serialized_key,
 )
 from repro.errors import TaintMapError, WireFormatError
-from repro.taint import LocalId, TaintTag
+from repro.taint import LocalId, TaintTag, TaintTree
 
 #: Resolves every Global ID to no taint.
 NO_TAINTS = SimpleNamespace(taints_for=lambda gids: [None] * len(gids))
@@ -113,16 +114,29 @@ def serializations(draw) -> bytes:
 parser_inputs = st.one_of(st.binary(max_size=64), serializations())
 
 
-@settings(max_examples=300)
+#: The GID the receiver's record-to-tree path resolves in the test below.
+_GID = 7
+
+
+# Input generation can pass Hypothesis' too_slow deadline on a loaded
+# machine while the parsers are fine, so only that health check is off.
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 @given(parser_inputs)
 def test_parsers_reject_exactly_what_the_reference_rejects(raw):
-    """deserialize_tags and serialized_key raise TaintMapError exactly
-    where the reference parser raises anything; elsewhere they return
-    its tags and ``taint_key`` of them."""
+    """deserialize_tags, serialized_key and the receiver's record-to-tree
+    path raise TaintMapError exactly where the reference parser raises
+    anything; elsewhere they return its tags, ``taint_key`` of them, and
+    the tree's node for them, whose singleton tag takes the GID as its
+    GlobalID when its record carried none."""
+    tree = TaintTree(LocalId("10.0.0.9", 9))
+
+    def receive(raw):
+        return _taints_from_records(tree, {}, [_GID], [raw])[0]
+
     try:
         expected = reference_tags(raw)
     except Exception:
-        for parse in (deserialize_tags, serialized_key):
+        for parse in (deserialize_tags, serialized_key, receive):
             with pytest.raises(TaintMapError):
                 parse(raw)
         return
@@ -131,6 +145,15 @@ def test_parsers_reject_exactly_what_the_reference_rejects(raw):
         (t.tag, t.local_id, t.global_id) for t in expected
     ]
     assert serialized_key(raw) == taint_key(frozenset(expected))
+    node = receive(raw)
+    assert node is tree.taint_for_tags(reference_tags(raw))
+    carried: dict = {}
+    for tag in expected:
+        carried.setdefault(tag.key(), tag.global_id)
+    singleton = node.parent is tree.root
+    for tag in node.tags:
+        want = carried[tag.key()]
+        assert tag.global_id == ((want or _GID) if singleton else want)
 
 
 @settings(max_examples=100)

@@ -88,7 +88,7 @@ class TestReplication:
         client.close()
 
     def test_batched_register_replicates_every_entry(self, ha_setup):
-        """OP_REGISTER_MANY goes through the same per-taint _register hook,
+        """OP_REGISTER_MANY calls the _allocated hook once per new GID,
         so the standby sees each batch entry individually."""
         kernel, node, primary, standby = ha_setup
         client = TaintMapClient(node, PRIMARY)
@@ -196,6 +196,16 @@ class TestMalformedSync:
         assert serialized == standby._by_gid[gid]
         assert standby.global_taint_count() == 1
         raw.close()
+
+    def test_a_sync_of_the_empty_tag_set_is_refused(self):
+        """GID 0 is the empty taint, so no other GID may name the empty
+        tag set: the standby refuses it and binds nothing."""
+        kernel = SimKernel("ha-empty-set")
+        standby = StandbyTaintMapServer(kernel, kernel.register_node(STANDBY[0]), STANDBY[1])
+        payload = struct.pack(">I", 5) + serialize_tags(frozenset())
+        assert standby._handle(OP_SYNC, payload) == (STATUS_BAD_REQUEST, b"")
+        assert standby.global_taint_count() == 0
+        assert standby._next_gid == 1
 
     def test_syncs_that_break_the_bijection_are_refused(self):
         """GID 0, a known GID for another taint, and a taint already

@@ -1,6 +1,7 @@
 """Tests for the Taint Map service, protocol, and caching (Fig. 9)."""
 
 import struct
+import sys
 import threading
 import time
 
@@ -9,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.taintmap import (
+    MAX_GID,
     MUX_HEAD,
     OP_REGISTER_MANY,
     STATUS_BAD_REQUEST,
+    STATUS_GID_EXHAUSTED,
     STATUS_OK,
     TaintMapClient,
     TaintMapServer,
@@ -29,6 +32,7 @@ from repro.runtime.kernel import SimKernel
 from repro.runtime.modes import Mode
 from repro.runtime.node import SimNode
 from repro.taint import LocalId, TaintTag, TaintTree
+from repro.taint.tree import _child_nodes
 
 
 class TestTagSerialization:
@@ -291,6 +295,53 @@ class TestTaintMapService:
             resolved = c2.taint_for(gid)
             assert {t.tag for t in resolved.tags} == {t.tag for t in taint.tags}
 
+    def test_concurrent_lookups_intern_one_node_per_tag_set(self, service):
+        """Threads on one node resolve the same fresh GIDs at once, each
+        through its own client and in its own order, so each interns the
+        replies into the shared tree: every tag set ends up with exactly
+        one node, which every thread gets, and a singleton's tag takes
+        its GID as its GlobalID."""
+        server, n1, n2, c1, _ = service
+        singles = [n1.tree.taint_for_tag(f"fresh-{i}") for i in range(12)]
+        chains = [singles[i].union(singles[i + 1]).union(singles[i + 2]) for i in range(0, 12, 3)]
+        taints = singles + chains + [chains[0].union(chains[1])]
+        gids = c1.gids_for(taints)
+        threads_n = 8
+        clients = [TaintMapClient(n2, server.address) for _ in range(threads_n)]
+        results: list = [None] * threads_n
+        barrier = threading.Barrier(threads_n)
+
+        def worker(k):
+            order = gids[k:] + gids[:k]
+            barrier.wait()
+            results[k] = dict(zip(order, clients[k].taints_for(order)))
+
+        workers = [threading.Thread(target=worker, args=(k,)) for k in range(threads_n)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(30)
+        finally:
+            sys.setswitchinterval(previous)
+            for client in clients:
+                client.close()
+        assert not any(w.is_alive() for w in workers)
+        for gid, taint in zip(gids, taints):
+            (node,) = {id(found[gid]): found[gid] for found in results}.values()
+            assert {t.key() for t in node.tags} == {t.key() for t in taint.tags}
+            if node.parent is n2.tree.root:
+                assert node.tag.global_id == gid
+        denoted, pending = set(), [n2.tree.root]
+        while pending:
+            node = pending.pop()
+            assert node.tags not in denoted  # no two nodes denote one set
+            denoted.add(node.tags)
+            pending.extend(_child_nodes(node))
+        assert n2.tree.node_count() == len(denoted)
+
     def test_unbounded_cache_never_evicts(self, service):
         server, n1, _, c1, _ = service
         taints = [n1.tree.taint_for_tag(f"u{i}") for i in range(64)]
@@ -417,6 +468,55 @@ class TestGoldenFrames:
         assert gids == [1, 2, 3, 4, 5]  # the seed protocol's 1, 2, 3, …
         client.close()
         server.stop()
+
+
+class _AnnouncingServer(TaintMapServer):
+    """Records each ``_allocated`` call, and whether ``_lock`` was held."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.announced: list = []
+
+    def _allocated(self, gid, serialized):
+        self.announced.append((gid, serialized, self._lock.locked()))
+
+
+class TestRegisterFrame:
+    """A register frame is keyed first, then bound under one hold; each
+    new GID is announced after the hold, before the reply."""
+
+    def _server(self, name):
+        kernel = SimKernel(name)
+        return _AnnouncingServer(kernel, kernel.register_node(TAINT_MAP_IP), TAINT_MAP_PORT)
+
+    def test_a_frame_announces_each_new_gid_after_its_one_hold(self):
+        server = self._server("register-frame")
+        tree = TaintTree(LocalId("10.0.0.1", 1))
+        a, b, c, d = (serialize_tags(tree.taint_for_tag(name).tags) for name in "abcd")
+        status, reply = server._handle(OP_REGISTER_MANY, _pack_batch_register([a, b, a]))
+        assert (status, reply) == (STATUS_OK, struct.pack(">3I", 1, 2, 1))
+        assert server.announced == [(1, a, False), (2, b, False)]
+        # Exhaustion partway through a frame: the entries before it keep
+        # their GIDs and are announced, and the frame is refused.
+        with server._lock:
+            server._next_gid = MAX_GID
+        status, reply = server._handle(OP_REGISTER_MANY, _pack_batch_register([b, c, d]))
+        assert (status, reply) == (STATUS_GID_EXHAUSTED, b"")
+        assert server.announced[2:] == [(MAX_GID, c, False)]
+        assert server._by_key[serialized_key(c)] == MAX_GID
+        assert server.global_taint_count() == 3
+
+    def test_the_empty_tag_set_is_refused(self):
+        """GID 0 is the empty taint, so a frame with a zero-record entry
+        is a bad request and binds nothing."""
+        server = self._server("register-empty-set")
+        empty = serialize_tags(frozenset())
+        taint = serialize_tags(TaintTree(LocalId("10.0.0.1", 1)).taint_for_tag("t").tags)
+        for entries in ([empty], [taint, empty]):
+            status, reply = server._handle(OP_REGISTER_MANY, _pack_batch_register(entries))
+            assert (status, reply) == (STATUS_BAD_REQUEST, b"")
+        assert server.global_taint_count() == 0
+        assert server.announced == []
 
 
 class TestMuxServeLoop:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core.taintmap import deserialize_tags, serialize_tags, serialize_taint
 from repro.taint import LocalId, TBytes, TStr, TaintTree
+from repro.taint.tree import _child_nodes
 
 LOCAL = LocalId("10.0.0.1", 1)
 REMOTE = LocalId("10.0.0.2", 2)
@@ -89,7 +90,7 @@ def test_unions_keep_the_tree_canonical(specs, rnd):
         node = pending.pop()
         assert node.tags not in denoted  # no two nodes denote the same set
         denoted.add(node.tags)
-        for child in (node.children or {}).values():
+        for child in _child_nodes(node):
             assert node.tag is None or child.tag.tree_id > node.tag.tree_id
             pending.append(child)
     max_len = max(len(s) for s in materialized)

@@ -213,18 +213,18 @@ class TestMemoryShape:
     """Fig. 3's node is the taint: one object per tag set, whose size
     does not depend on how many tags its path carries."""
 
-    def test_a_fresh_tag_keeps_at_most_four_tracked_objects(self, tree):
-        """Per fresh tag chained by union: the tag, its singleton, the
-        chain's new node and the children dict it hangs from.  That is
-        exactly 4, so the bound leaves half an object per tag for what
-        the rest of the process allocates meanwhile."""
+    def test_a_fresh_tag_keeps_at_most_three_tracked_objects(self, tree):
+        """Per fresh tag chained by union: the tag, its singleton and the
+        chain's new node, which its parent holds as its lone child, with
+        no dict.  That is exactly 3, so the bound leaves half an object
+        per tag for what the rest of the process allocates meanwhile."""
         gc.collect()
         before = len(gc.get_objects())
         chain = tree.empty
         for i in range(2000):
             chain = chain.union(tree.taint_for_tag(f"t{i}"))
         gc.collect()
-        assert (len(gc.get_objects()) - before) / 2000 < 4.5
+        assert (len(gc.get_objects()) - before) / 2000 < 3.5
 
     def test_a_deep_node_costs_what_a_shallow_one_does(self):
         def bytes_per_node(depth):

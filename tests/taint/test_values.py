@@ -1,7 +1,10 @@
 """Unit tests for shadow-carrying value types."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core import wire
 from repro.taint import (
     POLICY,
     LabelRuns,
@@ -302,3 +305,27 @@ class TestPolicyFastPath:
             assert mixed.any_tainted()
             assert not mixed[0:2].any_tainted()
             assert mixed[2:].any_tainted()
+
+    def test_the_empty_taint_keeps_no_run(self, tree, ta):
+        """A shadow never holds the empty taint: a value tainted with it
+        is untainted, with ``labels is None``, and so takes every
+        crossing's fast path."""
+        with POLICY.shadows(True):
+            assert LabelRuns.filled(3, tree.empty).run_count == 0
+            assert LabelRuns(3, [(0, 2, tree.empty), (2, 3, ta)]).runs == [(2, 3, ta)]
+            value = TBytes.tainted(b"abc", tree.empty)
+            assert value.labels is None
+            assert not value.is_tainted()
+            assert not value.any_tainted()
+            assert value.tainted_byte_count() == 0
+            assert TStr.tainted("abc", tree.empty).labels is None
+            assert TBytes(b"abc").with_taint(tree.empty).labels is None
+            mixed = TBytes.tainted(b"ab", tree.empty) + TBytes.tainted(b"c", ta)
+            assert mixed.tainted_byte_count() == 1
+            assert mixed.labels.runs == [(2, 3, ta)]
+
+            def no_map(_):
+                raise AssertionError("the fast path resolves no label")
+
+            resolver = SimpleNamespace(gids_for=no_map, taints_for=no_map)
+            assert wire.encode_cells(value, resolver) == wire.encode_cells(TBytes(b"abc"), resolver)
