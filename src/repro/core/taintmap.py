@@ -27,14 +27,14 @@ from __future__ import annotations
 import struct
 import threading
 import time
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core import durability
 from repro.errors import PipeClosed, TaintMapError
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.kernel import Address, SimKernel, TcpEndpoint
 from repro.taint.tags import LocalId, TaintTag
-from repro.taint.tree import _RANK, Taint, TaintTree
+from repro.taint.tree import Taint, TaintTree
 
 # Ops 1 and 2 (single register and lookup) and 6 (the old framing
 # upgrade) are retired and never reused: the fallthrough answers them
@@ -180,29 +180,29 @@ def serialize_taint(taint: Taint) -> bytes:
     return _COUNT.pack(len(records)) + b"".join(records)
 
 
-def _records(raw: bytes) -> Iterator[tuple]:
-    """The one record parser: check a serialized taint and yield each
-    record, whole, as ``(origin, ip, pid, global_id, kind, payload,
-    value)``: ``origin`` is its ``>B`` IP length, IP and pid bytes, and
-    ``ip`` and ``value`` are decoded.  Raises
-    :class:`~repro.errors.TaintMapError` on malformed input (on bytes
-    past the last record, after yielding it)."""
+def _records(raw: bytes) -> list[tuple]:
+    """The one record parser: check a serialized taint and return its
+    records as ``(origin, ip, pid, global_id, kind, payload, value)``
+    each: ``origin`` is the record's ``>B`` IP length, IP and pid bytes,
+    and ``ip`` and ``value`` are decoded.  Raises
+    :class:`~repro.errors.TaintMapError` on malformed input."""
+    records = []
     try:
         (count,) = _COUNT.unpack_from(raw)
-        pos, end = _COUNT.size, len(raw)
+        pos = _COUNT.size
         for _ in range(count):
             ip_end = pos + 1 + raw[pos]
+            origin = raw[pos : ip_end + 4]
             pid, global_id, kind, size = _RECORD.unpack_from(raw, ip_end)
-            origin, ip = raw[pos : ip_end + 4], raw[pos + 1 : ip_end].decode("ascii")
             pos = ip_end + _RECORD.size + size
-            if pos > end:
-                raise TaintMapError(f"truncated serialized taint ({pos - end} bytes short)")
             payload = raw[pos - size : pos]
-            yield origin, ip, pid, global_id, kind, payload, _decode_tag_value(kind, payload)
+            ip, value = origin[1:-4].decode("ascii"), _decode_tag_value(kind, payload)
+            records.append((origin, ip, pid, global_id, kind, payload, value))
     except _PARSE_ERRORS as exc:
         raise TaintMapError(f"malformed serialized taint: {exc}") from exc
-    if pos != end:
-        raise TaintMapError(f"trailing bytes in serialized taint ({end - pos})")
+    if pos != len(raw):
+        raise TaintMapError(f"trailing bytes in serialized taint ({len(raw) - pos})")
+    return records
 
 
 def serialized_key(raw: bytes) -> bytes:
@@ -237,38 +237,16 @@ def deserialize_tags(raw: bytes) -> list[TaintTag]:
 
 
 def _taints_from_records(
-    tree: TaintTree, origins: dict, gids: Sequence[int], serialized: Sequence[bytes]
+    tree: TaintTree, gids: Sequence[int], serialized: Sequence[bytes]
 ) -> list[Taint]:
-    """The receiver's path from a lookup reply to its taints, under one
-    tree-lock hold: each record is interned straight into ``tree``, its
-    ``LocalId`` read from ``origins`` by its origin bytes, and a
-    one-record taint is walked from the root without a list, set or
-    sort.  Paper §III-D.1: a singleton's tag takes the GID it crossed
-    under as its GlobalID, if it had none, in the same pass.  Rejects
-    exactly what :func:`deserialize_tags` rejects."""
-    taints = []
-    with tree._lock:
-        root = tree.root
-        for gid, raw in zip(gids, serialized):
-            first = ranked = None
-            for origin, ip, pid, global_id, _kind, _payload, value in _records(raw):
-                local_id = origins.get(origin)
-                if local_id is None:
-                    local_id = origins[origin] = LocalId(ip, pid)
-                tag = tree._intern(TaintTag(value, local_id, global_id=global_id))
-                if first is None:
-                    first = tag
-                elif ranked is None:
-                    ranked = {first, tag}
-                else:
-                    ranked.add(tag)
-            if ranked is not None:
-                node = tree._walk(root, sorted(ranked, key=_RANK))
-            else:
-                node = root if first is None else tree._walk(root, (first,))
-            if node.parent is root and node.tag.global_id == 0:
-                node.tag.global_id = gid
-            taints.append(node)
+    """The receiver's path from a lookup reply to its taints.  Every
+    entry is parsed, and so checked, before the tree interns any, so a
+    malformed reply raises :class:`~repro.errors.TaintMapError` and
+    leaves the tree as it was; the tree then interns them all under one
+    lock hold.  Paper §III-D.1: a singleton's tag takes the GID it
+    crossed under as its GlobalID, if it had none."""
+    taints = tree.taints_for_tag_sets([deserialize_tags(raw) for raw in serialized])
+    _stamp_global_ids(taints, gids)
     return taints
 
 
@@ -760,8 +738,8 @@ class TaintMapServer:
 
 def _stamp_global_ids(taints: Sequence[Taint], gids: Sequence[int]) -> None:
     """Paper §III-D.1: a tag's GlobalID is set when it first crosses the
-    network, from the GID of its singleton taint.  The sender's side;
-    the receiver stamps in :func:`_taints_from_records`' pass."""
+    network, on the sender and the receiver alike, from the GID of its
+    singleton taint."""
     for taint, gid in zip(taints, gids):
         if taint.parent is taint.tree.root and taint.tag.global_id == 0:
             taint.tag.global_id = gid
@@ -807,9 +785,6 @@ class TaintMapClient:
         self._gid_cache: dict[Taint, int] = {}
         #: Global ID → local taint.
         self._taint_cache: dict[int, Taint] = {}
-        #: A record's origin bytes (IP length, IP, pid) → its ``LocalId``;
-        #: the receiver reads it under the tree's lock.
-        self._origins: dict[bytes, LocalId] = {}
         #: Node telemetry.  The node's registry owns these counters, so
         #: they outlive the client, and every client of one node adds
         #: into the same children.
@@ -920,7 +895,7 @@ class TaintMapClient:
         return taints
 
     def _record_resolved(self, gids: Sequence[int], serialized: Sequence[bytes]) -> list[Taint]:
-        taints = _taints_from_records(self._node.tree, self._origins, gids, serialized)
+        taints = _taints_from_records(self._node.tree, gids, serialized)
         if self._cache_enabled:
             with self._cache_lock:
                 for gid, taint in zip(gids, taints):

@@ -345,14 +345,12 @@ class TaintMapTransport:
 
     # -- sync entry point ---------------------------------------------------- #
 
-    def submit(self, kind: int, entries: Sequence) -> Sequence:
+    def submit(self, kind: int, entries: Sequence) -> list:
         """Send ``entries`` as this call's own frames, at most
         ``max_batch`` entries each and one at a time, and return one
-        value per entry; a call that fits one frame is sent as it is."""
+        value per entry."""
         deadline_s = self.request_deadline_s
         deadline = None if deadline_s is None else time.monotonic() + deadline_s
-        if len(entries) <= self.max_batch:
-            return self._request(deadline, _Flight(kind, entries))
         values = []
         for start in range(0, len(entries), self.max_batch):
             values += self._request(deadline, _Flight(kind, entries[start : start + self.max_batch]))

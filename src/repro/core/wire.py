@@ -74,16 +74,8 @@ def _gid_runs(labels: LabelRuns, resolver) -> list:
     Each distinct run label resolves once, in one batch."""
     unique = labels.unique_labels()
     gid_of = dict(zip(unique, resolver.gids_for(unique)))
-    out = []
-    pos = 0
-    for start, end, label in zip(labels._starts, labels._ends, labels._labels):
-        if pos < start:
-            out.append((0, start - pos))
-        out.append((gid_of[label], end - start))
-        pos = end
-    if pos < labels.length:
-        out.append((0, labels.length - pos))
-    return out
+    gid_of[None] = 0
+    return [(gid_of[label], end - start) for start, end, label in labels.iter_runs()]
 
 
 def _label_runs(gids: np.ndarray, resolver) -> Optional[LabelRuns]:

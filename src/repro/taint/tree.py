@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from operator import attrgetter
-from typing import Hashable, Iterable, Iterator, Optional, Union
+from typing import Collection, Hashable, Iterable, Iterator, Optional, Union
 
 from repro.taint.tags import LocalId, TaintTag
 
@@ -113,8 +113,6 @@ class TaintTree:
 
     Thread safe: real distributed-system nodes run many worker threads
     (e.g. ZooKeeper's SendWorker/RecvWorker) that all propagate taints.
-    The Taint Map client's receiver (``taintmap._taints_from_records``)
-    interns a lookup reply through :meth:`_intern` and :meth:`_walk`.
     """
 
     def __init__(self, local_id: LocalId):
@@ -185,7 +183,7 @@ class TaintTree:
     # Canonical tag-set lookup and combination
     # ------------------------------------------------------------------ #
 
-    def taint_for_tags(self, tags: Iterable[TaintTag]) -> Taint:
+    def taint_for_tags(self, tags: Collection[TaintTag]) -> Taint:
         """Canonical taint for an arbitrary tag set.
 
         Its tags are interned and walked from the root in rank order,
@@ -194,8 +192,21 @@ class TaintTree:
         in.
         """
         with self._lock:
-            ranked = sorted({self._intern(t) for t in tags}, key=_RANK)
-            return self._walk(self.root, ranked)
+            return self._node_for(tags)
+
+    def taints_for_tag_sets(self, tag_sets: Iterable[Collection[TaintTag]]) -> list[Taint]:
+        """:meth:`taint_for_tags` of each tag set, under one lock hold
+        (the Taint Map receiver resolves a lookup reply this way)."""
+        with self._lock:
+            return [self._node_for(tags) for tags in tag_sets]
+
+    def _node_for(self, tags: Collection[TaintTag]) -> Taint:
+        """:meth:`taint_for_tags`; caller holds the lock.  A lone tag
+        (every fresh tag) needs no dedup or sort."""
+        if len(tags) == 1:
+            (tag,) = tags
+            return self._walk(self.root, (self._intern(tag),))
+        return self._walk(self.root, sorted({self._intern(t) for t in tags}, key=_RANK))
 
     def combine(self, a: Taint, b: Taint) -> Taint:
         """Union of two non-empty taints of this tree.

@@ -114,8 +114,10 @@ def serializations(draw) -> bytes:
 parser_inputs = st.one_of(st.binary(max_size=64), serializations())
 
 
-#: The GID the receiver's record-to-tree path resolves in the test below.
+#: The GID the receiver's record-to-tree path resolves in the test below,
+#: and a well-formed entry to put before a malformed one in a reply.
 _GID = 7
+_GOOD_ENTRY = serialize_tags(frozenset({TaintTag("good", LocalId("10.0.0.1", 1))}))
 
 
 # Input generation can pass Hypothesis' too_slow deadline on a loaded
@@ -127,11 +129,12 @@ def test_parsers_reject_exactly_what_the_reference_rejects(raw):
     path raise TaintMapError exactly where the reference parser raises
     anything; elsewhere they return its tags, ``taint_key`` of them, and
     the tree's node for them, whose singleton tag takes the GID as its
-    GlobalID when its record carried none."""
+    GlobalID when its record carried none.  A reply it rejects, even
+    after a good entry, leaves the tree as it was."""
     tree = TaintTree(LocalId("10.0.0.9", 9))
 
     def receive(raw):
-        return _taints_from_records(tree, {}, [_GID], [raw])[0]
+        return _taints_from_records(tree, [_GID], [raw])[0]
 
     try:
         expected = reference_tags(raw)
@@ -139,6 +142,9 @@ def test_parsers_reject_exactly_what_the_reference_rejects(raw):
         for parse in (deserialize_tags, serialized_key, receive):
             with pytest.raises(TaintMapError):
                 parse(raw)
+        with pytest.raises(TaintMapError):
+            _taints_from_records(tree, [_GID + 1, _GID], [_GOOD_ENTRY, raw])
+        assert (tree.tag_count(), tree.node_count()) == (0, 1)
         return
     got = deserialize_tags(raw)
     assert [(t.tag, t.local_id, t.global_id) for t in got] == [
